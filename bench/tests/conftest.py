@@ -1,0 +1,11 @@
+"""Puts the benchmark's modules and the package sources on the import path,
+so `python3 -m pytest bench/tests` runs from the repository root without an
+install."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
