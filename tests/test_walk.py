@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from vrrw import (
     step_loop_model,
     transition_kernel,
 )
+import vrrw.walk as walk_module
 from vrrw.walk import FULL_LOG_LIMIT, _batch_walk
 
 P25 = ModelParameters.for_complete_graph(3, 2.5)
@@ -106,14 +109,85 @@ def test_simulate_is_deterministic_and_matches_stepping():
 
 
 def test_batch_engine_matches_single_runs():
-    seeds = [5, 6, 7]
-    finals, checks, sites = _batch_walk(
-        P25, [0, 1, 2], 300, seeds, True, checkpoint_schedule(300)
-    )
+    # three blocks at alpha 2.5, so the batch, its two halves and each
+    # replica alone all cross block boundaries
+    horizon = 9000
+    seeds = [5, 6, 7, 8, 9]
+    starts = [0, 1, 2, 0, 1]
+    sched = checkpoint_schedule(horizon)
+    finals, checks, sites = _batch_walk(P25, starts, horizon, seeds, True, sched)
+    halves = [
+        _batch_walk(P25, starts[part], horizon, seeds[part], True, sched)
+        for part in (slice(0, 2), slice(2, 5))
+    ]
+    for k, part in enumerate((slice(0, 2), slice(2, 5))):
+        for got, want in zip(halves[k], (finals, checks, sites)):
+            np.testing.assert_array_equal(got, want[part])
     for i, seed in enumerate(seeds):
-        solo = simulate(P25, i, 300, seed)
+        solo = simulate(P25, starts[i], horizon, seed)
         np.testing.assert_array_equal(sites[i], solo.sites)
         np.testing.assert_array_equal(finals[i], solo.final_counts)
+        np.testing.assert_array_equal(checks[i], solo.checkpoint_counts)
+
+
+# SHA-256 of the final counts, checkpoint counts and site log (each as
+# int64) of three replicas run together, keyed by (n, loop_c, alpha).
+# They pin the engine's trajectories: any change to the order of the
+# uniforms or to the arithmetic of a pick changes them.
+GOLDEN_WALKS = {
+    (2, 0.0, 1.15): "a4f380f811b756897eb05b4dce4105ba27dd6d4bb670092069001edf49ed54d2",
+    (2, 0.0, 1.5): "a4f380f811b756897eb05b4dce4105ba27dd6d4bb670092069001edf49ed54d2",
+    (2, 0.0, 2.5): "2b02b0839777e9050fff201f32de7fce62fda6564e427c02d97a1706455fcb12",
+    (2, 0.0, 4.0): "2b02b0839777e9050fff201f32de7fce62fda6564e427c02d97a1706455fcb12",
+    (2, 0.5, 1.15): "7d4319043862f993b39c3b38511b96689edae225e0d60320c156118d23af21b3",
+    (2, 0.5, 1.5): "707d40d46aea65067e94a9552d4f23dcb3dfa63650ced2be4da3e8591b6631b0",
+    (2, 0.5, 2.5): "186f4e2246a6177bec7678bde6a138b1f1224e7918c3fd35c1c1a24c78c55e95",
+    (2, 0.5, 4.0): "c6f9f9db21b5ac561ae6e730df0afe68cdae65a274e4c410083dff87c2f84382",
+    (3, 0.0, 1.15): "56dfe674aa416147d344427963854c2f9b15bc3e97036b481151a6c756bdcf35",
+    (3, 0.0, 1.5): "186d8fc3cdcca908501e6eb70ccf3bf803c85b5837a5406a808bbaf3874f8724",
+    (3, 0.0, 2.5): "6577beca7908a26abc8f653ba7d04289b4615c242ed3f48d787c1e5bb52bc8e7",
+    (3, 0.0, 4.0): "c72b0f5a9e21c30a055a6fefda0dbdf9ed9af5673242f390718c15776efbecb1",
+    (3, 0.5, 1.15): "6cc7aa725ce4423fb5627b32019cf4e9f27b570c9eec8d3062d443e6722e6764",
+    (3, 0.5, 1.5): "3ef913e1bb7fb3b6fe2595d4ba5e3a38ecf054c2d56a24486688e1aebb6ae22c",
+    (3, 0.5, 2.5): "eaa41565fee5d232101daa4aabb2c8d3f94c1ced500b3c7f157312bcbc2d34b0",
+    (3, 0.5, 4.0): "acb43f1b418cced7b0d5537d4f555001d52b9bccfb7438982af5f6bed18a535e",
+    (5, 0.0, 1.15): "2d435b9c0b27ed33eedde2919ad79e530ee52a16448b59b22ede655f2308891e",
+    (5, 0.0, 1.5): "0c099112c79048d65672e1c99e372f6c19e332d785a71f8c08803ab8438bc669",
+    (5, 0.0, 2.5): "55c3a920d8e0ae50c0d4c6574415b54ed04cb22905950d28599d91b0468ebf25",
+    (5, 0.0, 4.0): "9d29d5c69644c1e954f63d6af583189429b2cf26cb25a5c7d9a6d39939aaca22",
+    (5, 0.5, 1.15): "9bda4e4f209e0073c6197986d6e147441bcd4abd7a31f5191c155708ff0c71aa",
+    (5, 0.5, 1.5): "165942d46b3104b7d8b99b31ab05ba530705d2ee32e9845f71c00796db52fea7",
+    (5, 0.5, 2.5): "18c101d97c606b4187a6557efb082ee9a1163dc5ecb6f61a999e6ba0dfd22432",
+    (5, 0.5, 4.0): "9a143c52be9ed780e5fbf88d06992903fd0cf98f474d1acb11b4bb7dda14de10",
+    (10, 0.0, 1.15): "2a5fa039d2d38559cd18f26b70205b4796548418047bc3ce50555acada1ad3a9",
+    (10, 0.0, 1.5): "d93bff76ff94bbf1382affa451da2b06dc7ba435c628b4a06ae02574970bc99f",
+    (10, 0.0, 2.5): "7006460207eb1e8c56d23f511f115215391c41c96c6a4ccb2f951cd5540d2a1a",
+    (10, 0.0, 4.0): "16bd8535317528ddf06c1c12005034389ba7ac36018d70fcad67e77322941522",
+    (10, 0.5, 1.15): "9e62c578ab5e601fc3b6357aaafcdc0cf320f7e76b04aaf09802ea6ef3e945ae",
+    (10, 0.5, 1.5): "15350408b4ecc58ed9ccc5efe8f806bf617788c4e7b72a10bf862f42c2a8bc51",
+    (10, 0.5, 2.5): "1338abfc4409483db9b313f9fae76ad7471075461794ac394fe9a9e58fa4a56c",
+    (10, 0.5, 4.0): "bfa78de8a2ff2bcd8442b92f2059db93348ea160b03284b39ad15a7d4861e7b0",
+}
+
+
+def _walk_digest(n, c, alpha):
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    horizon = 9000 if alpha < 2 else 13000
+    seeds = [11 + 7 * k + 1000 * n for k in range(3)]
+    starts = [k % n for k in range(3)]
+    sched = checkpoint_schedule(horizon, extra=(4096, 4097, 8191))
+    h = hashlib.sha256()
+    for a in _batch_walk(p, starts, horizon, seeds, True, sched):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("block", [None, 64, 1000])
+def test_engine_trajectories_match_golden_hashes(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(walk_module, "BLOCK_STEPS", block)
+    got = {key: _walk_digest(*key) for key in GOLDEN_WALKS}
+    assert got == GOLDEN_WALKS
 
 
 def test_loop_model_reduces_to_plain_step():
