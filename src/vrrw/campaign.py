@@ -30,6 +30,9 @@ from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule
 
 UNIFORM_RANDOM = "uniform-random"
 
+#: Size of the difference array _nearest builds per chunk of replicas.
+_NEAREST_BYTES = 16 * 2**20
+
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _START_SALT = 0xA5A5A5A5A5A5A5A5
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -207,13 +210,22 @@ def equilibrium_anchors(p: ModelParameters) -> list:
 
 
 def _nearest(occupations: np.ndarray, anchors) -> tuple:
+    """Index of and distance to the nearest anchor, row by row. Rows go in
+    chunks whose replica x anchor x site difference array stays within
+    _NEAREST_BYTES; each row's distances do not depend on the chunking."""
+    r = occupations.shape[0]
     if not anchors:
-        r = occupations.shape[0]
         return np.full(r, -1, dtype=np.int64), np.full(r, np.nan)
     pts = np.array([coords_of(e.point) for e in anchors])
-    d = np.linalg.norm(occupations[:, None, :] - pts[None, :, :], axis=2)
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(d.shape[0]), idx]
+    idx = np.empty(r, dtype=np.intp)
+    dist = np.empty(r)
+    chunk = max(1, _NEAREST_BYTES // pts.nbytes)
+    for lo in range(0, r, chunk):
+        d = np.linalg.norm(occupations[lo : lo + chunk, None, :] - pts[None, :, :], axis=2)
+        i = np.argmin(d, axis=1)
+        idx[lo : lo + chunk] = i
+        dist[lo : lo + chunk] = d[np.arange(d.shape[0]), i]
+    return idx, dist
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:

@@ -11,9 +11,7 @@ stderr. Exit codes: 0 success, 2 usage, 3 domain error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import gzip
 import hashlib
-import io
 import json
 import os
 import sys
@@ -22,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .campaign import (
-    _DeterministicGzipText,
+    _open_for_write,
     config_from_json_dict,
     config_to_json_dict,
     export,
@@ -73,12 +71,7 @@ def _load_matrix(path, n, ctx: argparse.ArgumentParser):
 
 
 def _open_out(path):
-    if path is None:
-        return sys.stdout
-    path = str(path)
-    if path.endswith(".gz"):
-        return _DeterministicGzipText(path)
-    return open(path, "w", encoding="utf-8", newline="")
+    return sys.stdout if path is None else _open_for_write(path)
 
 
 def _simplex_arg(text: str) -> np.ndarray:

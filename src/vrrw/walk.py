@@ -2,34 +2,72 @@
 
 The walk jumps from its current site to j with probability proportional
 to A[site][j] * (1 + Z(j))^alpha, where Z(j) counts visits to j including
-time 0. A single vectorized engine advances any number of replicas in
-lockstep, each consuming uniforms from its own seeded stream in fixed
-order, so a replica's trajectory is bit-identical whether it runs alone
-or inside a batch.
+time 0. A single vectorized engine advances any number of replicas, each
+consuming uniforms from its own seeded stream in fixed order, so a
+replica's trajectory is bit-identical whether it runs alone or inside a
+batch.
+
+Strong reinforcement makes most walks settle on two sites and alternate
+between them. At the start of every block of uniforms, and every
+_RESTART_STEPS steps within it, the replicas whose last two sites differ
+form a group that advances in windows: each window assumes the
+alternation goes on and computes the weights, prefix sums and pick of all
+its steps at once. A replica whose pick disagrees commits its steps up to
+and including that pick, which is exact because every earlier assumption
+held, and takes single lockstep steps until the next restart point. Both
+paths pick through _pick_columns, so the result does not depend on which
+one a step took. Each call logs at DEBUG on "vrrw.walk" how many
+speculative steps it computed and committed, how many lockstep steps it
+took and how many picks fell back to the last positive-weight site.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import ModelParameters
 from .errors import NumericError, ValidationError
 from .graph import SimplexPoint
 
-#: Uniforms are drawn from each replica's generator in blocks of this size;
-#: the value never affects trajectories, only buffering.
+#: Uniforms are drawn from each replica's generator in blocks of this size,
+#: and the speculative pass starts over at every block boundary. The value
+#: never affects trajectories, only buffering and where the speculative
+#: windows and the lockstep stretches begin and end.
 BLOCK_STEPS = 4096
 
 #: Full site sequences are kept only up to this horizon; beyond it records
 #: carry geometric checkpoints only.
 FULL_LOG_LIMIT = 1_000_000
 
-#: exp overflows just past 709; the guard leaves headroom for row sums.
+#: exp overflows just past 709: a weight stays below e**690, and a row's
+#: weighted total below e**709, so no total is ever infinite.
 _WEIGHT_LOG_CAP = 690.0
+_TOTAL_LOG_CAP = 709.0
+
+#: Most weights (sites x replicas x steps) one speculative window computes.
+#: A window's arrays take a few times this many doubles, whatever the
+#: replica count and horizon.
+_WINDOW_CELLS = 2**17
+
+#: Replicas speculate in groups small enough that windows of this many
+#: steps fit in _WINDOW_CELLS.
+_MIN_FULL_WINDOW = 32
+
+#: Within a block, replicas that left the speculative pass try it again
+#: at every multiple of this many steps.
+_RESTART_STEPS = 256
+
+#: From this many columns on, prefix sums are taken row by row and picks
+#: counted in int8 (see _sums and _pick_columns).
+_WIDE_COLUMNS = 128
+
+_log = logging.getLogger("vrrw.walk")
 
 
 @dataclass(frozen=True)
@@ -120,10 +158,11 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     return out
 
 
-def _check_weight_range(alpha: float, horizon: int) -> None:
-    if alpha * math.log(horizon + 2) > _WEIGHT_LOG_CAP:
+def _check_weight_range(p: ModelParameters, horizon: int) -> None:
+    log_weight = p.alpha * math.log(horizon + 2)
+    if log_weight > _WEIGHT_LOG_CAP or log_weight + math.log(p.effective_matrix.row_sum) > _TOTAL_LOG_CAP:
         raise NumericError(
-            f"visit weights overflow doubles at horizon {horizon} with exponent {alpha}"
+            f"visit weights overflow doubles at horizon {horizon} with exponent {p.alpha}"
         )
 
 
@@ -147,13 +186,72 @@ def step_distribution(p: ModelParameters, s: WalkState) -> np.ndarray:
     return weights / total
 
 
-def _pick(weights: np.ndarray, u: float) -> int:
-    csum = np.cumsum(weights)
-    target = u * csum[-1]
-    idx = int(np.count_nonzero(csum <= target))
-    if idx >= weights.size:
-        idx = int(np.nonzero(weights > 0)[0][-1])
-    return idx
+def _pairwise_total(eff: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum down the first axis of eff, which has 8 or
+    more rows: eight running sums, combined as a tree, then the rows past
+    the last multiple of 8 one by one; past 128 rows, two halves cut at a
+    multiple of 8, each summed the same way."""
+    n = eff.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_total(eff[:half]) + _pairwise_total(eff[half:])
+    acc = eff[:8].copy()
+    body = n - n % 8
+    for i in range(8, body, 8):
+        acc += eff[i : i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for i in range(body, n):
+        total += eff[i]
+    return total
+
+
+def _sums(eff: np.ndarray):
+    """Prefix sums and totals of the columns of eff (sites first).
+
+    They equal, bit for bit, np.cumsum(rows, axis=1) and rows.sum(axis=1)
+    for rows = eff.T: the prefix sums are sequential, and numpy's row sum
+    is sequential below 8 sites and pairwise from 8 on. Summing down
+    columns costs about a nanosecond per entry, where numpy's reduction
+    over short rows costs tens of nanoseconds per row.
+    """
+    n, m = eff.shape
+    if m < _WIDE_COLUMNS:
+        csum = np.add.accumulate(eff, axis=0)
+    else:
+        # accumulating down axis 0 walks one column at a time
+        csum = np.empty_like(eff)
+        csum[0] = eff[0]
+        for k in range(1, n):
+            np.add(csum[k - 1], eff[k], out=csum[k])
+    return csum, csum[-1] if n < 8 else _pairwise_total(eff)
+
+
+def _pick_columns(eff: np.ndarray, u, stats=None) -> np.ndarray:
+    """Site picked in each column of eff (sites first, nonnegative
+    weights) by that column's uniform: the number of prefix sums at or
+    below u * total.
+
+    u * total can reach the last prefix sum when the pairwise total
+    exceeds it (8 sites or more); such a column lands on its last
+    positive-weight site, and stats["fallbacks"] counts it.
+    """
+    n, m = eff.shape
+    csum, total = _sums(eff)
+    below = csum <= u * total
+    if m < _WIDE_COLUMNS or n >= 128:
+        nxt = below.sum(axis=0)
+    else:
+        # summing int8 views is several times faster than summing booleans
+        nxt = below.view(np.int8).sum(axis=0, dtype=np.int8).astype(np.intp)
+    # prefix sums never decrease, so a column counts them all exactly
+    # when its last one is counted
+    if np.count_nonzero(below[-1]):
+        over = np.flatnonzero(below[-1])
+        for i in over:
+            nxt[i] = np.flatnonzero(eff[:, i] > 0)[-1]
+        if stats is not None:
+            stats["fallbacks"] += over.size
+    return nxt
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
@@ -161,7 +259,7 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite transition weights")
-    nxt = _pick(weights, rng.random())
+    nxt = int(_pick_columns(weights[:, None], rng.random())[0])
     counts = s.counts.copy()
     counts[nxt] += 1
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
@@ -175,72 +273,228 @@ def step_loop_model(p: ModelParameters, s: WalkState, rng: np.random.Generator) 
     return step(p, s, rng)
 
 
+def _put_pair(cnt, cur, prv, ccur, cprv):
+    """Copy of cnt (sites first) with column j's entries at cur[j] and
+    prv[j] set to ccur[j] and cprv[j]."""
+    cnt = cnt.copy()
+    cols = np.arange(cur.size)
+    cnt[cur, cols] = ccur
+    cnt[prv, cols] = cprv
+    return cnt
+
+
+class _Walks:
+    """Replicas of one _batch_walk call and the arrays they fill.
+
+    Counts and weights are kept sites first, shape (N, R), so that every
+    sum over sites is a sum of columns.
+    """
+
+    def __init__(self, p, starts, horizon, seeds, record_sites, checkpoint_at):
+        n, r = p.size, len(seeds)
+        self.n, self.horizon, self.alpha = n, horizon, p.alpha
+        self.a_t = np.ascontiguousarray(np.asarray(p.effective_matrix.entries).T)
+        self.counts = np.zeros((n, r), dtype=np.int64)
+        self.counts[starts, np.arange(r)] = 1
+        self.w = np.power(1.0 + self.counts, p.alpha)
+        self.site = starts.copy()
+        self.prev = starts.copy()  # equal to site: no alternation to continue yet
+        self.gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        # one spare column, read by the spare step of an odd window
+        self.ublock = np.zeros((r, min(BLOCK_STEPS, horizon) + 1))
+        self.chk_pos = {int(x): i for i, x in enumerate(checkpoint_at)}
+        self.chk_steps = np.unique(checkpoint_at)
+        self.chk = np.empty((r, checkpoint_at.size, n), dtype=np.int64)
+        self.sites_log = None
+        if record_sites:
+            dtype = np.int16 if n < 2**15 else np.int64
+            self.sites_log = np.empty((r, horizon + 1), dtype=dtype)
+            self.sites_log[:, 0] = starts
+        self.stats = {"speculative_cells": 0, "committed_cells": 0, "lockstep_steps": 0, "fallbacks": 0}
+
+    def run(self):
+        size = max(1, _WINDOW_CELLS // (self.n * _MIN_FULL_WINDOW))
+        done = 0
+        while done < self.horizon:
+            nblk = min(self.ublock.shape[1] - 1, self.horizon - done)
+            for row, g in zip(self.ublock, self.gens):
+                g.random(out=row[:nblk])
+            # pos[r]: steps of this block that replica r has taken
+            pos = np.zeros(self.site.size, dtype=np.int64)
+            b = 0
+            while b < nblk:
+                if b % _RESTART_STEPS == 0:
+                    at = np.flatnonzero(pos == b)
+                    group = at[self.prev[at] != self.site[at]]
+                    for lo in range(0, group.size, size):
+                        self._speculate(group[lo : lo + size], done, b, nblk, pos)
+                self._lockstep(done, min(nblk, b - b % _RESTART_STEPS + _RESTART_STEPS), pos)
+                behind = pos[pos < nblk]
+                b = int(behind.min()) if behind.size else nblk
+            done += nblk
+
+    def _window_stop(self, done, p, nblk):
+        """Block offset a window starting at offset p may not pass: the
+        block end or the next checkpoint, whichever comes first."""
+        i = np.searchsorted(self.chk_steps, done + p + 1)
+        if i < self.chk_steps.size:
+            return min(nblk, int(self.chk_steps[i]) - done)
+        return nblk
+
+    def _record(self, rows, step, counts):
+        """Store site-first counts of rows at a step if it is checkpointed."""
+        i = self.chk_pos.get(step)
+        if i is not None:
+            self.chk[rows, i] = counts.T
+
+    def _speculate(self, grp, done, p, nblk, pos):
+        """Advance replicas that sit at block offset p and whose last two
+        sites differ, in windows that assume the two-site alternation goes
+        on. Each window computes every pick of every step under that
+        assumption; a replica's picks are exact up to and including its
+        first disagreeing one, so it commits those and leaves for the
+        lockstep loop at the next offset, recorded in pos."""
+        n, alpha, a_t = self.n, self.alpha, self.a_t
+        gi = np.arange(grp.size)
+        cur, prv = self.site[grp], self.prev[grp]
+        cnt = self.counts.take(grp, axis=1)  # stale at cur and prv: see ccur, cprv
+        ccur, cprv = cnt[cur, gi], cnt[prv, gi]
+        # weighted rows of cur and prv; their cur and prv entries are stale
+        # and replaced in every window, from these coefficients
+        rows = np.stack((a_t[:, cur], a_t[:, prv]), axis=2) * self.w.take(grp, axis=1)[:, :, None]
+        kc = np.stack((a_t[cur, cur], a_t[cur, prv]), axis=1)[:, :, None]
+        kp = np.stack((a_t[prv, cur], a_t[prv, prv]), axis=1)[:, :, None]
+        hyp = np.stack((prv, cur), axis=1)[:, :, None]
+        win = 2
+        while grp.size and p < nblk:
+            g = grp.size
+            wlen = min(win, self._window_stop(done, p, nblk) - p, max(1, _WINDOW_CELLS // (n * g)))
+            # entry [., 0, i] is step 2i, taken from cur, and [., 1, i] is
+            # step 2i + 1, taken from prv; an odd window adds a spare step.
+            # Before both, cur has i more visits; prv has i before step 2i
+            # and i + 1 before step 2i + 1.
+            m = (wlen + 1) // 2
+            more = np.arange(m + 1)
+            pc = np.power(1.0 + (ccur[:, None] + more[:m]), alpha)
+            pp = np.power(1.0 + (cprv[:, None] + more), alpha)
+            eff = np.empty((n, g, 2, m))
+            eff[...] = rows[..., None]
+            flat = eff.reshape(n * g, 2 * m)
+            flat[cur * g + gi[:g]] = (kc * pc[:, None, :]).reshape(g, 2 * m)
+            flat[prv * g + gi[:g]] = (kp * sliding_window_view(pp, m, axis=1)).reshape(g, 2 * m)
+            u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1).reshape(-1)
+            nxt = _pick_columns(eff.reshape(n, -1), u, self.stats).reshape(g, 2, m)
+            if self.sites_log is not None:
+                steps = nxt.transpose(0, 2, 1).reshape(g, 2 * m)[:, :wlen]
+                self.sites_log[grp, done + p + 1 : done + p + 1 + wlen] = steps
+            self.stats["speculative_cells"] += g * wlen
+            miss = np.flatnonzero(nxt != hyp)
+            f = np.full(g, wlen)  # steps each replica commits
+            if miss.size:
+                at, rest = np.divmod(miss, 2 * m)
+                parity, i = np.divmod(rest, m)
+                np.minimum.at(f, at, 2 * i + parity)
+            ccur += f // 2
+            cprv += (f + 1) // 2
+            end = done + p + wlen
+            out = np.flatnonzero(f < wlen)
+            if out.size:
+                fo = f[out]
+                counts = _put_pair(cnt[:, out], cur[out], prv[out], ccur[out], cprv[out])
+                pick = nxt[out, fo % 2, fo // 2]
+                counts[pick, np.arange(out.size)] += 1
+                self._leave(grp[out], counts, pick, np.where(fo % 2 == 0, cur[out], prv[out]))
+                pos[grp[out]] = p + fo + 1
+                last = fo == wlen - 1
+                self._record(grp[out[last]], end, counts[:, last])
+                keep = f == wlen
+                grp, cur, prv, ccur, cprv = grp[keep], cur[keep], prv[keep], ccur[keep], cprv[keep]
+                cnt, rows, kc, kp, hyp = cnt[:, keep], rows[:, keep], kc[keep], kp[keep], hyp[keep]
+                self.stats["committed_cells"] += int(f.sum()) + out.size
+            else:
+                win *= 2
+                self.stats["committed_cells"] += g * wlen
+            if wlen % 2:
+                cur, prv, ccur, cprv = prv, cur, cprv, ccur
+                rows, kc, kp, hyp = rows[..., ::-1], kp[:, ::-1], kc[:, ::-1], hyp[:, ::-1]
+            p += wlen
+            if end in self.chk_pos:
+                self._record(grp, end, _put_pair(cnt, cur, prv, ccur, cprv))
+        self._leave(grp, _put_pair(cnt, cur, prv, ccur, cprv), cur, prv)
+        pos[grp] = nblk
+
+    def _leave(self, rows, counts, site, prev):
+        """Write back replicas leaving the speculative pass."""
+        self.counts[:, rows] = counts
+        self.w[:, rows] = np.power(1.0 + counts, self.alpha)
+        self.site[rows] = site
+        self.prev[rows] = prev
+
+    def _lockstep(self, done, end, pos):
+        """Advance every replica whose offset in pos lies before end to
+        end, one step at a time; a replica joins when the loop reaches its
+        offset."""
+        todo = np.flatnonzero(pos < end)
+        if not todo.size:
+            return
+        todo = todo[np.argsort(pos[todo], kind="stable")]
+        offsets = pos[todo]
+        pos[todo] = end
+        self.stats["lockstep_steps"] += int(end * todo.size - offsets.sum())
+        a_t, alpha, log = self.a_t, self.alpha, self.sites_log
+        b = int(offsets[0])
+        while b < end:
+            joined = int(np.searchsorted(offsets, b, side="right"))
+            act = todo[:joined]
+            stop = int(offsets[joined]) if joined < todo.size else end
+            site, cnt, wts = self.site[act], self.counts.take(act, axis=1), self.w.take(act, axis=1)
+            flat_cnt, flat_wts = cnt.reshape(-1), wts.reshape(-1)
+            cols = np.arange(act.size)
+            us = self.ublock[act, b:stop].T.copy()
+            for k in range(b, stop):
+                eff = a_t.take(site, axis=1) * wts
+                nxt = _pick_columns(eff, us[k - b], self.stats)
+                at = nxt * act.size
+                at += cols
+                visits = flat_cnt[at] + 1
+                flat_cnt[at] = visits
+                flat_wts[at] = np.power(1.0 + visits, alpha)
+                prev, site = site, nxt
+                if log is not None:
+                    log[act, done + k + 1] = site
+                self._record(act, done + k + 1, cnt)
+            self.counts[:, act] = cnt
+            self.w[:, act] = wts
+            self.site[act] = site
+            self.prev[act] = prev
+            b = stop
+
+
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
-    """Advance len(seeds) replicas in lockstep for `horizon` steps.
+    """Advance len(seeds) replicas for `horizon` steps.
 
     Returns (final_counts [R,N], checkpoint_counts [R,C,N], sites [R,horizon+1]
     or None). Replica r consumes uniforms from PCG64(seeds[r]) one per step
     in step order.
     """
-    a_eff = np.asarray(p.effective_matrix.entries)
     n = p.size
     starts = np.asarray(starts, dtype=np.int64)
     seeds = [int(s) for s in seeds]
-    r = len(seeds)
-    if starts.shape != (r,):
+    if starts.shape != (len(seeds),):
         raise ValidationError("starts and seeds must have matching length")
     if np.any(starts < 0) or np.any(starts >= n):
         raise ValidationError("start site out of range")
-    _check_weight_range(p.alpha, horizon)
-
-    counts = np.zeros((r, n), dtype=np.int64)
-    rows = np.arange(r)
-    counts[rows, starts] = 1
-    w = np.power(1.0 + counts, p.alpha)
-    site = starts.copy()
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-
-    checkpoint_at = np.asarray(checkpoint_at, dtype=np.int64)
-    chk_pos = {int(x): i for i, x in enumerate(checkpoint_at)}
-    chk_counts = np.empty((r, checkpoint_at.size, n), dtype=np.int64)
-
-    sites_log = None
-    if record_sites:
-        dtype = np.int16 if n < 2**15 else np.int64
-        sites_log = np.empty((r, horizon + 1), dtype=dtype)
-        sites_log[:, 0] = site
-
-    ublock = np.empty((r, BLOCK_STEPS))
-    done = 0
-    while done < horizon:
-        nblk = min(BLOCK_STEPS, horizon - done)
-        for i, g in enumerate(gens):
-            ublock[i, :nblk] = g.random(nblk)
-        for b in range(nblk):
-            eff = a_eff[site] * w
-            tot = eff.sum(axis=1)
-            if not np.all(np.isfinite(tot)):
-                raise NumericError(f"non-finite transition weights at step {done + b + 1}")
-            csum = np.cumsum(eff, axis=1)
-            target = ublock[:, b] * tot
-            nxt = (csum <= target[:, None]).sum(axis=1)
-            over = nxt >= n
-            if np.any(over):
-                # u*total can round up to the full row sum; land on the
-                # last positive-weight site in that replica's row
-                for i in np.nonzero(over)[0]:
-                    nxt[i] = np.nonzero(eff[i] > 0)[0][-1]
-            counts[rows, nxt] += 1
-            w[rows, nxt] = np.power(1.0 + counts[rows, nxt], p.alpha)
-            site = nxt
-            stepno = done + b + 1
-            if record_sites:
-                sites_log[:, stepno] = site
-            pos = chk_pos.get(stepno)
-            if pos is not None:
-                chk_counts[:, pos] = counts
-        done += nblk
-    return counts, chk_counts, sites_log
+    _check_weight_range(p, horizon)
+    walks = _Walks(p, starts, horizon, seeds, record_sites, np.asarray(checkpoint_at, dtype=np.int64))
+    walks.run()
+    s = walks.stats
+    _log.debug(
+        "%d replicas x %d steps: %d speculative cells computed, %d committed; "
+        "%d lockstep replica-steps; %d fallbacks",
+        len(seeds), horizon, s["speculative_cells"], s["committed_cells"],
+        s["lockstep_steps"], s["fallbacks"],
+    )
+    return np.ascontiguousarray(walks.counts.T), walks.chk, walks.sites_log
 
 
 def simulate(

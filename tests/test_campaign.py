@@ -21,7 +21,9 @@ from vrrw import (
     run_campaign,
     simulate,
 )
-from vrrw.campaign import config_from_json_dict, config_to_json_dict, replica_start
+import vrrw.campaign as campaign_module
+from vrrw.campaign import _nearest, config_from_json_dict, config_to_json_dict, replica_start
+from vrrw.graph import coords_of
 
 P3 = ModelParameters.for_complete_graph(3, 2.5)
 
@@ -132,6 +134,19 @@ def test_anchor_sets():
     assert sizes == [1, 1, 1, 2, 2, 2, 3]
     big = equilibrium_anchors(ModelParameters.for_complete_graph(13, 2.5))
     assert big == []
+
+
+def test_nearest_anchor_does_not_depend_on_chunking(monkeypatch):
+    anchors = equilibrium_anchors(ModelParameters.for_complete_graph(5, 1.6))
+    pts = np.array([coords_of(e.point) for e in anchors])
+    occ = np.random.default_rng(3).dirichlet(np.ones(5), size=37)
+    d = np.linalg.norm(occ[:, None, :] - pts[None, :, :], axis=2)
+    want = np.argmin(d, axis=1)
+    # chunks of 5 replicas: seven full ones and a last one of 2
+    monkeypatch.setattr(campaign_module, "_NEAREST_BYTES", 5 * pts.nbytes)
+    idx, dist = _nearest(occ, anchors)
+    np.testing.assert_array_equal(idx, want)
+    np.testing.assert_array_equal(dist, d[np.arange(37), want])
 
 
 def test_replica_seeds_are_distinct_and_stable():

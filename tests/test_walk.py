@@ -1,4 +1,6 @@
 import hashlib
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from vrrw import (
     transition_kernel,
 )
 import vrrw.walk as walk_module
-from vrrw.walk import FULL_LOG_LIMIT, _batch_walk
+from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick_columns, _sums
 
 P25 = ModelParameters.for_complete_graph(3, 2.5)
 
@@ -106,6 +108,67 @@ def test_simulate_is_deterministic_and_matches_stepping():
     for k in range(1, 101):
         s = step(P25, s, g)
         assert s.site == r1.sites[k]
+
+
+@pytest.mark.parametrize("n", list(range(2, 11)) + [16, 50, 200])
+def test_column_sums_equal_numpy_row_sums(n):
+    # numpy's row sum is sequential below 8 entries and pairwise from 8 on;
+    # the column sums must agree bit for bit either way, for narrow and
+    # wide batches alike
+    rng = np.random.default_rng(n)
+    for m in (1, 7, 300):
+        rows = rng.random((m, n)) * 10.0 ** rng.integers(-4, 5, size=(m, n))
+        rows[rng.random((m, n)) < 0.2] = 0.0
+        csum, total = _sums(np.ascontiguousarray(rows.T))
+        np.testing.assert_array_equal(csum.T, np.cumsum(rows, axis=1))
+        np.testing.assert_array_equal(total, rows.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 8, 10])
+@pytest.mark.parametrize("alpha", [1.5, 2.5])
+def test_step_reproduces_simulate(n, alpha):
+    # 700 steps cross two points where the engine's speculative pass starts
+    p = ModelParameters.for_complete_graph(n, alpha)
+    rec = simulate(p, 1, 700, 31 + n)
+    g = np.random.default_rng(31 + n)
+    s = init_walk(p, 1)
+    for k in range(1, 701):
+        s = step(p, s, g)
+        assert s.site == rec.sites[k]
+    np.testing.assert_array_equal(s.counts, rec.final_counts)
+
+
+def test_pick_fallback_lands_on_last_positive_weight_site():
+    # a 9-site row whose pairwise total exceeds its last prefix sum, with
+    # zero weight on the last site; the largest uniform below 1 then puts
+    # u * total at or past every prefix sum
+    rng = np.random.default_rng(0)
+    while True:
+        row = rng.random(9) * 10.0 ** rng.uniform(-3, 3, size=9)
+        row[-1] = 0.0
+        if row.sum() > np.cumsum(row)[-1]:
+            break
+    u = np.nextafter(1.0, 0.0)
+    assert u * row.sum() >= np.cumsum(row)[-1]
+    stats = {"fallbacks": 0}
+    eff = np.stack([row, row[::-1]], axis=1)
+    picks = _pick_columns(eff, np.array([u, 0.5]), stats)
+    assert picks[0] == 7
+    assert stats["fallbacks"] == 1
+    assert picks[1] == np.count_nonzero(np.cumsum(row[::-1]) <= 0.5 * row[::-1].sum())
+
+
+def test_engine_reports_its_work(caplog):
+    # every replica-step is committed by the speculative pass or taken in
+    # the lockstep loop
+    horizon, seeds = 9000, [5, 6, 7]
+    with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
+        _batch_walk(P25, [0, 1, 2], horizon, seeds, False, checkpoint_schedule(horizon))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
+    cells, committed, lockstep, fallbacks = (int(x) for x in re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line))
+    assert committed + lockstep == len(seeds) * horizon
+    assert 0 < committed <= cells
+    assert fallbacks == 0
 
 
 def test_batch_engine_matches_single_runs():
