@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import ModelParameters
 from .errors import NumericError, ValidationError
@@ -55,13 +54,18 @@ _TOTAL_LOG_CAP = 709.0
 #: replica count and horizon.
 _WINDOW_CELLS = 2**17
 
+#: Windows start at this many weights, or at 2 steps if more: a window
+#: costs a fixed overhead of about that many weights, so a smaller one
+#: wastes more than the steps it might compute in vain.
+_FIRST_WINDOW_CELLS = 2**11
+
 #: Replicas speculate in groups small enough that windows of this many
 #: steps fit in _WINDOW_CELLS.
 _MIN_FULL_WINDOW = 32
 
 #: Within a block, replicas that left the speculative pass try it again
 #: at every multiple of this many steps.
-_RESTART_STEPS = 256
+_RESTART_STEPS = 1024
 
 #: From this many columns on, prefix sums are taken row by row and picks
 #: counted in int8 (see _sums and _pick_columns).
@@ -206,7 +210,8 @@ def _pairwise_total(eff: np.ndarray) -> np.ndarray:
 
 
 def _sums(eff: np.ndarray):
-    """Prefix sums and totals of the columns of eff (sites first).
+    """Prefix sums and totals of the columns of eff, which holds sites on
+    its first axis; every index into the other axes names a column.
 
     They equal, bit for bit, np.cumsum(rows, axis=1) and rows.sum(axis=1)
     for rows = eff.T: the prefix sums are sequential, and numpy's row sum
@@ -214,7 +219,7 @@ def _sums(eff: np.ndarray):
     columns costs about a nanosecond per entry, where numpy's reduction
     over short rows costs tens of nanoseconds per row.
     """
-    n, m = eff.shape
+    n, m = eff.shape[0], eff[0].size
     if m < _WIDE_COLUMNS:
         csum = np.add.accumulate(eff, axis=0)
     else:
@@ -228,14 +233,14 @@ def _sums(eff: np.ndarray):
 
 def _pick_columns(eff: np.ndarray, u, stats=None) -> np.ndarray:
     """Site picked in each column of eff (sites first, nonnegative
-    weights) by that column's uniform: the number of prefix sums at or
-    below u * total.
+    weights, columns as in _sums) by that column's uniform in u: the
+    number of prefix sums at or below u * total.
 
     u * total can reach the last prefix sum when the pairwise total
     exceeds it (8 sites or more); such a column lands on its last
     positive-weight site, and stats["fallbacks"] counts it.
     """
-    n, m = eff.shape
+    n, m = eff.shape[0], eff[0].size
     csum, total = _sums(eff)
     below = csum <= u * total
     if m < _WIDE_COLUMNS or n >= 128:
@@ -248,7 +253,7 @@ def _pick_columns(eff: np.ndarray, u, stats=None) -> np.ndarray:
     if np.count_nonzero(below[-1]):
         over = np.flatnonzero(below[-1])
         for i in over:
-            nxt[i] = np.flatnonzero(eff[:, i] > 0)[-1]
+            nxt.reshape(-1)[i] = np.flatnonzero(eff.reshape(n, -1)[:, i] > 0)[-1]
         if stats is not None:
             stats["fallbacks"] += over.size
     return nxt
@@ -281,6 +286,17 @@ def _put_pair(cnt, cur, prv, ccur, cprv):
     cnt[cur, cols] = ccur
     cnt[prv, cols] = cprv
     return cnt
+
+
+def _other_entries(rows, cur, prv):
+    """Rows of the flattened (site, replica) axis away from each replica's
+    cur and prv, and their weighted entries, shaped to fill a window."""
+    n, g = rows.shape[:2]
+    away = np.ones((n, g), dtype=bool)
+    away[cur, np.arange(g)] = False
+    away[prv, np.arange(g)] = False
+    others = np.flatnonzero(away)
+    return others, rows.reshape(n * g, 2)[others][:, :, None]
 
 
 class _Walks:
@@ -359,31 +375,35 @@ class _Walks:
         cur, prv = self.site[grp], self.prev[grp]
         cnt = self.counts.take(grp, axis=1)  # stale at cur and prv: see ccur, cprv
         ccur, cprv = cnt[cur, gi], cnt[prv, gi]
-        # weighted rows of cur and prv; their cur and prv entries are stale
-        # and replaced in every window, from these coefficients
+        # weighted rows of cur and prv, entry [site, j, parity]; at cur and
+        # prv they are stale and replaced in every window, from these
+        # coefficients
         rows = np.stack((a_t[:, cur], a_t[:, prv]), axis=2) * self.w.take(grp, axis=1)[:, :, None]
         kc = np.stack((a_t[cur, cur], a_t[cur, prv]), axis=1)[:, :, None]
-        kp = np.stack((a_t[prv, cur], a_t[prv, prv]), axis=1)[:, :, None]
+        kp = np.stack((a_t[prv, cur], a_t[prv, prv]), axis=1)
         hyp = np.stack((prv, cur), axis=1)[:, :, None]
-        win = 2
+        others, fixed = _other_entries(rows, cur, prv)
+        win = max(2, _FIRST_WINDOW_CELLS // (n * grp.size))
         while grp.size and p < nblk:
             g = grp.size
             wlen = min(win, self._window_stop(done, p, nblk) - p, max(1, _WINDOW_CELLS // (n * g)))
-            # entry [., 0, i] is step 2i, taken from cur, and [., 1, i] is
-            # step 2i + 1, taken from prv; an odd window adds a spare step.
-            # Before both, cur has i more visits; prv has i before step 2i
-            # and i + 1 before step 2i + 1.
+            # entry [site * g + j, 0, i] is step 2i of replica j, taken from
+            # cur, and [., 1, i] is step 2i + 1, taken from prv; an odd
+            # window adds a spare step. Before both, cur has i more visits;
+            # prv has i before step 2i and i + 1 before step 2i + 1.
             m = (wlen + 1) // 2
-            more = np.arange(m + 1)
-            pc = np.power(1.0 + (ccur[:, None] + more[:m]), alpha)
-            pp = np.power(1.0 + (cprv[:, None] + more), alpha)
-            eff = np.empty((n, g, 2, m))
-            eff[...] = rows[..., None]
-            flat = eff.reshape(n * g, 2 * m)
-            flat[cur * g + gi[:g]] = (kc * pc[:, None, :]).reshape(g, 2 * m)
-            flat[prv * g + gi[:g]] = (kp * sliding_window_view(pp, m, axis=1)).reshape(g, 2 * m)
-            u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1).reshape(-1)
-            nxt = _pick_columns(eff.reshape(n, -1), u, self.stats).reshape(g, 2, m)
+            more = np.arange(m + 1.0)
+            pc = np.power((1.0 + ccur)[:, None] + more[:m], alpha)
+            pp = np.power((1.0 + cprv)[:, None] + more, alpha)
+            eff = np.empty((n * g, 2, m))
+            eff[others] = fixed
+            eff[cur * g + gi[:g]] = kc * pc[:, None, :]
+            vp = np.empty((g, 2, m))
+            np.multiply(kp[:, 0, None], pp[:, :m], out=vp[:, 0])
+            np.multiply(kp[:, 1, None], pp[:, 1:], out=vp[:, 1])
+            eff[prv * g + gi[:g]] = vp
+            u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1)
+            nxt = _pick_columns(eff.reshape(n, g, 2, m), u, self.stats)
             if self.sites_log is not None:
                 steps = nxt.transpose(0, 2, 1).reshape(g, 2 * m)[:, :wlen]
                 self.sites_log[grp, done + p + 1 : done + p + 1 + wlen] = steps
@@ -410,13 +430,15 @@ class _Walks:
                 keep = f == wlen
                 grp, cur, prv, ccur, cprv = grp[keep], cur[keep], prv[keep], ccur[keep], cprv[keep]
                 cnt, rows, kc, kp, hyp = cnt[:, keep], rows[:, keep], kc[keep], kp[keep], hyp[keep]
+                others, fixed = _other_entries(rows, cur, prv)
                 self.stats["committed_cells"] += int(f.sum()) + out.size
             else:
                 win *= 2
                 self.stats["committed_cells"] += g * wlen
             if wlen % 2:
                 cur, prv, ccur, cprv = prv, cur, cprv, ccur
-                rows, kc, kp, hyp = rows[..., ::-1], kp[:, ::-1], kc[:, ::-1], hyp[:, ::-1]
+                rows, fixed, hyp = rows[..., ::-1], fixed[:, ::-1], hyp[:, ::-1]
+                kc, kp = kp[:, ::-1, None], kc[:, ::-1, 0]
             p += wlen
             if end in self.chk_pos:
                 self._record(grp, end, _put_pair(cnt, cur, prv, ccur, cprv))

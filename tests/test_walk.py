@@ -21,6 +21,7 @@ from vrrw import (
     transition_kernel,
 )
 import vrrw.walk as walk_module
+from vrrw.graph import validate
 from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick_columns, _sums
 
 P25 = ModelParameters.for_complete_graph(3, 2.5)
@@ -127,12 +128,13 @@ def test_column_sums_equal_numpy_row_sums(n):
 @pytest.mark.parametrize("n", [3, 8, 10])
 @pytest.mark.parametrize("alpha", [1.5, 2.5])
 def test_step_reproduces_simulate(n, alpha):
-    # 700 steps cross two points where the engine's speculative pass starts
+    # cross two points where the engine's speculative pass starts
+    horizon = 2 * walk_module._RESTART_STEPS + 100
     p = ModelParameters.for_complete_graph(n, alpha)
-    rec = simulate(p, 1, 700, 31 + n)
+    rec = simulate(p, 1, horizon, 31 + n)
     g = np.random.default_rng(31 + n)
     s = init_walk(p, 1)
-    for k in range(1, 701):
+    for k in range(1, horizon + 1):
         s = step(p, s, g)
         assert s.site == rec.sites[k]
     np.testing.assert_array_equal(s.counts, rec.final_counts)
@@ -310,3 +312,8 @@ def test_weight_overflow_is_rejected_up_front():
     p = ModelParameters.for_complete_graph(3, 400.0)
     with pytest.raises(NumericError):
         simulate(p, 0, 10**4, 0)
+    # each weight fits a double, but a row's weighted total would not
+    huge = ModelParameters(matrix=validate(1e300 * (np.ones((3, 3)) - np.eye(3))), alpha=1.5)
+    simulate(huge, 0, 100, 0)
+    with pytest.raises(NumericError):
+        simulate(huge, 0, 10**6, 0)
