@@ -71,7 +71,7 @@ _RESTART_STEPS = 1024
 #: counted in int8 (see _sums and _pick_columns).
 _WIDE_COLUMNS = 128
 
-_log = logging.getLogger("vrrw.walk")
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,8 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
 
 def _check_weight_range(p: ModelParameters, horizon: int) -> None:
     log_weight = p.alpha * math.log(horizon + 2)
-    if log_weight > _WEIGHT_LOG_CAP or log_weight + math.log(p.effective_matrix.row_sum) > _TOTAL_LOG_CAP:
+    log_total = log_weight + math.log(p.effective_matrix.row_sum)
+    if log_weight > _WEIGHT_LOG_CAP or log_total > _TOTAL_LOG_CAP:
         raise NumericError(
             f"visit weights overflow doubles at horizon {horizon} with exponent {p.alpha}"
         )
@@ -326,7 +327,9 @@ class _Walks:
             dtype = np.int16 if n < 2**15 else np.int64
             self.sites_log = np.empty((r, horizon + 1), dtype=dtype)
             self.sites_log[:, 0] = starts
-        self.stats = {"speculative_cells": 0, "committed_cells": 0, "lockstep_steps": 0, "fallbacks": 0}
+        self.stats = dict.fromkeys(
+            ("speculative_cells", "committed_cells", "lockstep_steps", "fallbacks"), 0
+        )
 
     def run(self):
         size = max(1, _WINDOW_CELLS // (self.n * _MIN_FULL_WINDOW))
@@ -463,12 +466,13 @@ class _Walks:
         offsets = pos[todo]
         pos[todo] = end
         self.stats["lockstep_steps"] += int(end * todo.size - offsets.sum())
-        a_t, alpha, log = self.a_t, self.alpha, self.sites_log
+        a_t, alpha, sites_log = self.a_t, self.alpha, self.sites_log
         b = int(offsets[0])
         while b < end:
             joined = int(np.searchsorted(offsets, b, side="right"))
             act = todo[:joined]
             stop = int(offsets[joined]) if joined < todo.size else end
+            # take returns C-ordered copies, so these flat views write through
             site, cnt, wts = self.site[act], self.counts.take(act, axis=1), self.w.take(act, axis=1)
             flat_cnt, flat_wts = cnt.reshape(-1), wts.reshape(-1)
             cols = np.arange(act.size)
@@ -482,8 +486,8 @@ class _Walks:
                 flat_cnt[at] = visits
                 flat_wts[at] = np.power(1.0 + visits, alpha)
                 prev, site = site, nxt
-                if log is not None:
-                    log[act, done + k + 1] = site
+                if sites_log is not None:
+                    sites_log[act, done + k + 1] = site
                 self._record(act, done + k + 1, cnt)
             self.counts[:, act] = cnt
             self.w[:, act] = wts
@@ -507,10 +511,11 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     if np.any(starts < 0) or np.any(starts >= n):
         raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
-    walks = _Walks(p, starts, horizon, seeds, record_sites, np.asarray(checkpoint_at, dtype=np.int64))
+    checkpoint_at = np.asarray(checkpoint_at, dtype=np.int64)
+    walks = _Walks(p, starts, horizon, seeds, record_sites, checkpoint_at)
     walks.run()
     s = walks.stats
-    _log.debug(
+    log.debug(
         "%d replicas x %d steps: %d speculative cells computed, %d committed; "
         "%d lockstep replica-steps; %d fallbacks",
         len(seeds), horizon, s["speculative_cells"], s["committed_cells"],

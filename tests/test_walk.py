@@ -167,7 +167,8 @@ def test_engine_reports_its_work(caplog):
     with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
         _batch_walk(P25, [0, 1, 2], horizon, seeds, False, checkpoint_schedule(horizon))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
-    cells, committed, lockstep, fallbacks = (int(x) for x in re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line))
+    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line)
+    cells, committed, lockstep, fallbacks = (int(x) for x in counted)
     assert committed + lockstep == len(seeds) * horizon
     assert 0 < committed <= cells
     assert fallbacks == 0
