@@ -382,7 +382,7 @@ class _Walks:
         # prv they are stale and replaced in every window, from these
         # coefficients
         rows = np.stack((a_t[:, cur], a_t[:, prv]), axis=2) * self.w.take(grp, axis=1)[:, :, None]
-        kc = np.stack((a_t[cur, cur], a_t[cur, prv]), axis=1)[:, :, None]
+        kc = np.stack((a_t[cur, cur], a_t[cur, prv]), axis=1)
         kp = np.stack((a_t[prv, cur], a_t[prv, prv]), axis=1)
         hyp = np.stack((prv, cur), axis=1)[:, :, None]
         others, fixed = _other_entries(rows, cur, prv)
@@ -400,7 +400,7 @@ class _Walks:
             pp = np.power((1.0 + cprv)[:, None] + more, alpha)
             eff = np.empty((n * g, 2, m))
             eff[others] = fixed
-            eff[cur * g + gi[:g]] = kc * pc[:, None, :]
+            eff[cur * g + gi[:g]] = kc[:, :, None] * pc[:, None, :]
             vp = np.empty((g, 2, m))
             np.multiply(kp[:, 0, None], pp[:, :m], out=vp[:, 0])
             np.multiply(kp[:, 1, None], pp[:, 1:], out=vp[:, 1])
@@ -441,7 +441,7 @@ class _Walks:
             if wlen % 2:
                 cur, prv, ccur, cprv = prv, cur, cprv, ccur
                 rows, fixed, hyp = rows[..., ::-1], fixed[:, ::-1], hyp[:, ::-1]
-                kc, kp = kp[:, ::-1, None], kc[:, ::-1, 0]
+                kc, kp = kp[:, ::-1], kc[:, ::-1]
             p += wlen
             if end in self.chk_pos:
                 self._record(grp, end, _put_pair(cnt, cur, prv, ccur, cprv))
@@ -476,10 +476,13 @@ class _Walks:
             site, cnt, wts = self.site[act], self.counts.take(act, axis=1), self.w.take(act, axis=1)
             flat_cnt, flat_wts = cnt.reshape(-1), wts.reshape(-1)
             cols = np.arange(act.size)
-            us = self.ublock[act, b:stop].T.copy()
+            # uniforms in step-major chunks of at most _WINDOW_CELLS
+            chunk = max(1, _WINDOW_CELLS // act.size)
             for k in range(b, stop):
+                if (k - b) % chunk == 0:
+                    us = self.ublock[act, k : min(stop, k + chunk)].T.copy()
                 eff = a_t.take(site, axis=1) * wts
-                nxt = _pick_columns(eff, us[k - b], self.stats)
+                nxt = _pick_columns(eff, us[(k - b) % chunk], self.stats)
                 at = nxt * act.size
                 at += cols
                 visits = flat_cnt[at] + 1
