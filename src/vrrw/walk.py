@@ -317,8 +317,11 @@ class _Walks:
         self.site = starts.copy()
         self.prev = starts.copy()  # equal to site: no alternation to continue yet
         self.gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        # one spare column, read by the spare step of an odd window
-        self.ublock = np.zeros((r, min(BLOCK_STEPS, horizon) + 1))
+        # one spare column, read by the spare step of an odd window. A full
+        # block even for short walks: freeing a buffer this large raises
+        # glibc's mmap threshold, and with it how fast later multi-megabyte
+        # temporaries in the process (such as the trap sampler's) allocate.
+        self.ublock = np.zeros((r, BLOCK_STEPS + 1))
         self.chk_pos = {int(x): i for i, x in enumerate(checkpoint_at)}
         self.chk_steps = np.unique(checkpoint_at)
         self.chk = np.empty((r, checkpoint_at.size, n), dtype=np.int64)
