@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrrw import (
@@ -138,6 +138,32 @@ def test_step_reproduces_simulate(n, alpha):
         s = step(p, s, g)
         assert s.site == rec.sites[k]
     np.testing.assert_array_equal(s.counts, rec.final_counts)
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from([0.0, 0.5]),
+    st.floats(min_value=1.1, max_value=5.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=40, max_value=300),
+)
+def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block):
+    # short blocks put many speculative restarts, window ends and
+    # checkpoints into one walk; step() never speculates
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    horizon = 700
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk_module, "BLOCK_STEPS", block)
+        rec = simulate(p, seed % n, horizon, seed)
+    g = np.random.default_rng(seed)
+    s = init_walk(p, seed % n)
+    for k in range(1, horizon + 1):
+        s = step(p, s, g)
+        assert s.site == rec.sites[k]
+    np.testing.assert_array_equal(s.counts, rec.final_counts)
+    for k, counts in zip(rec.checkpoint_steps, rec.checkpoint_counts):
+        np.testing.assert_array_equal(counts, np.bincount(rec.sites[: k + 1], minlength=n))
 
 
 def test_pick_fallback_lands_on_last_positive_weight_site():
