@@ -18,7 +18,8 @@ held, and takes single lockstep steps until the next restart point. Both
 paths pick through _pick_columns, so the result does not depend on which
 one a step took. Each call logs at DEBUG on "vrrw.walk" how many
 speculative steps it computed and committed, how many lockstep steps it
-took and how many picks fell back to the last positive-weight site.
+took and how many of the steps taken fell back to the last
+positive-weight site.
 """
 
 from __future__ import annotations
@@ -54,22 +55,27 @@ _TOTAL_LOG_CAP = 709.0
 #: replica count and horizon.
 _WINDOW_CELLS = 2**17
 
-#: Windows start at this many weights, or at 2 steps if more: a window
-#: costs a fixed overhead of about that many weights, so a smaller one
-#: wastes more than the steps it might compute in vain.
+#: Windows start at this many weights, or at 2 steps if more. Small
+#: groups, such as a single walk, then skip most of the doublings: a
+#: 400 000-step walk at N=3, alpha=2.5 takes half the time it takes with
+#: 2-step first windows, and a 1000-replica campaign the same time.
 _FIRST_WINDOW_CELLS = 2**11
 
 #: Replicas speculate in groups small enough that windows of this many
-#: steps fit in _WINDOW_CELLS.
-_MIN_FULL_WINDOW = 32
+#: steps fit in _WINDOW_CELLS. Longer windows in smaller groups copy
+#: longer runs of uniforms: at N=3, alpha=2.5 and 4000 replicas, 128
+#: walks about 15% faster than 32.
+_MIN_FULL_WINDOW = 128
 
 #: Within a block, replicas that left the speculative pass try it again
 #: at every multiple of this many steps.
 _RESTART_STEPS = 1024
 
-#: From this many columns on, prefix sums are taken row by row and picks
-#: counted in int8 (see _sums and _pick_columns).
+#: From this many columns on, _sums adds row by row.
 _WIDE_COLUMNS = 128
+
+#: The fallback columns _pick_columns reports when none fell back.
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
 
 log = logging.getLogger(__name__)
 
@@ -219,12 +225,16 @@ def _sums(eff: np.ndarray):
     is sequential below 8 sites and pairwise from 8 on. Summing down
     columns costs about a nanosecond per entry, where numpy's reduction
     over short rows costs tens of nanoseconds per row.
+
+    np.add.accumulate down the first axis walks one column at a time, so
+    wide arrays are added row by row instead: at 3 sites and 44 000
+    columns that takes a tenth of the time, but at one column three
+    times as long.
     """
     n, m = eff.shape[0], eff[0].size
     if m < _WIDE_COLUMNS:
         csum = np.add.accumulate(eff, axis=0)
     else:
-        # accumulating down axis 0 walks one column at a time
         csum = np.empty_like(eff)
         csum[0] = eff[0]
         for k in range(1, n):
@@ -232,32 +242,26 @@ def _sums(eff: np.ndarray):
     return csum, csum[-1] if n < 8 else _pairwise_total(eff)
 
 
-def _pick_columns(eff: np.ndarray, u, stats=None) -> np.ndarray:
+def _pick_columns(eff: np.ndarray, u):
     """Site picked in each column of eff (sites first, nonnegative
     weights, columns as in _sums) by that column's uniform in u: the
     number of prefix sums at or below u * total.
 
     u * total can reach the last prefix sum when the pairwise total
     exceeds it (8 sites or more); such a column lands on its last
-    positive-weight site, and stats["fallbacks"] counts it.
+    positive-weight site. Returns the picks and the flat indices of the
+    columns that fell back.
     """
-    n, m = eff.shape[0], eff[0].size
+    n = eff.shape[0]
     csum, total = _sums(eff)
     below = csum <= u * total
-    if m < _WIDE_COLUMNS or n >= 128:
-        nxt = below.sum(axis=0)
-    else:
-        # summing int8 views is several times faster than summing booleans
-        nxt = below.view(np.int8).sum(axis=0, dtype=np.int8).astype(np.intp)
+    nxt = below.sum(axis=0)
     # prefix sums never decrease, so a column counts them all exactly
-    # when its last one is counted
-    if np.count_nonzero(below[-1]):
-        over = np.flatnonzero(below[-1])
-        for i in over:
-            nxt.reshape(-1)[i] = np.flatnonzero(eff.reshape(n, -1)[:, i] > 0)[-1]
-        if stats is not None:
-            stats["fallbacks"] += over.size
-    return nxt
+    # when its last one is counted; count_nonzero is the cheaper test
+    over = np.flatnonzero(below[-1]) if np.count_nonzero(below[-1]) else _NO_COLUMNS
+    for i in over:
+        nxt.reshape(-1)[i] = np.flatnonzero(eff.reshape(n, -1)[:, i] > 0)[-1]
+    return nxt, over
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
@@ -265,7 +269,7 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite transition weights")
-    nxt = int(_pick_columns(weights[:, None], rng.random())[0])
+    nxt = int(_pick_columns(weights[:, None], rng.random())[0][0])
     counts = s.counts.copy()
     counts[nxt] += 1
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
@@ -409,7 +413,7 @@ class _Walks:
             np.multiply(kp[:, 1, None], pp[:, 1:], out=vp[:, 1])
             eff[prv * g + gi[:g]] = vp
             u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1)
-            nxt = _pick_columns(eff.reshape(n, g, 2, m), u, self.stats)
+            nxt, over = _pick_columns(eff.reshape(n, g, 2, m), u)
             if self.sites_log is not None:
                 steps = nxt.transpose(0, 2, 1).reshape(g, 2 * m)[:, :wlen]
                 self.sites_log[grp, done + p + 1 : done + p + 1 + wlen] = steps
@@ -420,6 +424,11 @@ class _Walks:
                 at, rest = np.divmod(miss, 2 * m)
                 parity, i = np.divmod(rest, m)
                 np.minimum.at(f, at, 2 * i + parity)
+            if over.size:
+                # count only the steps replicas commit
+                j, parity, i = np.unravel_index(over, (g, 2, m))
+                taken = 2 * i + parity
+                self.stats["fallbacks"] += int(np.count_nonzero((taken < wlen) & (taken <= f[j])))
             ccur += f // 2
             cprv += (f + 1) // 2
             end = done + p + wlen
@@ -481,11 +490,13 @@ class _Walks:
             cols = np.arange(act.size)
             # uniforms in step-major chunks of at most _WINDOW_CELLS
             chunk = max(1, _WINDOW_CELLS // act.size)
+            fell = 0
             for k in range(b, stop):
                 if (k - b) % chunk == 0:
                     us = self.ublock[act, k : min(stop, k + chunk)].T.copy()
                 eff = a_t.take(site, axis=1) * wts
-                nxt = _pick_columns(eff, us[(k - b) % chunk], self.stats)
+                nxt, over = _pick_columns(eff, us[(k - b) % chunk])
+                fell += over.size
                 at = nxt * act.size
                 at += cols
                 visits = flat_cnt[at] + 1
@@ -499,6 +510,7 @@ class _Walks:
             self.w[:, act] = wts
             self.site[act] = site
             self.prev[act] = prev
+            self.stats["fallbacks"] += fell
             b = stop
 
 

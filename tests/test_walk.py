@@ -104,11 +104,19 @@ def test_simulate_is_deterministic_and_matches_stepping():
     r2 = simulate(P25, 0, 500, 99)
     np.testing.assert_array_equal(r1.sites, r2.sites)
     np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
-    g = np.random.default_rng(99)
-    s = init_walk(P25, 0)
-    for k in range(1, 101):
-        s = step(P25, s, g)
-        assert s.site == r1.sites[k]
+    # past two points where the engine's speculative pass starts, at
+    # sequential (N < 8) and pairwise (N >= 8) row sums
+    horizon = 2 * walk_module._RESTART_STEPS + 100
+    for n in (3, 8, 10):
+        for alpha in (1.5, 2.5):
+            p = ModelParameters.for_complete_graph(n, alpha)
+            rec = simulate(p, 1, horizon, 31 + n)
+            g = np.random.default_rng(31 + n)
+            s = init_walk(p, 1)
+            for k in range(1, horizon + 1):
+                s = step(p, s, g)
+                assert s.site == rec.sites[k]
+            np.testing.assert_array_equal(s.counts, rec.final_counts)
 
 
 @pytest.mark.parametrize("n", list(range(2, 11)) + [16, 50, 200])
@@ -123,21 +131,6 @@ def test_column_sums_equal_numpy_row_sums(n):
         csum, total = _sums(np.ascontiguousarray(rows.T))
         np.testing.assert_array_equal(csum.T, np.cumsum(rows, axis=1))
         np.testing.assert_array_equal(total, rows.sum(axis=1))
-
-
-@pytest.mark.parametrize("n", [3, 8, 10])
-@pytest.mark.parametrize("alpha", [1.5, 2.5])
-def test_step_reproduces_simulate(n, alpha):
-    # cross two points where the engine's speculative pass starts
-    horizon = 2 * walk_module._RESTART_STEPS + 100
-    p = ModelParameters.for_complete_graph(n, alpha)
-    rec = simulate(p, 1, horizon, 31 + n)
-    g = np.random.default_rng(31 + n)
-    s = init_walk(p, 1)
-    for k in range(1, horizon + 1):
-        s = step(p, s, g)
-        assert s.site == rec.sites[k]
-    np.testing.assert_array_equal(s.counts, rec.final_counts)
 
 
 @settings(max_examples=25)
@@ -178,31 +171,56 @@ def test_pick_fallback_lands_on_last_positive_weight_site():
             break
     u = np.nextafter(1.0, 0.0)
     assert u * row.sum() >= np.cumsum(row)[-1]
-    stats = {"fallbacks": 0}
     eff = np.stack([row, row[::-1]], axis=1)
-    picks = _pick_columns(eff, np.array([u, 0.5]), stats)
+    picks, over = _pick_columns(eff, np.array([u, 0.5]))
     assert picks[0] == 7
-    assert stats["fallbacks"] == 1
+    np.testing.assert_array_equal(over, [0])
     assert picks[1] == np.count_nonzero(np.cumsum(row[::-1]) <= 0.5 * row[::-1].sum())
-    # the same through the path taken for wide batches
+    # the same through the prefix sums taken for wide batches
     wide = np.tile(row[:, None], (1, walk_module._WIDE_COLUMNS))
-    picks = _pick_columns(wide, np.full(wide.shape[1], u), stats)
+    picks, over = _pick_columns(wide, np.full(wide.shape[1], u))
     assert np.all(picks == 7)
-    assert stats["fallbacks"] == 1 + wide.shape[1]
+    np.testing.assert_array_equal(over, np.arange(wide.shape[1]))
+
+
+def _engine_counts(caplog, p, horizon, seeds):
+    """Speculative cells computed and committed, lockstep steps and
+    fallbacks that one _batch_walk call logs."""
+    caplog.clear()
+    starts = [k % p.size for k in range(len(seeds))]
+    with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
+        _batch_walk(p, starts, horizon, seeds, False, checkpoint_schedule(horizon))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
+    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line)
+    return tuple(int(x) for x in counted)
 
 
 def test_engine_reports_its_work(caplog):
     # every replica-step is committed by the speculative pass or taken in
     # the lockstep loop
     horizon, seeds = 9000, [5, 6, 7]
-    with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
-        _batch_walk(P25, [0, 1, 2], horizon, seeds, False, checkpoint_schedule(horizon))
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
-    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line)
-    cells, committed, lockstep, fallbacks = (int(x) for x in counted)
+    cells, committed, lockstep, fallbacks = _engine_counts(caplog, P25, horizon, seeds)
     assert committed + lockstep == len(seeds) * horizon
     assert 0 < committed <= cells
     assert fallbacks == 0
+
+
+def test_fallbacks_count_only_steps_taken(caplog, monkeypatch):
+    # report every pick as a fallback: the count must then be the number
+    # of steps taken, although speculation computes cells it discards
+    pick = walk_module._pick_columns
+
+    def every_pick_falls_back(eff, u):
+        nxt, _ = pick(eff, u)
+        return nxt, np.arange(nxt.size)
+
+    monkeypatch.setattr(walk_module, "_pick_columns", every_pick_falls_back)
+    # at alpha 2 replicas often leave the alternation, discarding cells
+    p = ModelParameters.for_complete_graph(3, 2.0)
+    horizon, seeds = 9000, [5, 6, 7]
+    cells, committed, lockstep, fallbacks = _engine_counts(caplog, p, horizon, seeds)
+    assert cells > committed and lockstep > 0
+    assert fallbacks == len(seeds) * horizon
 
 
 def test_batch_engine_matches_single_runs():
