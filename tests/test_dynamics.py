@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from vrrw import (
     FlowTrajectory,
     ModelParameters,
     ReducibilityError,
+    VrrwError,
     complete_graph,
     fundamental_matrix,
     integrate_flow,
@@ -276,3 +279,194 @@ def test_loop_model_effective_matrix():
     p = ModelParameters.for_complete_graph(3, 2.0, loop_c=0.5)
     assert np.all(np.diag(p.effective_matrix.entries) == 0.5)
     assert np.all(np.diag(p.matrix.entries) == 0.0)
+
+
+def _flow_outcome(p, v0, t_end, dt):
+    """SHA-256 of a flow's times, states and energies, or the name of the
+    typed error it raised."""
+    try:
+        traj = integrate_flow(p, v0, t_end=t_end, dt=dt)
+    except VrrwError as exc:
+        return type(exc).__name__
+    h = hashlib.sha256()
+    for a in (traj.times, traj.states, traj.lyapunov_values):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _flow_digest(n, alpha, c):
+    """One digest over the flows from a Dirichlet start and a start with one
+    exact zero at dt 0.01, 0.1 and 1, and the outcomes of the same two
+    starts at dt = 5, where many flows raise mid-flow."""
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    rng = np.random.default_rng([n, round(100 * alpha), round(10 * c)])
+    dirichlet = rng.dirichlet(np.ones(n))
+    face = rng.dirichlet(np.ones(n))
+    face[-1] = 0.0
+    face /= face.sum()
+    h = hashlib.sha256()
+    for v0 in (dirichlet, face):
+        for dt in (0.01, 0.1, 1.0):
+            h.update(_flow_outcome(p, v0, 4.0, dt).encode())
+    large = tuple(_flow_outcome(p, v0, 20.0, 5.0) for v0 in (dirichlet, face))
+    for x in large:
+        h.update(x.encode())
+    return h.hexdigest(), tuple(x if x.endswith("Error") else "ok" for x in large)
+
+
+# Per (n, alpha, loop_c): the SHA-256 of the flows in _flow_digest and what
+# the dt = 5 flows from the same two starts do. They pin the integrator's
+# floating-point operations and its typed errors; they were made with
+# numpy 2.4.6 on x86-64 with AVX-512, like the walk's golden hashes.
+GOLDEN_FLOWS = {
+    (2, 1.05, 0.0): (
+        "4cb97f6c10f6c2e59e45b325f81357c56aecad67326de8a3640b2a1e3164a0d7",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (2, 1.05, 0.5): (
+        "1edfb1bd467d204c9ce4a5a8705944187f84146ac73de6fe8808c1b21e231239",
+        ('ok', 'ok'),
+    ),
+    (2, 1.5, 0.0): (
+        "e0a8c157cdd17087b40293b42950331c6437b83afaabe79635af6eec94f8cca9",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (2, 1.5, 0.5): (
+        "4b10a8fc7aabc594d3a96a2fff5d97c54d1344634e5f860784d795f5759aa5ac",
+        ('ok', 'ok'),
+    ),
+    (2, 2.5, 0.0): (
+        "af812fcd85af5c03822abb0b51394e69e288409f6cd5a79995ee0dcda6104fbe",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (2, 2.5, 0.5): (
+        "44aa817ead0e0c8089ca33cced14852a8842ab0639eaa1a1884a22ba764ad0f8",
+        ('ok', 'ok'),
+    ),
+    (2, 4.0, 0.0): (
+        "547b71c2bc78db551ffd15a76e150c1158e18136ab949b20b6514be336a96c89",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (2, 4.0, 0.5): (
+        "80a99ba0327d5c343f747eb30f942f109b7b6a6e06eb16ae27ccd7be1f5bd5e3",
+        ('ok', 'ok'),
+    ),
+    (3, 1.05, 0.0): (
+        "9853e6aa707c4682256d28c275248babda57121f86669e7a1e122b31b80fdc4c",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (3, 1.05, 0.5): (
+        "50178cb95e139fec72729a861c91974447476d6239b15ed76f69efd3f02a95a5",
+        ('ok', 'ok'),
+    ),
+    (3, 1.5, 0.0): (
+        "a21cc98adac67e4fe47be134580fb126c2898461fcd167bbe9a4f8b06f58100a",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (3, 1.5, 0.5): (
+        "af605f73f4b2a85cb73801e09bd89d4eab33e203072ceb2cc75edcf07b38f051",
+        ('ok', 'ok'),
+    ),
+    (3, 2.5, 0.0): (
+        "8103e3dc97a9e6050d8fc6e0c24017743d4e5bc760264e8ac9465e5d9ebdf1d3",
+        ('ValidationError', 'DegenerateSupportError'),
+    ),
+    (3, 2.5, 0.5): (
+        "6f2ee66cc32a7e2233e72959c93891c63fbed63b6f2476895205181746269b01",
+        ('ok', 'ok'),
+    ),
+    (3, 4.0, 0.0): (
+        "5f5ecf6791185af4be34ffa9c0a6ab45db58870c9da8653728635b0851256a22",
+        ('DegenerateSupportError', 'DegenerateSupportError'),
+    ),
+    (3, 4.0, 0.5): (
+        "2cbd3b004b50ef2cc3e62765351f8823329b4d8e7b56a30e57b4041368de1d5b",
+        ('ok', 'ok'),
+    ),
+    (5, 1.05, 0.0): (
+        "c6c1c67bd5c25b97676cd00da7a05adb5c2eeb0050794756491cf2f14b2b0285",
+        ('ok', 'ok'),
+    ),
+    (5, 1.05, 0.5): (
+        "0c2f0678682896979a88b8669ed7815526fd10e023468d92e57140929efc6384",
+        ('ok', 'ok'),
+    ),
+    (5, 1.5, 0.0): (
+        "01782e960d54042ddff0a74a95fc3550755a0b70e4271a501862659433a24294",
+        ('ValidationError', 'DegenerateSupportError'),
+    ),
+    (5, 1.5, 0.5): (
+        "18bd0c5d60c10ab35bded2be4382b8fe97cb19785227fcd0057dedb3f55d08c9",
+        ('ok', 'ok'),
+    ),
+    (5, 2.5, 0.0): (
+        "4bd12e6adf07e67affc5f3e5aa5bb21a70ac0877d1c378eacceb12164f2f0636",
+        ('DegenerateSupportError', 'ok'),
+    ),
+    (5, 2.5, 0.5): (
+        "f7817f39118cd0dc6c16f974eb22a6edad820b830ee334f5c881066792b926dd",
+        ('ok', 'ok'),
+    ),
+    (5, 4.0, 0.0): (
+        "2011bea80f68b892e264090c7cfd641d20eef5e0f32e2b91fd50ac4961d1b90d",
+        ('ok', 'ok'),
+    ),
+    (5, 4.0, 0.5): (
+        "41a165d8afe9d21ad985c5af8c4e22e86af3d77354f2daa67aa5aa5492146d92",
+        ('ok', 'ok'),
+    ),
+    (8, 1.05, 0.0): (
+        "f2d2d70336044b5b1c1a60cdc963259635a2dd2bc24bea0587ca684e97bac750",
+        ('ok', 'ok'),
+    ),
+    (8, 1.05, 0.5): (
+        "7cefd2cadc5a06a2d363feb707f4d04cb2b34631b009fd90a79d902831ab6b42",
+        ('ok', 'ok'),
+    ),
+    (8, 1.5, 0.0): (
+        "0dfdc9f50e5ff49c6d42e83641c0306aabf8a4b68bd03f6247d39d30b27cfdba",
+        ('ok', 'ok'),
+    ),
+    (8, 1.5, 0.5): (
+        "8320527d69a42a92df6845b4018d295af73e9ba1bbb40d7f811f2543676141d4",
+        ('ok', 'ok'),
+    ),
+    (8, 2.5, 0.0): (
+        "a94e10aced849bf92494952f52238d94d9637e26029654137d8f93e058464258",
+        ('ok', 'ok'),
+    ),
+    (8, 2.5, 0.5): (
+        "cd49e2ef18aca1c26c93d1bb288a21dc46792ed5aee3716ff82aebab4c704e73",
+        ('ok', 'ok'),
+    ),
+    (8, 4.0, 0.0): (
+        "5601cfe9c57e58a7df16f6bcd4702bfedce4389b159ec9bdc49bc3dc3551a9d4",
+        ('ok', 'DegenerateSupportError'),
+    ),
+    (8, 4.0, 0.5): (
+        "94674a506cdf0b01a38f415ca3eeb988a6ca2158d0479f79db93743cbad02302",
+        ('ok', 'ok'),
+    ),
+}
+
+
+def test_flow_trajectories_match_golden_hashes():
+    got = {
+        (n, alpha, c): _flow_digest(n, alpha, c)
+        for n in (2, 3, 5, 8)
+        for alpha in (1.05, 1.5, 2.5, 4.0)
+        for c in (0.0, 0.5)
+    }
+    assert got == GOLDEN_FLOWS
+
+
+# SHA-256 of FlowTrajectory.to_csv for the flow that
+# `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
+GOLDEN_FLOW_CSV = "663edc909153b4171e9d54fc10504c2cc80b0f41216fe09c0fb4e34971b9ced0"
+
+
+def test_flow_csv_bytes_match_golden_hash(tmp_path):
+    p = ModelParameters.for_complete_graph(3, 2.5)
+    path = tmp_path / "flow.csv"
+    integrate_flow(p, np.array([0.5, 0.3, 0.2]), t_end=40.0).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_CSV
