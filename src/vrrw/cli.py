@@ -270,12 +270,6 @@ def _cmd_campaign(args) -> int:
     raw.setdefault("base_seed", _resolve_seed(None))
     cfg = config_from_json_dict(raw)
     _print_provenance(cfg.base_seed, config_to_json_dict(cfg))
-    if args.threads is not None and args.threads != 1:
-        print(
-            "note: replicas advance in vectorized lockstep; --threads does not "
-            "change results or scheduling",
-            file=sys.stderr,
-        )
     result = run_campaign(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"campaign.{args.format}")
@@ -349,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--config", required=True, help="campaign JSON config")
     ca.add_argument("--out", required=True, help="output directory")
     ca.add_argument("--format", choices=["json", "csv"], default="json")
-    ca.add_argument("--threads", type=int, help="accepted for compatibility")
     ca.add_argument("--replicas", type=int, help="override config")
     ca.add_argument("--horizon", type=int, help="override config")
     ca.add_argument("--base-seed", type=int, dest="base_seed", help="override config")

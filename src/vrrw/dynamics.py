@@ -11,10 +11,14 @@ are all computed here, together with the analytic Jacobian of F, a fixed
 step integrator for the flow, and the fundamental matrix of the frozen
 kernel. H is a strict Lyapunov function: it increases along every
 non-equilibrium trajectory.
+
+F, H and the projection each have one array-level core (_field_array, _energy,
+graph._project); integrate_flow calls them directly and logs its clips.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,14 +32,18 @@ from .errors import (
     ValidationError,
 )
 from .graph import (
+    LOOPFREE_CAP,
     InteractionMatrix,
     SimplexPoint,
+    _project,
     check_loopfree_cap,
     complete_graph,
     coords_of,
-    project_to_simplex,
+    project_to_simplex,  # noqa: F401  (bench/layers.py traces it here)
     with_diagonal,
 )
+
+log = logging.getLogger(__name__)
 
 #: Direct powers x^a are used while exponent*|log x| stays below this bound;
 #: beyond it the scale-invariant form (x/max)^a takes over.
@@ -177,29 +185,30 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
     return StochasticMatrix(entries=rows / dens[:, None])
 
 
+def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
+    """H(x) = <A x^a, x^a> through (x/m)^a, m = max x; 0 without support."""
+    m = float(x.max(initial=0.0))
+    if m <= 0.0:
+        return 0.0
+    s = np.power(x / m, alpha)
+    return float(s @ a @ s) * m**alpha * m**alpha
+
+
 def lyapunov(p: ModelParameters, v) -> float:
     """Interaction energy H(v) = <A v^a, v^a>."""
-    x = coords_of(v)
-    a = p.effective_matrix.entries
-    pos = x[x > 0]
-    if pos.size == 0:
-        return 0.0
-    m = float(pos.max())
-    s = np.power(x / m, p.alpha)
-    core = float(s @ a @ s)
-    return core * m**p.alpha * m**p.alpha
+    return _energy(p.effective_matrix.entries, p.alpha, coords_of(v))
 
 
 def _pi_core(a: np.ndarray, alpha: float, x: np.ndarray):
     """Scale-invariant pieces of the reversible measure: powers s = (x/m)^a,
     their interaction field A s, and the scaled energy <A s, s>."""
-    pos = x[x > 0]
-    if pos.size == 0:
+    m = float(x.max(initial=0.0))
+    if m <= 0.0:
         raise DegenerateSupportError("point has empty support")
-    s = np.power(x / float(pos.max()), alpha)
+    s = np.power(x / m, alpha)
     field = a @ s
     core = float(s @ field)
-    if core <= 0.0 or not np.isfinite(core):
+    if not 0.0 < core < np.inf:
         raise DegenerateSupportError(
             f"interaction energy vanishes on support {np.nonzero(x > 0)[0].tolist()}"
         )
@@ -214,13 +223,13 @@ def invariant_measure(p: ModelParameters, v) -> SimplexPoint:
     return SimplexPoint.from_array(s * field / core)
 
 
-def _field_array(p: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """-x + pi(iota(x)) with the projection preserving exact zeros of x."""
-    w = project_to_simplex(x).coords
-    zero = x == 0.0
-    if zero.any():
-        w = np.where(zero, 0.0, w)
-    s, field, core = _pi_core(p.effective_matrix.entries, p.alpha, w)
+def _field_array(a: np.ndarray, alpha: float, x: np.ndarray, stats=None) -> np.ndarray:
+    """-x + pi(iota(x)) for a 1-D array x, with the projection preserving
+    exact zeros of x; stats["clips"] counts a projection that moved x."""
+    w = _project(x, stats)
+    if w is not x:
+        w[x == 0.0] = 0.0
+    s, field, core = _pi_core(a, alpha, w)
     return s * field / core - x
 
 
@@ -231,9 +240,9 @@ def vector_field(p: ModelParameters, v) -> TangentVector:
     of the result sum to zero and vanish on the zero set of v.
     """
     x = coords_of(v)
-    if abs(float(x.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"field input must have unit sum, got {x.sum()!r}")
-    return TangentVector(comps=_field_array(p, x))
+    if x.ndim != 1 or abs(float(x.sum()) - 1.0) > 1e-9:
+        raise ValidationError(f"field input must be a vector with unit sum, got {x!r}")
+    return TangentVector(comps=_field_array(p.effective_matrix.entries, p.alpha, x))
 
 
 def lyapunov_derivative(p: ModelParameters, v) -> float:
@@ -333,31 +342,36 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     steps = max(1, int(round(t_end / dt)))
     zero = x == 0.0
     matrix = p.effective_matrix
-    cap_ok = check_loopfree_cap(x, matrix)
+    a, alpha = matrix.entries, p.alpha
+    # a start may exceed the cap; only a step that crosses it logs and raises
+    cap_ok = not np.any(matrix.loop_free_sites & (x > LOOPFREE_CAP))
+    stats = {"clips": 0}
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, x.size))
     energies = np.empty(steps + 1)
-    times[0], states[0], energies[0] = 0.0, x, lyapunov(p, x)
+    times[0], states[0], energies[0] = 0.0, x, _energy(a, alpha, x)
 
     for k in range(1, steps + 1):
-        k1 = _field_array(p, x)
-        k2 = _field_array(p, x + 0.5 * dt * k1)
-        k3 = _field_array(p, x + 0.5 * dt * k2)
-        k4 = _field_array(p, x + dt * k3)
+        k1 = _field_array(a, alpha, x, stats)
+        k2 = _field_array(a, alpha, x + 0.5 * dt * k1, stats)
+        k3 = _field_array(a, alpha, x + 0.5 * dt * k2, stats)
+        k4 = _field_array(a, alpha, x + dt * k3, stats)
         x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"flow integration blew up at t={k * dt:.6g}")
-        x = project_to_simplex(x).coords.copy()
+        try:
+            x = _project(x, stats)
+        except NumericError as exc:
+            raise NumericError(f"flow integration blew up at t={k * dt:.6g}") from exc
         if zero.any():
             x[zero] = 0.0
             x /= x.sum()
-        if cap_ok and not check_loopfree_cap(x, matrix):
+        if cap_ok and x.max() > LOOPFREE_CAP and not check_loopfree_cap(x, matrix):
             raise ValidationError(
                 f"flow left the feasible occupation region at t={k * dt:.6g}"
             )
-        times[k], states[k], energies[k] = k * dt, x, lyapunov(p, x)
+        times[k], states[k], energies[k] = k * dt, x, _energy(a, alpha, x)
 
+    log.debug("%d RK4 steps: %d projection clips", steps, stats["clips"])
     states.setflags(write=False)
     return FlowTrajectory(times=times, states=states, lyapunov_values=energies)
 

@@ -21,8 +21,8 @@ log = logging.getLogger(__name__)
 #: Relative tolerance for validation of exact small-integer constructions.
 VALIDATION_RTOL = 1e-12
 
-#: Occupation cap on sites without a self-loop. Never binding along flows
-#: started in the feasible region; checked, not enforced.
+#: Occupation cap on sites without a self-loop. The exact flow never
+#: crosses it, but a large RK4 step can; checked, not enforced.
 LOOPFREE_CAP = 0.75
 
 
@@ -194,40 +194,47 @@ def coords_of(v) -> np.ndarray:
     return _as_float_array(v, "point")
 
 
-def project_to_simplex(x) -> SimplexPoint:
-    """Euclidean projection of a real vector onto the probability simplex.
-
-    Sort-based algorithm: with x sorted decreasingly, find the largest m
-    such that x_(m) - (sum of top m - 1)/m > 0 and shift-clip by that
-    threshold. Idempotent on simplex points.
+def _project(arr: np.ndarray, stats=None) -> np.ndarray:
+    """Euclidean projection of a 1-D float array onto the probability simplex:
+    with x sorted decreasingly, find the largest m with x_(m) - (sum of top
+    m - 1)/m > 0 and shift-clip by that threshold. A simplex point is returned
+    itself (exact idempotence); a clipped input is counted in stats["clips"].
     """
-    arr = _as_float_array(x, "projection input")
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"projection input must be a vector, got shape {arr.shape}")
-    idx = np.arange(1, arr.size + 1)
-    # points already on the simplex pass through untouched, so the map is
-    # exactly idempotent; huge inputs may need a second clip pass because
-    # the shift cancels catastrophically, hence the small loop
+    x = arr
+    # huge inputs may need a second clip pass because the shift cancels
+    # catastrophically, hence the small loop
     for _ in range(16):
-        if np.all(arr >= 0.0) and abs(arr.sum() - 1.0) <= VALIDATION_RTOL:
-            return SimplexPoint(coords=arr.copy())
+        if arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= VALIDATION_RTOL:
+            return arr
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("projection input contains non-finite entries")
+        if stats is not None and arr is x:
+            stats["clips"] += 1
         srt = np.sort(arr)[::-1]
         csum = np.cumsum(srt) - 1.0
-        ok = srt - csum / idx > 0
+        ok = srt - csum / np.arange(1, arr.size + 1) > 0
         m = int(np.nonzero(ok)[0][-1]) + 1
         theta = csum[m - 1] / m
         arr = np.maximum(arr - theta, 0.0)
     raise NumericError(f"simplex projection failed to settle for input {x!r}")
 
 
+def project_to_simplex(x) -> SimplexPoint:
+    """Validating wrapper of _project for any real vector."""
+    arr = _as_float_array(x, "projection input")
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError(f"projection input must be a vector, got shape {arr.shape}")
+    return SimplexPoint(coords=_project(arr).copy())
+
+
 def check_loopfree_cap(v, matrix: InteractionMatrix, strict: bool = False) -> bool:
     """Diagnose whether a loop-free site carries more than 3/4 of the mass.
 
-    The feasible region of the dynamics caps loop-free sites at 3/4 and the
-    cap never binds along trajectories started inside the region, so a
-    violation mid-flow signals corruption. Analytic probe points may exceed
-    the cap legitimately, hence the check logs by default and raises only
-    in strict mode. Returns True when the cap holds.
+    For a hollow symmetric matrix pi_i <= 1/2, so the exact flow pulls a
+    loop-free site above 1/2 back down and never crosses the cap from
+    below; an integrator step that does has overshot. Analytic probe points
+    may exceed the cap legitimately, hence the check logs by default and
+    raises only in strict mode. Returns True when the cap holds.
     """
     arr = coords_of(v)
     bad = matrix.loop_free_sites & (arr > LOOPFREE_CAP)

@@ -1,4 +1,6 @@
 import hashlib
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from vrrw import (
     FlowTrajectory,
     ModelParameters,
     ReducibilityError,
+    ValidationError,
     VrrwError,
     complete_graph,
     fundamental_matrix,
@@ -239,6 +242,42 @@ def test_flow_trajectory_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(traj.times), 5)
     np.testing.assert_array_equal(data[:, 1:4], np.asarray(traj.states))
+
+
+def test_cap_guard_stops_a_large_step_that_crosses_it(caplog):
+    # the exact flow keeps every loop-free site below 1/2 once it is there,
+    # but one RK4 step of length 5 overshoots the 3/4 cap
+    with caplog.at_level(logging.WARNING), pytest.raises(
+        ValidationError, match="left the feasible occupation region at t=5"
+    ):
+        integrate_flow(P3, np.array([0.7, 0.2, 0.1]), t_end=20.0, dt=5.0)
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "cap exceeded" in record.getMessage()
+
+
+def test_start_above_the_cap_is_not_a_warning(caplog):
+    with caplog.at_level(logging.WARNING):
+        traj = integrate_flow(P3, np.array([0.8, 0.1, 0.1]), t_end=1.0)
+    assert traj.states[0, 0] == 0.8 and traj.states[-1, 0] < 0.8
+    assert caplog.records == []
+
+
+def _projection_clips(caplog, p, v0, t_end, dt):
+    """The clip count that one integrate_flow call logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vrrw.dynamics"):
+        integrate_flow(p, np.array(v0), t_end=t_end, dt=dt)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.dynamics"]
+    return int(re.search(r"(\d+) projection clips", line).group(1))
+
+
+def test_flow_counts_projection_clips(caplog):
+    # small steps stay on the simplex to rounding, so nothing is clipped;
+    # 20 steps of length 2 leave it at stages or steps
+    assert _projection_clips(caplog, P3, [0.5, 0.3, 0.2], 10.0, 0.01) == 0
+    p = ModelParameters.for_complete_graph(3, 2.5)
+    assert 0 < _projection_clips(caplog, p, [0.5, 0.3, 0.2], 40.0, 2.0) <= 5 * 20
 
 
 def test_fundamental_matrix_solves_poisson_equation():
