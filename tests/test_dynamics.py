@@ -27,7 +27,7 @@ from vrrw import (
     vector_field,
 )
 from vrrw.graph import InteractionMatrix
-from vrrw.dynamics import tangent_basis
+from vrrw.dynamics import _field_array, tangent_basis
 
 
 P3 = ModelParameters.for_complete_graph(3, 1.5)
@@ -128,6 +128,10 @@ def test_vector_field_preserves_faces_exactly():
     v = np.array([0.6, 0.4, 0.0])
     f = np.asarray(vector_field(P3, v))
     assert f[2] == 0.0
+    # off the simplex by 1e-10, the projection shifts every coordinate up,
+    # and the field core must put the zero back
+    w = np.array([0.6, 0.4 - 1e-10, 0.0])
+    assert _field_array(P3.effective_matrix.entries, P3.alpha, w)[2] == 0.0
 
 
 def test_vector_field_sums_to_zero():
