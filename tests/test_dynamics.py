@@ -249,8 +249,8 @@ def test_flow_trajectory_csv_round_trip(tmp_path):
 
 
 def test_cap_guard_stops_a_large_step_that_crosses_it(caplog):
-    # the exact flow keeps every loop-free site below 1/2 once it is there,
-    # but one RK4 step of length 5 overshoots the 3/4 cap
+    # pi_i <= 1/2 on a hollow matrix, so the exact flow lowers a loop-free
+    # site above 1/2; one RK4 step of length 5 overshoots the 3/4 cap instead
     with caplog.at_level(logging.WARNING), pytest.raises(
         ValidationError, match="left the feasible occupation region at t=5"
     ):
