@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import shutil
@@ -146,6 +147,22 @@ def test_rubin_emits_jump_table(tmp_path, capsys):
     times = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert np.all(np.diff(times) > 0)
     assert len(lines) == 42
+
+
+# SHA-256 of the CSV that `vrrw rubin --n 3 --alpha 1.5 --start 1 --jumps 500
+# --seed 7` writes; made with numpy 2.4.6 and glibc's log1p on x86-64.
+GOLDEN_RUBIN_CSV = "d6655f45274f21ccce00268a4c926e5468b3f0004cd49bcb026a63ee1f4ae1a0"
+
+
+def test_rubin_csv_bytes_match_golden_hash(tmp_path, capsys):
+    out_path = tmp_path / "rubin.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "rubin", "--n", "3", "--alpha", "1.5",
+        "--start", "1", "--jumps", "500", "--seed", "7", "--out", str(out_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_RUBIN_CSV
 
 
 def test_campaign_command_writes_exports(tmp_path, capsys):

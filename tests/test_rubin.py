@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,10 @@ from vrrw import (
     sample_trap_event,
     simulate,
     trap_probability_bound,
+    with_diagonal,
 )
 from vrrw.rubin import splitmix64
+import vrrw.rubin as rubin_module
 
 from trap_oracle import trap_event_bracket
 
@@ -148,3 +153,139 @@ def test_trap_brackets_from_different_cutoffs_overlap_and_shrink():
 def test_clock_config_validates_weight():
     with pytest.raises(ValidationError):
         ClockConfig(matrix=complete_graph(3), weight=lambda l: np.zeros_like(np.asarray(l, dtype=float)))
+
+
+#: Seeds for the clock goldens: splitmix64 maps 0 and 12 to keys at or above
+#: 2**63 and 3 and 7 to keys below it (see the rounding test further down).
+CLOCK_SEEDS = (0, 3, 7, 12)
+
+
+def _clock_digest(n, c, alpha):
+    """SHA-256 of the sites, jump times, checkpoint counts and tie count of
+    the clock race at horizons 1, 50 and 500 from every CLOCK_SEEDS seed."""
+    matrix = complete_graph(n) if c == 0 else with_diagonal(complete_graph(n), c)
+    cfg = ClockConfig(matrix=matrix, weight=power_weight(alpha))
+    h = hashlib.sha256()
+    for horizon in (1, 50, 500):
+        for k, seed in enumerate(CLOCK_SEEDS):
+            r = rubin_simulate(cfg, k % n, horizon, seed)
+            h.update(np.ascontiguousarray(r.walk.sites, dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(r.jump_times, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(r.walk.checkpoint_counts, dtype=np.int64).tobytes())
+            h.update(str(r.tie_count).encode())
+    return h.hexdigest()
+
+
+# Per (n, loop_c, alpha): _clock_digest. They pin every jump chain, jump time
+# and checkpoint row of the clock race: any change to the edge streams, the
+# order of the draws or the arithmetic of a duration changes them. They were
+# made with numpy 2.4.6 (its Philox) and glibc's log1p on x86-64.
+GOLDEN_CLOCKS = {
+    (2, 0.0, 1.05): "d7eac1f71c84260990c069c5ba845e269072f3bd80051dc282cfc96d5cd27bda",
+    (2, 0.0, 1.5): "7f272d14f0d0ffbb20e215c19884295384c301681f4ebc2cf8dea68f9db289a0",
+    (2, 0.0, 2.5): "2e7a80c789b31709a7df8f79ae69edb5a329777d84eea91410b13cfbc2b255f5",
+    (2, 0.0, 4.0): "63d37941e24f7f2b70c1b2c8399d0da75b306eeda29e7aeaa638661f75f6a19a",
+    (2, 0.5, 1.05): "8ba2f4d57bb9e8e1a61b6a0a079c7b7001125a236fae021bb19b0a06616dab46",
+    (2, 0.5, 1.5): "4952a4cdc7e661e3e09d08a58efd47c38365f6048b7bf1180a8f7012d563bddb",
+    (2, 0.5, 2.5): "5b1e811f8ec5f0b4333f90a8380f24117ab179f62998bd635faf721e3be60d1b",
+    (2, 0.5, 4.0): "35285042a04d573e14bfa236a7542d634f7c4aa02168ea4e405472cd7cfb4643",
+    (3, 0.0, 1.05): "38738629b64643d0b247d1398713f0768287100ba122b6fadb7db2f59c107a33",
+    (3, 0.0, 1.5): "0d4ea81889e05991348e9123b40c288ca8b1544365063480cc7fabcb6af96c61",
+    (3, 0.0, 2.5): "759c6a38e3ca9fc2c903c507f66c81932bace139d533f060f504380d37b21bed",
+    (3, 0.0, 4.0): "181893343c8f9e5c4a54be56aa54378602fb5959794bf80d04e492e4a340e789",
+    (3, 0.5, 1.05): "a1e16cf58107609b94656d02b00b7eb4a7b7e2c7c4b33d510478c95c57e78ee1",
+    (3, 0.5, 1.5): "edc7947793ffdaa8cc6a304170b1dd09111a0c49ed09894c559ba55f4375cc9b",
+    (3, 0.5, 2.5): "458baf9bd38747abf9fdeee0bb5e7e2f277fd4b098eadc5a67fa5fb401e38a3d",
+    (3, 0.5, 4.0): "77d38736b3bbe418ad709206e58e153e86e2521b33d85945c6b3b0b3d06a904d",
+    (5, 0.0, 1.05): "f1b7af61ef5ff3b49b20c2faee875cea83d68d287df15c8c2f46c03d844deb84",
+    (5, 0.0, 1.5): "de9f0e6d0db150bbc33790fb5d99cf9aac33c6074cefe62a540cb8b76f31bb1c",
+    (5, 0.0, 2.5): "d0d53f2cb495a7020bf22c6edb18213fd81afa72a365d35fac322efa515fc154",
+    (5, 0.0, 4.0): "28970fa6038cf700ec886bcbe82daaa9de35636af34d4464235afd0e406e7b01",
+    (5, 0.5, 1.05): "f883fbbf4eac8175754adcf01a6c21e6780f73d44506bea587dcbc290a00c838",
+    (5, 0.5, 1.5): "54835b7e45a7f19fdd4e48ee849fa4971b96b43c4b97f9a900e8beb9c834eb3d",
+    (5, 0.5, 2.5): "31e47d5a492402ab7e17eb621013dfbf720396e2a63a81dcac94bd78aca92064",
+    (5, 0.5, 4.0): "dd554ef623e6bc15c2d087c85eb9568c9587444617335ec8d01fc453aa3e55d3",
+}
+
+
+def test_clock_race_matches_golden_hashes():
+    got = {key: _clock_digest(*key) for key in GOLDEN_CLOCKS}
+    assert got == GOLDEN_CLOCKS
+
+
+class _TiedLog1p:
+    """Stands in for `math` with log1p pinned to one value for its first
+    `calls` calls, so the first race of a walk ends in an exact tie."""
+
+    def __init__(self, calls):
+        self.left = calls
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log1p(self, x):
+        if self.left:
+            self.left -= 1
+            return -0.5
+        return math.log1p(x)
+
+
+# SHA-256 of the sites and jump times of the walk in the forced-tie test.
+GOLDEN_TIED_WALK = "18dc74c3223b0245fd1e34f48a102463a08259504efe2721d282b296c472f7ca"
+
+
+def test_forced_tie_is_broken_by_the_tie_stream(monkeypatch):
+    # both first-race durations come out equal; the tie stream redraws them
+    monkeypatch.setattr(rubin_module, "math", _TiedLog1p(2))
+    r = rubin_simulate(CFG, 0, 50, 5)
+    assert r.tie_count == 1
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(r.walk.sites, dtype=np.int64).tobytes())
+    h.update(r.jump_times.tobytes())
+    assert h.hexdigest() == GOLDEN_TIED_WALK
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_clock_streams_use_the_float_rounded_key(seed):
+    # On K2 every jump is a one-clock race, so the jump times are running
+    # sums of the edge streams' durations: edge (0, 1) at levels 0, 1, 2, ...
+    # and edge (1, 0) at levels 1, 2, 3, ...  A key at or above 2**63 reaches
+    # Philox through a float64 array, rounded to a multiple of 2**11.
+    key = splitmix64(seed)
+    rounded = int(float(key)) & (2**64 - 1)
+    effective = key if key < 2**63 else rounded
+    assert (effective != key) == (seed == 0)
+    weight = power_weight(1.5)
+    jumps = 40
+    r = rubin_simulate(ClockConfig(matrix=complete_graph(2), weight=weight), 0, jumps, seed)
+    streams = {
+        e: np.random.Generator(np.random.Philox(key=np.array([effective, e], dtype=np.uint64)))
+        for e in (1, 2)
+    }
+    draws = {e: [g.random() for _ in range(jumps)] for e, g in streams.items()}
+    now, want = 0.0, [0.0]
+    for k in range(jumps):
+        edge, level = (1, k // 2) if k % 2 == 0 else (2, k // 2 + 1)
+        now += -math.log1p(-draws[edge][level]) / weight(level)
+        want.append(now)
+    assert r.jump_times.tolist() == want
+
+
+# Hits of sample_trap_event at criterion_11's setting (degree 3, start 5,
+# w(l) = (l+1)^3, truncation 2000) per seed, at 100 draws (one chunk) and
+# 1500 draws (two full chunks of 668 and a last one of 164).
+GOLDEN_TRAP_HITS = {
+    (7, 100): 91, (7, 1500): 1402,
+    (8, 100): 93, (8, 1500): 1399,
+    (9, 100): 94, (9, 1500): 1409,
+}
+
+
+def test_trap_sampler_hits_match_golden_values():
+    w = power_weight(3.0)
+    got = {
+        (seed, draws): sample_trap_event(3, w, 5, draws, seed, truncation=2000).hits
+        for seed in (7, 8, 9)
+        for draws in (100, 1500)
+    }
+    assert got == GOLDEN_TRAP_HITS
