@@ -80,7 +80,6 @@ from .rubin import (
     power_weight,
     rubin_simulate,
     sample_trap_event,
-    splitmix64,
     trap_probability_bound,
 )
 from .walk import (
@@ -89,6 +88,7 @@ from .walk import (
     checkpoint_schedule,
     init_walk,
     simulate,
+    splitmix64,
     step,
     step_distribution,
     step_loop_model,

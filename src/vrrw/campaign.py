@@ -25,8 +25,7 @@ from .dynamics import ModelParameters
 from .equilibria import Equilibrium, enumerate_all, face_center
 from .errors import DomainError, InsufficientDataError, ValidationError
 from .graph import FaceIndex, SimplexPoint, complete_graph, coords_of, validate
-from .rubin import splitmix64
-from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule
+from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 

@@ -7,6 +7,13 @@ edges freeze and later resume only if the neighbor's visit count is
 unchanged, otherwise they restart at the current count. The jump chain
 of this race has the law of the discrete walk with weight w.
 
+Duration l of edge e = x*n + y is a fixed function of (seed, e, l):
+-log1p(-u) / w(l), u the l-th `random()` draw of
+`Generator(Philox(key=[splitmix64(seed), e]))`, read in blocks of raw
+Philox output. Known fault, kept because a fix changes every stream: numpy
+casts the key list to float64 when splitmix64(seed) >= 2**63, which rounds
+the key to a multiple of 2**11 for about half of all seeds.
+
 Also computes the closed-form lower bound for the probability of the
 trap event (the clock configuration that confines the walk to one edge
 from a given visit index on), and samples that event directly.
@@ -15,6 +22,7 @@ from a given visit index on), and samples that event directly.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError, SummabilityError, ValidationError
 from .graph import InteractionMatrix
-from .walk import TrajectoryRecord, checkpoint_schedule
+from .walk import TrajectoryRecord, checkpoint_schedule, splitmix64
 
 #: Dyadic probe depth for certifying weight-sequence tails.
 _TAIL_PROBES = 64
@@ -30,13 +38,13 @@ _TAIL_PROBES = 64
 #: Chunk-sum contraction threshold; slower decay is treated as non-summable.
 _TAIL_CONTRACTION = 0.9
 
+#: Draws read from an edge stream at a time; a multiple of 4, the number of
+#: Philox outputs per counter value.
+_STREAM_BLOCK = 32
 
-def splitmix64(x: int) -> int:
-    """64-bit avalanche mix used to derive independent stream keys."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+#: Each thread's Philox, re-keyed for every stream read: building one per
+#: race would cost about an eighth of a 50-jump race.
+_THREAD = threading.local()
 
 
 def power_weight(alpha: float) -> Callable[[int], float]:
@@ -45,7 +53,7 @@ def power_weight(alpha: float) -> Callable[[int], float]:
         raise ValidationError(f"summable reinforcement needs exponent > 1, got {alpha}")
 
     def w(level):
-        return (np.asarray(level, dtype=float) + 1.0) ** alpha if np.ndim(level) else (level + 1.0) ** alpha
+        return (level + 1.0) ** alpha if isinstance(level, (int, float)) else (np.asarray(level, dtype=float) + 1.0) ** alpha
 
     return w
 
@@ -56,7 +64,6 @@ class ClockConfig:
 
     matrix: InteractionMatrix
     weight: Callable[[int], float]
-    summable: bool = True
 
     def __post_init__(self):
         w0 = float(self.weight(0))
@@ -66,12 +73,6 @@ class ClockConfig:
     @property
     def size(self) -> int:
         return self.matrix.size
-
-    def neighbors(self, site: int) -> np.ndarray:
-        return np.nonzero(self.matrix.entries[site] > 0)[0]
-
-    def degree_bound(self) -> int:
-        return int(np.max((self.matrix.entries > 0).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -86,32 +87,26 @@ class RubinRecord:
         self.jump_times.setflags(write=False)
 
 
-class _EdgeStreams:
-    """Lazy per-edge duration cache: duration l of edge e is a fixed
-    function of (seed, e, l), independent of query order."""
+def _read_stream(bits, key: int, edge: int, level: int):
+    """(first, draws): _STREAM_BLOCK `Generator.random()` draws of an edge
+    stream from index first, the level rounded down to a multiple of 4."""
+    first = level - level % 4
+    bits.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                  "uinteger": 0, "state": {"counter": [first // 4, 0, 0, 0], "key": [key, edge]}}
+    return first, ((bits.random_raw(_STREAM_BLOCK) >> 11) * 2.0**-53).tolist()
 
-    def __init__(self, config: ClockConfig, seed: int):
-        self._config = config
-        self._key = splitmix64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        self._cache = {}
-        self._gens = {}
 
-    def duration(self, x: int, y: int, level: int) -> float:
-        edge = (x, y)
-        drawn = self._cache.setdefault(edge, [])
-        if edge not in self._gens:
-            edge_id = x * self._config.size + y
-            self._gens[edge] = np.random.Generator(
-                np.random.Philox(key=[self._key, edge_id])
-            )
-        gen = self._gens[edge]
-        while len(drawn) <= level:
-            u = gen.random()
-            rate = float(self._config.weight(len(drawn)))
-            if not rate > 0:
-                raise ValidationError(f"clock weight w({len(drawn)}) must be positive")
-            drawn.append(-math.log1p(-u) / rate)
-        return drawn[level]
+def _clock_rate(weight, level: int) -> float:
+    """w(level), or a typed error if it overflows, is not finite or is not positive."""
+    try:
+        rate = float(weight(level))
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise NumericError(f"clock weight w({level}) is not a finite double: {rate}")
+    if not rate > 0:
+        raise ValidationError(f"clock weight w({level}) must be positive")
+    return rate
 
 
 def rubin_simulate(
@@ -123,7 +118,8 @@ def rubin_simulate(
     Frozen clocks keep their remaining duration together with the
     neighbor's visit count at freeze time; on return to the source the
     clock resumes only when that count still matches, otherwise a fresh
-    duration at the current count replaces it.
+    duration at the current count replaces it. A neighbor's count only
+    grows, so each duration is read at most once.
     """
     n = config.size
     if not 0 <= start < n:
@@ -131,73 +127,70 @@ def rubin_simulate(
     if jump_budget < 1:
         raise ValidationError(f"jump budget must be >= 1, got {jump_budget}")
 
-    streams = _EdgeStreams(config, seed)
-    tie_gen = np.random.Generator(
-        np.random.Philox(key=[splitmix64(int(seed) ^ 0x7E57), 0xFFFFFFFF])
-    )
-    counts = np.zeros(n, dtype=np.int64)
+    nbrs = [[y for y, on in enumerate(row) if on] for row in (config.matrix.entries > 0).tolist()]
+    key = splitmix64(int(seed))
+    if key >= 2**63:
+        key = int(float(key)) % 2**64  # numpy's float64 key, see the module docstring
+    if not hasattr(_THREAD, "philox"):
+        _THREAD.philox = np.random.Philox(key=[0, 0])
+    bits, streams, frozen, rates, tie_gen, log1p = _THREAD.philox, {}, {}, [], None, math.log1p
+    counts = [0] * n
     counts[start] = 1
-    site = start
-    now = 0.0
-    frozen = {}
-    tie_count = 0
-
-    sites = np.empty(jump_budget + 1, dtype=np.int16 if n < 2**15 else np.int64)
-    sites[0] = start
-    times = np.empty(jump_budget + 1)
-    times[0] = 0.0
+    site, now, tie_count = start, 0.0, 0
+    sites, times, chk_rows = [start], [0.0], []
     chk = checkpoint_schedule(jump_budget)
-    chk_counts = np.empty((chk.size, n), dtype=np.int64)
-    chk_pos = {int(s): i for i, s in enumerate(chk)}
+    chk_steps = set(chk.tolist())
 
     for k in range(1, jump_budget + 1):
-        nbrs = config.neighbors(site)
-        if nbrs.size == 0:
+        nb = nbrs[site]
+        if not nb:
             raise ValidationError(f"site {site} has no neighbors")
-        remaining = {}
-        for y in nbrs:
-            y = int(y)
-            held = frozen.pop((site, y), None)
-            if held is not None and held[1] == counts[y]:
-                remaining[y] = held[0]
-            else:
-                remaining[y] = streams.duration(site, y, int(counts[y]))
-        while True:
-            best = min(remaining.values())
-            winners = [y for y, t in remaining.items() if t == best]
-            if len(winners) == 1:
-                break
+        edge0 = site * n
+        durs = []
+        for y in nb:
+            level, edge = counts[y], edge0 + y
+            held = frozen.pop(edge, None)
+            if held is not None and held[1] == level:
+                durs.append(held[0])
+                continue
+            while level >= len(rates):
+                rates.append(_clock_rate(config.weight, len(rates)))
+            stream = streams.get(edge)
+            if stream is None or level - stream[0] >= _STREAM_BLOCK:
+                stream = streams[edge] = _read_stream(bits, key, edge, level)
+            durs.append(-log1p(-stream[1][level - stream[0]]) / rates[level])
+        best = min(durs)
+        while durs.count(best) > 1:
             # Exact clock tie: measure-zero, broken by fresh durations.
             tie_count += 1
-            for y in winners:
-                u = tie_gen.random()
-                rate = float(config.weight(int(counts[y])))
-                remaining[y] = -math.log1p(-u) / rate
-        winner = winners[0]
-        elapsed = remaining[winner]
-        now += elapsed
-        for y, t in remaining.items():
+            tie_gen = tie_gen or np.random.Generator(np.random.Philox(key=[splitmix64(int(seed) ^ 0x7E57), 0xFFFFFFFF]))
+            for i, t in enumerate(durs):
+                if t == best:
+                    durs[i] = -log1p(-tie_gen.random()) / rates[counts[nb[i]]]
+            best = min(durs)
+        winner = nb[durs.index(best)]
+        now += best
+        for y, t in zip(nb, durs):
             if y != winner:
-                frozen[(site, y)] = (t - elapsed, int(counts[y]))
+                frozen[edge0 + y] = (t - best, counts[y])
         site = winner
         counts[site] += 1
-        sites[k] = site
-        times[k] = now
-        pos = chk_pos.get(k)
-        if pos is not None:
-            chk_counts[pos] = counts
+        sites.append(site)
+        times.append(now)
+        if k in chk_steps:
+            chk_rows.append(counts.copy())
 
     walk = TrajectoryRecord(
         start=start,
         params=config,
         seed=int(seed),
         horizon=jump_budget,
-        final_counts=counts,
+        final_counts=np.array(counts, dtype=np.int64),
         checkpoint_steps=chk,
-        checkpoint_counts=chk_counts,
-        sites=sites,
+        checkpoint_counts=np.array(chk_rows, dtype=np.int64),
+        sites=np.array(sites, dtype=np.int16 if n < 2**15 else np.int64),
     )
-    return RubinRecord(walk=walk, jump_times=times, tie_count=tie_count)
+    return RubinRecord(walk=walk, jump_times=np.array(times), tie_count=tie_count)
 
 
 def _weight_values(weight, levels: np.ndarray) -> np.ndarray:
@@ -322,9 +315,13 @@ def sample_trap_event(
     hits = 0
     remaining = draws
     chunk_cap = max(1, int(4e6 // (degree * levels.size)))
+    # One buffer for every chunk: fresh multi-MB temporaries made the speed
+    # depend on whether the allocator mapped new pages for them.
+    buf = np.empty((min(chunk_cap, draws), degree, levels.size))
     while remaining > 0:
         m = min(chunk_cap, remaining)
-        sums = (rng.standard_exponential((m, degree, levels.size)) / rates).sum(axis=2)
+        durations = rng.standard_exponential(out=buf[:m])
+        sums = np.divide(durations, rates, out=durations).sum(axis=2)
         fresh = rng.standard_exponential((m, degree)) / w0
         hits += int(np.count_nonzero(sums.max(axis=1) < fresh.min(axis=1)))
         remaining -= m

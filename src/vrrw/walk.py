@@ -150,18 +150,21 @@ class TrajectoryRecord:
         return self.checkpoint_counts[hits[0]]
 
 
+def splitmix64(x: int) -> int:
+    """64-bit avalanche mix used to derive independent stream keys."""
+    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
 def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     """Geometric snapshot times ceil(1.2^m) capped at and including the
     horizon, merged with any extra requested steps."""
-    vals = list(extra)
-    x = 1.0
-    while True:
-        v = math.ceil(x)
-        if v > horizon:
-            break
-        vals.append(v)
+    vals, x = [*extra, horizon], 1.0
+    while math.ceil(x) <= horizon:
+        vals.append(math.ceil(x))
         x *= 1.2
-    vals.append(horizon)
     out = np.unique(np.asarray(vals, dtype=np.int64))
     if out.size and (out[0] < 1 or out[-1] > horizon):
         raise ValidationError("checkpoint steps must lie in [1, horizon]")

@@ -7,6 +7,7 @@ import pytest
 from vrrw import (
     ClockConfig,
     ModelParameters,
+    NumericError,
     SummabilityError,
     ValidationError,
     complete_graph,
@@ -148,6 +149,20 @@ def test_trap_brackets_from_different_cutoffs_overlap_and_shrink():
     widths = [hi - lo for lo, hi in brackets]
     assert all(a > b for a, b in zip(widths, widths[1:]))
     assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets)
+
+
+def test_clock_weight_overflow_is_a_numeric_error():
+    # w(5) = 6**400 overflows doubles; the race reaches level 5 well within 50 jumps
+    cfg = ClockConfig(matrix=complete_graph(3), weight=power_weight(400.0))
+    with pytest.raises(NumericError, match=r"w\(5\)"):
+        rubin_simulate(cfg, 0, 50, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_clock_weight_is_a_numeric_error(bad):
+    cfg = ClockConfig(matrix=complete_graph(3), weight=lambda l: bad if l >= 3 else l + 1.0)
+    with pytest.raises(NumericError, match=r"w\(3\)"):
+        rubin_simulate(cfg, 0, 50, 1)
 
 
 def test_clock_config_validates_weight():
