@@ -7,12 +7,11 @@ edges freeze and later resume only if the neighbor's visit count is
 unchanged, otherwise they restart at the current count. The jump chain
 of this race has the law of the discrete walk with weight w.
 
-Duration l of edge e = x*n + y is a fixed function of (seed, e, l):
--log1p(-u) / w(l), u the l-th `random()` draw of
-`Generator(Philox(key=[splitmix64(seed), e]))`, read in blocks of raw
-Philox output. Known fault, kept because a fix changes every stream: numpy
-casts the key list to float64 when splitmix64(seed) >= 2**63, which rounds
-the key to a multiple of 2**11 for about half of all seeds.
+Duration l of edge e = x*n + y is -log1p(-u) / w(l), a fixed function of
+(seed, e, l): u is draw l of `Generator(Philox(key=[splitmix64(seed), e]))`,
+read in blocks of raw Philox output. Known fault, kept because a fix changes
+every stream: numpy casts that key list to float64 when splitmix64(seed) >=
+2**63, which rounds the key to a multiple of 2**11 for about half of all seeds.
 
 Also computes the closed-form lower bound for the probability of the
 trap event (the clock configuration that confines the walk to one edge
@@ -53,7 +52,9 @@ def power_weight(alpha: float) -> Callable[[int], float]:
         raise ValidationError(f"summable reinforcement needs exponent > 1, got {alpha}")
 
     def w(level):
-        return (level + 1.0) ** alpha if isinstance(level, (int, float)) else (np.asarray(level, dtype=float) + 1.0) ** alpha
+        if isinstance(level, (int, float)):
+            return (level + 1.0) ** alpha
+        return (np.asarray(level, dtype=float) + 1.0) ** alpha
 
     return w
 
@@ -88,8 +89,7 @@ class RubinRecord:
 
 
 def _read_stream(bits, key: int, edge: int, level: int):
-    """(first, draws): _STREAM_BLOCK `Generator.random()` draws of an edge
-    stream from index first, the level rounded down to a multiple of 4."""
+    """(first, draws): _STREAM_BLOCK `Generator.random()` draws of a stream from index first."""
     first = level - level % 4
     bits.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
                   "uinteger": 0, "state": {"counter": [first // 4, 0, 0, 0], "key": [key, edge]}}
@@ -133,7 +133,8 @@ def rubin_simulate(
         key = int(float(key)) % 2**64  # numpy's float64 key, see the module docstring
     if not hasattr(_THREAD, "philox"):
         _THREAD.philox = np.random.Philox(key=[0, 0])
-    bits, streams, frozen, rates, tie_gen, log1p = _THREAD.philox, {}, {}, [], None, math.log1p
+    bits = _THREAD.philox
+    streams, frozen, rates, tie_gen = {}, {}, [], None
     counts = [0] * n
     counts[start] = 1
     site, now, tie_count = start, 0.0, 0
@@ -158,15 +159,16 @@ def rubin_simulate(
             stream = streams.get(edge)
             if stream is None or level - stream[0] >= _STREAM_BLOCK:
                 stream = streams[edge] = _read_stream(bits, key, edge, level)
-            durs.append(-log1p(-stream[1][level - stream[0]]) / rates[level])
+            durs.append(-math.log1p(-stream[1][level - stream[0]]) / rates[level])
         best = min(durs)
         while durs.count(best) > 1:
             # Exact clock tie: measure-zero, broken by fresh durations.
             tie_count += 1
-            tie_gen = tie_gen or np.random.Generator(np.random.Philox(key=[splitmix64(int(seed) ^ 0x7E57), 0xFFFFFFFF]))
+            if tie_gen is None:
+                tie_gen = np.random.Generator(np.random.Philox(key=[splitmix64(int(seed) ^ 0x7E57), 0xFFFFFFFF]))
             for i, t in enumerate(durs):
                 if t == best:
-                    durs[i] = -log1p(-tie_gen.random()) / rates[counts[nb[i]]]
+                    durs[i] = -math.log1p(-tie_gen.random()) / rates[counts[nb[i]]]
             best = min(durs)
         winner = nb[durs.index(best)]
         now += best
@@ -315,8 +317,7 @@ def sample_trap_event(
     hits = 0
     remaining = draws
     chunk_cap = max(1, int(4e6 // (degree * levels.size)))
-    # One buffer for every chunk: fresh multi-MB temporaries made the speed
-    # depend on whether the allocator mapped new pages for them.
+    # one buffer for all chunks, so no chunk allocates multi-MB temporaries
     buf = np.empty((min(chunk_cap, draws), degree, levels.size))
     while remaining > 0:
         m = min(chunk_cap, remaining)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ def test_clock_race_matches_golden_hashes():
     got = {key: _clock_digest(*key) for key in GOLDEN_CLOCKS}
     assert got == GOLDEN_CLOCKS
 
+
+
+def test_clock_races_in_threads_match_serial_runs():
+    # each thread re-keys its own Philox, so interleaved races keep their streams
+    seeds = list(range(40))
+    serial = [rubin_simulate(CFG, 0, 200, s).jump_times for s in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda s: rubin_simulate(CFG, 0, 200, s).jump_times, seeds))
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
 
 class _TiedLog1p:
     """Stands in for `math` with log1p pinned to one value for its first
