@@ -229,7 +229,6 @@ def test_clock_race_matches_golden_hashes():
     assert got == GOLDEN_CLOCKS
 
 
-
 def test_clock_races_in_threads_match_serial_runs():
     # each thread re-keys its own Philox, so interleaved races keep their streams
     seeds = list(range(40))
@@ -238,6 +237,7 @@ def test_clock_races_in_threads_match_serial_runs():
         threaded = list(pool.map(lambda s: rubin_simulate(CFG, 0, 200, s).jump_times, seeds))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
 
 class _TiedLog1p:
     """Stands in for `math` with log1p pinned to one value for its first
