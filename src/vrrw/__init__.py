@@ -90,8 +90,6 @@ from .walk import (
     simulate,
     splitmix64,
     step,
-    step_distribution,
-    step_loop_model,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

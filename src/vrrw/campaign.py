@@ -10,9 +10,6 @@ isolation.
 
 from __future__ import annotations
 
-import gzip
-import hashlib
-import io
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -24,6 +21,7 @@ from ._version import __version__
 from .dynamics import ModelParameters
 from .equilibria import Equilibrium, enumerate_all, face_center
 from .errors import DomainError, InsufficientDataError, ValidationError
+from .files import canonical_hash, open_text
 from .graph import FaceIndex, SimplexPoint, complete_graph, coords_of, validate
 from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule, splitmix64
 
@@ -93,8 +91,7 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_hash(self.canonical_dict())
 
 
 @dataclass(frozen=True)
@@ -352,7 +349,7 @@ def _model_to_json(p: ModelParameters) -> dict:
     return out
 
 
-def _model_from_json(d: dict) -> ModelParameters:
+def model_from_json(d: dict) -> ModelParameters:
     if "matrix" in d:
         matrix = validate(np.asarray(d["matrix"], dtype=float))
     else:
@@ -382,7 +379,7 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
     if not isinstance(start, str):
         start = int(start) - 1
     return ExperimentConfig(
-        model=_model_from_json(d["model"]),
+        model=model_from_json(d["model"]),
         replicas=int(d["replicas"]),
         horizon=int(d["horizon"]),
         base_seed=int(d["base_seed"]),
@@ -449,35 +446,11 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     )
 
 
-class _DeterministicGzipText(io.StringIO):
-    """Buffers text and compresses on close with no timestamp or name in
-    the header, so equal content always gives equal bytes."""
-
-    def __init__(self, path):
-        super().__init__()
-        self._path = path
-
-    def close(self):
-        try:
-            data = self.getvalue().encode("utf-8")
-            with open(self._path, "wb") as fh:
-                fh.write(gzip.compress(data, mtime=0))
-        finally:
-            super().close()
-
-
-def _open_for_write(path):
-    path = str(path)
-    if path.endswith(".gz"):
-        return _DeterministicGzipText(path)
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def export(result: CampaignResult, path, format: str) -> None:
     """Write a campaign result as json (round-trippable) or csv (one row
     per replica, fixed columns). Paths ending in .gz are compressed."""
     if format == "json":
-        with _open_for_write(path) as fh:
+        with open_text(path, "w") as fh:
             json.dump(_result_to_json_dict(result), fh, sort_keys=True, indent=2)
             fh.write("\n")
     elif format == "csv":
@@ -485,7 +458,7 @@ def export(result: CampaignResult, path, format: str) -> None:
         cols = ["replica", "seed", "support_size", "support"]
         cols += [f"occ_{i + 1}" for i in range(n)]
         cols += ["nearest_eq", "dist"]
-        with _open_for_write(path) as fh:
+        with open_text(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for rep in result.replicas:
                 occ = coords_of(rep.final_occupation)
@@ -504,9 +477,5 @@ def export(result: CampaignResult, path, format: str) -> None:
 
 def load_campaign(path) -> CampaignResult:
     """Read back a json export."""
-    path = str(path)
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            return _result_from_json_dict(json.load(fh))
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _result_from_json_dict(json.load(fh))

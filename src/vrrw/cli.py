@@ -11,7 +11,7 @@ stderr. Exit codes: 0 success, 2 usage, 3 domain error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
 import json
 import os
 import sys
@@ -19,16 +19,11 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .campaign import (
-    _open_for_write,
-    config_from_json_dict,
-    config_to_json_dict,
-    export,
-    run_campaign,
-)
+from .campaign import config_from_json_dict, export, model_from_json, run_campaign
 from .dynamics import ModelParameters, integrate_flow
 from .equilibria import classify, enumerate_all, threshold_table
 from .errors import VrrwError
+from .files import canonical_hash, open_text
 from .graph import InteractionMatrix, complete_graph
 from .rubin import ClockConfig, power_weight, rubin_simulate
 from .walk import simulate
@@ -40,14 +35,9 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _hash_payload(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _print_provenance(seed, payload: dict) -> None:
+def _print_provenance(seed, config_hash: str) -> None:
     print(f"seed: {seed}", file=sys.stderr)
-    print(f"config-hash: {_hash_payload(payload)}", file=sys.stderr)
+    print(f"config-hash: {config_hash}", file=sys.stderr)
 
 
 def _resolve_seed(flag_value, config_value=None) -> int:
@@ -63,15 +53,16 @@ def _resolve_seed(flag_value, config_value=None) -> int:
 
 def _load_matrix(path, n, ctx: argparse.ArgumentParser):
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return InteractionMatrix.from_json(json.load(fh))
+        with open_text(path) as fh:
+            return InteractionMatrix.from_json(fh.read())
     if n is None:
         ctx.error("either --n or --matrix is required")
     return complete_graph(n)
 
 
-def _open_out(path):
-    return sys.stdout if path is None else _open_for_write(path)
+def _output(path):
+    """The --out file through open_text, or stdout (left open) without one."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open_text(path, "w")
 
 
 def _simplex_arg(text: str) -> np.ndarray:
@@ -86,7 +77,7 @@ def _simplex_arg(text: str) -> np.ndarray:
 
 def _cmd_equilibria(args) -> int:
     seed = _resolve_seed(args.seed)
-    _print_provenance(seed, {"cmd": "equilibria", "n": args.n, "alpha": args.alpha})
+    _print_provenance(seed, canonical_hash({"cmd": "equilibria", "n": args.n, "alpha": args.alpha}))
     eqs = enumerate_all(args.n, args.alpha)
     p = ModelParameters.for_complete_graph(args.n, args.alpha)
     classified = [classify(p, e) for e in eqs]
@@ -126,7 +117,7 @@ def _cmd_equilibria(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     seed = _resolve_seed(args.seed)
-    _print_provenance(seed, {"cmd": "thresholds", "c": args.c, "kmax": args.kmax})
+    _print_provenance(seed, canonical_hash({"cmd": "thresholds", "c": args.c, "kmax": args.kmax}))
     table = threshold_table(args.c, args.kmax)
     if args.json:
         rows = [
@@ -149,27 +140,21 @@ def _cmd_flow(args) -> int:
     if abs(total - 1.0) > 1e-9:
         raise VrrwError(f"initial point must sum to 1 within 1e-9, got {total!r}")
     v0 = v0 / total
-    _print_provenance(
-        seed,
-        {
-            "cmd": "flow",
-            "matrix": matrix.entries.tolist(),
-            "alpha": args.alpha,
-            "c": args.c,
-            "v0": v0.tolist(),
-            "t": args.t,
-            "dt": args.dt,
-        },
-    )
+    payload = {
+        "cmd": "flow",
+        "matrix": matrix.entries.tolist(),
+        "alpha": args.alpha,
+        "c": args.c,
+        "v0": v0.tolist(),
+        "t": args.t,
+        "dt": args.dt,
+    }
+    _print_provenance(seed, canonical_hash(payload))
     p = ModelParameters(matrix=matrix, alpha=args.alpha, loop_c=args.c)
     traj = integrate_flow(p, v0, t_end=args.t, dt=args.dt)
-    if args.out is None:
-        n = traj.states.shape[1]
-        print("t," + ",".join(f"v_{i + 1}" for i in range(n)) + ",H")
-        for t, v, h in traj:
-            print(",".join([_fmt(t)] + [_fmt(x) for x in v] + [_fmt(h)]))
-    else:
-        traj.to_csv(args.out)
+    with _output(args.out) as out:
+        traj.write_csv(out)
+    if args.out is not None:
         final = traj.states[-1]
         print(
             f"final state [{','.join(_fmt(x) for x in final)}] "
@@ -178,38 +163,37 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-def _read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    model = cfg.get("model", {})
-    n = args.n if args.n is not None else model.get("n")
-    alpha = args.alpha if args.alpha is not None else model.get("alpha")
-    c = args.c if args.c is not None else model.get("c", 0.0)
+    cfg = {}
+    if args.config:
+        with open_text(args.config) as fh:
+            cfg = json.load(fh)
+    model = dict(cfg.get("model", {}))
+    for key in ("alpha", "c"):
+        if getattr(args, key) is not None:
+            model[key] = getattr(args, key)
+    # flags beat the file: --n or --matrix replaces the file's graph
+    if args.n is not None or args.matrix is not None or not {"n", "matrix"} & model.keys():
+        model["matrix"] = _load_matrix(args.matrix, args.n, args.parser).entries
     start = args.start if args.start is not None else cfg.get("start")
     horizon = args.horizon if args.horizon is not None else cfg.get("horizon")
     seed = _resolve_seed(args.seed, cfg.get("seed"))
-    if alpha is None or start is None or horizon is None:
+    if "alpha" not in model or start is None or horizon is None:
         args.parser.error("--alpha, --start and --horizon are required (flags or config)")
-    matrix = _load_matrix(args.matrix, n, args.parser)
+    p = model_from_json(model)
     payload = {
         "cmd": "simulate",
-        "matrix": matrix.entries.tolist(),
-        "alpha": alpha,
-        "c": c,
+        "matrix": p.matrix.entries.tolist(),
+        "alpha": p.alpha,
+        "c": p.loop_c,
         "start": start,
         "horizon": horizon,
         "seed": seed,
     }
-    _print_provenance(seed, payload)
-    p = ModelParameters(matrix=matrix, alpha=float(alpha), loop_c=float(c))
+    _print_provenance(seed, canonical_hash(payload))
     record = simulate(p, int(start) - 1, int(horizon), seed)
     log_kind = args.log or ("sites" if record.sites is not None else "checkpoints")
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if log_kind == "sites":
             if record.sites is None:
                 raise VrrwError(
@@ -224,9 +208,6 @@ def _cmd_simulate(args) -> int:
             occ = record.checkpoint_occupations()
             for step, row in zip(record.checkpoint_steps, occ):
                 out.write(",".join([str(int(step))] + [_fmt(x) for x in row]) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     counts = ",".join(str(int(x)) for x in record.final_counts)
     print(f"final counts [{counts}] over {horizon} steps", file=sys.stderr)
     return 0
@@ -243,24 +224,21 @@ def _cmd_rubin(args) -> int:
         "jumps": args.jumps,
         "seed": seed,
     }
-    _print_provenance(seed, payload)
+    _print_provenance(seed, canonical_hash(payload))
     config = ClockConfig(matrix=matrix, weight=power_weight(args.alpha))
     record = rubin_simulate(config, args.start - 1, args.jumps, seed)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("step,site,time\n")
         for step, (site, tau) in enumerate(zip(record.walk.sites, record.jump_times)):
             out.write(f"{step},{site + 1},{_fmt(tau)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if record.tie_count:
         print(f"clock ties resampled: {record.tie_count}", file=sys.stderr)
     return 0
 
 
 def _cmd_campaign(args) -> int:
-    raw = _read_config(args.config)
+    with open_text(args.config) as fh:
+        raw = json.load(fh)
     if args.replicas is not None:
         raw["replicas"] = args.replicas
     if args.horizon is not None:
@@ -269,7 +247,7 @@ def _cmd_campaign(args) -> int:
         raw["base_seed"] = args.base_seed
     raw.setdefault("base_seed", _resolve_seed(None))
     cfg = config_from_json_dict(raw)
-    _print_provenance(cfg.base_seed, config_to_json_dict(cfg))
+    _print_provenance(cfg.base_seed, cfg.config_hash())
     result = run_campaign(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"campaign.{args.format}")
@@ -311,20 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--v0", type=_simplex_arg, required=True, help="comma-separated start point")
     fl.add_argument("--t", type=float, required=True, help="integration time")
     fl.add_argument("--dt", type=float, default=0.01)
-    fl.add_argument("--matrix", help="path to an interaction-matrix JSON file")
-    fl.add_argument("--out", help="trajectory CSV path (stdout if omitted)")
+    fl.add_argument("--matrix", help="interaction-matrix JSON file {n, entries}")
+    fl.add_argument("--out", help="trajectory CSV path, .gz compresses (stdout if omitted)")
     fl.add_argument("--seed", type=int, help="provenance seed (unused by the math)")
     fl.set_defaults(func=_cmd_flow)
 
     si = sub.add_parser("simulate", help="sample one walk trajectory")
-    si.add_argument("--config", help="JSON config {model:{n,alpha,c},start,horizon,seed}")
+    si.add_argument("--config", help="JSON config {model:{n,alpha,c,matrix},start,horizon,seed}")
     si.add_argument("--n", type=int)
     si.add_argument("--alpha", type=float)
     si.add_argument("--c", type=float)
     si.add_argument("--start", type=int, help="1-based start site")
     si.add_argument("--horizon", type=int)
     si.add_argument("--seed", type=int)
-    si.add_argument("--matrix", help="path to an interaction-matrix JSON file")
+    si.add_argument("--matrix", help="interaction-matrix JSON file {n, entries}")
     si.add_argument("--out", help="CSV path, .gz compresses (stdout if omitted)")
     si.add_argument("--log", choices=["sites", "checkpoints"], help="output flavor")
     si.set_defaults(func=_cmd_simulate)
@@ -335,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     ru.add_argument("--start", type=int, required=True, help="1-based start site")
     ru.add_argument("--jumps", type=int, required=True)
     ru.add_argument("--seed", type=int)
-    ru.add_argument("--matrix", help="path to an interaction-matrix JSON file")
+    ru.add_argument("--matrix", help="interaction-matrix JSON file {n, entries}")
     ru.add_argument("--out", help="CSV path, .gz compresses (stdout if omitted)")
     ru.set_defaults(func=_cmd_rubin)
 

@@ -31,6 +31,7 @@ from .errors import (
     ReducibilityError,
     ValidationError,
 )
+from .files import open_text
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
@@ -140,15 +141,18 @@ class FlowTrajectory:
     def __iter__(self):
         return iter(zip(self.times, self.states, self.lyapunov_values))
 
-    def to_csv(self, path) -> None:
-        """Write columns t, v_1..v_N, H with 17 significant digits."""
+    def write_csv(self, fh) -> None:
+        """Write columns t, v_1..v_N, H with 17 significant digits to a text file."""
         n = self.states.shape[1]
-        header = "t," + ",".join(f"v_{i + 1}" for i in range(n)) + ",H"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, v, h in self:
-                row = [f"{t:.17g}"] + [f"{x:.17g}" for x in v] + [f"{h:.17g}"]
-                fh.write(",".join(row) + "\n")
+        fh.write("t," + ",".join(f"v_{i + 1}" for i in range(n)) + ",H\n")
+        for t, v, h in self:
+            row = [f"{t:.17g}"] + [f"{x:.17g}" for x in v] + [f"{h:.17g}"]
+            fh.write(",".join(row) + "\n")
+
+    def to_csv(self, path) -> None:
+        """write_csv to path; a path ending in .gz is compressed."""
+        with open_text(path, "w") as fh:
+            self.write_csv(fh)
 
 
 def _powers(x: np.ndarray, exponent: float) -> np.ndarray:
@@ -236,13 +240,15 @@ def _field_array(a: np.ndarray, alpha: float, x: np.ndarray, stats=None) -> np.n
 def vector_field(p: ModelParameters, v) -> TangentVector:
     """Drift of the occupation measure at v: F(v) = -v + pi(iota(v)).
 
-    Accepts any vector with unit coordinate sum (within 1e-9); components
-    of the result sum to zero and vanish on the zero set of v.
+    Accepts any vector with unit coordinate sum (within 1e-9) and evaluates
+    F at v / sum(v); components of the result sum to zero and vanish on the
+    zero set of v.
     """
     x = coords_of(v)
-    if x.ndim != 1 or abs(float(x.sum()) - 1.0) > 1e-9:
+    total = float(x.sum())
+    if x.ndim != 1 or abs(total - 1.0) > 1e-9:
         raise ValidationError(f"field input must be a vector with unit sum, got {x!r}")
-    return TangentVector(comps=_field_array(p.effective_matrix.entries, p.alpha, x))
+    return TangentVector(comps=_field_array(p.effective_matrix.entries, p.alpha, x / total))
 
 
 def lyapunov_derivative(p: ModelParameters, v) -> float:

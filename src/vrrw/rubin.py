@@ -67,9 +67,7 @@ class ClockConfig:
     weight: Callable[[int], float]
 
     def __post_init__(self):
-        w0 = float(self.weight(0))
-        if not (w0 > 0 and math.isfinite(w0)):
-            raise ValidationError(f"clock weight w(0) must be positive, got {w0}")
+        _clock_weights(self.weight, 0)
 
     @property
     def size(self) -> int:
@@ -96,17 +94,35 @@ def _read_stream(bits, key: int, edge: int, level: int):
     return first, ((bits.random_raw(_STREAM_BLOCK) >> 11) * 2.0**-53).tolist()
 
 
-def _clock_rate(weight, level: int) -> float:
-    """w(level), or a typed error if it overflows, is not finite or is not positive."""
-    try:
-        rate = float(weight(level))
-    except OverflowError:
-        rate = math.inf
-    if not math.isfinite(rate):
-        raise NumericError(f"clock weight w({level}) is not a finite double: {rate}")
-    if not rate > 0:
-        raise ValidationError(f"clock weight w({level}) must be positive")
-    return rate
+def _clock_weights(weight, levels):
+    """w at one int level, as a float, or at an array of levels, as an array
+    (one call of weight when it takes arrays, else level by level). The first
+    w(l) that overflows or is not finite raises NumericError; the first that
+    is not positive raises ValidationError."""
+    if isinstance(levels, int):
+        try:
+            value = float(weight(levels))
+        except OverflowError:
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+        level = levels
+    else:
+        try:
+            with np.errstate(over="ignore"):
+                values = np.asarray(weight(levels), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or values.shape != levels.shape:
+            values = np.array([_clock_weights(weight, int(l)) for l in levels])
+        ok = (values > 0.0) & (values < np.inf)
+        if ok.all():
+            return values
+        i = int(np.argmin(ok))
+        level, value = int(levels[i]), float(values[i])
+    if not math.isfinite(value):
+        raise NumericError(f"clock weight w({level}) is not a finite double: {value}")
+    raise ValidationError(f"clock weight w({level}) must be positive, got {value}")
 
 
 def rubin_simulate(
@@ -155,7 +171,7 @@ def rubin_simulate(
                 durs.append(held[0])
                 continue
             while level >= len(rates):
-                rates.append(_clock_rate(config.weight, len(rates)))
+                rates.append(_clock_weights(config.weight, len(rates)))
             stream = streams.get(edge)
             if stream is None or level - stream[0] >= _STREAM_BLOCK:
                 stream = streams[edge] = _read_stream(bits, key, edge, level)
@@ -195,16 +211,6 @@ def rubin_simulate(
     return RubinRecord(walk=walk, jump_times=np.array(times), tie_count=tie_count)
 
 
-def _weight_values(weight, levels: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(weight(levels), dtype=float)
-        if vals.shape == levels.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(weight(int(l))) for l in levels])
-
-
 def _tail_inverse_sum(weight, truncation: int) -> float:
     """Upper bound on sum_{l > truncation} 1/w(l) from dyadic chunks and
     probe monotonicity; raises when the chunks do not contract."""
@@ -214,9 +220,7 @@ def _tail_inverse_sum(weight, truncation: int) -> float:
     prev_w = None
     for _ in range(_TAIL_PROBES):
         hi = lo * 2
-        w_lo = float(weight(int(lo + 1)))
-        if not w_lo > 0:
-            raise SummabilityError(f"weight w({lo + 1}) is not positive")
+        w_lo = _clock_weights(weight, int(lo + 1))
         if prev_w is not None and w_lo < prev_w:
             raise SummabilityError(
                 f"weight decreases beyond {truncation}; tail cannot be certified"
@@ -258,10 +262,8 @@ def trap_probability_bound(
             f"need 0 <= start_index < truncation, got {start_index}, {truncation}"
         )
     levels = np.arange(start_index, truncation + 1, dtype=np.int64)
-    w = _weight_values(weight, levels)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise ValidationError("clock weights must be positive and finite")
-    w0 = float(weight(0))
+    w = _clock_weights(weight, levels)
+    w0 = _clock_weights(weight, 0)
     x = degree * w0 / w
     if np.any(x >= 1.0):
         return 0.0
@@ -309,10 +311,8 @@ def sample_trap_event(
             f"need 0 <= start_index < truncation, got {start_index}, {truncation}"
         )
     levels = np.arange(start_index, truncation + 1, dtype=np.int64)
-    rates = _weight_values(weight, levels)
-    if np.any(rates <= 0):
-        raise ValidationError("clock weights must be positive")
-    w0 = float(weight(0))
+    rates = _clock_weights(weight, levels)
+    w0 = _clock_weights(weight, 0)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     hits = 0
     remaining = draws

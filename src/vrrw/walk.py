@@ -190,16 +190,6 @@ def init_walk(p: ModelParameters, start: int) -> WalkState:
     return WalkState(site=start, counts=counts, step=0)
 
 
-def step_distribution(p: ModelParameters, s: WalkState) -> np.ndarray:
-    """One-step law from the current state: row A[site] * (1+counts)^alpha
-    normalized. Matches the frozen kernel row at (1/(n+1), v_n)."""
-    weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise NumericError("degenerate one-step weights")
-    return weights / total
-
-
 def _pairwise_total(eff: np.ndarray) -> np.ndarray:
     """numpy's pairwise sum down the first axis of eff, which has 8 or
     more rows: eight running sums, combined as a tree, then the rows past
@@ -268,7 +258,9 @@ def _pick_columns(eff: np.ndarray, u):
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
-    """Advance one step, drawing a single uniform from rng."""
+    """Advance one step, drawing a single uniform from rng. With loop_c > 0
+    staying put carries weight loop_c * (1 + Z(site))^alpha through the
+    effective matrix. This is the sequential reference for simulate."""
     weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite transition weights")
@@ -276,14 +268,6 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     counts = s.counts.copy()
     counts[nxt] += 1
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
-
-
-def step_loop_model(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
-    """Step of the self-loop variant: staying put carries weight
-    loop_c * (1 + Z(site))^alpha. Identical to step, which already draws
-    from the diagonal-adjusted matrix; at loop_c = 0 the two are the same
-    code path and produce the same trajectory for the same seed."""
-    return step(p, s, rng)
 
 
 def _put_pair(cnt, cur, prv, ccur, cprv):

@@ -258,3 +258,67 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "1.5" in proc.stdout
+
+
+K3_FILE = {"n": 3, "entries": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--alpha", "2.5", "--v0", "0.5,0.3,0.2", "--t", "1"],
+        ["simulate", "--alpha", "2.5", "--start", "1", "--horizon", "300", "--seed", "4"],
+        ["rubin", "--alpha", "1.5", "--start", "1", "--jumps", "40", "--seed", "7"],
+    ],
+    ids=["flow", "simulate", "rubin"],
+)
+def test_matrix_file_runs_like_the_complete_graph(argv, tmp_path, capsys):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(K3_FILE))
+    code, out, err = run_cli(capsys, *argv, "--matrix", str(path))
+    assert code == 0, err
+    assert (code, out, err) == run_cli(capsys, *argv, "--n", "3")
+
+
+CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+
+
+def test_simulate_config_honours_the_model_matrix(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "model": {"n": 4, "alpha": 1.5, "matrix": CIRCULANT},
+        "start": 1, "horizon": 2000, "seed": 3,
+    }))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 0, err
+    rec = vrrw.simulate(
+        vrrw.ModelParameters(matrix=vrrw.validate(CIRCULANT), alpha=1.5), 0, 2000, 3
+    )
+    assert rec.final_counts.tolist() == [1000, 4, 996, 1]
+    assert "final counts [1000,4,996,1] over 2000 steps" in err
+    matrix = tmp_path / "circulant.json"
+    matrix.write_text(json.dumps({"n": 4, "entries": CIRCULANT}))
+    flags = ["simulate", "--alpha", "1.5", "--start", "1", "--horizon", "2000", "--seed", "3"]
+    assert (code, out, err) == run_cli(capsys, *flags, "--matrix", str(matrix))
+
+
+def test_flow_gz_output_is_the_plain_csv_compressed(tmp_path, capsys):
+    argv = ["flow", "--n", "3", "--alpha", "2.5", "--v0", "0.5,0.3,0.2", "--t", "1", "--out"]
+    paths = [tmp_path / name for name in ("f.csv", "f.csv.gz", "g.csv.gz")]
+    for path in paths:
+        assert run_cli(capsys, *argv, str(path))[0] == 0
+    plain, packed, again = (path.read_bytes() for path in paths)
+    assert gzip.decompress(packed) == plain
+    assert packed == again
+
+
+def test_campaign_prints_the_export_config_hash(tmp_path, capsys):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({
+        "model": {"n": 3, "alpha": 2.5}, "replicas": 3, "horizon": 500, "base_seed": 5,
+    }))
+    code, _, err = run_cli(capsys, "campaign", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    printed = [l.split(": ")[1] for l in err.splitlines() if l.startswith("config-hash: ")]
+    exported = json.loads((tmp_path / "campaign.json").read_text())["provenance"]["config_hash"]
+    assert printed == [exported]

@@ -134,6 +134,15 @@ def test_vector_field_preserves_faces_exactly():
     assert _field_array(P3.effective_matrix.entries, P3.alpha, w)[2] == 0.0
 
 
+def test_vector_field_accepts_sums_within_its_tolerance():
+    # a sum 1e-10 short of 1 is within the documented 1e-9; the field is
+    # taken at the normalized point, so it still sums to zero
+    w = np.array([0.6, 0.4 - 1e-10, 0.0])
+    f = np.asarray(vector_field(P3, w))
+    assert abs(f.sum()) <= 1e-15 and f[2] == 0.0
+    np.testing.assert_array_equal(f, np.asarray(vector_field(P3, w / w.sum())))
+
+
 def test_vector_field_sums_to_zero():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4, 6):

@@ -166,6 +166,30 @@ def test_non_finite_clock_weight_is_a_numeric_error(bad):
         rubin_simulate(cfg, 0, 50, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: trap_probability_bound(2, w, 10),
+        lambda w: sample_trap_event(2, w, 10, 10, 1),
+    ],
+    ids=["bound", "sampler"],
+)
+def test_trap_functions_type_their_weight_errors(call):
+    # w(10) = 11**400 overflows doubles: a numeric error, not a bad input
+    # and not a silent infinite rate
+    with pytest.raises(NumericError, match=r"w\(10\)"):
+        call(power_weight(400.0))
+    with pytest.raises(ValidationError, match=r"w\(12\)"):
+        call(lambda l: np.where(np.asarray(l) == 12, -1.0, np.asarray(l) + 1.0))
+
+
+def test_trap_bound_tail_overflow_is_a_numeric_error():
+    # w(l) = (l+1)**50 is finite to the truncation 10**6 but overflows at
+    # the first tail probe past it
+    with pytest.raises(NumericError, match=r"w\(2000001\)"):
+        trap_probability_bound(1, power_weight(50.0), 1)
+
+
 def test_clock_config_validates_weight():
     with pytest.raises(ValidationError):
         ClockConfig(matrix=complete_graph(3), weight=lambda l: np.zeros_like(np.asarray(l, dtype=float)))

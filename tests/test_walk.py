@@ -16,8 +16,6 @@ from vrrw import (
     init_walk,
     simulate,
     step,
-    step_distribution,
-    step_loop_model,
     transition_kernel,
 )
 import vrrw.walk as walk_module
@@ -25,6 +23,11 @@ from vrrw.graph import validate
 from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick_columns, _sums
 
 P25 = ModelParameters.for_complete_graph(3, 2.5)
+
+
+def _kernel_row(p, s):
+    """Law of the next site: the frozen kernel row at eps = 1/(n+1), v = v_n."""
+    return transition_kernel(p, 1.0 / (s.step + 1), s.counts / (s.step + 1)).entries[s.site]
 
 
 def test_init_walk_counts_the_starting_visit():
@@ -44,14 +47,14 @@ def test_walk_state_checks_mass_balance():
 
 def test_step_law_oracle():
     s = WalkState(site=0, counts=np.array([1, 1, 0]), step=1)
-    law = step_distribution(ModelParameters.for_complete_graph(3, 2.0), s)
+    law = _kernel_row(ModelParameters.for_complete_graph(3, 2.0), s)
     np.testing.assert_allclose(law, [0.0, 0.8, 0.2], rtol=0, atol=1e-16)
 
 
 def test_loop_law_oracle():
     p = ModelParameters.for_complete_graph(3, 2.0, loop_c=0.5)
     s = WalkState(site=0, counts=np.array([2, 1, 1]), step=3)
-    law = step_distribution(p, s)
+    law = _kernel_row(p, s)
     np.testing.assert_allclose(law, [0.36, 0.32, 0.32], rtol=0, atol=1e-16)
 
 
@@ -67,10 +70,10 @@ def test_step_law_equals_frozen_kernel_row(n, alpha, seed, nsteps):
     s = init_walk(p, int(seed) % n)
     for _ in range(nsteps):
         s = step(p, s, g)
-    law = step_distribution(p, s)
-    eps = 1.0 / (s.step + 1)
-    row = transition_kernel(p, eps, s.counts / (s.step + 1)).entries[s.site]
-    assert np.max(np.abs(law - row)) <= 1e-15
+    # the weights step draws from, as the walk module defines them
+    weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
+    law = weights / weights.sum()
+    assert np.max(np.abs(law - _kernel_row(p, s))) <= 1e-15
 
 
 @given(
@@ -308,13 +311,15 @@ def test_engine_trajectories_match_golden_hashes(block, monkeypatch):
 
 
 def test_loop_model_reduces_to_plain_step():
-    p = ModelParameters.for_complete_graph(3, 2.0)
-    g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
-    a, b = init_walk(p, 0), init_walk(p, 0)
-    for _ in range(60):
-        a = step(p, a, g1)
-        b = step_loop_model(p, b, g2)
-        assert a.site == b.site
+    # the loop model at c = 0 through the batch engine against the step
+    # reference on the hollow plain model
+    loop = ModelParameters.for_complete_graph(3, 2.0, loop_c=0.0)
+    plain = ModelParameters.for_complete_graph(3, 2.0)
+    rec = simulate(loop, 0, 60, 5)
+    g, s = np.random.default_rng(5), init_walk(plain, 0)
+    for k in range(1, 61):
+        s = step(plain, s, g)
+        assert s.site == rec.sites[k]
 
 
 def test_loop_model_first_move_weights_count_the_standing_visit():
@@ -322,12 +327,12 @@ def test_loop_model_first_move_weights_count_the_standing_visit():
     # carries weight (1+1)^alpha against 1 for each fresh neighbor
     p = ModelParameters.for_complete_graph(3, 2.0, loop_c=1.0)
     s = init_walk(p, 0)
-    law = step_distribution(p, s)
+    law = _kernel_row(p, s)
     np.testing.assert_allclose(law, [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
     g = np.random.default_rng(0)
     hits = np.zeros(3)
     for _ in range(3000):
-        hits[step_loop_model(p, s, g).site] += 1
+        hits[step(p, s, g).site] += 1
     np.testing.assert_allclose(hits / 3000, law, rtol=0, atol=0.03)
 
 
