@@ -193,12 +193,11 @@ def _cmd_simulate(args) -> int:
     _print_provenance(seed, canonical_hash(payload))
     record = simulate(p, int(start) - 1, int(horizon), seed)
     log_kind = args.log or ("sites" if record.sites is not None else "checkpoints")
+    # checked before --out is opened, so a failed run leaves that path alone
+    if log_kind == "sites" and record.sites is None:
+        raise VrrwError("site log unavailable at this horizon; use --log checkpoints")
     with _output(args.out) as out:
         if log_kind == "sites":
-            if record.sites is None:
-                raise VrrwError(
-                    "site log unavailable at this horizon; use --log checkpoints"
-                )
             out.write("step,site\n")
             for step, site in enumerate(record.sites):
                 out.write(f"{step},{site + 1}\n")

@@ -12,8 +12,10 @@ step integrator for the flow, and the fundamental matrix of the frozen
 kernel. H is a strict Lyapunov function: it increases along every
 non-equilibrium trajectory.
 
-F, H and the projection each have one array-level core (_field_array, _energy,
-graph._project); integrate_flow calls them directly and logs its clips.
+Every power of the coordinates is s = (x/m)^a in [0, 1], m = max x, from
+_scaled_powers; only H and dH/dt carry the scale, as m^a m^a. An underflowed
+sum raises NumericError. F, H and the projection each have one array-level
+core (_field_array, _energy, graph._project); integrate_flow calls them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from sys import float_info
 
 import numpy as np
 
@@ -45,10 +48,6 @@ from .graph import (
 )
 
 log = logging.getLogger(__name__)
-
-#: Direct powers x^a are used while exponent*|log x| stays below this bound;
-#: beyond it the scale-invariant form (x/max)^a takes over.
-_LOG_RANGE = 600.0
 
 #: Imaginary parts above this trigger the symmetrized eigensolver fallback.
 _IMAG_TOL = 1e-8
@@ -155,17 +154,20 @@ class FlowTrajectory:
             self.write_csv(fh)
 
 
-def _powers(x: np.ndarray, exponent: float) -> np.ndarray:
-    """x^exponent, switching to the rescaled form (x/max)^exponent when the
-    direct evaluation would leave the double range. Callers relying on the
-    rescaled branch must be scale-invariant in the result."""
-    pos = x[x > 0]
-    if pos.size == 0:
-        return np.zeros_like(x)
-    lo, hi = np.log(pos.min()), np.log(pos.max())
-    if max(abs(exponent * lo), abs(exponent * hi)) <= _LOG_RANGE:
-        return np.power(x, exponent)
-    return np.power(x / pos.max(), exponent)
+def _scaled_powers(x: np.ndarray, exponent: float):
+    """(x/m)^exponent, each value in [0, 1], and m = max x."""
+    m = float(x.max(initial=0.0))
+    if m <= 0.0:
+        raise DegenerateSupportError("point has empty support")
+    return np.power(x / m, exponent), m
+
+
+def _vanishing(a: np.ndarray, rows: np.ndarray, x: np.ndarray, what: str):
+    """Error for a sum over A_ij, i in rows, j in supp x, below the normal
+    double range: underflow, or exactly 0 when all those A_ij are 0."""
+    if np.any(a[np.ix_(rows, x > 0)] > 0):
+        return NumericError(f"{what} underflows the double range")
+    return DegenerateSupportError(f"{what} vanishes on support {np.nonzero(x > 0)[0].tolist()}")
 
 
 def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
@@ -178,24 +180,22 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
         raise ValidationError(f"kernel regularizer must be >= 0, got {eps}")
     x = coords_of(v) + eps
     a = p.effective_matrix.entries
-    w = _powers(x, p.alpha)
+    w, _ = _scaled_powers(x, p.alpha)
     rows = a * w[None, :]
     dens = rows.sum(axis=1)
-    if np.any(dens <= 0.0):
-        bad = np.nonzero(dens <= 0.0)[0].tolist()
-        raise DegenerateSupportError(
-            f"kernel rows {bad} have zero total weight (support misses their neighbors)"
-        )
+    bad = ~(dens >= float_info.min)
+    if np.any(bad):
+        raise _vanishing(a, bad, x, f"total weight of kernel rows {np.nonzero(bad)[0].tolist()}")
     return StochasticMatrix(entries=rows / dens[:, None])
 
 
 def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
-    """H(x) = <A x^a, x^a> through (x/m)^a, m = max x; 0 without support."""
-    m = float(x.max(initial=0.0))
-    if m <= 0.0:
-        return 0.0
-    s = np.power(x / m, alpha)
-    return float(s @ a @ s) * m**alpha * m**alpha
+    """H(x) = <A x^a, x^a> through s = (x/m)^a, m = max x."""
+    s, m = _scaled_powers(x, alpha)
+    h = float(s @ a @ s) * m**alpha * m**alpha
+    if not h >= float_info.min:
+        raise _vanishing(a, x > 0, x, "interaction energy")
+    return h
 
 
 def lyapunov(p: ModelParameters, v) -> float:
@@ -206,16 +206,11 @@ def lyapunov(p: ModelParameters, v) -> float:
 def _pi_core(a: np.ndarray, alpha: float, x: np.ndarray):
     """Scale-invariant pieces of the reversible measure: powers s = (x/m)^a,
     their interaction field A s, and the scaled energy <A s, s>."""
-    m = float(x.max(initial=0.0))
-    if m <= 0.0:
-        raise DegenerateSupportError("point has empty support")
-    s = np.power(x / m, alpha)
+    s, m = _scaled_powers(x, alpha)
     field = a @ s
     core = float(s @ field)
-    if not 0.0 < core < np.inf:
-        raise DegenerateSupportError(
-            f"interaction energy vanishes on support {np.nonzero(x > 0)[0].tolist()}"
-        )
+    if not core >= float_info.min:
+        raise _vanishing(a, x > 0, x, "scaled interaction energy")
     return s, field, core
 
 
@@ -254,28 +249,28 @@ def vector_field(p: ModelParameters, v) -> TangentVector:
 def lyapunov_derivative(p: ModelParameters, v) -> float:
     """Rate of change of H along F: the weighted variance form
 
-        <grad H, F> = (2a/H) * sum_i v_i (g_i - H)^2,   g_i = v_i^(a-1) (A v^a)_i,
+        <grad H, F> = 2a H * sum_{v_i > 0} (pi_i - v_i)^2 / v_i,
 
-    manifestly nonnegative, zero exactly when g is constant on the support.
+    manifestly nonnegative, zero exactly when pi = v.
     """
     x = coords_of(v)
     a = p.effective_matrix.entries
-    alpha = p.alpha
-    g = np.power(x, alpha - 1.0) * (a @ np.power(x, alpha))
-    h = float(x @ g)
-    if h <= 0.0:
-        raise DegenerateSupportError("interaction energy vanishes; derivative undefined")
-    return 2.0 * alpha / h * float(x @ (g - h) ** 2)
+    h = _energy(a, p.alpha, x)
+    s, field, core = _pi_core(a, p.alpha, x)
+    on = x > 0
+    gap = s[on] * field[on] / core - x[on]
+    return 2.0 * p.alpha * h * float(gap @ (gap / x[on]))
 
 
 def jacobian(p: ModelParameters, v) -> np.ndarray:
     """Analytic Jacobian of F at a point with full support.
 
-    Entry (i, j):  d_j pi_i - delta_ij  with
+    With s = (v/m)^a, t = (v/m)^(a-1), m = max v, f = A s, c = <A s, s>
+    and pi = s f / c, entry (i, j) is d_j pi_i - delta_ij with
 
-        d_j pi_i = delta_ij a v_i^(a-1) (Av^a)_i / H
-                 + a v_i^a A_ij v_j^(a-1) / H
-                 - 2a v_i^a (Av^a)_i v_j^(a-1) (Av^a)_j / H^2.
+        d_j pi_i = a/m * [delta_ij rho_i + s_i A_ij t_j / c - 2 pi_i rho_j],
+
+    rho = t f / c; no product of two small powers skips the division by c.
 
     At a zero coordinate the field is only one-sided differentiable for
     a < 2, so boundary points are rejected there; classification on faces
@@ -288,17 +283,11 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
             "restrict to the support face instead"
         )
     a = p.effective_matrix.entries
-    alpha = p.alpha
-    vp = np.power(x, alpha)
-    vm = np.power(x, alpha - 1.0)
-    av = a @ vp
-    h = float(vp @ av)
-    if h <= 0.0:
-        raise DegenerateSupportError("interaction energy vanishes; Jacobian undefined")
-    dpi = np.diag(alpha * vm * av / h)
-    dpi += alpha * np.outer(vp, vm) * a / h
-    dpi -= 2.0 * alpha * np.outer(vp * av, vm * av) / h**2
-    return dpi - np.eye(x.size)
+    s, field, core = _pi_core(a, p.alpha, x)
+    t, m = _scaled_powers(x, p.alpha - 1.0)
+    rho = t * field / core
+    dpi = np.diag(rho) + (s[:, None] * a) * (t / core) - 2.0 * np.outer(s * field / core, rho)
+    return p.alpha / m * dpi - np.eye(x.size)
 
 
 def tangent_basis(n: int) -> np.ndarray:

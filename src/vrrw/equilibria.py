@@ -6,7 +6,9 @@ t*u. The admissible ratios t are the positive roots of a one-variable
 polynomial-like function, found here by an exhaustive sign scan plus
 bisection. Stability comes from closed-form tangent spectra (centers and
 two-level points) or from the numeric Jacobian restricted to the support
-face; directions leaving the support always carry eigenvalue -1.
+face; directions leaving the support always carry eigenvalue -1. The scan
+and the spectra take powers only of values at most 1, so they hold for
+every alpha > 1 until a pair energy underflows, which raises NumericError.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -23,6 +26,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSupportError,
     DomainError,
+    NumericError,
     ValidationError,
 )
 from .graph import FaceIndex, InteractionMatrix, SimplexPoint, coords_of, validate
@@ -163,7 +167,8 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
 
         -(n-k-1) t^(2a-1) + (n-k) t^a - k t^(a-1) + (k-1).
 
-    Vanishes at t=1 (the face center) for every (n, k, alpha).
+    Vanishes at t=1 (the face center) for every (n, k, alpha). A power
+    past the double range raises NumericError.
     """
     if t <= 0:
         raise DomainError(f"ratio must be positive, got {t}")
@@ -171,21 +176,28 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
         raise ValidationError(f"block size k={k} out of range for n={n}")
     t = float(t)
     a = alpha
-    return -(n - k - 1) * t ** (2 * a - 1) + (n - k) * t**a - k * t ** (a - 1) + (k - 1)
+    try:
+        return -(n - k - 1) * t ** (2 * a - 1) + (n - k) * t**a - k * t ** (a - 1) + (k - 1)
+    except OverflowError as exc:
+        raise NumericError(f"ratio condition overflows at t={t!r}, alpha={alpha}") from exc
 
 
 def level_ratio_derivative(t: float, n: int, k: int, alpha: float) -> float:
-    """d/dt of level_ratio_polynomial; its sign at a root feeds the
-    cross-level instability certificate."""
+    """d/dt of level_ratio_polynomial, phi'; the cross-block eigenvalue of
+    a two-level point is -t u1^(2a-1) phi'(t) / H. A power past the double
+    range raises NumericError."""
     if t <= 0:
         raise DomainError(f"ratio must be positive, got {t}")
     a = alpha
     t = float(t)
-    return (
-        -(2 * a - 1) * (n - k - 1) * t ** (2 * a - 2)
-        + a * (n - k) * t ** (a - 1)
-        - (a - 1) * k * t ** (a - 2)
-    )
+    try:
+        return (
+            -(2 * a - 1) * (n - k - 1) * t ** (2 * a - 2)
+            + a * (n - k) * t ** (a - 1)
+            - (a - 1) * k * t ** (a - 2)
+        )
+    except OverflowError as exc:
+        raise NumericError(f"ratio derivative overflows at t={t!r}, alpha={alpha}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -216,22 +228,30 @@ def _bisect_root(n: int, k: int, alpha: float, lo: float, hi: float) -> float:
     )
 
 
+def _reduced_condition(n: int, k: int, alpha: float, t: np.ndarray) -> np.ndarray:
+    """The ratio condition on (0, 1] with t^(a-1) factored out of its
+    t-terms, (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a]; for k = 1 the
+    bracket alone, which has its sign and cannot underflow."""
+    bracket = (n - k) * t - k - (n - k - 1) * t**alpha
+    return bracket if k == 1 else (k - 1) + t ** (alpha - 1) * bracket
+
+
 @lru_cache(maxsize=None)
 def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
     """All roots t != 1 of the two-level ratio condition on (0, inf),
     by dense log-grid sign scan plus bisection. The known root t=1 is
-    deflated by discarding anything within 1e-9 of it."""
+    deflated by discarding anything within 1e-9 of it. Above 1 the scan
+    reads phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t), so no power exceeds 1."""
     grid = _scan_grid()
-    t, a = grid, alpha
-    vals = -(n - k - 1) * t ** (2 * a - 1) + (n - k) * t**a - k * t ** (a - 1) + (k - 1)
-    roots = []
-    exact = np.nonzero(vals == 0.0)[0]
-    for i in exact:
-        roots.append(float(grid[i]))
+    below = grid <= 1.0
+    vals = np.concatenate(
+        [_reduced_condition(n, k, alpha, grid[below]),
+         -_reduced_condition(n, n - k, alpha, 1.0 / grid[~below])]
+    )
+    roots = [float(t) for t in grid[vals == 0.0]]
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    for i in flips:
-        roots.append(_bisect_root(n, k, alpha, float(grid[i]), float(grid[i + 1])))
+    roots += [_bisect_root(n, k, alpha, float(grid[i]), float(grid[i + 1])) for i in flips]
     out = sorted(r for r in roots if abs(r - 1.0) > _UNIT_ROOT_TOL)
     dedup = []
     for r in out:
@@ -242,22 +262,24 @@ def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
 
 def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
     """Closed-form tangent spectrum at a two-level point of the hollow
-    complete graph: within-block difference eigenvalues
-
-        (a-1) - a u_m^(2a-1) / H      (multiplicities k-1 and n-k-1)
-
-    plus the single cross-block eigenvalue -t u1^(2a-1) phi'(t) / H, where
-    phi' is the ratio-condition derivative. Consistent with the Jacobian
-    trace identity for every (n, k)."""
+    complete graph. With the block values u1, u2 = t u1 over their maximum
+    M as y1, y2, r = y^a, q = y^(a-1), and the pair energy
+    e = k(k-1) r1^2 + 2k(n-k) r1 r2 + (n-k)(n-k-1) r2^2 = H / M^(2a), which
+    cannot cancel: within-block eigenvalues (a-1) - a r_m q_m / (M e)
+    (multiplicities k-1 and n-k-1), and the cross-block -t u1^(2a-1) phi'(t) / H
+    = [(2a-1)(n-k-1) r2 q2 - a(n-k) r2 q1 + (a-1) k r1 q2] / (M e)."""
     u1 = 1.0 / (k + (n - k) * t)
-    u2 = t * u1
-    s_a = k * u1**alpha + (n - k) * u2**alpha
-    s_2a = k * u1 ** (2 * alpha) + (n - k) * u2 ** (2 * alpha)
-    h = s_a * s_a - s_2a
-    lam1 = (alpha - 1.0) - alpha * u1 ** (2 * alpha - 1) / h
-    lam2 = (alpha - 1.0) - alpha * u2 ** (2 * alpha - 1) / h
-    mu = -t * u1 ** (2 * alpha - 1) * level_ratio_derivative(t, n, k, alpha) / h
-    return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu]
+    m = max(u1, t * u1)
+    y1, y2 = u1 / m, t * u1 / m
+    r1, r2, q1, q2 = y1**alpha, y2**alpha, y1 ** (alpha - 1), y2 ** (alpha - 1)
+    e = k * (k - 1) * r1 * r1 + 2 * k * (n - k) * r1 * r2 + (n - k) * (n - k - 1) * r2 * r2
+    if not e >= float_info.min:
+        raise NumericError(f"two-level pair energy underflows: {n} sites, k={k}, alpha={alpha}")
+    lam1 = (alpha - 1.0) - alpha * r1 * q1 / (m * e)
+    lam2 = (alpha - 1.0) - alpha * r2 * q2 / (m * e)
+    mu = (2 * alpha - 1) * (n - k - 1) * r2 * q2 - alpha * (n - k) * r2 * q1
+    mu += (alpha - 1) * k * r1 * q2
+    return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu / (m * e)]
 
 
 def _build_equilibrium(point, support, kind, face_vals, off_face, data=None) -> Equilibrium:
@@ -342,11 +364,7 @@ def enumerate_all(n: int, alpha: float) -> list:
                 # keeping t < 1 lists each point exactly once.
                 roots = tuple(t for t in roots if t < 1.0)
             per_k[k] = [
-                (
-                    t,
-                    1.0 / (k + (m - k) * t),
-                    _two_level_tangent_spectrum(m, k, alpha, t),
-                )
+                (t, 1.0 / (k + (m - k) * t), _two_level_tangent_spectrum(m, k, alpha, t))
                 for t in roots
             ]
         for face in itertools.combinations(sites, m):
@@ -361,16 +379,9 @@ def enumerate_all(n: int, alpha: float) -> list:
                         coords /= coords.sum()
                         point = SimplexPoint.from_array(coords)
                         data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-                        out.append(
-                            _build_equilibrium(
-                                point,
-                                FaceIndex(sites=face),
-                                TWO_LEVEL,
-                                spectrum,
-                                n - m,
-                                data,
-                            )
-                        )
+                        out.append(_build_equilibrium(
+                            point, FaceIndex(sites=face), TWO_LEVEL, spectrum, n - m, data
+                        ))
     return out
 
 

@@ -18,7 +18,7 @@ class ValidationError(VrrwError):
 
 
 class NumericError(VrrwError):
-    """Non-finite values or guaranteed overflow in a numeric routine."""
+    """Non-finite, overflowing or underflowing values in a numeric routine."""
 
 
 class DegenerateSupportError(VrrwError):

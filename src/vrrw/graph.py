@@ -227,14 +227,14 @@ def project_to_simplex(x) -> SimplexPoint:
     return SimplexPoint(coords=_project(arr).copy())
 
 
-def check_loopfree_cap(v, matrix: InteractionMatrix, strict: bool = False) -> bool:
+def check_loopfree_cap(v, matrix: InteractionMatrix) -> bool:
     """Diagnose whether a loop-free site carries more than 3/4 of the mass.
 
     For a hollow symmetric matrix pi_i <= 1/2, so the exact flow pulls a
     loop-free site above 1/2 back down and never crosses the cap from
     below; an integrator step that does has overshot. Analytic probe points
-    may exceed the cap legitimately, hence the check logs by default and
-    raises only in strict mode. Returns True when the cap holds.
+    may exceed the cap legitimately, hence the check only logs; the caller
+    decides what a crossing means. Returns True when the cap holds.
     """
     arr = coords_of(v)
     bad = matrix.loop_free_sites & (arr > LOOPFREE_CAP)
@@ -242,6 +242,4 @@ def check_loopfree_cap(v, matrix: InteractionMatrix, strict: bool = False) -> bo
         return True
     sites = np.nonzero(bad)[0].tolist()
     log.warning("loop-free occupation cap exceeded at sites %s: %s", sites, arr.tolist())
-    if strict:
-        raise ValidationError(f"occupation exceeds {LOOPFREE_CAP} on loop-free sites {sites}")
     return False

@@ -136,6 +136,17 @@ def test_anchor_sets():
     assert big == []
 
 
+@pytest.mark.parametrize("n, alpha", [(8, 22.0), (3, 60.0)])
+def test_campaign_runs_at_large_exponents(n, alpha):
+    # the anchors are the full catalog, whose two-level spectra must not
+    # divide by a pair energy that cancelled to 0
+    p = ModelParameters.for_complete_graph(n, alpha)
+    result = run_campaign(ExperimentConfig(model=p, replicas=20, horizon=200, base_seed=1))
+    anchors = equilibrium_anchors(p)
+    assert len(result.replicas) == 20
+    assert all(0 <= rep.nearest_equilibrium < len(anchors) for rep in result.replicas)
+
+
 def test_nearest_anchor_does_not_depend_on_chunking(monkeypatch):
     anchors = equilibrium_anchors(ModelParameters.for_complete_graph(5, 1.6))
     pts = np.array([coords_of(e.point) for e in anchors])

@@ -322,3 +322,30 @@ def test_campaign_prints_the_export_config_hash(tmp_path, capsys):
     printed = [l.split(": ")[1] for l in err.splitlines() if l.startswith("config-hash: ")]
     exported = json.loads((tmp_path / "campaign.json").read_text())["provenance"]["config_hash"]
     assert printed == [exported]
+
+
+@pytest.mark.parametrize("name", ["keep.csv", "keep.csv.gz"])
+def test_unavailable_site_log_leaves_the_output_alone(name, tmp_path, capsys):
+    # past the full-log limit the site log does not exist; the run must fail
+    # before --out is opened, so an existing file keeps its bytes and a new
+    # path is not created
+    existing = tmp_path / name
+    existing.write_bytes(b"earlier results\n")
+    fresh = tmp_path / ("new-" + name)
+    for path in (existing, fresh):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--alpha", "2.5", "--start", "1",
+            "--horizon", "1000001", "--log", "sites", "--out", str(path),
+        )
+        assert code == 3 and "site log unavailable" in err
+    assert existing.read_bytes() == b"earlier results\n"
+    assert not fresh.exists()
+
+
+def test_equilibria_catalog_at_large_exponent(capsys):
+    # at alpha = 22 and beyond the pair energy of the k = 1 two-level
+    # points cancels in the unscaled form; the catalog keeps all 1207 points
+    code, out, err = run_cli(capsys, "equilibria", "--n", "8", "--alpha", "25")
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "total: 1207 equilibria"

@@ -12,6 +12,7 @@ from vrrw import (
     DegenerateSupportError,
     FlowTrajectory,
     ModelParameters,
+    NumericError,
     ReducibilityError,
     ValidationError,
     VrrwError,
@@ -109,10 +110,152 @@ def test_kernel_rejects_dead_rows():
 
 
 def test_lyapunov_scale_invariance_in_log_regime():
-    # tiny coordinates route through the rescaled power path
+    # powers are taken of v / max v: the 1e-280 site's power underflows to 0
+    # and H is the energy of the other pair, not an underflowed product
     v = np.array([1e-280, 0.5, 0.5 - 1e-280])
     h = lyapunov(ModelParameters.for_complete_graph(3, 3.0), v)
     assert np.isfinite(h) and h > 0
+
+
+def test_large_exponent_energy_underflow_is_typed():
+    # at alpha = 400 the true H(.5, .3, .2) is about 2e-330, below the double
+    # range; H and its derivative say so, while the scale-invariant field,
+    # measure and Jacobian still have their values
+    p = ModelParameters.for_complete_graph(3, 400.0)
+    with pytest.raises(NumericError):
+        lyapunov(p, V)
+    with pytest.raises(NumericError):
+        lyapunov_derivative(p, V)
+    j = jacobian(p, V)
+    assert np.all(np.isfinite(j))
+    np.testing.assert_allclose(j.sum(axis=0), -1.0, rtol=0, atol=1e-12)
+    pi = np.asarray(invariant_measure(p, V))
+    np.testing.assert_allclose(pi, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
+    assert 0.0 < pi[2] < 1e-60  # (.4/.6)^400 / 2, kept, not underflowed
+    np.testing.assert_allclose(transition_kernel(p, 0.0, V).entries.sum(axis=1), 1.0)
+
+
+def test_no_interaction_is_degenerate_and_underflow_is_numeric():
+    # a single site of a hollow graph has no energy at all; a second site
+    # whose power underflows has an energy too small to represent
+    p = ModelParameters.for_complete_graph(3, 1000.0)
+    vertex = np.array([1.0, 0.0, 0.0])
+    near = np.array([0.9, 0.1, 0.0])
+    for f in (lyapunov, lyapunov_derivative, invariant_measure, vector_field):
+        with pytest.raises(DegenerateSupportError):
+            f(p, vertex)
+        with pytest.raises(NumericError):
+            f(p, near)
+    with pytest.raises(NumericError):
+        jacobian(p, near)
+    with pytest.raises(NumericError):
+        transition_kernel(p, 0.0, near)
+    with pytest.raises(DegenerateSupportError):
+        transition_kernel(p, 0.0, vertex)
+
+
+LOG_TINY = float(np.log(np.finfo(float).tiny))
+
+
+def _large_alpha_point(n, lam, seed):
+    """A point between the center (lam = 0) and a Dirichlet draw (lam = 1)
+    on a random support of at least two sites."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, n + 1))
+    on = rng.permutation(n)[:size]
+    v = np.zeros(n)
+    v[on] = (1.0 - lam) / size + lam * rng.dirichlet(np.ones(size))
+    return v / v.sum()
+
+
+def _log_energy(v, alpha):
+    """log H on the hollow complete graph, summed in logs so that it never
+    underflows."""
+    logs = alpha * np.log(v[v > 0])
+    pairs = logs[:, None] + logs[None, :]
+    np.fill_diagonal(pairs, -np.inf)
+    top = pairs.max()
+    return float(top + np.log(np.exp(pairs - top).sum()))
+
+
+def _underflows(log_value):
+    """True below the normal double range, None within 1e-6 of its edge."""
+    if abs(log_value - LOG_TINY) < 1e-6:
+        return None
+    return log_value < LOG_TINY
+
+
+ALPHAS_TO_1000 = st.floats(min_value=1.0, max_value=1e3, exclude_min=True)
+LAMBDAS = st.floats(min_value=0.0, max_value=1.0)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(st.integers(min_value=2, max_value=6), ALPHAS_TO_1000, LAMBDAS, SEEDS)
+def test_field_properties_up_to_alpha_1000(n, alpha, lam, seed):
+    # F is tangent and keeps the zero set; pi_i <= 1/2 on a hollow matrix;
+    # NumericError exactly where the scaled core <A s, s> underflows
+    p = ModelParameters.for_complete_graph(n, alpha)
+    v = _large_alpha_point(n, lam, seed)
+    expect = _underflows(_log_energy(v, alpha) - 2 * alpha * np.log(v.max()))
+    try:
+        f = np.asarray(vector_field(p, v))
+        pi = np.asarray(invariant_measure(p, v))
+    except NumericError:
+        assert expect is not False
+        return
+    assert expect is not True
+    assert abs(f.sum()) <= 1e-14
+    assert np.all(f[v == 0.0] == 0.0)
+    assert pi.max() <= 0.5 + 1e-15
+
+
+@given(st.integers(min_value=2, max_value=6), ALPHAS_TO_1000, LAMBDAS, SEEDS)
+def test_lyapunov_derivative_sign_up_to_alpha_1000(n, alpha, lam, seed):
+    p = ModelParameters.for_complete_graph(n, alpha)
+    v = _large_alpha_point(n, lam, seed)
+    expect = _underflows(_log_energy(v, alpha))
+    try:
+        d = lyapunov_derivative(p, v)
+    except NumericError:
+        assert expect is not False
+        return
+    assert expect is not True
+    assert d >= 0.0
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    ALPHAS_TO_1000,
+    st.floats(min_value=0.0, max_value=0.9),
+    SEEDS,
+)
+def test_jacobian_matches_central_differences_up_to_alpha_1000(n, alpha, lam, seed):
+    # interior points with every coordinate at least 0.1 / n; the step
+    # shrinks like 1/alpha, the scale on which F varies
+    p = ModelParameters.for_complete_graph(n, alpha)
+    rng = np.random.default_rng(seed)
+    v = (1.0 - lam) / n + lam * rng.dirichlet(np.ones(n))
+    v /= v.sum()
+    try:
+        j = jacobian(p, v)
+    except NumericError:
+        expect = _underflows(_log_energy(v, alpha) - 2 * alpha * np.log(v.max()))
+        assert expect is not False
+        return
+    h = 1e-6 / alpha
+    basis = tangent_basis(n)
+    tol = 1e-6 * max(1.0, float(np.abs(j).max()))
+    for col in range(n - 1):
+        d = basis[:, col]
+        try:
+            fd = (
+                np.asarray(vector_field(p, v + h * d)) - np.asarray(vector_field(p, v - h * d))
+            ) / (2 * h)
+        except NumericError:
+            # a neighbour at the edge of the double range
+            assert _log_energy(v, alpha) - 2 * alpha * np.log(v.max()) < LOG_TINY + 1.0
+            return
+        np.testing.assert_allclose(j @ d, fd, rtol=0, atol=tol)
 
 
 def test_vector_field_vanishes_at_face_centers():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vrrw import (
     DomainError,
     ModelParameters,
+    NumericError,
     ValidationError,
     center_eigenvalue,
     classify,
@@ -193,6 +194,66 @@ FROZEN_COUNTS = {
 def test_enumeration_counts_are_stable():
     for (n, alpha), want in FROZEN_COUNTS.items():
         assert len(enumerate_all(n, alpha)) == want, (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [25.0, 60.0, 200.0])
+def test_enumeration_counts_hold_at_large_exponents(alpha):
+    # above alpha = 3 the catalog's structure no longer changes; the counts
+    # must not change either once the unscaled powers leave the double range
+    for n in range(3, 7):
+        assert len(enumerate_all(n, alpha)) == FROZEN_COUNTS[(n, 3.0)], (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [25.0, 200.0])
+def test_eight_site_catalog_at_large_exponents(alpha):
+    assert len(enumerate_all(8, alpha)) == 1207
+
+
+def test_ratio_scan_ignores_underflowed_values():
+    # t^(a-1) underflows on most of (0, 1) at alpha = 60; one root remains
+    (e,) = solve_two_level(12, 1, 60.0)
+    assert e.two_level_data.t == pytest.approx(1 / 11, rel=1e-12)
+    assert residual(12, 60.0, e.point) < 1e-10
+
+
+@pytest.mark.parametrize("n, alpha", [(4, 25.0), (5, 60.0), (6, 200.0), (3, 1000.0)])
+def test_classify_agrees_with_closed_forms_at_large_exponents(n, alpha):
+    # face centers of two sites are stable, larger ones unstable above their
+    # threshold, and every interior two-level point is unstable
+    p = ModelParameters.for_complete_graph(n, alpha)
+    for e in enumerate_all(n, alpha):
+        want = "stable" if e.kind == FACE_CENTER and len(e.support) == 2 else "unstable"
+        assert e.verdict == want
+        checked = classify(p, e)
+        assert checked.verdict == want
+        np.testing.assert_allclose(
+            checked.tangent_eigenvalues, e.tangent_eigenvalues, rtol=1e-9, atol=1e-9
+        )
+
+
+def test_underflowed_pair_energy_is_a_numeric_error():
+    # the k = 1 point on eight sites has pair energy about 14 (1/7)^alpha,
+    # below the double range at alpha = 400
+    with pytest.raises(NumericError):
+        solve_two_level(8, 1, 400.0)
+    with pytest.raises(NumericError):
+        enumerate_all(8, 400.0)
+
+
+def test_ratio_condition_overflow_is_a_numeric_error():
+    # (1e6)^119 is past the double range
+    with pytest.raises(NumericError):
+        level_ratio_polynomial(1e6, 3, 1, 60.0)
+    with pytest.raises(NumericError):
+        level_ratio_derivative(1e6, 3, 1, 60.0)
+
+
+def test_two_level_spectrum_does_not_cancel():
+    # at n = 8, k = 1 the cross-block eigenvalue was off by 5.7e-9 when the
+    # energy was taken as (sum v^a)^2 - sum v^2a; reference from 60-digit
+    # arithmetic
+    (e,) = [s for s in solve_two_level(8, 1, 9.992593274434991) if s.two_level_data.t < 1]
+    assert min(e.tangent_eigenvalues) == pytest.approx(-0.99999978466829046645, abs=1e-15)
 
 
 def test_enumeration_structure_for_three_sites():
