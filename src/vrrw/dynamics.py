@@ -101,15 +101,6 @@ class StochasticMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
 
-    @staticmethod
-    def from_entries(entries: np.ndarray) -> "StochasticMatrix":
-        arr = np.asarray(entries, dtype=float)
-        if np.any(arr < 0):
-            raise ValidationError("stochastic matrix has negative entries")
-        if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-12):
-            raise ValidationError(f"rows do not sum to 1: {arr.sum(axis=1).tolist()}")
-        return StochasticMatrix(entries=arr)
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -192,7 +183,12 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
 def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
     """H(x) = <A x^a, x^a> through s = (x/m)^a, m = max x."""
     s, m = _scaled_powers(x, alpha)
-    h = float(s @ a @ s) * m**alpha * m**alpha
+    try:
+        h = float(s @ a @ s) * m**alpha * m**alpha
+    except OverflowError:
+        h = float("inf")
+    if h > float_info.max:
+        raise NumericError("interaction energy overflows the double range")
     if not h >= float_info.min:
         raise _vanishing(a, x > 0, x, "interaction energy")
     return h
@@ -259,7 +255,10 @@ def lyapunov_derivative(p: ModelParameters, v) -> float:
     s, field, core = _pi_core(a, p.alpha, x)
     on = x > 0
     gap = s[on] * field[on] / core - x[on]
-    return 2.0 * p.alpha * h * float(gap @ (gap / x[on]))
+    rate = 2.0 * p.alpha * h * float(gap @ (gap / x[on]))
+    if rate > float_info.max:
+        raise NumericError("energy derivative overflows the double range")
+    return rate
 
 
 def jacobian(p: ModelParameters, v) -> np.ndarray:

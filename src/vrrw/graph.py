@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from sys import float_info
 
 import numpy as np
 
@@ -73,7 +74,9 @@ def validate(entries) -> InteractionMatrix:
     """Check a raw square array and wrap it as an InteractionMatrix.
 
     Rejects asymmetry, nonpositive off-diagonal entries, negative entries,
-    and row sums that disagree beyond 1e-12 relative tolerance.
+    and row sums that disagree beyond 1e-12 relative tolerance; off-diagonal
+    entries below the normal double range and row sums that overflow raise
+    NumericError.
     """
     arr = _as_float_array(entries, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -88,7 +91,12 @@ def validate(entries) -> InteractionMatrix:
     off = arr[~np.eye(n, dtype=bool)]
     if np.any(off <= 0):
         raise ValidationError("all off-diagonal entries must be positive")
-    sums = arr.sum(axis=1)
+    if off.min() < float_info.min:
+        raise NumericError("off-diagonal entries below the normal double range")
+    with np.errstate(over="ignore"):
+        sums = arr.sum(axis=1)
+    if sums.max() > float_info.max:
+        raise NumericError("row sums overflow the double range")
     ref = float(sums[0])
     scale = max(abs(ref), 1.0)
     if np.any(np.abs(sums - ref) > VALIDATION_RTOL * scale):

@@ -17,9 +17,8 @@ and including that pick, which is exact because every earlier assumption
 held, and takes single lockstep steps until the next restart point. Both
 paths pick through _pick_columns, so the result does not depend on which
 one a step took. Each call logs at DEBUG on "vrrw.walk" how many
-speculative steps it computed and committed, how many lockstep steps it
-took and how many of the steps taken fell back to the last
-positive-weight site.
+speculative steps it computed and committed and how many lockstep steps it
+took.
 """
 
 from __future__ import annotations
@@ -73,9 +72,6 @@ _RESTART_STEPS = 1024
 
 #: From this many columns on, _sums adds row by row.
 _WIDE_COLUMNS = 128
-
-#: The fallback columns _pick_columns reports when none fell back.
-_NO_COLUMNS = np.empty(0, dtype=np.intp)
 
 log = logging.getLogger(__name__)
 
@@ -133,13 +129,6 @@ class TrajectoryRecord:
         """Occupation vectors v_n = Z_n/(n+1) at the checkpoint steps."""
         return self.checkpoint_counts / (self.checkpoint_steps[:, None] + 1.0)
 
-    @property
-    def visit_log(self):
-        """Full site sequence when recorded, else the checkpoint series."""
-        if self.sites is not None:
-            return self.sites
-        return self.checkpoint_occupations()
-
     def counts_at(self, step: int) -> np.ndarray:
         """Visit counts at a checkpointed step (or the horizon)."""
         if step == self.horizon:
@@ -190,81 +179,54 @@ def init_walk(p: ModelParameters, start: int) -> WalkState:
     return WalkState(site=start, counts=counts, step=0)
 
 
-def _pairwise_total(eff: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum down the first axis of eff, which has 8 or
-    more rows: eight running sums, combined as a tree, then the rows past
-    the last multiple of 8 one by one; past 128 rows, two halves cut at a
-    multiple of 8, each summed the same way."""
-    n = eff.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_total(eff[:half]) + _pairwise_total(eff[half:])
-    acc = eff[:8].copy()
-    body = n - n % 8
-    for i in range(8, body, 8):
-        acc += eff[i : i + 8]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for i in range(body, n):
-        total += eff[i]
-    return total
+def _sums(eff: np.ndarray) -> np.ndarray:
+    """Prefix sums down the columns of eff, which holds sites on its first
+    axis; every index into the other axes names a column.
 
-
-def _sums(eff: np.ndarray):
-    """Prefix sums and totals of the columns of eff, which holds sites on
-    its first axis; every index into the other axes names a column.
-
-    They equal, bit for bit, np.cumsum(rows, axis=1) and rows.sum(axis=1)
-    for rows = eff.T: the prefix sums are sequential, and numpy's row sum
-    is sequential below 8 sites and pairwise from 8 on. Summing down
-    columns costs about a nanosecond per entry, where numpy's reduction
-    over short rows costs tens of nanoseconds per row.
+    They equal, bit for bit, np.cumsum(rows, axis=1) for rows = eff.T:
+    both add sequentially. Summing down columns costs about a nanosecond
+    per entry, where numpy's reduction over short rows costs tens of
+    nanoseconds per row.
 
     np.add.accumulate down the first axis walks one column at a time, so
     wide arrays are added row by row instead: at 3 sites and 44 000
     columns that takes a tenth of the time, but at one column three
     times as long.
     """
-    n, m = eff.shape[0], eff[0].size
-    if m < _WIDE_COLUMNS:
-        csum = np.add.accumulate(eff, axis=0)
-    else:
-        csum = np.empty_like(eff)
-        csum[0] = eff[0]
-        for k in range(1, n):
-            np.add(csum[k - 1], eff[k], out=csum[k])
-    return csum, csum[-1] if n < 8 else _pairwise_total(eff)
+    if eff[0].size < _WIDE_COLUMNS:
+        return np.add.accumulate(eff, axis=0)
+    csum = np.empty_like(eff)
+    csum[0] = eff[0]
+    for k in range(1, eff.shape[0]):
+        np.add(csum[k - 1], eff[k], out=csum[k])
+    return csum
 
 
-def _pick_columns(eff: np.ndarray, u):
+def _pick_columns(eff: np.ndarray, u) -> np.ndarray:
     """Site picked in each column of eff (sites first, nonnegative
     weights, columns as in _sums) by that column's uniform in u: the
-    number of prefix sums at or below u * total.
+    number of prefix sums at or below u times the last prefix sum.
 
-    u * total can reach the last prefix sum when the pairwise total
-    exceeds it (8 sites or more); such a column lands on its last
-    positive-weight site. Returns the picks and the flat indices of the
-    columns that fell back.
+    For a finite total t in the normal double range and 0 <= u < 1 the
+    rounded product u * t is strictly below t, so at most n - 1 prefix
+    sums are counted, and the picked site i has u * t < csum[i] and, past
+    site 0, csum[i-1] <= u * t: its weight is positive. validate keeps
+    the off-diagonal entries of a matrix normal, so every total is.
     """
-    n = eff.shape[0]
-    csum, total = _sums(eff)
-    below = csum <= u * total
-    nxt = below.sum(axis=0)
-    # prefix sums never decrease, so a column counts them all exactly
-    # when its last one is counted; count_nonzero is the cheaper test
-    over = np.flatnonzero(below[-1]) if np.count_nonzero(below[-1]) else _NO_COLUMNS
-    for i in over:
-        nxt.reshape(-1)[i] = np.flatnonzero(eff.reshape(n, -1)[:, i] > 0)[-1]
-    return nxt, over
+    csum = _sums(eff)
+    return (csum <= u * csum[-1]).sum(axis=0)
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
     """Advance one step, drawing a single uniform from rng. With loop_c > 0
     staying put carries weight loop_c * (1 + Z(site))^alpha through the
     effective matrix. This is the sequential reference for simulate."""
-    weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
-    if not np.all(np.isfinite(weights)):
-        raise NumericError("non-finite transition weights")
-    nxt = int(_pick_columns(weights[:, None], rng.random())[0][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
+        total = _sums(weights[:, None])[-1, 0]
+    if not np.isfinite(total):
+        raise NumericError("transition weights have no finite total")
+    nxt = int(_pick_columns(weights[:, None], rng.random())[0])
     counts = s.counts.copy()
     counts[nxt] += 1
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
@@ -322,7 +284,7 @@ class _Walks:
             self.sites_log = np.empty((r, horizon + 1), dtype=dtype)
             self.sites_log[:, 0] = starts
         self.stats = dict.fromkeys(
-            ("speculative_cells", "committed_cells", "lockstep_steps", "fallbacks"), 0
+            ("speculative_cells", "committed_cells", "lockstep_steps"), 0
         )
 
     def run(self):
@@ -400,7 +362,7 @@ class _Walks:
             np.multiply(kp[:, 1, None], pp[:, 1:], out=vp[:, 1])
             eff[prv * g + gi[:g]] = vp
             u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1)
-            nxt, over = _pick_columns(eff.reshape(n, g, 2, m), u)
+            nxt = _pick_columns(eff.reshape(n, g, 2, m), u)
             if self.sites_log is not None:
                 steps = nxt.transpose(0, 2, 1).reshape(g, 2 * m)[:, :wlen]
                 self.sites_log[grp, done + p + 1 : done + p + 1 + wlen] = steps
@@ -411,11 +373,6 @@ class _Walks:
                 at, rest = np.divmod(miss, 2 * m)
                 parity, i = np.divmod(rest, m)
                 np.minimum.at(f, at, 2 * i + parity)
-            if over.size:
-                # count only the steps replicas commit
-                j, parity, i = np.unravel_index(over, (g, 2, m))
-                taken = 2 * i + parity
-                self.stats["fallbacks"] += int(np.count_nonzero((taken < wlen) & (taken <= f[j])))
             ccur += f // 2
             cprv += (f + 1) // 2
             end = done + p + wlen
@@ -477,13 +434,11 @@ class _Walks:
             cols = np.arange(act.size)
             # uniforms in step-major chunks of at most _WINDOW_CELLS
             chunk = max(1, _WINDOW_CELLS // act.size)
-            fell = 0
             for k in range(b, stop):
                 if (k - b) % chunk == 0:
                     us = self.ublock[act, k : min(stop, k + chunk)].T.copy()
                 eff = a_t.take(site, axis=1) * wts
-                nxt, over = _pick_columns(eff, us[(k - b) % chunk])
-                fell += over.size
+                nxt = _pick_columns(eff, us[(k - b) % chunk])
                 at = nxt * act.size
                 at += cols
                 visits = flat_cnt[at] + 1
@@ -497,7 +452,6 @@ class _Walks:
             self.w[:, act] = wts
             self.site[act] = site
             self.prev[act] = prev
-            self.stats["fallbacks"] += fell
             b = stop
 
 
@@ -522,9 +476,8 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     s = walks.stats
     log.debug(
         "%d replicas x %d steps: %d speculative cells computed, %d committed; "
-        "%d lockstep replica-steps; %d fallbacks",
-        len(seeds), horizon, s["speculative_cells"], s["committed_cells"],
-        s["lockstep_steps"], s["fallbacks"],
+        "%d lockstep replica-steps",
+        len(seeds), horizon, s["speculative_cells"], s["committed_cells"], s["lockstep_steps"],
     )
     return np.ascontiguousarray(walks.counts.T), walks.chk, walks.sites_log
 

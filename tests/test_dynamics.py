@@ -135,6 +135,21 @@ def test_large_exponent_energy_underflow_is_typed():
     np.testing.assert_allclose(transition_kernel(p, 0.0, V).entries.sum(axis=1), 1.0)
 
 
+def test_energy_overflow_off_the_simplex_is_typed():
+    # the largest coordinate exceeds 1, so m**alpha overflows: 5**500 in
+    # the first case, and the product 2**600 * 2**600 in the second
+    for alpha, v in ((500.0, [3.0, 5.0, 1.0]), (600.0, [2.0, 2.0, 1.0])):
+        p = ModelParameters.for_complete_graph(3, alpha)
+        for f in (lyapunov, lyapunov_derivative):
+            with pytest.raises(NumericError):
+                f(p, np.array(v))
+    # H is finite, about 8.8e304, but 2 alpha H times the gap sum is not
+    p = ModelParameters.for_complete_graph(3, 506.0)
+    assert np.isfinite(lyapunov(p, np.array([2.0, 2.0, 1.0])))
+    with pytest.raises(NumericError):
+        lyapunov_derivative(p, np.array([2.0, 2.0, 1.0]))
+
+
 def test_no_interaction_is_degenerate_and_underflow_is_numeric():
     # a single site of a hollow graph has no energy at all; a second site
     # whose power underflows has an energy too small to represent

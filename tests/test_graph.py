@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from vrrw import (
     FaceIndex,
+    NumericError,
     SimplexPoint,
     ValidationError,
     complete_graph,
@@ -40,6 +41,21 @@ def test_validate_rejects_isolated_row():
     entries[0, 1] = entries[1, 0] = 1.0
     with pytest.raises(ValidationError):
         validate(entries)
+
+
+def test_validate_rejects_row_sums_that_overflow():
+    # every entry is finite, but each row adds two of about 1e308
+    with pytest.raises(NumericError):
+        validate(np.full((3, 3), 1e308) - np.diag([1e308] * 3))
+
+
+def test_validate_rejects_subnormal_entries():
+    # a walk pick needs a normal row total: below that range, the largest
+    # uniform below 1 times the total can round back up to the total
+    hollow = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(NumericError):
+        validate(1e-320 * hollow)
+    validate(1e-300 * hollow)
 
 
 def test_with_diagonal_only_touches_diagonal():

@@ -107,8 +107,8 @@ def test_simulate_is_deterministic_and_matches_stepping():
     r2 = simulate(P25, 0, 500, 99)
     np.testing.assert_array_equal(r1.sites, r2.sites)
     np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
-    # past two points where the engine's speculative pass starts, at
-    # sequential (N < 8) and pairwise (N >= 8) row sums
+    # past two points where the engine's speculative pass starts, at three
+    # sizes and two exponents
     horizon = 2 * walk_module._RESTART_STEPS + 100
     for n in (3, 8, 10):
         for alpha in (1.5, 2.5):
@@ -124,16 +124,32 @@ def test_simulate_is_deterministic_and_matches_stepping():
 
 @pytest.mark.parametrize("n", list(range(2, 11)) + [16, 50, 200])
 def test_column_sums_equal_numpy_row_sums(n):
-    # numpy's row sum is sequential below 8 entries and pairwise from 8 on;
-    # the column sums must agree bit for bit either way, for narrow and
-    # wide batches alike
+    # the prefix sums down columns must equal numpy's sequential row
+    # cumsum bit for bit, for narrow and wide batches alike
     rng = np.random.default_rng(n)
     for m in (1, 7, 300):
         rows = rng.random((m, n)) * 10.0 ** rng.integers(-4, 5, size=(m, n))
         rows[rng.random((m, n)) < 0.2] = 0.0
-        csum, total = _sums(np.ascontiguousarray(rows.T))
+        csum = _sums(np.ascontiguousarray(rows.T))
         np.testing.assert_array_equal(csum.T, np.cumsum(rows, axis=1))
-        np.testing.assert_array_equal(total, rows.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", list(range(2, 11)) + [16, 50, 200])
+def test_picks_land_on_positive_weight_sites(n):
+    # zero weight on the first site and, past two sites, on the last, and
+    # the extreme uniforms: with the last prefix sum as the total, no pick
+    # reaches past the last positive weight
+    rng = np.random.default_rng(100 + n)
+    for m in (3, walk_module._WIDE_COLUMNS + 5):
+        eff = rng.random((n, m)) * 10.0 ** rng.integers(-4, 5, size=(n, m))
+        eff[rng.random((n, m)) < 0.3] = 0.0
+        eff[0] = eff[-1] = 0.0
+        eff[rng.integers(1, max(2, n - 1), size=m), np.arange(m)] = 1.0
+        for u in (np.zeros(m), np.full(m, np.nextafter(1.0, 0.0)), rng.random(m)):
+            picks = _pick_columns(eff, u)
+            assert picks.shape == (m,)
+            assert np.all((picks >= 0) & (picks < n))
+            assert np.all(eff[picks, np.arange(m)] > 0)
 
 
 @settings(max_examples=25)
@@ -162,39 +178,15 @@ def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block):
         np.testing.assert_array_equal(counts, np.bincount(rec.sites[: k + 1], minlength=n))
 
 
-def test_pick_fallback_lands_on_last_positive_weight_site():
-    # a 9-site row whose pairwise total exceeds its last prefix sum, with
-    # zero weight on the last site; the largest uniform below 1 then puts
-    # u * total at or past every prefix sum
-    rng = np.random.default_rng(0)
-    while True:
-        row = rng.random(9) * 10.0 ** rng.uniform(-3, 3, size=9)
-        row[-1] = 0.0
-        if row.sum() > np.cumsum(row)[-1]:
-            break
-    u = np.nextafter(1.0, 0.0)
-    assert u * row.sum() >= np.cumsum(row)[-1]
-    eff = np.stack([row, row[::-1]], axis=1)
-    picks, over = _pick_columns(eff, np.array([u, 0.5]))
-    assert picks[0] == 7
-    np.testing.assert_array_equal(over, [0])
-    assert picks[1] == np.count_nonzero(np.cumsum(row[::-1]) <= 0.5 * row[::-1].sum())
-    # the same through the prefix sums taken for wide batches
-    wide = np.tile(row[:, None], (1, walk_module._WIDE_COLUMNS))
-    picks, over = _pick_columns(wide, np.full(wide.shape[1], u))
-    assert np.all(picks == 7)
-    np.testing.assert_array_equal(over, np.arange(wide.shape[1]))
-
-
 def _engine_counts(caplog, p, horizon, seeds):
-    """Speculative cells computed and committed, lockstep steps and
-    fallbacks that one _batch_walk call logs."""
+    """Speculative cells computed and committed and lockstep steps that
+    one _batch_walk call logs."""
     caplog.clear()
     starts = [k % p.size for k in range(len(seeds))]
     with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
         _batch_walk(p, starts, horizon, seeds, False, checkpoint_schedule(horizon))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
-    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep|fallbacks)", line)
+    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep)", line)
     return tuple(int(x) for x in counted)
 
 
@@ -202,28 +194,9 @@ def test_engine_reports_its_work(caplog):
     # every replica-step is committed by the speculative pass or taken in
     # the lockstep loop
     horizon, seeds = 9000, [5, 6, 7]
-    cells, committed, lockstep, fallbacks = _engine_counts(caplog, P25, horizon, seeds)
+    cells, committed, lockstep = _engine_counts(caplog, P25, horizon, seeds)
     assert committed + lockstep == len(seeds) * horizon
     assert 0 < committed <= cells
-    assert fallbacks == 0
-
-
-def test_fallbacks_count_only_steps_taken(caplog, monkeypatch):
-    # report every pick as a fallback: the count must then be the number
-    # of steps taken, although speculation computes cells it discards
-    pick = walk_module._pick_columns
-
-    def every_pick_falls_back(eff, u):
-        nxt, _ = pick(eff, u)
-        return nxt, np.arange(nxt.size)
-
-    monkeypatch.setattr(walk_module, "_pick_columns", every_pick_falls_back)
-    # at alpha 2 replicas often leave the alternation, discarding cells
-    p = ModelParameters.for_complete_graph(3, 2.0)
-    horizon, seeds = 9000, [5, 6, 7]
-    cells, committed, lockstep, fallbacks = _engine_counts(caplog, p, horizon, seeds)
-    assert cells > committed and lockstep > 0
-    assert fallbacks == len(seeds) * horizon
 
 
 def test_batch_engine_matches_single_runs():
@@ -374,3 +347,20 @@ def test_weight_overflow_is_rejected_up_front():
     simulate(huge, 0, 100, 0)
     with pytest.raises(NumericError):
         simulate(huge, 0, 10**6, 0)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.7])
+def test_step_rejects_weights_without_a_finite_total(u):
+    # each weight is about 9.78e307, finite, but the two add past the
+    # largest double
+    p = ModelParameters.for_complete_graph(3, 100.0)
+    s = WalkState(site=0, counts=np.array([1, 1201, 1201]), step=2402)
+    weights = p.effective_matrix.entries[0] * np.power(1.0 + s.counts, p.alpha)
+    assert np.all(np.isfinite(weights))
+
+    class Fixed:
+        def random(self):
+            return u
+
+    with pytest.raises(NumericError):
+        step(p, s, Fixed())
