@@ -107,10 +107,11 @@ def test_simulate_is_deterministic_and_matches_stepping():
     r2 = simulate(P25, 0, 500, 99)
     np.testing.assert_array_equal(r1.sites, r2.sites)
     np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
-    # past two points where the engine's speculative pass starts, at three
-    # sizes and two exponents
+    # past two points where the engine's speculative pass starts, at five
+    # sizes and two exponents; a lone replica steps in Python floats up to
+    # _SOLO_SITES sites and in arrays past it
     horizon = 2 * walk_module._RESTART_STEPS + 100
-    for n in (3, 8, 10):
+    for n in (3, 8, 10, walk_module._SOLO_SITES, walk_module._SOLO_SITES + 1):
         for alpha in (1.5, 2.5):
             p = ModelParameters.for_complete_graph(n, alpha)
             rec = simulate(p, 1, horizon, 31 + n)
@@ -263,16 +264,25 @@ GOLDEN_WALKS = {
 }
 
 
-def _walk_digest(n, c, alpha):
+def _golden_walks(n, c, alpha):
+    """Arguments of _batch_walk for the golden walks of key (n, c, alpha)."""
     p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
     horizon = 9000 if alpha < 2 else 13000
     seeds = [11 + 7 * k + 1000 * n for k in range(3)]
     starts = [k % n for k in range(3)]
-    sched = checkpoint_schedule(horizon, extra=(4096, 4097, 8191))
+    return p, starts, horizon, seeds, checkpoint_schedule(horizon, extra=(4096, 4097, 8191))
+
+
+def _digest(arrays):
     h = hashlib.sha256()
-    for a in _batch_walk(p, starts, horizon, seeds, True, sched):
+    for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def _walk_digest(n, c, alpha):
+    p, starts, horizon, seeds, sched = _golden_walks(n, c, alpha)
+    return _digest(_batch_walk(p, starts, horizon, seeds, True, sched))
 
 
 @pytest.mark.parametrize("block", [None, 64, 1000])
@@ -281,6 +291,30 @@ def test_engine_trajectories_match_golden_hashes(block, monkeypatch):
         monkeypatch.setattr(walk_module, "BLOCK_STEPS", block)
     got = {key: _walk_digest(*key) for key in GOLDEN_WALKS}
     assert got == GOLDEN_WALKS
+
+
+def test_lone_replicas_match_golden_hashes(monkeypatch):
+    """Each golden replica run alone takes all its lockstep steps in
+    Python floats (_Walks._solo); stacked, the lone runs give the batch's
+    hashes."""
+    solo_steps = []
+    solo = walk_module._Walks._solo
+
+    def counted(self, r, done, b, end):
+        solo_steps.append(end - b)
+        solo(self, r, done, b, end)
+
+    monkeypatch.setattr(walk_module._Walks, "_solo", counted)
+    got = {}
+    for key in GOLDEN_WALKS:
+        p, starts, horizon, seeds, sched = _golden_walks(*key)
+        runs = [
+            _batch_walk(p, starts[k : k + 1], horizon, seeds[k : k + 1], True, sched)
+            for k in range(3)
+        ]
+        got[key] = _digest(np.concatenate(parts) for parts in zip(*runs))
+    assert got == GOLDEN_WALKS
+    assert sum(solo_steps) > 0
 
 
 def test_loop_model_reduces_to_plain_step():
@@ -347,6 +381,20 @@ def test_weight_overflow_is_rejected_up_front():
     simulate(huge, 0, 100, 0)
     with pytest.raises(NumericError):
         simulate(huge, 0, 10**6, 0)
+
+
+@pytest.mark.parametrize("horizon, seed", [(10, -1), (10.5, 3), (10, 1.7), (10, "3")])
+def test_seed_and_horizon_must_be_nonnegative_integers(horizon, seed):
+    with pytest.raises(ValidationError):
+        simulate(P25, 0, horizon, seed)
+    with pytest.raises(ValidationError):
+        _batch_walk(P25, [0], horizon, [seed], False, checkpoint_schedule(10))
+
+
+def test_numpy_integer_seed_and_horizon_are_accepted():
+    rec = simulate(P25, 0, np.int64(40), np.uint64(3))
+    assert type(rec.seed) is int and rec.seed == 3 and rec.horizon == 40
+    np.testing.assert_array_equal(rec.sites, simulate(P25, 0, 40, 3).sites)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.3, 0.7])
