@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -310,3 +311,26 @@ def test_campaign_json_files_are_canonical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     payload = json.loads((tmp_path / "a.json").read_text())
     assert set(payload) == {"aggregates", "config", "provenance", "replicas"}
+
+
+# SHA-256 of export(run_campaign(cfg), path, "json") on hollow K_N with
+# ExperimentConfig defaults: (n, alpha, replicas, horizon, base_seed) -> hash.
+# The K8 campaign anchors to all 5281 equilibria of enumerate_all(8, 1.15).
+GOLDEN_EXPORTS = {
+    (8, 1.15, 800, 5000, 11): "21bf427fe816d9e677c09242931ebb92489a89ec263eb3a383650444a9c80b02",
+    (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_EXPORTS))
+def test_campaign_exports_match_golden_hashes(key, tmp_path):
+    n, alpha, replicas, horizon, seed = key
+    cfg = ExperimentConfig(
+        model=ModelParameters.for_complete_graph(n, alpha),
+        replicas=replicas,
+        horizon=horizon,
+        base_seed=seed,
+    )
+    path = tmp_path / "campaign.json"
+    export(run_campaign(cfg), path, "json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key]
