@@ -27,8 +27,11 @@ from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 
-#: Size of the difference array _nearest builds per chunk of replicas.
+#: Size of the replica x anchor Gram array _nearest builds per chunk.
 _NEAREST_BYTES = 16 * 2**20
+
+#: Gram values within this of a row's smallest name its candidate anchors.
+_GRAM_SLACK = 1e-9
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _START_SALT = 0xA5A5A5A5A5A5A5A5
@@ -180,12 +183,13 @@ def detect_localization(t: TrajectoryRecord, tail_fraction: float, min_share: fl
 def equilibrium_anchors(p: ModelParameters) -> list:
     """Reference points for nearest-equilibrium classification.
 
-    Without self-loops this is the full enumeration. With self-loops the
-    two-level structure is not enumerated; vertices and face centers
-    serve as anchors instead.
+    The catalog describes the complete graph only, so any other matrix,
+    or more than 12 sites, gets no anchors. Without self-loops this is the
+    full enumeration. With self-loops the two-level structure is not
+    enumerated; vertices and face centers serve as anchors instead.
     """
     n = p.size
-    if n > 12:
+    if n > 12 or not np.array_equal(p.matrix.entries, complete_graph(n).entries):
         return []
     if p.loop_c == 0.0:
         return enumerate_all(n, p.alpha)
@@ -206,21 +210,34 @@ def equilibrium_anchors(p: ModelParameters) -> list:
 
 
 def _nearest(occupations: np.ndarray, anchors) -> tuple:
-    """Index of and distance to the nearest anchor, row by row. Rows go in
-    chunks whose replica x anchor x site difference array stays within
-    _NEAREST_BYTES; each row's distances do not depend on the chunking."""
+    """Index of and distance to the nearest anchor, row by row: the first
+    minimum in anchor order of np.linalg.norm(occupation - anchor).
+
+    |p|^2 - 2 occ.p, which is |occ - p|^2 less a constant per row, only
+    filters: its rounding is about 1e-14 on the simplex, so the anchors
+    within _GRAM_SLACK of a row's least value hold the true minimum, and
+    norm measures just those again. Rows go in chunks whose Gram array
+    stays within _NEAREST_BYTES."""
     r = occupations.shape[0]
     if not anchors:
         return np.full(r, -1, dtype=np.int64), np.full(r, np.nan)
     pts = np.array([coords_of(e.point) for e in anchors])
+    sq, minus_2pt = (pts * pts).sum(axis=1), -2.0 * pts.T
     idx = np.empty(r, dtype=np.intp)
     dist = np.empty(r)
-    chunk = max(1, _NEAREST_BYTES // pts.nbytes)
+    chunk = max(1, _NEAREST_BYTES // sq.nbytes)
     for lo in range(0, r, chunk):
-        d = np.linalg.norm(occupations[lo : lo + chunk, None, :] - pts[None, :, :], axis=2)
-        i = np.argmin(d, axis=1)
-        idx[lo : lo + chunk] = i
-        dist[lo : lo + chunk] = d[np.arange(d.shape[0]), i]
+        occ = occupations[lo : lo + chunk]
+        g = occ @ minus_2pt
+        g += sq
+        rows, cols = np.nonzero(g <= g.min(axis=1, keepdims=True) + _GRAM_SLACK)
+        d = np.linalg.norm(occ[rows] - pts[cols], axis=1)
+        # the kept pairs come row by row and in anchor order; a stable sort
+        # by (row, distance) puts each row's first minimum first
+        order = np.lexsort((d, rows))
+        first = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
+        idx[lo : lo + chunk] = cols[first]
+        dist[lo : lo + chunk] = d[first]
     return idx, dist
 
 

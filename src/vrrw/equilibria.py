@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .graph import FaceIndex, InteractionMatrix, SimplexPoint, coords_of, validate
+from .graph import VALIDATION_RTOL, FaceIndex, InteractionMatrix, SimplexPoint, coords_of, validate
 
 #: Eigenvalue margin separating genuine criticality from float noise.
 STABILITY_MARGIN = 1e-8
@@ -282,16 +282,21 @@ def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
     return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu / (m * e)]
 
 
-def _build_equilibrium(point, support, kind, face_vals, off_face, data=None) -> Equilibrium:
+def _spectrum(kind, face_vals, off_face, data=None) -> dict:
+    """Equilibrium fields past point and support: the face spectrum plus a
+    -1 for each direction leaving the support, sorted, and its verdict."""
     vals = tuple(sorted(list(face_vals) + [-1.0] * off_face, reverse=True))
-    return Equilibrium(
-        point=point,
-        support=support,
-        kind=kind,
-        tangent_eigenvalues=vals,
-        verdict=_verdict(vals),
-        two_level_data=data,
-    )
+    return dict(kind=kind, tangent_eigenvalues=vals, verdict=_verdict(vals), two_level_data=data)
+
+
+def _simplex_rows(rows: np.ndarray) -> list:
+    """The rows of a [G, n] array as read-only SimplexPoint views, checked
+    at once: finite, nonnegative, each sum within VALIDATION_RTOL of 1.
+    NaN and inf fail one of the two comparisons."""
+    if not (np.all(rows >= 0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= VALIDATION_RTOL)):
+        raise ValidationError("catalog points must be finite, nonnegative and sum to 1")
+    rows.setflags(write=False)
+    return [SimplexPoint(coords=row) for row in rows]
 
 
 def solve_two_level(n: int, k: int, alpha: float) -> list:
@@ -316,24 +321,9 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
         coords /= coords.sum()
         point = SimplexPoint.from_array(coords)
         data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-        out.append(
-            _build_equilibrium(
-                point,
-                FaceIndex(sites=tuple(range(n))),
-                TWO_LEVEL,
-                _two_level_tangent_spectrum(n, k, alpha, t),
-                off_face=0,
-                data=data,
-            )
-        )
+        fields = _spectrum(TWO_LEVEL, _two_level_tangent_spectrum(n, k, alpha, t), 0, data)
+        out.append(Equilibrium(point=point, support=FaceIndex(sites=tuple(range(n))), **fields))
     return out
-
-
-def _center_equilibrium(face_sites: tuple, n: int, alpha: float) -> Equilibrium:
-    m = len(face_sites)
-    point = face_center(FaceIndex(sites=face_sites), n)
-    vals = [center_eigenvalue(m, alpha)] * (m - 1)
-    return _build_equilibrium(point, FaceIndex(sites=face_sites), FACE_CENTER, vals, n - m)
 
 
 def enumerate_all(n: int, alpha: float) -> list:
@@ -352,36 +342,42 @@ def enumerate_all(n: int, alpha: float) -> list:
         raise ValidationError(f"reinforcement exponent must be > 1, got {alpha}")
     alpha = float(alpha)
     out = []
-    sites = range(n)
     for m in range(2, n + 1):
-        # Root structure depends only on the face size, so solve once per
-        # (m, k) and embed into every face and block placement.
-        per_k = {}
+        faces = np.array(list(itertools.combinations(range(n), m)))
+        face_at = np.arange(len(faces))[:, None, None]
+        # One group per face size and per (k, t): the points of every face
+        # in one array, and the fields they share, since the roots and
+        # spectra depend only on the face size.
+        centers = np.zeros((len(faces), 1, n))
+        centers[face_at, 0, faces[:, None, :]] = 1.0 / m
+        center_vals = [center_eigenvalue(m, alpha)] * (m - 1)
+        groups = [(centers, _spectrum(FACE_CENTER, center_vals, n - m))]
         for k in range(1, m // 2 + 1):
             roots = _ratio_roots(m, k, alpha)
             if 2 * k == m:
                 # Complementary placements realize the mirrored ratio 1/t;
                 # keeping t < 1 lists each point exactly once.
                 roots = tuple(t for t in roots if t < 1.0)
-            per_k[k] = [
-                (t, 1.0 / (k + (m - k) * t), _two_level_tangent_spectrum(m, k, alpha, t))
-                for t in roots
-            ]
-        for face in itertools.combinations(sites, m):
-            out.append(_center_equilibrium(face, n, alpha))
-            for k in range(1, m // 2 + 1):
-                for t, u1, spectrum in per_k[k]:
-                    u2 = t * u1
-                    for block in itertools.combinations(face, k):
-                        coords = np.zeros(n)
-                        coords[list(face)] = u2
-                        coords[list(block)] = u1
-                        coords /= coords.sum()
-                        point = SimplexPoint.from_array(coords)
-                        data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-                        out.append(_build_equilibrium(
-                            point, FaceIndex(sites=face), TWO_LEVEL, spectrum, n - m, data
-                        ))
+            blocks = np.array(list(itertools.combinations(range(m), k)))
+            block_at = np.arange(len(blocks))[None, :, None]
+            for t in roots:
+                u1 = 1.0 / (k + (m - k) * t)
+                u2 = t * u1
+                coords = np.zeros((len(faces), len(blocks), n))
+                coords[face_at, block_at, faces[:, None, :]] = u2
+                coords[face_at, block_at, faces[:, blocks]] = u1
+                coords /= coords.sum(axis=2, keepdims=True)
+                data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
+                spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
+                groups.append((coords, _spectrum(TWO_LEVEL, spectrum, n - m, data)))
+        groups = [(_simplex_rows(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
+        for i, face in enumerate(faces.tolist()):
+            support = FaceIndex(sites=tuple(face))
+            for points, per_face, fields in groups:
+                out.extend(
+                    Equilibrium(point=point, support=support, **fields)
+                    for point in points[i * per_face : (i + 1) * per_face]
+                )
     return out
 
 
@@ -426,9 +422,8 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     else:
         sub_p = _restricted_model(p, sites)
     j = jacobian(sub_p, SimplexPoint.from_array(sub_v))
-    face_vals = tangent_eigenvalues(j, weights=sub_v)
-    vals = tuple(sorted(list(face_vals) + [-1.0] * (n - m), reverse=True))
-    return replace(e, tangent_eigenvalues=vals, verdict=_verdict(vals))
+    fields = _spectrum(e.kind, tangent_eigenvalues(j, weights=sub_v), n - m, e.two_level_data)
+    return replace(e, **fields)
 
 
 def summarize(equilibria) -> list:

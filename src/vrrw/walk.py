@@ -524,7 +524,7 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     """
     n = p.size
     horizon = _nonnegative_int(horizon, "horizon")
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.array([_nonnegative_int(s, "start site") for s in starts], dtype=np.int64)
     seeds = [_nonnegative_int(s, "seed") for s in seeds]
     if starts.shape != (len(seeds),):
         raise ValidationError("starts and seeds must have matching length")
@@ -552,16 +552,17 @@ def simulate(
     checkpoints=None,
 ) -> TrajectoryRecord:
     """Run one walk for `horizon` steps, deterministically in the seed.
-    The seed is a nonnegative integer and the horizon a positive one;
-    anything else raises ValidationError.
+    The start is a site, the seed a nonnegative integer and the horizon a
+    positive one; anything else raises ValidationError.
 
     The full site sequence is kept for horizons up to 10^6 (override with
     record_sites); geometric occupation snapshots are always kept.
     """
     horizon, seed = _nonnegative_int(horizon, "horizon"), _nonnegative_int(seed, "seed")
+    start = _nonnegative_int(start, "start site")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= start < p.size:
+    if start >= p.size:
         raise ValidationError(f"start site {start} out of range for {p.size} sites")
     if record_sites is None:
         record_sites = horizon <= FULL_LOG_LIMIT

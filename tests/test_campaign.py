@@ -15,12 +15,15 @@ from vrrw import (
     checkpoint_schedule,
     convergence_diagnostics,
     detect_localization,
+    enumerate_all,
     equilibrium_anchors,
     export,
     load_campaign,
     replica_seed,
     run_campaign,
     simulate,
+    validate,
+    vector_field,
 )
 import vrrw.campaign as campaign_module
 from vrrw.campaign import _nearest, config_from_json_dict, config_to_json_dict, replica_start
@@ -159,6 +162,62 @@ def test_nearest_anchor_does_not_depend_on_chunking(monkeypatch):
     idx, dist = _nearest(occ, anchors)
     np.testing.assert_array_equal(idx, want)
     np.testing.assert_array_equal(dist, d[np.arange(37), want])
+
+
+@pytest.mark.parametrize("n, alpha", [(3, 2.5), (5, 1.3), (8, 1.15), (12, 1.6)])
+def test_nearest_anchor_matches_brute_force_bit_for_bit(n, alpha, monkeypatch):
+    anchors = equilibrium_anchors(ModelParameters.for_complete_graph(n, alpha))
+    pts = np.array([coords_of(e.point) for e in anchors])
+    rng = np.random.default_rng(n)
+    own = rng.permutation(len(pts))[:300]
+    i, j = rng.integers(len(pts), size=(2, 200))
+    zeros = rng.dirichlet(np.ones(n), size=200)
+    zeros[rng.random(zeros.shape) < 0.5] = 0.0
+    zeros[:, 0] += zeros.sum(axis=1) == 0
+    occ = np.concatenate([
+        pts[own],  # each at distance 0 from itself
+        (pts[i] + pts[j]) / 2,  # ties between two anchors, up to rounding
+        zeros / zeros.sum(axis=1, keepdims=True),
+        rng.multinomial(997, np.ones(n) / n, size=200) / 998.0,
+    ])
+    # a few rows per chunk, so rows meet chunk edges as well
+    monkeypatch.setattr(campaign_module, "_NEAREST_BYTES", 7 * len(pts) * 8)
+    idx, dist = _nearest(occ, anchors)
+    want_idx = np.empty(len(occ), dtype=np.intp)
+    want_dist = np.empty(len(occ))
+    for r, row in enumerate(occ):
+        d = np.linalg.norm(row - pts, axis=1)
+        want_idx[r] = np.argmin(d)
+        want_dist[r] = d[want_idx[r]]
+    np.testing.assert_array_equal(idx, want_idx)
+    assert want_dist.tobytes() == dist.tobytes()
+    np.testing.assert_array_equal(idx[: own.size], own)
+    assert np.all(dist[: own.size] == 0.0)
+
+
+def test_nearest_without_anchors_is_minus_one_and_nan():
+    idx, dist = _nearest(np.full((2, 13), 1 / 13), [])
+    assert idx.tolist() == [-1, -1]
+    assert np.isnan(dist).all()
+
+
+def test_anchors_only_for_the_complete_graph():
+    circulant = validate(np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))
+    assert equilibrium_anchors(ModelParameters(matrix=circulant, alpha=1.5)) == []
+    assert equilibrium_anchors(ModelParameters(matrix=circulant, alpha=1.5, loop_c=0.5)) == []
+    diagonal = validate(np.ones((4, 4)))
+    assert equilibrium_anchors(ModelParameters(matrix=diagonal, alpha=1.5)) == []
+    # the complete graph keeps its catalog, and every anchor is a zero of F
+    p = ModelParameters.for_complete_graph(4, 1.5)
+    anchors = equilibrium_anchors(p)
+    assert len(anchors) == len(enumerate_all(4, 1.5))
+    assert max(vector_field(p, e.point).max_abs() for e in anchors) < 1e-10
+    cfg = ExperimentConfig(
+        model=ModelParameters(matrix=circulant, alpha=1.5), replicas=3, horizon=200, base_seed=1
+    )
+    reps = run_campaign(cfg).replicas
+    assert [rep.nearest_equilibrium for rep in reps] == [-1, -1, -1]
+    assert all(np.isnan(rep.distance) for rep in reps)
 
 
 def test_replica_seeds_are_distinct_and_stable():

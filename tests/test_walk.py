@@ -391,9 +391,23 @@ def test_seed_and_horizon_must_be_nonnegative_integers(horizon, seed):
         _batch_walk(P25, [0], horizon, [seed], False, checkpoint_schedule(10))
 
 
+@pytest.mark.parametrize("start", [1.5, 1.0, -1, 3, "1"])
+def test_simulate_rejects_a_start_that_is_not_a_site(start):
+    # a float start used to run from its integer part
+    with pytest.raises(ValidationError):
+        simulate(P25, start, 10, 2)
+
+
+@pytest.mark.parametrize("starts", [[0, 1.5], [0.0, 1.0], [0, -1], [0, 3]])
+def test_batch_walk_rejects_starts_that_are_not_sites(starts):
+    with pytest.raises(ValidationError):
+        _batch_walk(P25, starts, 10, [1, 2], False, checkpoint_schedule(10))
+
+
 def test_numpy_integer_seed_and_horizon_are_accepted():
-    rec = simulate(P25, 0, np.int64(40), np.uint64(3))
+    rec = simulate(P25, np.int64(0), np.int64(40), np.uint64(3))
     assert type(rec.seed) is int and rec.seed == 3 and rec.horizon == 40
+    assert type(rec.start) is int and rec.start == 0
     np.testing.assert_array_equal(rec.sites, simulate(P25, 0, 40, 3).sites)
 
 
