@@ -230,7 +230,9 @@ def _nearest(occupations: np.ndarray, anchors) -> tuple:
         occ = occupations[lo : lo + chunk]
         g = occ @ minus_2pt
         g += sq
-        rows, cols = np.nonzero(g <= g.min(axis=1, keepdims=True) + _GRAM_SLACK)
+        # flat indices: np.nonzero of the 2-D mask takes several times longer
+        kept = np.flatnonzero(g <= g.min(axis=1, keepdims=True) + _GRAM_SLACK)
+        rows, cols = np.divmod(kept, len(pts))
         d = np.linalg.norm(occ[rows] - pts[cols], axis=1)
         # the kept pairs come row by row and in anchor order; a stable sort
         # by (row, distance) puts each row's first minimum first

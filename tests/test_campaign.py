@@ -195,12 +195,6 @@ def test_nearest_anchor_matches_brute_force_bit_for_bit(n, alpha, monkeypatch):
     assert np.all(dist[: own.size] == 0.0)
 
 
-def test_nearest_without_anchors_is_minus_one_and_nan():
-    idx, dist = _nearest(np.full((2, 13), 1 / 13), [])
-    assert idx.tolist() == [-1, -1]
-    assert np.isnan(dist).all()
-
-
 def test_anchors_only_for_the_complete_graph():
     circulant = validate(np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))
     assert equilibrium_anchors(ModelParameters(matrix=circulant, alpha=1.5)) == []
