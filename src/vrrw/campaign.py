@@ -27,8 +27,11 @@ from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 
-#: Size of the replica x anchor Gram array _nearest builds per chunk.
-_NEAREST_BYTES = 16 * 2**20
+#: Size of the replica x anchor Gram array _nearest builds per chunk. At 12
+#: to 16 MiB, freeing it raised malloc's adaptive mmap threshold so that a
+#: later 20 MiB array took fresh pages: peak RSS of a campaign plus an
+#: independent nearest-anchor check rose from 97 to 109 MiB.
+_NEAREST_BYTES = 8 * 2**20
 
 #: Gram values within this of a row's smallest name its candidate anchors.
 _GRAM_SLACK = 1e-9
