@@ -282,7 +282,7 @@ def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
     return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu / (m * e)]
 
 
-def _spectrum(kind, face_vals, off_face, data=None) -> dict:
+def _equilibrium_fields(kind, face_vals, off_face, data=None) -> dict:
     """Equilibrium fields past point and support: the face spectrum plus a
     -1 for each direction leaving the support, sorted, and its verdict."""
     vals = tuple(sorted(list(face_vals) + [-1.0] * off_face, reverse=True))
@@ -321,7 +321,8 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
         coords /= coords.sum()
         point = SimplexPoint.from_array(coords)
         data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-        fields = _spectrum(TWO_LEVEL, _two_level_tangent_spectrum(n, k, alpha, t), 0, data)
+        spectrum = _two_level_tangent_spectrum(n, k, alpha, t)
+        fields = _equilibrium_fields(TWO_LEVEL, spectrum, 0, data)
         out.append(Equilibrium(point=point, support=FaceIndex(sites=tuple(range(n))), **fields))
     return out
 
@@ -351,7 +352,7 @@ def enumerate_all(n: int, alpha: float) -> list:
         centers = np.zeros((len(faces), 1, n))
         centers[face_at, 0, faces[:, None, :]] = 1.0 / m
         center_vals = [center_eigenvalue(m, alpha)] * (m - 1)
-        groups = [(centers, _spectrum(FACE_CENTER, center_vals, n - m))]
+        groups = [(centers, _equilibrium_fields(FACE_CENTER, center_vals, n - m))]
         for k in range(1, m // 2 + 1):
             roots = _ratio_roots(m, k, alpha)
             if 2 * k == m:
@@ -369,7 +370,7 @@ def enumerate_all(n: int, alpha: float) -> list:
                 coords /= coords.sum(axis=2, keepdims=True)
                 data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
                 spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
-                groups.append((coords, _spectrum(TWO_LEVEL, spectrum, n - m, data)))
+                groups.append((coords, _equilibrium_fields(TWO_LEVEL, spectrum, n - m, data)))
         groups = [(_simplex_rows(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
         for i, face in enumerate(faces.tolist()):
             support = FaceIndex(sites=tuple(face))
@@ -422,8 +423,8 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     else:
         sub_p = _restricted_model(p, sites)
     j = jacobian(sub_p, SimplexPoint.from_array(sub_v))
-    fields = _spectrum(e.kind, tangent_eigenvalues(j, weights=sub_v), n - m, e.two_level_data)
-    return replace(e, **fields)
+    face_vals = tangent_eigenvalues(j, weights=sub_v)
+    return replace(e, **_equilibrium_fields(e.kind, face_vals, n - m, e.two_level_data))
 
 
 def summarize(equilibria) -> list:

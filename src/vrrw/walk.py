@@ -528,7 +528,7 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     seeds = [_nonnegative_int(s, "seed") for s in seeds]
     if starts.shape != (len(seeds),):
         raise ValidationError("starts and seeds must have matching length")
-    if np.any(starts < 0) or np.any(starts >= n):
+    if np.any(starts >= n):
         raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
     checkpoint_at = np.asarray(checkpoint_at, dtype=np.int64)
