@@ -393,7 +393,7 @@ def test_seed_and_horizon_must_be_nonnegative_integers(horizon, seed):
 
 @pytest.mark.parametrize("start", [1.5, 1.0, -1, 3, "1"])
 def test_simulate_rejects_a_start_that_is_not_a_site(start):
-    # a float start used to run from its integer part
+    # a float start must not run from its integer part
     with pytest.raises(ValidationError):
         simulate(P25, start, 10, 2)
 
