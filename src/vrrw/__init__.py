@@ -8,12 +8,9 @@ construction, and reproducible Monte Carlo localization campaigns.
 from ._version import __version__
 from .campaign import (
     CampaignResult,
-    ConvergenceSeries,
     DetectionConfig,
     ExperimentConfig,
     ReplicaResult,
-    convergence_diagnostics,
-    detect_localization,
     equilibrium_anchors,
     export,
     load_campaign,
@@ -23,8 +20,6 @@ from .campaign import (
 from .dynamics import (
     FlowTrajectory,
     ModelParameters,
-    StochasticMatrix,
-    TangentVector,
     fundamental_matrix,
     integrate_flow,
     invariant_measure,
@@ -46,7 +41,6 @@ from .equilibria import (
     critical_alpha_loop,
     enumerate_all,
     face_center,
-    level_ratio_derivative,
     level_ratio_polynomial,
     solve_two_level,
     summarize,
@@ -57,7 +51,6 @@ from .errors import (
     ConvergenceError,
     DegenerateSupportError,
     DomainError,
-    InsufficientDataError,
     NumericError,
     ReducibilityError,
     SummabilityError,

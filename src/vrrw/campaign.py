@@ -20,10 +20,10 @@ import numpy as np
 from ._version import __version__
 from .dynamics import ModelParameters
 from .equilibria import Equilibrium, enumerate_all, face_center
-from .errors import DomainError, InsufficientDataError, ValidationError
+from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
 from .graph import FaceIndex, SimplexPoint, complete_graph, coords_of, validate
-from .walk import TrajectoryRecord, _batch_walk, checkpoint_schedule, splitmix64
+from .walk import _batch_walk, _integer, checkpoint_schedule, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 
@@ -69,6 +69,12 @@ class ExperimentConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
+        # stored as Python ints, so the hash, the export and the walk agree
+        names = ["replicas", "horizon", "base_seed"]
+        if not isinstance(self.start, str):
+            names.append("start")
+        for name in names:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.replicas < 1:
             raise ValidationError(f"need at least one replica, got {self.replicas}")
         if self.horizon < 10:
@@ -76,7 +82,7 @@ class ExperimentConfig:
         if isinstance(self.start, str):
             if self.start != UNIFORM_RANDOM:
                 raise ValidationError(f"start must be a site or {UNIFORM_RANDOM!r}")
-        elif not 0 <= int(self.start) < self.model.size:
+        elif not 0 <= self.start < self.model.size:
             raise ValidationError(f"start site {self.start} out of range")
 
     def canonical_dict(self) -> dict:
@@ -152,35 +158,6 @@ def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: fl
     sites = np.nonzero(retained)[0]
     profile = shares[sites] / shares[sites].sum()
     return FaceIndex(sites=tuple(int(s) for s in sites)), profile
-
-
-def detect_localization(t: TrajectoryRecord, tail_fraction: float, min_share: float):
-    """Localization set and renormalized tail occupation of one record.
-
-    Needs either the full site log or a visit-count snapshot at the tail
-    cutoff step.
-    """
-    if t.horizon < 10:
-        raise ValidationError(f"detection needs horizon >= 10, got {t.horizon}")
-    DetectionConfig(tail_fraction=tail_fraction, min_share=min_share)
-    n = t.final_counts.size
-    window = _tail_window(t.horizon, tail_fraction)
-    cutoff = t.horizon - window
-    if t.sites is not None:
-        tail_counts = np.bincount(np.asarray(t.sites[cutoff + 1 :], dtype=np.int64), minlength=n)
-    else:
-        if cutoff == 0:
-            base = np.zeros(n, dtype=np.int64)
-            base[t.start] = 1
-        else:
-            try:
-                base = t.counts_at(cutoff)
-            except ValidationError as exc:
-                raise InsufficientDataError(
-                    f"record has neither a site log nor a snapshot at step {cutoff}"
-                ) from exc
-        tail_counts = t.final_counts - base
-    return _detect_from_tail_counts(tail_counts, window, min_share)
 
 
 def equilibrium_anchors(p: ModelParameters) -> list:
@@ -260,7 +237,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     if cfg.start == UNIFORM_RANDOM:
         starts = np.array([replica_start(s, n) for s in seeds], dtype=np.int64)
     else:
-        starts = np.full(r, int(cfg.start), dtype=np.int64)
+        starts = np.full(r, cfg.start, dtype=np.int64)
 
     window = _tail_window(cfg.horizon, cfg.detection.tail_fraction)
     cutoff = cfg.horizon - window
@@ -316,53 +293,6 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Distance of the checkpointed occupation path to a set of anchors."""
-
-    steps: np.ndarray
-    occupations: np.ndarray
-    distances: np.ndarray
-    nearest: np.ndarray
-    anchor_index: int
-    decay_exponent: float
-
-
-def convergence_diagnostics(t: TrajectoryRecord, eqs) -> ConvergenceSeries:
-    """Per-checkpoint distances to each equilibrium plus a log-log decay
-    fit against the nearest-at-horizon anchor over the final decade."""
-    if len(eqs) == 0:
-        raise ValidationError("need at least one anchor equilibrium")
-    steps = t.checkpoint_steps
-    if steps.size < 3:
-        raise InsufficientDataError(
-            f"need at least 3 checkpoints for diagnostics, got {steps.size}"
-        )
-    occ = t.checkpoint_occupations()
-    pts = np.array([coords_of(e.point) for e in eqs])
-    dist = np.linalg.norm(occ[:, None, :] - pts[None, :, :], axis=2)
-    nearest = np.argmin(dist, axis=1)
-    anchor = int(nearest[-1])
-
-    decade = steps >= steps[-1] / 10
-    d = dist[decade, anchor]
-    s = steps[decade].astype(float)
-    keep = d > 0
-    if keep.sum() >= 2:
-        slope = np.polyfit(np.log(s[keep]), np.log(d[keep]), 1)[0]
-        exponent = -float(slope)
-    else:
-        exponent = float("nan")
-    return ConvergenceSeries(
-        steps=steps,
-        occupations=occ,
-        distances=dist,
-        nearest=nearest,
-        anchor_index=anchor,
-        decay_exponent=exponent,
-    )
-
-
 def _model_to_json(p: ModelParameters) -> dict:
     out = {"n": p.size, "alpha": p.alpha, "c": p.loop_c}
     hollow = complete_graph(p.size)
@@ -381,7 +311,7 @@ def model_from_json(d: dict) -> ModelParameters:
 
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     """External JSON form; sites are 1-based there."""
-    start = cfg.start if isinstance(cfg.start, str) else int(cfg.start) + 1
+    start = cfg.start if isinstance(cfg.start, str) else cfg.start + 1
     return {
         "model": _model_to_json(cfg.model),
         "replicas": cfg.replicas,
@@ -399,12 +329,12 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
     det = d.get("detection", {})
     start = d.get("start", UNIFORM_RANDOM)
     if not isinstance(start, str):
-        start = int(start) - 1
+        start = _integer(start, "start") - 1
     return ExperimentConfig(
         model=model_from_json(d["model"]),
-        replicas=int(d["replicas"]),
-        horizon=int(d["horizon"]),
-        base_seed=int(d["base_seed"]),
+        replicas=d["replicas"],
+        horizon=d["horizon"],
+        base_seed=d["base_seed"],
         start=start,
         detection=DetectionConfig(
             tail_fraction=float(det.get("tail_fraction", 0.5)),

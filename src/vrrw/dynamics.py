@@ -14,8 +14,9 @@ non-equilibrium trajectory.
 
 Every power of the coordinates is s = (x/m)^a in [0, 1], m = max x, from
 _scaled_powers; only H and dH/dt carry the scale, as m^a m^a. An underflowed
-sum raises NumericError. F, H and the projection each have one array-level
-core (_field_array, _energy, graph._project); integrate_flow calls them.
+sum raises NumericError. F, H, the Jacobian and the projection each have one
+array-level core (_field_array, _energy, _jacobian_array, graph._project);
+integrate_flow and equilibria.classify call them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
     ReducibilityError,
     ValidationError,
 )
-from .files import open_text
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
@@ -90,37 +90,6 @@ class ModelParameters:
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
-    """Row-stochastic nonnegative matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Direction in the zero-sum tangent space of the simplex."""
-
-    comps: np.ndarray
-
-    def __post_init__(self):
-        self.comps.setflags(write=False)
-        if abs(float(self.comps.sum())) > 1e-12:
-            raise ValidationError(f"tangent components sum to {self.comps.sum()!r}, not 0")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.comps, dtype=dtype)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.comps)))
-
-
-@dataclass(frozen=True)
 class FlowTrajectory:
     """Sampled integral curve of the mean-field field with energy readout."""
 
@@ -139,11 +108,6 @@ class FlowTrajectory:
             row = [f"{t:.17g}"] + [f"{x:.17g}" for x in v] + [f"{h:.17g}"]
             fh.write(",".join(row) + "\n")
 
-    def to_csv(self, path) -> None:
-        """write_csv to path; a path ending in .gz is compressed."""
-        with open_text(path, "w") as fh:
-            self.write_csv(fh)
-
 
 def _scaled_powers(x: np.ndarray, exponent: float):
     """(x/m)^exponent, each value in [0, 1], and m = max x."""
@@ -161,7 +125,7 @@ def _vanishing(a: np.ndarray, rows: np.ndarray, x: np.ndarray, what: str):
     return DegenerateSupportError(f"{what} vanishes on support {np.nonzero(x > 0)[0].tolist()}")
 
 
-def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
+def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
     """Frozen-occupation jump kernel: row i proportional to A_ij (eps+v_j)^a.
 
     eps > 0 regularizes the kernel the way the finite-step walk does; at
@@ -177,7 +141,7 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> StochasticMatrix:
     bad = ~(dens >= float_info.min)
     if np.any(bad):
         raise _vanishing(a, bad, x, f"total weight of kernel rows {np.nonzero(bad)[0].tolist()}")
-    return StochasticMatrix(entries=rows / dens[:, None])
+    return rows / dens[:, None]
 
 
 def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
@@ -228,7 +192,7 @@ def _field_array(a: np.ndarray, alpha: float, x: np.ndarray, stats=None) -> np.n
     return s * field / core - x
 
 
-def vector_field(p: ModelParameters, v) -> TangentVector:
+def vector_field(p: ModelParameters, v) -> np.ndarray:
     """Drift of the occupation measure at v: F(v) = -v + pi(iota(v)).
 
     Accepts any vector with unit coordinate sum (within 1e-9) and evaluates
@@ -239,7 +203,7 @@ def vector_field(p: ModelParameters, v) -> TangentVector:
     total = float(x.sum())
     if x.ndim != 1 or abs(total - 1.0) > 1e-9:
         raise ValidationError(f"field input must be a vector with unit sum, got {x!r}")
-    return TangentVector(comps=_field_array(p.effective_matrix.entries, p.alpha, x / total))
+    return _field_array(p.effective_matrix.entries, p.alpha, x / total)
 
 
 def lyapunov_derivative(p: ModelParameters, v) -> float:
@@ -273,7 +237,7 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
 
     At a zero coordinate the field is only one-sided differentiable for
     a < 2, so boundary points are rejected there; classification on faces
-    goes through the face-restricted problem instead.
+    takes the Jacobian of the face-restricted entries instead.
     """
     x = coords_of(v)
     if np.any(x == 0.0) and p.alpha < 2.0:
@@ -281,12 +245,16 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
             "Jacobian at a face boundary is one-sided for exponent < 2; "
             "restrict to the support face instead"
         )
-    a = p.effective_matrix.entries
-    s, field, core = _pi_core(a, p.alpha, x)
-    t, m = _scaled_powers(x, p.alpha - 1.0)
+    return _jacobian_array(p.effective_matrix.entries, p.alpha, x)
+
+
+def _jacobian_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+    """The Jacobian of jacobian's docstring for the matrix entries a."""
+    s, field, core = _pi_core(a, alpha, x)
+    t, m = _scaled_powers(x, alpha - 1.0)
     rho = t * field / core
     dpi = np.diag(rho) + (s[:, None] * a) * (t / core) - 2.0 * np.outer(s * field / core, rho)
-    return p.alpha / m * dpi - np.eye(x.size)
+    return alpha / m * dpi - np.eye(x.size)
 
 
 def tangent_basis(n: int) -> np.ndarray:
@@ -377,7 +345,7 @@ def fundamental_matrix(p: ModelParameters, v) -> np.ndarray:
 
     normalized by pi Q = 0. Computed as the group-inverse construction
     Q = (I - K + 1 pi^T)^(-1) (I - 1 pi^T)."""
-    k = transition_kernel(p, 0.0, v).entries
+    k = transition_kernel(p, 0.0, v)
     pi = invariant_measure(p, v).coords
     n = k.shape[0]
     one_pi = np.outer(np.ones(n), pi)

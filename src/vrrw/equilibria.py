@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ModelParameters, jacobian, tangent_eigenvalues, vector_field
+from .dynamics import ModelParameters, _jacobian_array, tangent_eigenvalues, vector_field
 from .errors import (
     ConvergenceError,
     DegenerateSupportError,
@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .graph import VALIDATION_RTOL, FaceIndex, InteractionMatrix, SimplexPoint, coords_of, validate
+from .graph import VALIDATION_RTOL, FaceIndex, SimplexPoint, coords_of
 
 #: Eigenvalue margin separating genuine criticality from float noise.
 STABILITY_MARGIN = 1e-8
@@ -180,24 +180,6 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
         return -(n - k - 1) * t ** (2 * a - 1) + (n - k) * t**a - k * t ** (a - 1) + (k - 1)
     except OverflowError as exc:
         raise NumericError(f"ratio condition overflows at t={t!r}, alpha={alpha}") from exc
-
-
-def level_ratio_derivative(t: float, n: int, k: int, alpha: float) -> float:
-    """d/dt of level_ratio_polynomial, phi'; the cross-block eigenvalue of
-    a two-level point is -t u1^(2a-1) phi'(t) / H. A power past the double
-    range raises NumericError."""
-    if t <= 0:
-        raise DomainError(f"ratio must be positive, got {t}")
-    a = alpha
-    t = float(t)
-    try:
-        return (
-            -(2 * a - 1) * (n - k - 1) * t ** (2 * a - 2)
-            + a * (n - k) * t ** (a - 1)
-            - (a - 1) * k * t ** (a - 2)
-        )
-    except OverflowError as exc:
-        raise NumericError(f"ratio derivative overflows at t={t!r}, alpha={alpha}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -382,27 +364,17 @@ def enumerate_all(n: int, alpha: float) -> list:
     return out
 
 
-def _restricted_model(p: ModelParameters, sites: tuple) -> ModelParameters:
-    idx = np.asarray(sites)
-    sub = p.effective_matrix.entries[np.ix_(idx, idx)]
-    try:
-        matrix = validate(sub)
-    except ValidationError as exc:
-        raise ValidationError(
-            f"support face {sites} does not restrict to a valid interaction matrix"
-        ) from exc
-    return ModelParameters(matrix=matrix, alpha=p.alpha, loop_c=0.0)
-
-
 def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     """Recompute the tangent spectrum of an equilibrium from the numeric
     Jacobian of the support-face restriction and fill the verdict.
 
     Directions leaving the support contribute exact -1 eigenvalues; the
     face-restricted point has full support, so the Jacobian is regular
-    there for every exponent > 1.
+    there for every exponent > 1. It needs only the face's entries of the
+    matrix, which may have unequal row sums. A support other than the
+    point's raises ValidationError.
     """
-    residual = vector_field(p, e.point).max_abs()
+    residual = float(np.abs(vector_field(p, e.point)).max())
     if residual >= RESIDUAL_TOL:
         raise ValidationError(
             f"point is not an equilibrium: field residual {residual:.3e}"
@@ -410,6 +382,9 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     n = p.size
     sites = e.support.sites
     m = len(sites)
+    x = coords_of(e.point)
+    if tuple(np.flatnonzero(x)) != sites:
+        raise ValidationError(f"support {sites} is not the support of the point")
     if m == 1:
         if p.loop_c == 0.0:
             raise DegenerateSupportError(
@@ -417,13 +392,9 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
             )
         vals = (-1.0,) * (n - 1)
         return replace(e, tangent_eigenvalues=vals, verdict=_verdict(vals))
-    sub_v = coords_of(e.point)[list(sites)]
-    if m == n:
-        sub_p = p
-    else:
-        sub_p = _restricted_model(p, sites)
-    j = jacobian(sub_p, SimplexPoint.from_array(sub_v))
-    face_vals = tangent_eigenvalues(j, weights=sub_v)
+    sub_v = x[list(sites)]
+    a = p.effective_matrix.entries[np.ix_(sites, sites)]
+    face_vals = tangent_eigenvalues(_jacobian_array(a, p.alpha, sub_v), weights=sub_v)
     return replace(e, **_equilibrium_fields(e.kind, face_vals, n - m, e.two_level_data))
 
 

@@ -43,7 +43,3 @@ class ConvergenceError(VrrwError):
 
 class SummabilityError(VrrwError):
     """A clock-weight tail is not summable enough for the requested bound."""
-
-
-class InsufficientDataError(VrrwError):
-    """A diagnostic needs more recorded data than the record contains."""

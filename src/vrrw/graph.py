@@ -53,9 +53,6 @@ class InteractionMatrix:
         """Boolean mask of sites with no self-loop (zero diagonal entry)."""
         return np.diagonal(self.entries) == 0.0
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.size, "entries": self.entries.tolist()})
-
     @staticmethod
     def from_json(text: str) -> "InteractionMatrix":
         try:

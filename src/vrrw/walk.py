@@ -148,15 +148,6 @@ class TrajectoryRecord:
         """Occupation vectors v_n = Z_n/(n+1) at the checkpoint steps."""
         return self.checkpoint_counts / (self.checkpoint_steps[:, None] + 1.0)
 
-    def counts_at(self, step: int) -> np.ndarray:
-        """Visit counts at a checkpointed step (or the horizon)."""
-        if step == self.horizon:
-            return self.final_counts
-        hits = np.nonzero(self.checkpoint_steps == step)[0]
-        if hits.size == 0:
-            raise ValidationError(f"step {step} was not checkpointed")
-        return self.checkpoint_counts[hits[0]]
-
 
 def splitmix64(x: int) -> int:
     """64-bit avalanche mix used to derive independent stream keys."""
@@ -179,12 +170,17 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     return out
 
 
-def _nonnegative_int(x, what: str) -> int:
-    """x as a nonnegative Python int; numpy integers pass, floats do not."""
+def _integer(x, what: str) -> int:
+    """x as a Python int; numpy integers pass, floats and strings do not."""
     try:
-        v = operator.index(x)
+        return operator.index(x)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _nonnegative_int(x, what: str) -> int:
+    """x as a nonnegative Python int."""
+    v = _integer(x, what)
     if v < 0:
         raise ValidationError(f"{what} must be nonnegative, got {v}")
     return v

@@ -168,7 +168,7 @@ def test_criterion_06_fundamental_matrix_solves_poisson():
         for _ in range(count):
             v = rng.dirichlet(np.ones(n))
             g = rng.normal(size=n)
-            k = transition_kernel(p, 0.0, v).entries
+            k = transition_kernel(p, 0.0, v)
             pi = np.asarray(invariant_measure(p, v))
             qg = fundamental_matrix(p, v) @ g
             resid = float(np.abs((np.eye(n) - k) @ qg - (g - (pi @ g))).max())

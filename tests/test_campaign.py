@@ -8,13 +8,8 @@ from vrrw import (
     DetectionConfig,
     DomainError,
     ExperimentConfig,
-    InsufficientDataError,
     ModelParameters,
-    TrajectoryRecord,
     ValidationError,
-    checkpoint_schedule,
-    convergence_diagnostics,
-    detect_localization,
     enumerate_all,
     equilibrium_anchors,
     export,
@@ -26,33 +21,32 @@ from vrrw import (
     vector_field,
 )
 import vrrw.campaign as campaign_module
-from vrrw.campaign import _nearest, config_from_json_dict, config_to_json_dict, replica_start
+from vrrw.campaign import (
+    _detect_from_tail_counts,
+    _nearest,
+    _tail_window,
+    config_from_json_dict,
+    config_to_json_dict,
+    replica_start,
+)
 from vrrw.graph import coords_of
 
 P3 = ModelParameters.for_complete_graph(3, 2.5)
 
 
-def synthetic_record(sites, n=3):
-    sites = np.asarray(sites, dtype=np.int16)
+def detect(sites, min_share=0.02, n=3):
+    """Localization set and tail profile of a full site log, detected from
+    its tail counts as run_campaign does with tail_fraction 0.5."""
+    sites = np.asarray(sites)
     horizon = sites.size - 1
-    counts = np.bincount(sites, minlength=n).astype(np.int64)
-    sched = checkpoint_schedule(horizon)
-    snap = np.stack([np.bincount(sites[: s + 1], minlength=n) for s in sched])
-    return TrajectoryRecord(
-        start=int(sites[0]),
-        params=None,
-        seed=0,
-        horizon=horizon,
-        final_counts=counts,
-        checkpoint_steps=sched,
-        checkpoint_counts=snap,
-        sites=sites,
-    )
+    window = _tail_window(horizon, 0.5)
+    tail = np.bincount(sites[horizon - window + 1 :], minlength=n)
+    return _detect_from_tail_counts(tail, window, min_share)
 
 
 def test_two_site_walk_detects_both_sites():
     r = simulate(ModelParameters.for_complete_graph(2, 1.5), 0, 1000, 5)
-    support, profile = detect_localization(r, 0.5, 0.02)
+    support, profile = detect(r.sites, n=2)
     assert tuple(support) == (0, 1)
     np.testing.assert_allclose(profile, [0.5, 0.5], rtol=0, atol=2 / 1000)
 
@@ -61,8 +55,7 @@ def test_detection_ignores_early_excursions():
     # visits to site 2 only in the first tenth, alternation on {0,1} after
     head = [0, 2] * 50
     tail = [0, 1] * 450
-    r = synthetic_record(head + tail + [0])
-    support, profile = detect_localization(r, 0.5, 0.02)
+    support, profile = detect(head + tail + [0])
     assert tuple(support) == (0, 1)
     assert profile.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -71,28 +64,11 @@ def test_detection_monotone_in_share_threshold():
     r = simulate(P3, 0, 20_000, 21)
     keep = {}
     for share in (0.3, 0.1, 0.02, 0.005, 0.0):
-        support, _ = detect_localization(r, 0.5, share)
+        support, _ = detect(r.sites, share)
         keep[share] = set(support)
     shares = sorted(keep, reverse=True)
     for a, b in zip(shares, shares[1:]):
         assert keep[a] <= keep[b]
-
-
-def test_detection_works_from_checkpoint_snapshots():
-    sched = checkpoint_schedule(50_000, extra=(25_000,))
-    r = simulate(P3, 0, 50_000, 33, record_sites=False, checkpoints=sched)
-    assert r.sites is None
-    support, profile = detect_localization(r, 0.5, 0.02)
-    full = simulate(P3, 0, 50_000, 33)
-    support_full, profile_full = detect_localization(full, 0.5, 0.02)
-    assert tuple(support) == tuple(support_full)
-    np.testing.assert_allclose(profile, profile_full, rtol=0, atol=1e-12)
-
-
-def test_detection_requires_tail_information():
-    r = simulate(P3, 0, 5000, 1, record_sites=False, checkpoints=np.array([5000]))
-    with pytest.raises(InsufficientDataError):
-        detect_localization(r, 0.5, 0.02)
 
 
 def test_detection_config_validation():
@@ -102,33 +78,6 @@ def test_detection_config_validation():
         DetectionConfig(tail_fraction=1.0)
     with pytest.raises(ValidationError):
         DetectionConfig(min_share=-0.1)
-
-
-def test_diagnostics_recover_alternation_rate():
-    p2 = ModelParameters.for_complete_graph(2, 1.5)
-    r = simulate(p2, 0, 10_000, 1, checkpoints=checkpoint_schedule(10_000))
-    series = convergence_diagnostics(r, equilibrium_anchors(p2))
-    d = series.distances[np.arange(series.steps.size), series.nearest]
-    # deterministic alternation: distance to the even split decays like 1/n
-    assert np.all(d * (series.steps + 1) <= 1 / np.sqrt(2) + 1e-12)
-    assert series.decay_exponent == pytest.approx(1.0, abs=0.01)
-
-
-def test_diagnostics_need_three_checkpoints():
-    # simulate always keeps the geometric schedule, so build a bare record
-    base = simulate(P3, 0, 100, 1)
-    r = TrajectoryRecord(
-        start=base.start,
-        params=base.params,
-        seed=base.seed,
-        horizon=base.horizon,
-        final_counts=base.final_counts,
-        checkpoint_steps=base.checkpoint_steps[-2:],
-        checkpoint_counts=base.checkpoint_counts[-2:],
-        sites=base.sites,
-    )
-    with pytest.raises(InsufficientDataError):
-        convergence_diagnostics(r, equilibrium_anchors(P3))
 
 
 def test_anchor_sets():
@@ -205,7 +154,7 @@ def test_anchors_only_for_the_complete_graph():
     p = ModelParameters.for_complete_graph(4, 1.5)
     anchors = equilibrium_anchors(p)
     assert len(anchors) == len(enumerate_all(4, 1.5))
-    assert max(vector_field(p, e.point).max_abs() for e in anchors) < 1e-10
+    assert max(np.abs(vector_field(p, e.point)).max() for e in anchors) < 1e-10
     cfg = ExperimentConfig(
         model=ModelParameters(matrix=circulant, alpha=1.5), replicas=3, horizon=200, base_seed=1
     )
@@ -224,22 +173,25 @@ def test_replica_seeds_are_distinct_and_stable():
 
 
 def test_single_replica_campaign_reduces_to_simulate_plus_detect():
-    cfg = ExperimentConfig(
-        model=P3, replicas=1, horizon=2000, base_seed=5, start=0,
-        detection=DetectionConfig(),
-    )
-    res = run_campaign(cfg)
-    assert len(res.replicas) == 1
-    rep = res.replicas[0]
-    seed = replica_seed(5, 0)
-    assert rep.seed == seed
-    solo = simulate(P3, 0, 2000, seed)
-    support, profile = detect_localization(solo, 0.5, 0.02)
-    assert tuple(rep.support) == tuple(support)
-    np.testing.assert_allclose(rep.tail_profile, profile, rtol=0, atol=0)
-    np.testing.assert_allclose(
-        rep.final_occupation, solo.final_counts / 2001, rtol=0, atol=0
-    )
+    # the campaign detects from a checkpoint snapshot at the tail cutoff,
+    # the reference from the full site log
+    for horizon in (2000, 50_000):
+        cfg = ExperimentConfig(
+            model=P3, replicas=1, horizon=horizon, base_seed=5, start=0,
+            detection=DetectionConfig(),
+        )
+        res = run_campaign(cfg)
+        assert len(res.replicas) == 1
+        rep = res.replicas[0]
+        seed = replica_seed(5, 0)
+        assert rep.seed == seed
+        solo = simulate(P3, 0, horizon, seed)
+        support, profile = detect(solo.sites)
+        assert tuple(rep.support) == tuple(support)
+        np.testing.assert_allclose(rep.tail_profile, profile, rtol=0, atol=0)
+        np.testing.assert_allclose(
+            rep.final_occupation, solo.final_counts / (horizon + 1), rtol=0, atol=0
+        )
 
 
 def test_campaign_prefix_stability():
@@ -310,6 +262,41 @@ def test_config_json_round_trip():
     assert again.start == 2
     d = config_to_json_dict(cfg)
     assert d["start"] == 3  # stored 1-based
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param("start", 1.5, id="float-start"),
+        pytest.param("replicas", 2.5, id="float-replicas"),
+        pytest.param("base_seed", 1.5, id="float-base-seed"),
+        pytest.param("horizon", 100.0, id="float-horizon"),
+        pytest.param("replicas", "3", id="str-replicas"),
+        pytest.param("start", np.int64(1), id="int64-start"),
+        pytest.param("base_seed", np.int64(3), id="int64-base-seed"),
+        pytest.param("base_seed", -3, id="negative-base-seed"),
+    ],
+)
+def test_campaign_config_takes_only_integers(name, value):
+    given = dict(model=P3, replicas=3, horizon=100, base_seed=3, start=1)
+    given[name] = value
+    if not isinstance(value, (int, np.integer)):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(**given)
+        d = config_to_json_dict(ExperimentConfig(model=P3, replicas=3, horizon=100, base_seed=3))
+        d[name] = value
+        with pytest.raises(ValidationError):
+            config_from_json_dict(d)
+        return
+    cfg = ExperimentConfig(**given)
+    assert type(getattr(cfg, name)) is int
+    ref = ExperimentConfig(**{**given, name: int(value)})
+    assert cfg.config_hash() == ref.config_hash()
+    assert config_from_json_dict(config_to_json_dict(cfg)).config_hash() == cfg.config_hash()
+    got, want = run_campaign(cfg).replicas, run_campaign(ref).replicas
+    assert [r.seed for r in got] == [r.seed for r in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.final_occupation, b.final_occupation)
 
 
 def test_export_round_trip_and_formats(tmp_path):

@@ -29,6 +29,7 @@ from vrrw import (
 )
 from vrrw.graph import InteractionMatrix
 from vrrw.dynamics import _field_array, tangent_basis
+from vrrw.files import open_text
 
 
 P3 = ModelParameters.for_complete_graph(3, 1.5)
@@ -53,11 +54,11 @@ def test_reference_point_oracles():
 
 
 def test_kernel_rows_at_reference_point():
-    k0 = transition_kernel(P3, 0.0, V).entries
+    k0 = transition_kernel(P3, 0.0, V)
     np.testing.assert_allclose(
         k0[0], (0.0, 0.64752955491057529, 0.35247044508942471), rtol=0, atol=1e-15
     )
-    keps = transition_kernel(P3, 0.01, V).entries
+    keps = transition_kernel(P3, 0.01, V)
     np.testing.assert_allclose(
         keps[0], (0.0, 0.6420325976390967, 0.35796740236090319), rtol=0, atol=1e-15
     )
@@ -72,7 +73,7 @@ def test_kernel_rows_at_reference_point():
 def test_kernel_rows_are_stochastic(n, alpha, eps, seed):
     p = ModelParameters.for_complete_graph(n, alpha)
     v = np.random.default_rng(seed).dirichlet(np.ones(n))
-    k = transition_kernel(p, eps, v).entries
+    k = transition_kernel(p, eps, v)
     np.testing.assert_allclose(k.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(k >= 0)
 
@@ -86,7 +87,7 @@ def test_detailed_balance_against_closed_form(n, alpha, seed):
     p = ModelParameters.for_complete_graph(n, alpha)
     v = random_interior(np.random.default_rng(seed), n)
     pi = np.asarray(invariant_measure(p, v))
-    k = transition_kernel(p, 0.0, v).entries
+    k = transition_kernel(p, 0.0, v)
     flux = pi[:, None] * k
     closed = p.matrix.entries * np.outer(v**alpha, v**alpha) / lyapunov(p, v)
     np.testing.assert_allclose(flux, closed, rtol=0, atol=1e-12)
@@ -99,8 +100,8 @@ def test_epsilon_kernel_is_a_shifted_zero_epsilon_kernel():
     # on a homogeneous graph the finite-step smoothing folds into the state
     n, eps = 3, 0.01
     shifted = (V + eps) / (1 + n * eps)
-    a = transition_kernel(P3, eps, V).entries
-    b = transition_kernel(P3, 0.0, shifted).entries
+    a = transition_kernel(P3, eps, V)
+    b = transition_kernel(P3, 0.0, shifted)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -132,7 +133,7 @@ def test_large_exponent_energy_underflow_is_typed():
     pi = np.asarray(invariant_measure(p, V))
     np.testing.assert_allclose(pi, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
     assert 0.0 < pi[2] < 1e-60  # (.4/.6)^400 / 2, kept, not underflowed
-    np.testing.assert_allclose(transition_kernel(p, 0.0, V).entries.sum(axis=1), 1.0)
+    np.testing.assert_allclose(transition_kernel(p, 0.0, V).sum(axis=1), 1.0)
 
 
 def test_energy_overflow_off_the_simplex_is_typed():
@@ -409,7 +410,8 @@ def test_flow_keeps_initial_zeros():
 def test_flow_trajectory_csv_round_trip(tmp_path):
     traj = integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=0.1)
     path = tmp_path / "flow.csv"
-    traj.to_csv(path)
+    with open_text(path, "w") as fh:
+        traj.write_csv(fh)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(traj.times), 5)
     np.testing.assert_array_equal(data[:, 1:4], np.asarray(traj.states))
@@ -456,7 +458,7 @@ def test_fundamental_matrix_solves_poisson_equation():
     for n in (3, 4, 5):
         p = ModelParameters.for_complete_graph(n, 1.5)
         v = random_interior(rng, n)
-        k = transition_kernel(p, 0.0, v).entries
+        k = transition_kernel(p, 0.0, v)
         pi = np.asarray(invariant_measure(p, v))
         q = fundamental_matrix(p, v)
         g = rng.normal(size=n)
@@ -670,7 +672,7 @@ def test_flow_trajectories_match_golden_hashes():
     assert got == GOLDEN_FLOWS
 
 
-# SHA-256 of FlowTrajectory.to_csv for the flow that
+# SHA-256 of FlowTrajectory.write_csv for the flow that
 # `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
 GOLDEN_FLOW_CSV = "663edc909153b4171e9d54fc10504c2cc80b0f41216fe09c0fb4e34971b9ced0"
 
@@ -678,5 +680,6 @@ GOLDEN_FLOW_CSV = "663edc909153b4171e9d54fc10504c2cc80b0f41216fe09c0fb4e34971b9c
 def test_flow_csv_bytes_match_golden_hash(tmp_path):
     p = ModelParameters.for_complete_graph(3, 2.5)
     path = tmp_path / "flow.csv"
-    integrate_flow(p, np.array([0.5, 0.3, 0.2]), t_end=40.0).to_csv(path)
+    with open_text(path, "w") as fh:
+        integrate_flow(p, np.array([0.5, 0.3, 0.2]), t_end=40.0).write_csv(fh)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_CSV

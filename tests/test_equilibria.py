@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vrrw import (
     DomainError,
+    Equilibrium,
     ModelParameters,
     NumericError,
     ValidationError,
@@ -17,22 +18,26 @@ from vrrw import (
     critical_alpha_loop,
     enumerate_all,
     face_center,
-    level_ratio_derivative,
+    integrate_flow,
     level_ratio_polynomial,
     solve_two_level,
     summarize,
     threshold_table,
+    validate,
     vector_field,
 )
-from vrrw.equilibria import FACE_CENTER, STABILITY_MARGIN, TWO_LEVEL
-from vrrw.graph import FaceIndex, coords_of
+from vrrw.equilibria import FACE_CENTER, MARGINAL, STABILITY_MARGIN, TWO_LEVEL
+from vrrw.graph import FaceIndex, SimplexPoint, coords_of
 
 ALPHAS = (1.2, 1.4, 1.6, 2.5, 3.0)
 
 
-def residual(n, alpha, point):
-    p = ModelParameters.for_complete_graph(n, alpha)
+def residual_of(p, point):
     return float(np.max(np.abs(vector_field(p, point))))
+
+
+def residual(n, alpha, point):
+    return residual_of(ModelParameters.for_complete_graph(n, alpha), point)
 
 
 def test_critical_alpha_closed_form():
@@ -98,16 +103,6 @@ def test_face_center_points():
 def test_ratio_polynomial_has_exact_root_at_one(n, alpha):
     for k in range(1, n // 2 + 1):
         assert abs(level_ratio_polynomial(1.0, n, k, alpha)) < 1e-14
-
-
-def test_ratio_polynomial_derivative_matches_differences():
-    for (n, k, alpha, t) in [(3, 1, 1.5, 0.7), (5, 2, 2.5, 2.0), (6, 3, 1.2, 0.4)]:
-        h = 1e-6
-        fd = (
-            level_ratio_polynomial(t + h, n, k, alpha)
-            - level_ratio_polynomial(t - h, n, k, alpha)
-        ) / (2 * h)
-        assert level_ratio_derivative(t, n, k, alpha) == pytest.approx(fd, rel=1e-6)
 
 
 def test_two_level_golden_roots():
@@ -181,6 +176,44 @@ def test_classify_rejects_non_equilibria():
     )
     with pytest.raises(ValidationError):
         classify(p, fake)
+    # an equilibrium, but listed with a support that is not its own
+    wrong = eqs[0].__class__(
+        point=eqs[0].point,
+        support=FaceIndex(sites=(0, 1, 2)),
+        kind=eqs[0].kind,
+        tangent_eigenvalues=eqs[0].tangent_eigenvalues,
+        verdict=eqs[0].verdict,
+    )
+    with pytest.raises(ValidationError):
+        classify(p, wrong)
+
+
+def test_classify_on_a_face_with_unequal_row_sums():
+    # the face {0, 1, 2} restricts A to row sums (4, 3, 3); the face
+    # Jacobian needs only the restricted entries
+    a = validate([[0, 2, 2, 1], [2, 0, 1, 2], [2, 1, 0, 2], [1, 2, 2, 0]])
+    p = ModelParameters(matrix=a, alpha=1.1)
+    v = integrate_flow(p, np.array([0.3, 0.4, 0.3, 0.0]), t_end=200.0, dt=0.05).states[-1]
+    assert v[3] == 0.0 and residual_of(p, v) < 1e-14
+    e = Equilibrium(
+        point=SimplexPoint.from_array(v),
+        support=FaceIndex(sites=(0, 1, 2)),
+        kind="flow_limit",
+        tangent_eigenvalues=(),
+        verdict=MARGINAL,
+    )
+    checked = classify(p, e)
+    # central differences of F along e_0 - e_2 and e_1 - e_2, in that basis
+    h = 1e-6
+    fd = np.empty((2, 2))
+    for col in range(2):
+        d = np.zeros(4)
+        d[col], d[2] = 1.0, -1.0
+        fd[:, col] = ((vector_field(p, v + h * d) - vector_field(p, v - h * d)) / (2 * h))[:2]
+    want = sorted(np.linalg.eigvals(fd).real, reverse=True) + [-1.0]
+    np.testing.assert_allclose(checked.tangent_eigenvalues, want, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(checked.tangent_eigenvalues, [-0.16371, -0.73629, -1.0], atol=1e-5)
+    assert checked.verdict == "stable"
 
 
 FROZEN_COUNTS = {
@@ -244,8 +277,6 @@ def test_ratio_condition_overflow_is_a_numeric_error():
     # (1e6)^119 is past the double range
     with pytest.raises(NumericError):
         level_ratio_polynomial(1e6, 3, 1, 60.0)
-    with pytest.raises(NumericError):
-        level_ratio_derivative(1e6, 3, 1, 60.0)
 
 
 def test_two_level_spectrum_does_not_cancel():

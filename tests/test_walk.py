@@ -27,7 +27,7 @@ P25 = ModelParameters.for_complete_graph(3, 2.5)
 
 def _kernel_row(p, s):
     """Law of the next site: the frozen kernel row at eps = 1/(n+1), v = v_n."""
-    return transition_kernel(p, 1.0 / (s.step + 1), s.counts / (s.step + 1)).entries[s.site]
+    return transition_kernel(p, 1.0 / (s.step + 1), s.counts / (s.step + 1))[s.site]
 
 
 def test_init_walk_counts_the_starting_visit():
@@ -359,9 +359,9 @@ def test_trajectory_record_accessors():
     table = r.checkpoint_occupations()
     assert table.shape == (len(r.checkpoint_steps), 3)
     np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    mid = int(r.checkpoint_steps[len(r.checkpoint_steps) // 2])
+    i = len(r.checkpoint_steps) // 2
     np.testing.assert_array_equal(
-        r.counts_at(mid), np.bincount(r.sites[: mid + 1], minlength=3)
+        r.checkpoint_counts[i], np.bincount(r.sites[: r.checkpoint_steps[i] + 1], minlength=3)
     )
 
 
