@@ -10,6 +10,7 @@ from vrrw import (
     ExperimentConfig,
     ModelParameters,
     ValidationError,
+    checkpoint_schedule,
     enumerate_all,
     equilibrium_anchors,
     export,
@@ -69,6 +70,19 @@ def test_detection_monotone_in_share_threshold():
     shares = sorted(keep, reverse=True)
     for a, b in zip(shares, shares[1:]):
         assert keep[a] <= keep[b]
+
+
+def test_detection_works_from_checkpoint_snapshots():
+    sched = checkpoint_schedule(50_000, extra=(25_000,))
+    r = simulate(P3, 0, 50_000, 33, record_sites=False, checkpoints=sched)
+    assert r.sites is None
+    cut_idx = int(np.nonzero(r.checkpoint_steps == 25_000)[0][0])
+    tail = r.final_counts - r.checkpoint_counts[cut_idx]
+    support, profile = _detect_from_tail_counts(tail, _tail_window(50_000, 0.5), 0.02)
+    full = simulate(P3, 0, 50_000, 33)
+    support_full, profile_full = detect(full.sites)
+    assert tuple(support) == tuple(support_full)
+    np.testing.assert_allclose(profile, profile_full, rtol=0, atol=1e-12)
 
 
 def test_detection_config_validation():
