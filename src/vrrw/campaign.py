@@ -305,7 +305,7 @@ def model_from_json(d: dict) -> ModelParameters:
     if "matrix" in d:
         matrix = validate(np.asarray(d["matrix"], dtype=float))
     else:
-        matrix = complete_graph(int(d["n"]))
+        matrix = complete_graph(_integer(d["n"], "n"))
     return ModelParameters(matrix=matrix, alpha=float(d["alpha"]), loop_c=float(d.get("c", 0.0)))
 
 

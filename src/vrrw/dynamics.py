@@ -130,18 +130,22 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
 
     eps > 0 regularizes the kernel the way the finite-step walk does; at
     eps = 0 each row needs positive interaction with the support of v.
+    Row i takes powers of x_j / m_i, with m_i the largest x_j that A_ij > 0
+    reaches, so its largest term is an entry of A and no row underflows.
     """
     if eps < 0:
         raise ValidationError(f"kernel regularizer must be >= 0, got {eps}")
     x = coords_of(v) + eps
     a = p.effective_matrix.entries
-    w, _ = _scaled_powers(x, p.alpha)
-    rows = a * w[None, :]
-    dens = rows.sum(axis=1)
-    bad = ~(dens >= float_info.min)
-    if np.any(bad):
-        raise _vanishing(a, bad, x, f"total weight of kernel rows {np.nonzero(bad)[0].tolist()}")
-    return rows / dens[:, None]
+    reach = np.where(a > 0, x, 0.0)
+    m = reach.max(axis=1)
+    dead = ~(m > 0)
+    if np.any(dead):
+        raise DegenerateSupportError(
+            f"kernel rows {np.nonzero(dead)[0].tolist()} do not reach support {np.nonzero(x > 0)[0].tolist()}"
+        )
+    rows = a * np.power(reach / m[:, None], p.alpha)
+    return rows / rows.sum(axis=1)[:, None]
 
 
 def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:

@@ -10,22 +10,33 @@ batch.
 Strong reinforcement makes most walks settle on two sites and alternate
 between them. At the start of every block of uniforms, and every
 _RESTART_STEPS steps within it, the replicas whose last two sites differ
-form a group that advances in windows: each window assumes the
-alternation goes on and computes the weights, prefix sums and pick of all
-its steps at once. A replica whose pick disagrees commits its steps up to
-and including that pick, which is exact because every earlier assumption
-held, and takes single lockstep steps until the next restart point. Both
-paths pick through _pick_columns, so the result does not depend on which
-one a step took. A lockstep stretch of a single replica on at most
-_SOLO_SITES sites takes a third path in plain Python floats. It is exact
-for three reasons: Python's float product and sum are the same IEEE
-operations as numpy's; itertools.accumulate adds sequentially, as _sums
-does; and the prefix sums of nonnegative weights never decrease, so
-bisect_right counts the ones at or below u times the last, as
-_pick_columns does. Its weights come from np.power, whose elements do not
-depend on the shape of the array. Each call logs at DEBUG on "vrrw.walk"
-how many speculative steps it computed and committed and how many
-lockstep steps it took.
+form a group that advances in windows, each assuming the alternation goes
+on. A step of a window leaves x for y, and only x and y gain visits, so
+the weights at all other sites stay fixed and every total is at least t,
+the total at the window's first step. Let B and E be the weights before
+and after y in site order, with x's own (loop) weight taken at the
+window's last step, where it is largest. Then a uniform u in
+[B / t + d, 1 - E / t - d) picks y at every step of the window, exactly
+and not only in real arithmetic: the margin d = _MARGIN = 2^-30 exceeds,
+relative to the total, the rounding of the prefix sums, of np.power and
+of u times the total, which is a few ulps per site, for any matrix of
+fewer than 2^20 sites. So a window compares each uniform with these two
+bounds and computes the pick, through _pick_columns at the step's exact
+counts, only of the steps whose uniform falls outside. A replica whose
+pick disagrees commits its steps up to and including that pick, which is
+exact because every earlier assumption held, and takes single lockstep
+steps until the next restart point. Both paths pick through
+_pick_columns, so the result does not depend on which one a step took.
+
+A lockstep stretch of a single replica on at most _SOLO_SITES sites takes
+a third path in plain Python floats. It is exact for three reasons:
+Python's float product and sum are the same IEEE operations as numpy's;
+itertools.accumulate adds sequentially, as _sums does; and the prefix
+sums of nonnegative weights never decrease, so bisect_right counts the
+ones at or below u times the last, as _pick_columns does. Its weights
+come from np.power, whose elements do not depend on the shape of the
+array. Each call logs at DEBUG on "vrrw.walk" how many speculative steps
+it checked and committed and how many lockstep steps it took.
 """
 
 from __future__ import annotations
@@ -59,9 +70,10 @@ FULL_LOG_LIMIT = 1_000_000
 _WEIGHT_LOG_CAP = 690.0
 _TOTAL_LOG_CAP = 709.0
 
-#: Most weights (sites x replicas x steps) one speculative window computes.
-#: A window's arrays take a few times this many doubles, whatever the
-#: replica count and horizon.
+#: Most cells (sites x replicas x steps) of one speculative window. A
+#: window checks a uniform per replica-step and computes the weights of a
+#: site column only for its doubtful steps, so its arrays take a few
+#: times this many doubles at most, whatever the replica count and horizon.
 _WINDOW_CELLS = 2**17
 
 #: Windows start at this many weights, or at 2 steps if more. Small
@@ -79,6 +91,10 @@ _MIN_FULL_WINDOW = 128
 #: Within a block, replicas that left the speculative pass try it again
 #: at every multiple of this many steps.
 _RESTART_STEPS = 1024
+
+#: Margin of the speculative filter, relative to a row's total; it covers
+#: the rounding of every pick (see the module docstring).
+_MARGIN = 2.0**-30
 
 #: From this many columns on, _sums adds row by row.
 _WIDE_COLUMNS = 128
@@ -258,27 +274,6 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
 
 
-def _put_pair(cnt, cur, prv, ccur, cprv):
-    """Copy of cnt (sites first) with column j's entries at cur[j] and
-    prv[j] set to ccur[j] and cprv[j]."""
-    cnt = cnt.copy()
-    cols = np.arange(cur.size)
-    cnt[cur, cols] = ccur
-    cnt[prv, cols] = cprv
-    return cnt
-
-
-def _other_entries(rows, cur, prv):
-    """Rows of the flattened (site, replica) axis away from each replica's
-    cur and prv, and their weighted entries, shaped to fill a window."""
-    n, g = rows.shape[:2]
-    away = np.ones((n, g), dtype=bool)
-    away[cur, np.arange(g)] = False
-    away[prv, np.arange(g)] = False
-    others = np.flatnonzero(away)
-    return others, rows.reshape(n * g, 2)[others][:, :, None]
-
-
 class _Walks:
     """Replicas of one _batch_walk call and the arrays they fill.
 
@@ -351,84 +346,100 @@ class _Walks:
     def _speculate(self, grp, done, p, nblk, pos):
         """Advance replicas that sit at block offset p and whose last two
         sites differ, in windows that assume the two-site alternation goes
-        on. Each window computes every pick of every step under that
-        assumption; a replica's picks are exact up to and including its
-        first disagreeing one, so it commits those and leaves for the
-        lockstep loop at the next offset, recorded in pos."""
+        on. A window bounds, for each replica, the uniforms that pick the
+        assumed site at every one of its steps (see the module docstring)
+        and computes the pick only of the steps whose uniform falls
+        outside. A replica's picks are exact up to and including its first
+        disagreeing one, so it commits those and leaves for the lockstep
+        loop at the next offset, recorded in pos."""
         n, alpha, a_t = self.n, self.alpha, self.a_t
-        gi = np.arange(grp.size)
-        cur, prv = self.site[grp], self.prev[grp]
-        cnt = self.counts.take(grp, axis=1)  # stale at cur and prv: see ccur, cprv
-        ccur, cprv = cnt[cur, gi], cnt[prv, gi]
-        # weighted rows of cur and prv, entry [site, j, parity]; at cur and
-        # prv they are stale and replaced in every window, from these
-        # coefficients
-        rows = np.stack((a_t[:, cur], a_t[:, prv]), axis=2) * self.w.take(grp, axis=1)[:, :, None]
-        kc = np.stack((a_t[cur, cur], a_t[cur, prv]), axis=1)
-        kp = np.stack((a_t[prv, cur], a_t[prv, prv]), axis=1)
-        hyp = np.stack((prv, cur), axis=1)[:, :, None]
-        others, fixed = _other_entries(rows, cur, prv)
+        # a step of parity b leaves pair[j, b] for pair[j, 1 - b], and c
+        # holds the counts of both sites. In that step's row, own and cross
+        # are the entries of its own site and of its target, and below and
+        # above sum the weights, which stay fixed, at the other sites before
+        # and after the target; own_below and own_above are own where the
+        # own site lies before or after the target, else 0.
+        pair = np.stack((self.site[grp], self.prev[grp]), axis=1)
+        c = self.counts[pair, grp[:, None]]
+        own, cross = a_t[pair, pair], a_t[pair[:, ::-1], pair]
+        rows = a_t[:, pair] * self.w[:, grp, None]
+        rows[pair, np.arange(grp.size)[:, None]] = 0.0
+        ahead = np.arange(n)[:, None, None] < pair[:, ::-1]
+        below, above = np.where(ahead, rows, 0.0).sum(axis=0), np.where(ahead, 0.0, rows).sum(axis=0)
+        own_below = np.where(pair < pair[:, ::-1], own, 0.0)
+        own_above = own - own_below
         win = max(2, _FIRST_WINDOW_CELLS // (n * grp.size))
         while grp.size and p < nblk:
             g = grp.size
             wlen = min(win, self._window_stop(done, p, nblk) - p, max(1, _WINDOW_CELLS // (n * g)))
-            # entry [site * g + j, 0, i] is step 2i of replica j, taken from
-            # cur, and [., 1, i] is step 2i + 1, taken from prv; an odd
-            # window adds a spare step. Before both, cur has i more visits;
-            # prv has i before step 2i and i + 1 before step 2i + 1.
+            # u[j, k] is the uniform of step k, of parity k % 2; an odd
+            # window adds a spare step. Every total of the window is at
+            # least its first, and a row's own weight at most the one after
+            # m more visits; both parities share the tighter bounds.
             m = (wlen + 1) // 2
-            more = np.arange(m + 1.0)
-            pc = np.power((1.0 + ccur)[:, None] + more[:m], alpha)
-            pp = np.power((1.0 + cprv)[:, None] + more, alpha)
-            eff = np.empty((n * g, 2, m))
-            eff[others] = fixed
-            eff[cur * g + gi[:g]] = kc[:, :, None] * pc[:, None, :]
-            vp = np.empty((g, 2, m))
-            np.multiply(kp[:, 0, None], pp[:, :m], out=vp[:, 0])
-            np.multiply(kp[:, 1, None], pp[:, 1:], out=vp[:, 1])
-            eff[prv * g + gi[:g]] = vp
-            u = self.ublock[grp, p : p + 2 * m].reshape(g, m, 2).transpose(0, 2, 1)
-            nxt = _pick_columns(eff.reshape(n, g, 2, m), u)
+            w = np.power(1.0 + c, alpha)
+            total = below + above + own * w + cross * w[:, ::-1]
+            w = np.power(1.0 + (c + m), alpha)
+            lo = (below + own_below * w) / total
+            hi = (above + own_above * w) / total
+            lo = np.maximum(lo[:, 0], lo[:, 1]) + _MARGIN
+            hi = 1.0 - np.maximum(hi[:, 0], hi[:, 1]) - _MARGIN
+            u = self.ublock[grp, p : p + 2 * m]
+            doubt = u < lo[:, None]
+            doubt |= u >= hi[:, None]
+            j, k = np.divmod(np.flatnonzero(doubt), 2 * m)
+            i, b = np.divmod(k, 2)
+            # exact picks of the doubtful steps, at their counts
+            eff = a_t[:, pair[j, b]] * self.w[:, grp[j]]
+            at = np.arange(j.size)
+            eff[pair[j, b], at] = own[j, b] * np.power(1.0 + (c[j, b] + i + b), alpha)
+            eff[pair[j, 1 - b], at] = cross[j, b] * np.power(1.0 + (c[j, 1 - b] + i), alpha)
+            nxt = _pick_columns(eff, u[j, k])
+            miss = (nxt != pair[j, 1 - b]) & (k < wlen)
+            f = np.full(g, wlen)  # steps each replica commits
+            np.minimum.at(f, j[miss], k[miss])
             if self.sites_log is not None:
-                steps = nxt.transpose(0, 2, 1).reshape(g, 2 * m)[:, :wlen]
+                steps = np.where(np.arange(wlen) % 2, pair[:, :1], pair[:, 1:])
                 self.sites_log[grp, done + p + 1 : done + p + 1 + wlen] = steps
             self.stats["speculative_cells"] += g * wlen
-            miss = np.flatnonzero(nxt != hyp)
-            f = np.full(g, wlen)  # steps each replica commits
-            if miss.size:
-                at, rest = np.divmod(miss, 2 * m)
-                parity, i = np.divmod(rest, m)
-                np.minimum.at(f, at, 2 * i + parity)
-            ccur += f // 2
-            cprv += (f + 1) // 2
+            c[:, 0] += f // 2
+            c[:, 1] += (f + 1) // 2
             end = done + p + wlen
-            out = np.flatnonzero(f < wlen)
-            if out.size:
-                fo = f[out]
-                counts = _put_pair(cnt[:, out], cur[out], prv[out], ccur[out], cprv[out])
-                pick = nxt[out, fo % 2, fo // 2]
+            if miss.any():
+                broke = miss & (k == f[j])
+                out, pick, fo = j[broke], nxt[broke], k[broke]
+                counts = self._pair_counts(grp[out], pair[out], c[out])
                 counts[pick, np.arange(out.size)] += 1
-                self._leave(grp[out], counts, pick, np.where(fo % 2 == 0, cur[out], prv[out]))
+                self._leave(grp[out], counts, pick, pair[out, fo % 2])
+                if self.sites_log is not None:
+                    self.sites_log[grp[out], done + p + 1 + fo] = pick
                 pos[grp[out]] = p + fo + 1
                 last = fo == wlen - 1
                 self._record(grp[out[last]], end, counts[:, last])
                 keep = f == wlen
-                grp, cur, prv, ccur, cprv = grp[keep], cur[keep], prv[keep], ccur[keep], cprv[keep]
-                cnt, rows, kc, kp, hyp = cnt[:, keep], rows[:, keep], kc[keep], kp[keep], hyp[keep]
-                others, fixed = _other_entries(rows, cur, prv)
+                grp, pair, c, own, cross, below, above, own_below, own_above = (
+                    x[keep] for x in (grp, pair, c, own, cross, below, above, own_below, own_above)
+                )
                 self.stats["committed_cells"] += int(f.sum()) + out.size
             else:
                 win *= 2
                 self.stats["committed_cells"] += g * wlen
             if wlen % 2:
-                cur, prv, ccur, cprv = prv, cur, cprv, ccur
-                rows, fixed, hyp = rows[..., ::-1], fixed[:, ::-1], hyp[:, ::-1]
-                kc, kp = kp[:, ::-1], kc[:, ::-1]
+                pair, c, own, cross, below, above, own_below, own_above = (
+                    x[:, ::-1] for x in (pair, c, own, cross, below, above, own_below, own_above)
+                )
             p += wlen
             if end in self.chk_pos:
-                self._record(grp, end, _put_pair(cnt, cur, prv, ccur, cprv))
-        self._leave(grp, _put_pair(cnt, cur, prv, ccur, cprv), cur, prv)
+                self._record(grp, end, self._pair_counts(grp, pair, c))
+        self._leave(grp, self._pair_counts(grp, pair, c), pair[:, 0], pair[:, 1])
         pos[grp] = nblk
+
+    def _pair_counts(self, rows, pair, c):
+        """Site-first counts of replicas rows, with those at their pair
+        sites set to c."""
+        counts = self.counts[:, rows]
+        counts[pair, np.arange(rows.size)[:, None]] = c
+        return counts
 
     def _leave(self, rows, counts, site, prev):
         """Write back replicas leaving the speculative pass."""
@@ -532,7 +543,7 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     walks.run()
     s = walks.stats
     log.debug(
-        "%d replicas x %d steps: %d speculative cells computed, %d committed; "
+        "%d replicas x %d steps: %d speculative cells checked, %d committed; "
         "%d lockstep replica-steps",
         len(seeds), horizon, s["speculative_cells"], s["committed_cells"], s["lockstep_steps"],
     )

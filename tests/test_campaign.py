@@ -28,6 +28,7 @@ from vrrw.campaign import (
     _tail_window,
     config_from_json_dict,
     config_to_json_dict,
+    model_from_json,
     replica_start,
 )
 from vrrw.graph import coords_of
@@ -276,6 +277,14 @@ def test_config_json_round_trip():
     assert again.start == 2
     d = config_to_json_dict(cfg)
     assert d["start"] == 3  # stored 1-based
+
+
+@pytest.mark.parametrize("n", [3.7, 3.0, "3"], ids=["float", "whole-float", "str"])
+def test_model_json_takes_an_integer_site_count(n):
+    # int() would have truncated 3.7 to a K3 model
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        model_from_json({"n": n, "alpha": 2.5})
+    assert model_from_json({"n": np.int64(3), "alpha": 2.5}).size == 3
 
 
 @pytest.mark.parametrize(

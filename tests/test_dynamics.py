@@ -164,10 +164,52 @@ def test_no_interaction_is_degenerate_and_underflow_is_numeric():
             f(p, near)
     with pytest.raises(NumericError):
         jacobian(p, near)
-    with pytest.raises(NumericError):
-        transition_kernel(p, 0.0, near)
+    # each kernel row is scaled by the largest coordinate it reaches, so
+    # only a row that reaches no visited site has nothing to normalize
+    np.testing.assert_allclose(transition_kernel(p, 0.0, near).sum(axis=1), 1.0)
     with pytest.raises(DegenerateSupportError):
         transition_kernel(p, 0.0, vertex)
+
+
+def _log_kernel(a, alpha, x):
+    """Log of the frozen kernel, row i proportional to A_ij x_j^alpha,
+    normalized in logs so that it never underflows."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(a) + alpha * np.log(x)[None, :]
+    top = logs.max(axis=1, keepdims=True)
+    return logs - top - np.log(np.exp(logs - top).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "n, c, alpha, eps, v",
+    [
+        (3, 0.0, 1000.0, 0.01, [0.9, 0.1, 0.0]),
+        (3, 0.0, 1000.0, 0.0, [0.9, 0.1, 0.0]),
+        (4, 0.0, 300.0, 0.0, [0.7, 0.2, 0.1, 0.0]),
+        (5, 0.5, 700.0, 0.001, [0.6, 0.25, 0.1, 0.05, 0.0]),
+        (3, 0.0, 1.5, 0.0, [0.5, 0.3, 0.2]),
+    ],
+)
+def test_kernel_matches_log_space_reference(n, c, alpha, eps, v):
+    # at alpha = 1000 the global maximum 0.91 makes row 0's powers
+    # (0.11 / 0.91)^1000 and (0.01 / 0.91)^1000 underflow to 0
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    x = np.asarray(v) + eps
+    k = transition_kernel(p, eps, v)
+    np.testing.assert_allclose(k.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    want = np.exp(_log_kernel(p.effective_matrix.entries, alpha, x))
+    np.testing.assert_allclose(k, want, rtol=1e-9, atol=1e-300)
+
+
+def test_kernel_row_without_reach_into_the_support_is_degenerate():
+    # on the 4-cycle 0-1-2-3-0 the rows of 0 and 2 reach no visited site;
+    # at a second visited site every row reaches one
+    a = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
+    p = ModelParameters(matrix=InteractionMatrix(size=4, entries=a, row_sum=2.0), alpha=2.0)
+    with pytest.raises(DegenerateSupportError, match=r"rows \[0, 2\]"):
+        transition_kernel(p, 0.0, [1.0, 0.0, 0.0, 0.0])
+    k = transition_kernel(p, 0.0, [0.5, 0.5, 0.0, 0.0])
+    np.testing.assert_array_equal(k, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 
 
 LOG_TINY = float(np.log(np.finfo(float).tiny))

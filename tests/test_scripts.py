@@ -43,6 +43,41 @@ def test_phase_sweep_writes_one_row_of_fractions_per_exponent(tmp_path):
         assert abs(sum(float(x) for x in row[1:4]) - 1.0) < 1e-12
 
 
+def _bench_run(seed, exit=0, correct=True, **metrics):
+    """A run record as bench_pairs.run makes it."""
+    return {
+        "seed": seed,
+        "exit": exit,
+        "result": {"correct": correct, "metrics": {k: {"value": v} for k, v in metrics.items()}},
+    }
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    summarize = _load("bench_pairs").summarize
+    pairs = [
+        {"parent": _bench_run(1, speed=10.0, rss=80.0), "change": _bench_run(1, speed=20.0, rss=81.0)},
+        {"parent": _bench_run(2, speed=12.0, rss=82.0), "change": _bench_run(2, speed=18.0, rss=82.0)},
+        {"parent": _bench_run(3, speed=11.0, rss=84.0), "change": _bench_run(3, speed=10.0, rss=79.0)},
+        {"parent": _bench_run(4, speed=14.0, rss=80.0), "change": _bench_run(4, speed=22.0, rss=80.0)},
+        # a failed run, an incorrect one and a missing result drop their pairs
+        {"parent": _bench_run(5, exit=1, speed=1.0, rss=1.0), "change": _bench_run(5, speed=99.0, rss=1.0)},
+        {"parent": _bench_run(6, speed=1.0, rss=1.0), "change": _bench_run(6, correct=False, speed=99.0, rss=1.0)},
+        {"parent": _bench_run(7, speed=1.0, rss=1.0), "change": {"seed": 7, "exit": 0, "error": "no result"}},
+    ]
+    got = summarize(pairs, {"speed": "higher", "rss": "lower"})
+    assert sorted(got) == ["rss", "speed"]
+    speed, rss = got["speed"], got["rss"]
+    assert speed["pairs"] == rss["pairs"] == 4
+    assert speed["parent"]["values"] == [10.0, 12.0, 11.0, 14.0]
+    assert speed["parent"]["median"] == 11.5 and speed["change"]["median"] == 19.0
+    assert speed["change"]["q1"] == 16.0 and speed["change"]["q3"] == 20.5
+    assert speed["change"]["relative_spread"] == 4.5 / 19.0
+    assert (speed["change_wins"], speed["parent_wins"]) == (3, 1)
+    assert speed["change_over_parent"] == 19.0 / 11.5
+    # lower is better for rss; the tie in pairs 2 and 4 counts for neither
+    assert (rss["change_wins"], rss["parent_wins"]) == (1, 1)
+
+
 # The package's public names: what the paper's checks, scripts/, bench/ and
 # the command line use. A name added or removed shows up here as a diff.
 PUBLIC_NAMES = [

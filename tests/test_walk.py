@@ -317,6 +317,87 @@ def test_lone_replicas_match_golden_hashes(monkeypatch):
     assert sum(solo_steps) > 0
 
 
+class _Uniforms:
+    """Stand-in for a numpy Generator that hands out given uniforms in
+    order, one at a time or into a buffer."""
+
+    def __init__(self, values):
+        self.values, self.at = list(values), 0
+
+    def random(self, out=None):
+        if out is None:
+            self.at += 1
+            return self.values[self.at - 1]
+        out[:] = self.values[self.at : self.at + out.size]
+        self.at += out.size
+        return out
+
+
+def _boundary_walk(p, start, horizon, seed):
+    """Uniforms of a step() walk that each sit on, or one ulp either side
+    of, a pick boundary u = csum[k] / total of their step, and the walk's
+    sites. Most sit on an edge of the interval of the site the walk came
+    from, so the walk keeps alternating between two sites for a while."""
+    rng = np.random.default_rng(seed)
+    s, prev, uniforms, sites = init_walk(p, start), start, [], [start]
+    for _ in range(horizon):
+        weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
+        csum = np.cumsum(weights)
+        # the edges of that interval, each with the direction into it
+        edges = [(k, toward) for k, toward in ((prev - 1, 1.0), (prev, 0.0)) if 0 <= k < p.size - 1]
+        if edges and rng.random() < 0.97:
+            k, toward = edges[rng.integers(len(edges))]
+        else:
+            k, toward = rng.integers(p.size - 1), rng.choice([0.0, 1.0])
+        u = csum[k] / csum[-1]
+        u = np.nextafter(u, toward) if rng.random() < 0.9 else rng.choice([u, np.nextafter(u, 1.0 - toward)])
+        u = float(np.clip(u, 0.0, np.nextafter(1.0, 0.0)))
+        prev, s = s.site, step(p, s, _Uniforms([u]))
+        uniforms.append(u)
+        sites.append(s.site)
+    return uniforms, sites
+
+
+CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParameters.for_complete_graph(3, 2.5),
+        ModelParameters.for_complete_graph(5, 2.5, loop_c=0.5),
+        ModelParameters(matrix=validate(np.array(CIRCULANT, dtype=float)), alpha=2.5),
+    ],
+    ids=["hollow-K3", "K5-loops", "circulant"],
+)
+def test_speculative_filter_is_exact_on_pick_boundaries(p, monkeypatch):
+    # every uniform lies within the filter's margin of a pick boundary, so
+    # the filter must doubt it and the exact pick decide; short blocks
+    # restart the speculative pass every 32 steps
+    horizon, seeds = 1500, [3, 4, 5]
+    walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
+    engines = []
+    init = walk_module._Walks.__init__
+
+    def stand_in(self, p, starts, horizon, seeds, *rest):
+        init(self, p, starts, horizon, seeds, *rest)
+        self.gens = [_Uniforms(walks[seed][0]) for seed in seeds]
+        engines.append(self)
+
+    monkeypatch.setattr(walk_module._Walks, "__init__", stand_in)
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 32)
+    sched = checkpoint_schedule(horizon)
+    starts = [seed % p.size for seed in seeds]
+    final, chk, sites = _batch_walk(p, starts, horizon, seeds, True, sched)
+    for r, seed in enumerate(seeds):
+        np.testing.assert_array_equal(sites[r], walks[seed][1])
+        np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
+        for k, counts in zip(sched, chk[r]):
+            np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
+    (engine,) = engines
+    assert 5 * engine.stats["committed_cells"] > len(seeds) * horizon
+
+
 def test_loop_model_reduces_to_plain_step():
     # the loop model at c = 0 through the batch engine against the step
     # reference on the hollow plain model
