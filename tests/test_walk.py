@@ -500,10 +500,5 @@ def test_step_rejects_weights_without_a_finite_total(u):
     s = WalkState(site=0, counts=np.array([1, 1201, 1201]), step=2402)
     weights = p.effective_matrix.entries[0] * np.power(1.0 + s.counts, p.alpha)
     assert np.all(np.isfinite(weights))
-
-    class Fixed:
-        def random(self):
-            return u
-
     with pytest.raises(NumericError):
-        step(p, s, Fixed())
+        step(p, s, _Uniforms([u]))
