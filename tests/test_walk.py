@@ -343,7 +343,8 @@ def _boundary_walk(p, start, horizon, seed):
     for _ in range(horizon):
         weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
         csum = np.cumsum(weights)
-        # the edges of that interval, each with the direction into it
+        # the edges of the interval of the site the walk came from, each
+        # with the direction into it
         edges = [(k, toward) for k, toward in ((prev - 1, 1.0), (prev, 0.0)) if 0 <= k < p.size - 1]
         if edges and rng.random() < 0.97:
             k, toward = edges[rng.integers(len(edges))]
@@ -394,6 +395,7 @@ def test_speculative_filter_is_exact_on_pick_boundaries(p, monkeypatch):
         np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
         for k, counts in zip(sched, chk[r]):
             np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
+    # the speculative pass committed at least a fifth of the steps
     (engine,) = engines
     assert 5 * engine.stats["committed_cells"] > len(seeds) * horizon
 
