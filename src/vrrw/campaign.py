@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -149,15 +150,31 @@ def _tail_window(horizon: int, tail_fraction: float) -> int:
 
 
 def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: float):
+    """A FaceIndex and a tail profile per row of (R, N) tail counts, then
+    the support histogram and the mean sorted profile, keyed by support
+    size in increasing order. Rows are grouped by support size, so each
+    profile is divided by numpy's sum of exactly its retained shares."""
     shares = tail_counts / window
     retained = (tail_counts >= 1) & (shares >= min_share)
-    if not retained.any():
-        # A threshold above every share would empty the set; keep the
-        # dominant site so the detector never returns nothing.
-        retained[int(np.argmax(shares))] = True
-    sites = np.nonzero(retained)[0]
-    profile = shares[sites] / shares[sites].sum()
-    return FaceIndex(sites=tuple(int(s) for s in sites)), profile
+    # A threshold above every share would empty a set; keep the dominant
+    # site so the detector never returns nothing.
+    empty = np.flatnonzero(~retained.any(axis=1))
+    retained[empty, np.argmax(shares[empty], axis=1)] = True
+    sizes = retained.sum(axis=1)
+    sites, profiles = [None] * len(sizes), [None] * len(sizes)
+    histogram, mean_profile = {}, {}
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        mask = retained[rows]
+        kept = shares[rows][mask].reshape(-1, size)
+        group = kept / kept.sum(axis=1, keepdims=True)
+        columns = np.nonzero(mask)[1].reshape(-1, size).tolist()
+        for i, row_sites, profile in zip(rows.tolist(), columns, group):
+            sites[i], profiles[i] = tuple(row_sites), profile
+        histogram[size] = len(rows)
+        mean_profile[size] = tuple(np.mean(-np.sort(-group, axis=1), axis=0).tolist())
+    faces = {s: FaceIndex(sites=s) for s in set(sites)}
+    return [faces[s] for s in sites], profiles, histogram, mean_profile
 
 
 def equilibrium_anchors(p: ModelParameters) -> list:
@@ -256,37 +273,22 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     occupations = final / (cfg.horizon + 1.0)
     anchors = equilibrium_anchors(p)
     nearest_idx, nearest_dist = _nearest(occupations, anchors)
-
-    replicas = []
-    for i in range(r):
-        support, profile = _detect_from_tail_counts(tail[i], window, cfg.detection.min_share)
-        replicas.append(
-            ReplicaResult(
-                replica=i,
-                seed=seeds[i],
-                support=support,
-                tail_profile=tuple(float(x) for x in profile),
-                final_occupation=SimplexPoint.from_array(occupations[i]),
-                nearest_equilibrium=int(nearest_idx[i]),
-                distance=float(nearest_dist[i]),
-            )
+    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(
+        tail, window, cfg.detection.min_share
+    )
+    points = SimplexPoint.rows(occupations)
+    replicas = tuple(
+        ReplicaResult(
+            replica=i, seed=seeds[i], support=faces[i], tail_profile=tuple(profiles[i].tolist()),
+            final_occupation=points[i], nearest_equilibrium=idx, distance=dist,
         )
-
-    histogram = {}
-    by_size = {}
-    for rep in replicas:
-        size = len(rep.support.sites)
-        histogram[size] = histogram.get(size, 0) + 1
-        by_size.setdefault(size, []).append(sorted(rep.tail_profile, reverse=True))
-    mean_profile = {
-        size: tuple(float(x) for x in np.mean(rows, axis=0))
-        for size, rows in sorted(by_size.items())
-    }
+        for i, (idx, dist) in enumerate(zip(nearest_idx.tolist(), nearest_dist.tolist()))
+    )
 
     return CampaignResult(
         config=cfg,
-        replicas=tuple(replicas),
-        support_histogram=dict(sorted(histogram.items())),
+        replicas=replicas,
+        support_histogram=histogram,
         mean_sorted_profile=mean_profile,
         config_hash=cfg.config_hash(),
         code_version=__version__,
@@ -343,9 +345,29 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
     )
 
 
-def _result_to_json_dict(result: CampaignResult) -> dict:
+def _json_head(result: CampaignResult) -> dict:
+    """The JSON document of a campaign result but its replica records."""
     return {
         "config": config_to_json_dict(result.config),
+        "aggregates": {
+            "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
+            "mean_sorted_profile": {
+                str(k): list(v) for k, v in result.mean_sorted_profile.items()
+            },
+        },
+        "provenance": {
+            "config_hash": result.config_hash,
+            "code_version": result.code_version,
+        },
+    }
+
+
+def _result_to_json_dict(result: CampaignResult) -> dict:
+    """The JSON document of a campaign result. The json export is
+    json.dumps(this, sort_keys=True, indent=2) and a newline, written
+    record by record (_write_json)."""
+    return {
+        **_json_head(result),
         "replicas": [
             {
                 "replica": rep.replica,
@@ -358,17 +380,54 @@ def _result_to_json_dict(result: CampaignResult) -> dict:
             }
             for rep in result.replicas
         ],
-        "aggregates": {
-            "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
-            "mean_sorted_profile": {
-                str(k): list(v) for k, v in result.mean_sorted_profile.items()
-            },
-        },
-        "provenance": {
-            "config_hash": result.config_hash,
-            "code_version": result.code_version,
-        },
     }
+
+
+#: A replica record of _result_to_json_dict as json.dumps(..., sort_keys=True,
+#: indent=2) lays it out inside the document's "replicas" list.
+_JSON_RECORD = """    {
+      "distance": %s,
+      "final_occupation": [
+        %s
+      ],
+      "nearest_equilibrium": %r,
+      "replica": %r,
+      "seed": %r,
+      "support": [
+        %s
+      ],
+      "tail_profile": [
+        %s
+      ]
+    }"""
+_JSON_ITEMS = ",\n        "
+
+
+def _json_floats(xs) -> str:
+    """Floats as json writes them, joined as the items of a record's list:
+    float.__repr__, and json itself for NaN and the infinities."""
+    return _JSON_ITEMS.join([float.__repr__(x) if math.isfinite(x) else json.dumps(x) for x in xs])
+
+
+def _write_json(result: CampaignResult, fh) -> None:
+    """Write json.dumps(_result_to_json_dict(result), sort_keys=True,
+    indent=2) and a newline, one replica record at a time: json's encoder
+    for indent is pure Python and takes several times longer."""
+    head = json.dumps({**_json_head(result), "replicas": []}, sort_keys=True, indent=2)
+    before, after = head.rsplit('"replicas": []', 1)
+    fh.write(before + '"replicas": [\n')
+    for i, rep in enumerate(result.replicas):
+        record = _JSON_RECORD % (
+            _json_floats((rep.distance,)),
+            _json_floats(coords_of(rep.final_occupation).tolist()),
+            rep.nearest_equilibrium,
+            rep.replica,
+            rep.seed,
+            _JSON_ITEMS.join(map(repr, rep.support.labels())),
+            _json_floats(rep.tail_profile),
+        )
+        fh.write(",\n" + record if i else record)
+    fh.write("\n  ]" + after + "\n")
 
 
 def _result_from_json_dict(d: dict) -> CampaignResult:
@@ -403,8 +462,7 @@ def export(result: CampaignResult, path, format: str) -> None:
     per replica, fixed columns). Paths ending in .gz are compressed."""
     if format == "json":
         with open_text(path, "w") as fh:
-            json.dump(_result_to_json_dict(result), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _write_json(result, fh)
     elif format == "csv":
         n = result.config.model.size
         cols = ["replica", "seed", "support_size", "support"]

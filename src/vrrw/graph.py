@@ -157,6 +157,22 @@ class SimplexPoint:
             raise ValidationError(f"coordinates sum to {arr.sum()!r}, not 1")
         return SimplexPoint(coords=arr.copy())
 
+    @staticmethod
+    def rows(x) -> list:
+        """One point per row of a 2-D array, validated together; each point
+        is a row of one read-only copy."""
+        arr = _as_float_array(x, "simplex points")
+        if arr.ndim != 2 or arr.shape[1] < 1:
+            raise ValidationError(f"simplex points must be matrix rows, got shape {arr.shape}")
+        if np.any(arr < 0):
+            raise ValidationError("negative coordinate in a simplex point")
+        off = np.flatnonzero(np.abs(arr.sum(axis=1) - 1.0) > VALIDATION_RTOL)
+        if off.size:
+            raise ValidationError(f"coordinates of row {off[0]} sum to {float(arr[off[0]].sum())!r}, not 1")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        return [SimplexPoint(coords=row) for row in arr]
+
     @property
     def support(self) -> "FaceIndex":
         return FaceIndex(sites=tuple(int(i) for i in np.nonzero(self.coords)[0]))

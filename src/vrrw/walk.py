@@ -187,11 +187,14 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
 
 
 def _integer(x, what: str) -> int:
-    """x as a Python int; numpy integers pass, floats and strings do not."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+    """x as a Python int; numpy integers pass, bools, floats and strings
+    do not."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
 def _nonnegative_int(x, what: str) -> int:

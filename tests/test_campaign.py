@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 
@@ -25,6 +26,7 @@ import vrrw.campaign as campaign_module
 from vrrw.campaign import (
     _detect_from_tail_counts,
     _nearest,
+    _result_to_json_dict,
     _tail_window,
     config_from_json_dict,
     config_to_json_dict,
@@ -43,7 +45,8 @@ def detect(sites, min_share=0.02, n=3):
     horizon = sites.size - 1
     window = _tail_window(horizon, 0.5)
     tail = np.bincount(sites[horizon - window + 1 :], minlength=n)
-    return _detect_from_tail_counts(tail, window, min_share)
+    [support], [profile], _, _ = _detect_from_tail_counts(tail[None], window, min_share)
+    return support, profile
 
 
 def test_two_site_walk_detects_both_sites():
@@ -79,11 +82,57 @@ def test_detection_works_from_checkpoint_snapshots():
     assert r.sites is None
     cut_idx = int(np.nonzero(r.checkpoint_steps == 25_000)[0][0])
     tail = r.final_counts - r.checkpoint_counts[cut_idx]
-    support, profile = _detect_from_tail_counts(tail, _tail_window(50_000, 0.5), 0.02)
+    [support], [profile], _, _ = _detect_from_tail_counts(
+        tail[None], _tail_window(50_000, 0.5), 0.02
+    )
     full = simulate(P3, 0, 50_000, 33)
     support_full, profile_full = detect(full.sites)
     assert tuple(support) == tuple(support_full)
     np.testing.assert_allclose(profile, profile_full, rtol=0, atol=1e-12)
+
+
+def _detect_row(tail_counts, window, min_share):
+    """Detection of one row of tail counts as run_campaign did it replica
+    by replica; the reference for the batch detector."""
+    shares = tail_counts / window
+    retained = (tail_counts >= 1) & (shares >= min_share)
+    if not retained.any():
+        retained[int(np.argmax(shares))] = True
+    sites = np.nonzero(retained)[0]
+    profile = shares[sites] / shares[sites].sum()
+    return tuple(int(s) for s in sites), profile
+
+
+@pytest.mark.parametrize("min_share", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 13, 20])
+def test_batch_detection_matches_row_by_row_reference(n, min_share):
+    # supports of up to 20 sites cross numpy's 8-element pairwise sum
+    rng = np.random.default_rng(100 * n + int(100 * min_share))
+    window = 997
+    # rows from concentrated on a site or two to nearly flat
+    pvals = [rng.dirichlet(np.full(n, c)) for c in rng.choice([0.05, 0.5, 5.0, 500.0], size=300)]
+    tail = rng.multinomial(window, pvals)
+    tail = np.concatenate([tail, np.full((1, n), window // n), np.eye(n, dtype=np.int64)[-1:] * window])
+    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(tail, window, min_share)
+
+    want = [_detect_row(row, window, min_share) for row in tail]
+    assert [face.sites for face in faces] == [sites for sites, _ in want]
+    for got, (_, profile) in zip(profiles, want):
+        assert got.tobytes() == profile.tobytes()
+    if min_share == 0.3 and n >= 8:
+        shares = tail / window
+        assert np.any(~((tail >= 1) & (shares >= min_share)).any(axis=1))
+
+    # the aggregates as run_campaign built them from its replica results
+    by_size = {}
+    for sites, profile in want:
+        by_size.setdefault(len(sites), []).append(sorted((float(x) for x in profile), reverse=True))
+    assert histogram == {size: len(rows) for size, rows in sorted(by_size.items())}
+    assert list(histogram) == sorted(by_size)
+    assert mean_profile == {
+        size: tuple(float(x) for x in np.mean(rows, axis=0)) for size, rows in sorted(by_size.items())
+    }
+    assert list(mean_profile) == sorted(by_size)
 
 
 def test_detection_config_validation():
@@ -298,12 +347,15 @@ def test_model_json_takes_an_integer_site_count(n):
         pytest.param("start", np.int64(1), id="int64-start"),
         pytest.param("base_seed", np.int64(3), id="int64-base-seed"),
         pytest.param("base_seed", -3, id="negative-base-seed"),
+        pytest.param("replicas", True, id="bool-replicas"),
+        pytest.param("base_seed", False, id="bool-base-seed"),
+        pytest.param("start", True, id="bool-start"),
     ],
 )
 def test_campaign_config_takes_only_integers(name, value):
     given = dict(model=P3, replicas=3, horizon=100, base_seed=3, start=1)
     given[name] = value
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         with pytest.raises(ValidationError):
             ExperimentConfig(**given)
         d = config_to_json_dict(ExperimentConfig(model=P3, replicas=3, horizon=100, base_seed=3))
@@ -374,6 +426,29 @@ def test_campaign_json_files_are_canonical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     payload = json.loads((tmp_path / "a.json").read_text())
     assert set(payload) == {"aggregates", "config", "provenance", "replicas"}
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        pytest.param(P3, "out.json", id="K3"),
+        pytest.param(ModelParameters.for_complete_graph(8, 1.15), "out.json", id="K8"),
+        # no anchors above 12 sites: every distance is NaN
+        pytest.param(ModelParameters.for_complete_graph(13, 1.3), "out.json", id="K13-anchorless"),
+        pytest.param(ModelParameters.for_complete_graph(4, 1.7, loop_c=0.25), "out.json", id="K4-loops"),
+        pytest.param(P3, "out.json.gz", id="K3-gz"),
+    ],
+)
+def test_streamed_json_export_equals_json_dumps(model, name, tmp_path):
+    res = run_campaign(ExperimentConfig(model=model, replicas=40, horizon=400, base_seed=17))
+    want = (json.dumps(_result_to_json_dict(res), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    path = tmp_path / name
+    export(res, path, "json")
+    if name.endswith(".gz"):
+        assert path.read_bytes() == gzip.compress(want, mtime=0)
+    else:
+        assert path.read_bytes() == want
+    assert (model.size > 12) == all(np.isnan(rep.distance) for rep in res.replicas)
 
 
 # SHA-256 of export(run_campaign(cfg), path, "json") on hollow K_N with

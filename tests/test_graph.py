@@ -79,6 +79,16 @@ def test_simplex_point_checks_mass():
         SimplexPoint.from_array([0.2, 0.3, 0.6])
     with pytest.raises(ValidationError):
         SimplexPoint.from_array([-0.1, 0.6, 0.5])
+    # rows of one array: each point a read-only row of one copy
+    raw = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    points = SimplexPoint.rows(raw)
+    raw[0, 0] = 0.9
+    assert [p.coords.tolist() for p in points] == [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]]
+    assert points[0].coords.base is points[1].coords.base
+    assert not points[1].coords.flags.writeable
+    for bad in ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]], [[-0.1, 0.6, 0.5]], [0.2, 0.3, 0.5], [[np.nan, 1.0]]):
+        with pytest.raises((ValidationError, NumericError)):
+            SimplexPoint.rows(bad)
 
 
 def test_face_index_labels_are_one_based():

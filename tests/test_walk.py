@@ -466,7 +466,9 @@ def test_weight_overflow_is_rejected_up_front():
         simulate(huge, 0, 10**6, 0)
 
 
-@pytest.mark.parametrize("horizon, seed", [(10, -1), (10.5, 3), (10, 1.7), (10, "3")])
+@pytest.mark.parametrize(
+    "horizon, seed", [(10, -1), (10.5, 3), (10, 1.7), (10, "3"), (10, True), (True, 3)]
+)
 def test_seed_and_horizon_must_be_nonnegative_integers(horizon, seed):
     with pytest.raises(ValidationError):
         simulate(P25, 0, horizon, seed)
@@ -474,14 +476,14 @@ def test_seed_and_horizon_must_be_nonnegative_integers(horizon, seed):
         _batch_walk(P25, [0], horizon, [seed], False, checkpoint_schedule(10))
 
 
-@pytest.mark.parametrize("start", [1.5, 1.0, -1, 3, "1"])
+@pytest.mark.parametrize("start", [1.5, 1.0, -1, 3, "1", True])
 def test_simulate_rejects_a_start_that_is_not_a_site(start):
     # a float start must not run from its integer part
     with pytest.raises(ValidationError):
         simulate(P25, start, 10, 2)
 
 
-@pytest.mark.parametrize("starts", [[0, 1.5], [0.0, 1.0], [0, -1], [0, 3]])
+@pytest.mark.parametrize("starts", [[0, 1.5], [0.0, 1.0], [0, -1], [0, 3], [0, True]])
 def test_batch_walk_rejects_starts_that_are_not_sites(starts):
     with pytest.raises(ValidationError):
         _batch_walk(P25, starts, 10, [1, 2], False, checkpoint_schedule(10))
