@@ -60,7 +60,6 @@ from .errors import (
 from .graph import (
     FaceIndex,
     InteractionMatrix,
-    SimplexPoint,
     complete_graph,
     project_to_simplex,
     validate,

@@ -23,8 +23,8 @@ from .dynamics import ModelParameters
 from .equilibria import Equilibrium, enumerate_all, face_center
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
-from .graph import FaceIndex, SimplexPoint, complete_graph, coords_of, validate
-from .walk import _batch_walk, _integer, checkpoint_schedule, splitmix64
+from .graph import FaceIndex, complete_graph, simplex_points, validate
+from .walk import _batch_walk, _integer, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 
@@ -113,7 +113,7 @@ class ReplicaResult:
     seed: int
     support: FaceIndex
     tail_profile: tuple
-    final_occupation: SimplexPoint
+    final_occupation: np.ndarray
     nearest_equilibrium: int
     distance: float
 
@@ -218,7 +218,7 @@ def _nearest(occupations: np.ndarray, anchors) -> tuple:
     r = occupations.shape[0]
     if not anchors:
         return np.full(r, -1, dtype=np.int64), np.full(r, np.nan)
-    pts = np.array([coords_of(e.point) for e in anchors])
+    pts = np.array([e.point for e in anchors])
     sq, minus_2pt = (pts * pts).sum(axis=1), -2.0 * pts.T
     idx = np.empty(r, dtype=np.intp)
     dist = np.empty(r)
@@ -258,29 +258,26 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
 
     window = _tail_window(cfg.horizon, cfg.detection.tail_fraction)
     cutoff = cfg.horizon - window
-    extra = [cutoff] if cutoff >= 1 else []
-    checkpoints = checkpoint_schedule(cfg.horizon, extra=extra)
-    final, chk, _ = _batch_walk(p, starts, cfg.horizon, seeds, False, checkpoints)
+    at = [cutoff] if cutoff >= 1 else []
+    final, chk, _ = _batch_walk(p, starts, cfg.horizon, seeds, False, at)
 
     if cutoff >= 1:
-        cut_idx = int(np.nonzero(checkpoints == cutoff)[0][0])
-        base = chk[:, cut_idx]
+        base = chk[:, 0]
     else:
         base = np.zeros((r, n), dtype=np.int64)
         base[np.arange(r), starts] = 1
     tail = final - base
 
-    occupations = final / (cfg.horizon + 1.0)
+    occupations = simplex_points(final / (cfg.horizon + 1.0))
     anchors = equilibrium_anchors(p)
     nearest_idx, nearest_dist = _nearest(occupations, anchors)
     faces, profiles, histogram, mean_profile = _detect_from_tail_counts(
         tail, window, cfg.detection.min_share
     )
-    points = SimplexPoint.rows(occupations)
     replicas = tuple(
         ReplicaResult(
             replica=i, seed=seeds[i], support=faces[i], tail_profile=tuple(profiles[i].tolist()),
-            final_occupation=points[i], nearest_equilibrium=idx, distance=dist,
+            final_occupation=occupations[i], nearest_equilibrium=idx, distance=dist,
         )
         for i, (idx, dist) in enumerate(zip(nearest_idx.tolist(), nearest_dist.tolist()))
     )
@@ -374,7 +371,7 @@ def _result_to_json_dict(result: CampaignResult) -> dict:
                 "seed": rep.seed,
                 "support": list(rep.support.labels()),
                 "tail_profile": list(rep.tail_profile),
-                "final_occupation": [float(x) for x in coords_of(rep.final_occupation)],
+                "final_occupation": rep.final_occupation.tolist(),
                 "nearest_equilibrium": rep.nearest_equilibrium,
                 "distance": rep.distance,
             }
@@ -419,7 +416,7 @@ def _write_json(result: CampaignResult, fh) -> None:
     for i, rep in enumerate(result.replicas):
         record = _JSON_RECORD % (
             _json_floats((rep.distance,)),
-            _json_floats(coords_of(rep.final_occupation).tolist()),
+            _json_floats(rep.final_occupation.tolist()),
             rep.nearest_equilibrium,
             rep.replica,
             rep.seed,
@@ -431,21 +428,37 @@ def _write_json(result: CampaignResult, fh) -> None:
 
 
 def _result_from_json_dict(d: dict) -> CampaignResult:
+    """A campaign result from its JSON document, checked against the
+    document's own config: one record per replica, each occupation a point
+    of the model's simplex, each support 1-based integer labels in 1..n."""
+    config = config_from_json_dict(d["config"])
+    reps, n = d["replicas"], config.model.size
+    if len(reps) != config.replicas:
+        raise ValidationError(f"{len(reps)} replica records for {config.replicas} replicas")
+    occupations = np.array([rep["final_occupation"] for rep in reps], dtype=float)
+    if occupations.shape != (len(reps), n):
+        raise ValidationError(f"final occupations must be rows of {n}, got shape {occupations.shape}")
+    occupations = simplex_points(occupations)
+    faces = {}  # one FaceIndex per distinct support
+    for labels in {tuple(rep["support"]) for rep in reps}:
+        faces[labels] = FaceIndex(sites=tuple(_integer(s, "support label") - 1 for s in labels))
+        if faces[labels].sites[-1] >= n:
+            raise ValidationError(f"support labels {list(labels)} exceed the {n} sites")
     replicas = tuple(
         ReplicaResult(
-            replica=int(rep["replica"]),
-            seed=int(rep["seed"]),
-            support=FaceIndex(sites=tuple(int(s) - 1 for s in rep["support"])),
+            replica=_integer(rep["replica"], "replica"),
+            seed=_integer(rep["seed"], "seed"),
+            support=faces[tuple(rep["support"])],
             tail_profile=tuple(float(x) for x in rep["tail_profile"]),
-            final_occupation=SimplexPoint.from_array(np.asarray(rep["final_occupation"])),
-            nearest_equilibrium=int(rep["nearest_equilibrium"]),
+            final_occupation=occupations[i],
+            nearest_equilibrium=_integer(rep["nearest_equilibrium"], "nearest equilibrium"),
             distance=float(rep["distance"]),
         )
-        for rep in d["replicas"]
+        for i, rep in enumerate(reps)
     )
     agg = d["aggregates"]
     return CampaignResult(
-        config=config_from_json_dict(d["config"]),
+        config=config,
         replicas=replicas,
         support_histogram={int(k): int(v) for k, v in agg["support_histogram"].items()},
         mean_sorted_profile={
@@ -471,7 +484,7 @@ def export(result: CampaignResult, path, format: str) -> None:
         with open_text(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for rep in result.replicas:
-                occ = coords_of(rep.final_occupation)
+                occ = rep.final_occupation
                 row = [
                     str(rep.replica),
                     str(rep.seed),
@@ -486,6 +499,11 @@ def export(result: CampaignResult, path, format: str) -> None:
 
 
 def load_campaign(path) -> CampaignResult:
-    """Read back a json export."""
+    """Read back a json export; a document that does not hold a campaign
+    of its own config raises ValidationError."""
     with open_text(path) as fh:
-        return _result_from_json_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return _result_from_json_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed campaign export: {exc!r}") from exc

@@ -38,12 +38,12 @@ from .errors import (
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
-    SimplexPoint,
     _project,
     check_loopfree_cap,
     complete_graph,
     coords_of,
     project_to_simplex,  # noqa: F401  (bench/layers.py traces it here)
+    simplex_points,
     with_diagonal,
 )
 
@@ -178,12 +178,12 @@ def _pi_core(a: np.ndarray, alpha: float, x: np.ndarray):
     return s, field, core
 
 
-def invariant_measure(p: ModelParameters, v) -> SimplexPoint:
+def invariant_measure(p: ModelParameters, v) -> np.ndarray:
     """Reversible measure of the frozen kernel: pi_i proportional to
     v_i^a (A v^a)_i. Requires positive interaction energy."""
     x = coords_of(v)
     s, field, core = _pi_core(p.effective_matrix.entries, p.alpha, x)
-    return SimplexPoint.from_array(s * field / core)
+    return simplex_points(s * field / core)
 
 
 def _field_array(a: np.ndarray, alpha: float, x: np.ndarray, stats=None) -> np.ndarray:
@@ -302,7 +302,9 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     Coordinates that start at exactly zero are pinned to zero (faces are
     invariant), and t_end is rounded to a whole number of steps.
     """
-    x = SimplexPoint.from_array(coords_of(v0)).coords.copy()
+    x = simplex_points(v0)
+    if x.ndim != 1:
+        raise ValidationError(f"flow start must be one point, got shape {x.shape}")
     if not (0 < dt <= t_end):
         raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     steps = max(1, int(round(t_end / dt)))
@@ -350,7 +352,7 @@ def fundamental_matrix(p: ModelParameters, v) -> np.ndarray:
     normalized by pi Q = 0. Computed as the group-inverse construction
     Q = (I - K + 1 pi^T)^(-1) (I - 1 pi^T)."""
     k = transition_kernel(p, 0.0, v)
-    pi = invariant_measure(p, v).coords
+    pi = invariant_measure(p, v)
     n = k.shape[0]
     one_pi = np.outer(np.ones(n), pi)
     lhs = np.eye(n) - k + one_pi

@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .graph import VALIDATION_RTOL, FaceIndex, SimplexPoint, coords_of
+from .graph import FaceIndex, coords_of, simplex_points
 
 #: Eigenvalue margin separating genuine criticality from float noise.
 STABILITY_MARGIN = 1e-8
@@ -63,7 +63,7 @@ class TwoLevelData:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    point: SimplexPoint
+    point: np.ndarray
     support: FaceIndex
     kind: str
     tangent_eigenvalues: tuple
@@ -97,16 +97,15 @@ def _verdict(eigenvalues) -> str:
     return MARGINAL
 
 
-def face_center(face: FaceIndex, n: int) -> SimplexPoint:
-    """Uniform point on the given face of the size-n simplex."""
+def face_center(face: FaceIndex, n: int) -> np.ndarray:
+    """Uniform point on the given face of the size-n simplex; a FaceIndex
+    is never empty."""
     sites = face.sites
-    if len(sites) == 0:
-        raise ValidationError("cannot take the center of an empty face")
     if sites[-1] >= n:
         raise ValidationError(f"face {sites} does not fit in a {n}-site model")
     v = np.zeros(n)
     v[list(sites)] = 1.0 / len(sites)
-    return SimplexPoint.from_array(v)
+    return simplex_points(v)
 
 
 def center_eigenvalue(k: int, alpha: float, loop_c: float = 0.0) -> float:
@@ -271,16 +270,6 @@ def _equilibrium_fields(kind, face_vals, off_face, data=None) -> dict:
     return dict(kind=kind, tangent_eigenvalues=vals, verdict=_verdict(vals), two_level_data=data)
 
 
-def _simplex_rows(rows: np.ndarray) -> list:
-    """The rows of a [G, n] array as read-only SimplexPoint views, checked
-    at once: finite, nonnegative, each sum within VALIDATION_RTOL of 1.
-    NaN and inf fail one of the two comparisons."""
-    if not (np.all(rows >= 0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= VALIDATION_RTOL)):
-        raise ValidationError("catalog points must be finite, nonnegative and sum to 1")
-    rows.setflags(write=False)
-    return [SimplexPoint(coords=row) for row in rows]
-
-
 def solve_two_level(n: int, k: int, alpha: float) -> list:
     """All two-level equilibria of the n-site hollow complete graph with
     the first k coordinates at the block value 1/(k+(n-k)t) and the rest
@@ -301,7 +290,7 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
         u2 = t * u1
         coords = np.concatenate([np.full(k, u1), np.full(n - k, u2)])
         coords /= coords.sum()
-        point = SimplexPoint.from_array(coords)
+        point = simplex_points(coords)
         data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
         spectrum = _two_level_tangent_spectrum(n, k, alpha, t)
         fields = _equilibrium_fields(TWO_LEVEL, spectrum, 0, data)
@@ -353,7 +342,7 @@ def enumerate_all(n: int, alpha: float) -> list:
                 data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
                 spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
                 groups.append((coords, _equilibrium_fields(TWO_LEVEL, spectrum, n - m, data)))
-        groups = [(_simplex_rows(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
+        groups = [(simplex_points(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
         for i, face in enumerate(faces.tolist()):
             support = FaceIndex(sites=tuple(face))
             for points, per_face, fields in groups:

@@ -11,23 +11,32 @@ import gzip
 import hashlib
 import io
 import json
+import zlib
 
 
-class _DeterministicGzipText(io.StringIO):
-    """Buffers text and compresses on close with no timestamp or name in
-    the header, so equal content always gives equal bytes."""
+class _DeterministicGzipText(io.TextIOBase):
+    """Gzips text into a binary file as it arrives, as zlib's gzip stream
+    at level 9: no timestamp or name in the header, and the bytes of
+    gzip.compress(data, mtime=0). GzipFile writes another header byte."""
 
-    def __init__(self, path):
-        super().__init__()
-        self._path = path
+    def __init__(self, fh):
+        self._fh = fh
+        self._zip = zlib.compressobj(9, zlib.DEFLATED, 31)
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self._fh.write(self._zip.compress(text.encode("utf-8")))
+        return len(text)
 
     def close(self):
-        try:
-            data = self.getvalue().encode("utf-8")
-            with open(self._path, "wb") as fh:
-                fh.write(gzip.compress(data, mtime=0))
-        finally:
-            super().close()
+        if not self.closed:
+            try:
+                self._fh.write(self._zip.flush())
+            finally:
+                self._fh.close()
+                super().close()
 
 
 def open_text(path, mode: str = "r"):
@@ -38,7 +47,7 @@ def open_text(path, mode: str = "r"):
         return open(path, mode, encoding="utf-8", newline="")
     if mode == "r":
         return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return _DeterministicGzipText(path)
+    return _DeterministicGzipText(open(path, "wb"))
 
 
 def canonical_hash(payload: dict) -> str:

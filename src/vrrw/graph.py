@@ -3,7 +3,9 @@
 Sites are labelled 0..n-1 throughout the code; file formats and the command
 line use 1-based labels. An interaction matrix is symmetric, nonnegative,
 strictly positive off the diagonal, and has a common row sum. The occupation
-state of the mean-field dynamics is a probability vector over sites.
+state of the mean-field dynamics is a probability vector over sites: a point
+of the simplex is a plain read-only float array, and simplex_points is the one
+check that makes one.
 """
 
 from __future__ import annotations
@@ -131,51 +133,23 @@ def with_diagonal(matrix: InteractionMatrix, c: float) -> InteractionMatrix:
     )
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Probability vector over sites: nonnegative coordinates summing to 1."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords.setflags(write=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
-
-    def __len__(self):
-        return len(self.coords)
-
-    @staticmethod
-    def from_array(x) -> "SimplexPoint":
-        arr = _as_float_array(x, "simplex point")
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError(f"simplex point must be a vector, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValidationError(f"negative coordinate in simplex point: {arr.tolist()}")
-        if abs(arr.sum() - 1.0) > VALIDATION_RTOL:
-            raise ValidationError(f"coordinates sum to {arr.sum()!r}, not 1")
-        return SimplexPoint(coords=arr.copy())
-
-    @staticmethod
-    def rows(x) -> list:
-        """One point per row of a 2-D array, validated together; each point
-        is a row of one read-only copy."""
-        arr = _as_float_array(x, "simplex points")
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise ValidationError(f"simplex points must be matrix rows, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValidationError("negative coordinate in a simplex point")
-        off = np.flatnonzero(np.abs(arr.sum(axis=1) - 1.0) > VALIDATION_RTOL)
-        if off.size:
-            raise ValidationError(f"coordinates of row {off[0]} sum to {float(arr[off[0]].sum())!r}, not 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return [SimplexPoint(coords=row) for row in arr]
-
-    @property
-    def support(self) -> "FaceIndex":
-        return FaceIndex(sites=tuple(int(i) for i in np.nonzero(self.coords)[0]))
+def simplex_points(x) -> np.ndarray:
+    """A point of the simplex (a vector) or one point per row (a matrix),
+    as a read-only float copy. A non-finite value raises NumericError; a
+    bad shape, a negative coordinate, or a sum along the last axis further
+    than VALIDATION_RTOL from 1 raises ValidationError."""
+    arr = _as_float_array(x, "simplex point")
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+        raise ValidationError(f"simplex points must be a vector or matrix rows, got shape {arr.shape}")
+    if np.any(arr < 0):
+        raise ValidationError("negative coordinate in a simplex point")
+    sums = np.atleast_1d(arr.sum(axis=-1))
+    off = np.flatnonzero(np.abs(sums - 1.0) > VALIDATION_RTOL)
+    if off.size:
+        raise ValidationError(f"coordinates sum to {float(sums[off[0]])!r}, not 1")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -209,9 +183,7 @@ class FaceIndex:
 
 
 def coords_of(v) -> np.ndarray:
-    """Coerce a SimplexPoint or array-like to a finite float vector."""
-    if isinstance(v, SimplexPoint):
-        return v.coords
+    """Coerce an array-like to a finite float array."""
     return _as_float_array(v, "point")
 
 
@@ -240,12 +212,13 @@ def _project(arr: np.ndarray, stats=None) -> np.ndarray:
     raise NumericError(f"simplex projection failed to settle for input {x!r}")
 
 
-def project_to_simplex(x) -> SimplexPoint:
-    """Validating wrapper of _project for any real vector."""
+def project_to_simplex(x) -> np.ndarray:
+    """Validating wrapper of _project for any real vector; the result is a
+    read-only copy."""
     arr = _as_float_array(x, "projection input")
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"projection input must be a vector, got shape {arr.shape}")
-    return SimplexPoint(coords=_project(arr).copy())
+    return simplex_points(_project(arr))
 
 
 def check_loopfree_cap(v, matrix: InteractionMatrix) -> bool:

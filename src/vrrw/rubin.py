@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericError, SummabilityError, ValidationError
 from .graph import InteractionMatrix
-from .walk import TrajectoryRecord, checkpoint_schedule, splitmix64
+from .walk import TrajectoryRecord, _integer, _nonnegative_int, checkpoint_schedule, splitmix64
 
 #: Dyadic probe depth for certifying weight-sequence tails.
 _TAIL_PROBES = 64
@@ -135,16 +135,20 @@ def rubin_simulate(
     neighbor's visit count at freeze time; on return to the source the
     clock resumes only when that count still matches, otherwise a fresh
     duration at the current count replaces it. A neighbor's count only
-    grows, so each duration is read at most once.
+    grows, so each duration is read at most once. The start, the budget and
+    the seed are integers; a negative seed keys the streams of the seed
+    modulo 2**64.
     """
     n = config.size
+    start, jump_budget = _integer(start, "start site"), _integer(jump_budget, "jump budget")
+    seed = _integer(seed, "seed")
     if not 0 <= start < n:
         raise ValidationError(f"start site {start} out of range for {n} sites")
     if jump_budget < 1:
         raise ValidationError(f"jump budget must be >= 1, got {jump_budget}")
 
     nbrs = [[y for y, on in enumerate(row) if on] for row in (config.matrix.entries > 0).tolist()]
-    key = splitmix64(int(seed))
+    key = splitmix64(seed)
     if key >= 2**63:
         key = int(float(key)) % 2**64  # numpy's float64 key, see the module docstring
     if not hasattr(_THREAD, "philox"):
@@ -181,7 +185,7 @@ def rubin_simulate(
             # Exact clock tie: measure-zero, broken by fresh durations.
             tie_count += 1
             if tie_gen is None:
-                tie_gen = np.random.Generator(np.random.Philox(key=[splitmix64(int(seed) ^ 0x7E57), 0xFFFFFFFF]))
+                tie_gen = np.random.Generator(np.random.Philox(key=[splitmix64(seed ^ 0x7E57), 0xFFFFFFFF]))
             for i, t in enumerate(durs):
                 if t == best:
                     durs[i] = -math.log1p(-tie_gen.random()) / rates[counts[nb[i]]]
@@ -201,7 +205,7 @@ def rubin_simulate(
     walk = TrajectoryRecord(
         start=start,
         params=config,
-        seed=int(seed),
+        seed=seed,
         horizon=jump_budget,
         final_counts=np.array(counts, dtype=np.int64),
         checkpoint_steps=chk,
@@ -303,7 +307,11 @@ def sample_trap_event(
 
     Durations beyond `truncation` are dropped; their total mean must be
     negligible against the binomial noise at the configured draw count.
+    The counts and levels are integers, and the seed a nonnegative one.
     """
+    degree, draws = _integer(degree, "degree"), _integer(draws, "draws")
+    start_index, truncation = _integer(start_index, "start index"), _integer(truncation, "truncation")
+    seed = _nonnegative_int(seed, "seed")
     if degree < 1 or draws < 1:
         raise ValidationError("need degree >= 1 and draws >= 1")
     if start_index < 0 or truncation <= start_index:
@@ -313,7 +321,7 @@ def sample_trap_event(
     levels = np.arange(start_index, truncation + 1, dtype=np.int64)
     rates = _clock_weights(weight, levels)
     w0 = _clock_weights(weight, 0)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     remaining = draws
     chunk_cap = max(1, int(4e6 // (degree * levels.size)))

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ModelParameters
 from .errors import NumericError, ValidationError
-from .graph import SimplexPoint
+from .graph import simplex_points
 
 #: Uniforms are drawn from each replica's generator in blocks of this size,
 #: and the speculative pass starts over at every block boundary. The value
@@ -129,8 +129,8 @@ class WalkState:
             raise ValidationError("current site has no recorded visit")
 
     @property
-    def occupation(self) -> SimplexPoint:
-        return SimplexPoint.from_array(self.counts / (self.step + 1))
+    def occupation(self) -> np.ndarray:
+        return simplex_points(self.counts / (self.step + 1))
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ class TrajectoryRecord:
             raise ValidationError("final counts inconsistent with horizon")
 
     @property
-    def final_occupation(self) -> SimplexPoint:
-        return SimplexPoint.from_array(self.final_counts / (self.horizon + 1))
+    def final_occupation(self) -> np.ndarray:
+        return simplex_points(self.final_counts / (self.horizon + 1))
 
     def checkpoint_occupations(self) -> np.ndarray:
         """Occupation vectors v_n = Z_n/(n+1) at the checkpoint steps."""

@@ -1,6 +1,8 @@
 import gzip
 import hashlib
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -472,3 +474,73 @@ def test_campaign_exports_match_golden_hashes(key, tmp_path):
     path = tmp_path / "campaign.json"
     export(run_campaign(cfg), path, "json")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key]
+
+
+def _drop_last_replica(d):
+    rep = d["replicas"].pop()
+    d["aggregates"]["support_histogram"][str(len(rep["support"]))] -= 1
+
+
+# Malformed exports of a 3-site campaign; each loaded silently before
+# load_campaign checked an export against its own config.
+MALFORMED_EXPORTS = {
+    "short-rows": lambda d: [rep.update(final_occupation=[0.5, 0.5]) for rep in d["replicas"]],
+    "ragged-rows": lambda d: d["replicas"][1].update(final_occupation=[0.5, 0.5]),
+    "labels-past-n": lambda d: d["replicas"][0].update(support=[7, 9]),
+    "label-zero": lambda d: d["replicas"][0].update(support=[0, 1]),
+    "float-label": lambda d: d["replicas"][0].update(support=[1.5, 2]),
+    "float-replica": lambda d: d["replicas"][0].update(replica=1.5),
+    "str-seed": lambda d: d["replicas"][0].update(seed=str(d["replicas"][0]["seed"])),
+    "float-nearest": lambda d: d["replicas"][0].update(nearest_equilibrium=2.0),
+    "missing-replica": _drop_last_replica,
+}
+
+
+@pytest.fixture(scope="module")
+def small_export(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "small.json"
+    export(run_campaign(ExperimentConfig(model=P3, replicas=4, horizon=200, base_seed=5)), path, "json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EXPORTS))
+def test_load_checks_an_export_against_its_config(case, small_export, tmp_path):
+    d = json.loads(json.dumps(small_export))
+    MALFORMED_EXPORTS[case](d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValidationError):
+        load_campaign(path)
+
+
+def test_loaded_replicas_share_faces_and_one_occupation_array(small_export, tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(small_export))
+    reps = load_campaign(path).replicas
+    by_support = {}
+    for rep in reps:
+        assert by_support.setdefault(rep.support.sites, rep.support) is rep.support
+        assert not rep.final_occupation.flags.writeable
+        assert rep.final_occupation.base is reps[0].final_occupation.base
+    assert [rep.final_occupation.tolist() for rep in reps] == [
+        rep["final_occupation"] for rep in small_export["replicas"]
+    ]
+
+
+def test_gz_export_streams_zlib_gzip_bytes(tmp_path):
+    # 1500 replicas on 13 sites (no anchors): a 1.3 MB document. The .gz
+    # export is zlib's level-9 gzip stream of the plain bytes, and is
+    # written as it is made, so it never holds the document in memory.
+    res = run_campaign(ExperimentConfig(
+        model=ModelParameters.for_complete_graph(13, 1.3), replicas=1500, horizon=60, base_seed=3
+    ))
+    export(res, tmp_path / "out.json", "json")
+    plain = (tmp_path / "out.json").read_bytes()
+    tracemalloc.start()
+    try:
+        export(res, tmp_path / "out.json.gz", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out.json.gz").read_bytes() == zlib.compress(plain, 9, wbits=31)
+    assert peak < len(plain) / 2, (peak, len(plain))

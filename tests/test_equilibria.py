@@ -27,7 +27,7 @@ from vrrw import (
     vector_field,
 )
 from vrrw.equilibria import FACE_CENTER, MARGINAL, STABILITY_MARGIN, TWO_LEVEL
-from vrrw.graph import FaceIndex, SimplexPoint, coords_of
+from vrrw.graph import FaceIndex, coords_of
 
 ALPHAS = (1.2, 1.4, 1.6, 2.5, 3.0)
 
@@ -196,7 +196,7 @@ def test_classify_on_a_face_with_unequal_row_sums():
     v = integrate_flow(p, np.array([0.3, 0.4, 0.3, 0.0]), t_end=200.0, dt=0.05).states[-1]
     assert v[3] == 0.0 and residual_of(p, v) < 1e-14
     e = Equilibrium(
-        point=SimplexPoint.from_array(v),
+        point=v,
         support=FaceIndex(sites=(0, 1, 2)),
         kind="flow_limit",
         tangent_eigenvalues=(),

@@ -9,14 +9,13 @@ from hypothesis.extra.numpy import arrays
 from vrrw import (
     FaceIndex,
     NumericError,
-    SimplexPoint,
     ValidationError,
     complete_graph,
     project_to_simplex,
     validate,
     with_diagonal,
 )
-from vrrw.graph import InteractionMatrix, check_loopfree_cap, coords_of
+from vrrw.graph import VALIDATION_RTOL, InteractionMatrix, check_loopfree_cap, coords_of, simplex_points
 
 
 def test_complete_graph_round_trips_through_validate():
@@ -74,21 +73,57 @@ def test_matrix_json_round_trip():
 
 
 def test_simplex_point_checks_mass():
-    SimplexPoint.from_array([0.2, 0.3, 0.5])
+    v = np.array([0.2, 0.3, 0.5])
+    point = simplex_points(v)
+    assert point is not v and v.flags.writeable and not point.flags.writeable
+    assert point.dtype == float and point.tolist() == [0.2, 0.3, 0.5]
     with pytest.raises(ValidationError):
-        SimplexPoint.from_array([0.2, 0.3, 0.6])
+        simplex_points([0.2, 0.3, 0.6])
     with pytest.raises(ValidationError):
-        SimplexPoint.from_array([-0.1, 0.6, 0.5])
-    # rows of one array: each point a read-only row of one copy
+        simplex_points([-0.1, 0.6, 0.5])
+    # one point per row of a matrix: one read-only copy
     raw = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
-    points = SimplexPoint.rows(raw)
+    points = simplex_points(raw)
     raw[0, 0] = 0.9
-    assert [p.coords.tolist() for p in points] == [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]]
-    assert points[0].coords.base is points[1].coords.base
-    assert not points[1].coords.flags.writeable
-    for bad in ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]], [[-0.1, 0.6, 0.5]], [0.2, 0.3, 0.5], [[np.nan, 1.0]]):
-        with pytest.raises((ValidationError, NumericError)):
-            SimplexPoint.rows(bad)
+    assert points.tolist() == [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]]
+    assert not points[1].flags.writeable
+    for bad in ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]], [[-0.1, 0.6, 0.5]], [[[1.0]]], [[]], [], 1.0):
+        with pytest.raises(ValidationError):
+            simplex_points(bad)
+    for bad in ([[np.nan, 1.0]], [np.inf, 0.0]):
+        with pytest.raises(NumericError):
+            simplex_points(bad)
+
+
+def _edge_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """Nonnegative rows whose sums lie within a few ulps of 1 - VALIDATION_RTOL
+    or 1 + VALIDATION_RTOL, where the order of the additions decides the
+    verdict."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=count)
+    edge = 1.0 + rng.choice([-1.0, 1.0], size=count) * VALIDATION_RTOL
+    rows[:, -1] += edge - rows.sum(axis=1)
+    rows[:, -1] += rng.integers(-3, 4, size=count) * np.spacing(rows[:, -1])
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 20])
+def test_simplex_points_gives_one_verdict_per_row(n):
+    # a matrix is accepted or rejected, and copied, exactly as its rows are
+    # one by one, also where the sum is a rounding away from the tolerance
+    rows = _edge_rows(n, 400, n)
+    alone = []
+    for row in rows:
+        try:
+            alone.append(simplex_points(row).tobytes())
+        except ValidationError:
+            alone.append(None)
+    ok = [i for i, b in enumerate(alone) if b is not None]
+    assert 0 < len(ok) < len(rows)
+    assert simplex_points(rows[ok]).tobytes() == b"".join(alone[i] for i in ok)
+    for i in sorted(set(range(len(rows))) - set(ok)):
+        with pytest.raises(ValidationError):
+            simplex_points(rows[ok[: len(ok) // 2] + [i] + ok[len(ok) // 2 :]])
 
 
 def test_face_index_labels_are_one_based():

@@ -36,6 +36,53 @@ def test_splitmix_known_values():
     assert splitmix64(2**64 - 1) == splitmix64(-1 & (2**64 - 1))
 
 
+@pytest.mark.parametrize(
+    "start, budget, seed",
+    [
+        pytest.param(0, 20, 1.5, id="float-seed"),
+        pytest.param(0, 20, True, id="bool-seed"),
+        pytest.param(0, 20, "5", id="str-seed"),
+        pytest.param(1.0, 20, 5, id="float-start"),
+        pytest.param(True, 20, 5, id="bool-start"),
+        pytest.param(0, 20.0, 5, id="float-budget"),
+        pytest.param(0, True, 5, id="bool-budget"),
+    ],
+)
+def test_clock_race_takes_only_integers(start, budget, seed):
+    with pytest.raises(ValidationError):
+        rubin_simulate(CFG, start, budget, seed)
+
+
+def test_clock_race_keeps_negative_and_numpy_seeds():
+    # a negative seed keys the streams of the seed modulo 2**64, as before
+    neg, wrapped = rubin_simulate(CFG, 0, 60, -3), rubin_simulate(CFG, 0, 60, 2**64 - 3)
+    np.testing.assert_array_equal(neg.walk.sites, wrapped.walk.sites)
+    np.testing.assert_array_equal(neg.jump_times, wrapped.jump_times)
+    assert neg.walk.seed == -3
+    rec = rubin_simulate(CFG, np.int64(1), np.int32(30), np.uint64(7))
+    assert type(rec.walk.start) is int and type(rec.walk.seed) is int
+    np.testing.assert_array_equal(rec.walk.sites, rubin_simulate(CFG, 1, 30, 7).walk.sites)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        pytest.param((3, 5, 10, 1.7), {}, id="float-seed"),
+        pytest.param((3, 5, 10, True), {}, id="bool-seed"),
+        pytest.param((3, 5, 10, "5"), {}, id="str-seed"),
+        pytest.param((3, 5, 10, -1), {}, id="negative-seed"),
+        pytest.param((3.0, 5, 10, 1), {}, id="float-degree"),
+        pytest.param((3, 5, 10.0, 1), {}, id="float-draws"),
+        pytest.param((3, 5.0, 10, 1), {}, id="float-start"),
+        pytest.param((3, 5, 10, 1), {"truncation": 100.0}, id="float-truncation"),
+    ],
+)
+def test_trap_sampler_takes_only_integers(args, kwargs):
+    degree, start, draws, seed = args
+    with pytest.raises(ValidationError):
+        sample_trap_event(degree, power_weight(3.0), start, draws, seed, **kwargs)
+
+
 def test_embedded_chain_is_deterministic():
     a = rubin_simulate(CFG, 0, 60, 42)
     b = rubin_simulate(CFG, 0, 60, 42)

@@ -85,7 +85,7 @@ PUBLIC_NAMES = [
     "DegenerateSupportError", "DetectionConfig", "DomainError", "Equilibrium",
     "ExperimentConfig", "FaceIndex", "FlowTrajectory", "InteractionMatrix",
     "ModelParameters", "NumericError", "ReducibilityError", "ReplicaResult",
-    "RubinRecord", "SimplexPoint", "SummabilityError", "ThresholdRow",
+    "RubinRecord", "SummabilityError", "ThresholdRow",
     "ThresholdTable", "TrajectoryRecord", "TrapSample", "TwoLevelData",
     "ValidationError", "VrrwError", "WalkState", "campaign", "center_eigenvalue",
     "checkpoint_schedule", "classify", "complete_graph", "critical_alpha",
