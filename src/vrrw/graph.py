@@ -31,7 +31,7 @@ LOOPFREE_CAP = 0.75
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
 
