@@ -48,6 +48,7 @@ from .equilibria import (
 )
 from .errors import (
     BoundaryJacobianError,
+    BuildError,
     ConvergenceError,
     DegenerateSupportError,
     DomainError,

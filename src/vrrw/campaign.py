@@ -163,7 +163,7 @@ def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: fl
     sizes = retained.sum(axis=1)
     sites, profiles = [None] * len(sizes), [None] * len(sizes)
     histogram, mean_profile = {}, {}
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         mask = retained[rows]
         kept = shares[rows][mask].reshape(-1, size)
@@ -429,8 +429,11 @@ def _write_json(result: CampaignResult, fh) -> None:
 
 def _result_from_json_dict(d: dict) -> CampaignResult:
     """A campaign result from its JSON document, checked against the
-    document's own config: one record per replica, each occupation a point
-    of the model's simplex, each support 1-based integer labels in 1..n."""
+    document's own config: one record per replica, in replica order and
+    with the replica's seed, each occupation a point of the model's
+    simplex, each support 1-based integer labels in 1..n with one tail
+    share per label. Nearest-equilibrium indices are not checked against
+    the anchor count, which would take the catalog."""
     config = config_from_json_dict(d["config"])
     reps, n = d["replicas"], config.model.size
     if len(reps) != config.replicas:
@@ -456,6 +459,15 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
         )
         for i, rep in enumerate(reps)
     )
+    for i, rep in enumerate(replicas):
+        if rep.replica != i:
+            raise ValidationError(f"record {i} holds replica {rep.replica}")
+        if rep.seed != replica_seed(config.base_seed, i):
+            raise ValidationError(f"replica {i} has seed {rep.seed}, not replica_seed({config.base_seed}, {i})")
+        if len(rep.tail_profile) != len(rep.support.sites):
+            raise ValidationError(
+                f"replica {i} has {len(rep.tail_profile)} tail shares for {len(rep.support.sites)} sites"
+            )
     agg = d["aggregates"]
     return CampaignResult(
         config=config,

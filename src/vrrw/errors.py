@@ -17,6 +17,10 @@ class ValidationError(VrrwError):
     """
 
 
+class BuildError(VrrwError):
+    """The walk's compiled step loop could not be built."""
+
+
 class NumericError(VrrwError):
     """Non-finite, overflowing or underflowing values in a numeric routine."""
 

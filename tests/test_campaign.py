@@ -493,6 +493,11 @@ MALFORMED_EXPORTS = {
     "str-seed": lambda d: d["replicas"][0].update(seed=str(d["replicas"][0]["seed"])),
     "float-nearest": lambda d: d["replicas"][0].update(nearest_equilibrium=2.0),
     "missing-replica": _drop_last_replica,
+    "long-profile": lambda d: d["replicas"][0]["tail_profile"].append(0.0),
+    "short-profile": lambda d: d["replicas"][0].update(tail_profile=[]),
+    "foreign-seed": lambda d: d["replicas"][2].update(seed=d["replicas"][2]["seed"] + 1),
+    "repeated-replica": lambda d: d["replicas"][1].update(replica=0),
+    "swapped-replicas": lambda d: d["replicas"].insert(0, d["replicas"].pop(1)),
 }
 
 

@@ -1,6 +1,4 @@
 import hashlib
-import logging
-import re
 
 import numpy as np
 import pytest
@@ -8,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrrw import (
+    BuildError,
     ModelParameters,
     NumericError,
     ValidationError,
@@ -107,11 +106,9 @@ def test_simulate_is_deterministic_and_matches_stepping():
     r2 = simulate(P25, 0, 500, 99)
     np.testing.assert_array_equal(r1.sites, r2.sites)
     np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
-    # past two points where the engine's speculative pass starts, at five
-    # sizes and two exponents; a lone replica steps in Python floats up to
-    # _SOLO_SITES sites and in arrays past it
-    horizon = 2 * walk_module._RESTART_STEPS + 100
-    for n in (3, 8, 10, walk_module._SOLO_SITES, walk_module._SOLO_SITES + 1):
+    # past a block boundary, at five sizes and two exponents
+    horizon = walk_module.BLOCK_STEPS + 100
+    for n in (3, 8, 10, 64, 65):
         for alpha in (1.5, 2.5):
             p = ModelParameters.for_complete_graph(n, alpha)
             rec = simulate(p, 1, horizon, 31 + n)
@@ -141,7 +138,7 @@ def test_picks_land_on_positive_weight_sites(n):
     # the extreme uniforms: with the last prefix sum as the total, no pick
     # reaches past the last positive weight
     rng = np.random.default_rng(100 + n)
-    for m in (3, walk_module._WIDE_COLUMNS + 5):
+    for m in (3, 133):
         eff = rng.random((n, m)) * 10.0 ** rng.integers(-4, 5, size=(n, m))
         eff[rng.random((n, m)) < 0.3] = 0.0
         eff[0] = eff[-1] = 0.0
@@ -162,8 +159,7 @@ def test_picks_land_on_positive_weight_sites(n):
     st.integers(min_value=40, max_value=300),
 )
 def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block):
-    # short blocks put many speculative restarts, window ends and
-    # checkpoints into one walk; step() never speculates
+    # short blocks put many block edges and checkpoints into one walk
     p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
     horizon = 700
     with pytest.MonkeyPatch.context() as mp:
@@ -177,27 +173,6 @@ def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block):
     np.testing.assert_array_equal(s.counts, rec.final_counts)
     for k, counts in zip(rec.checkpoint_steps, rec.checkpoint_counts):
         np.testing.assert_array_equal(counts, np.bincount(rec.sites[: k + 1], minlength=n))
-
-
-def _engine_counts(caplog, p, horizon, seeds):
-    """Speculative cells computed and committed and lockstep steps that
-    one _batch_walk call logs."""
-    caplog.clear()
-    starts = [k % p.size for k in range(len(seeds))]
-    with caplog.at_level(logging.DEBUG, logger="vrrw.walk"):
-        _batch_walk(p, starts, horizon, seeds, False, checkpoint_schedule(horizon))
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "vrrw.walk"]
-    counted = re.findall(r"(\d+) (?:speculative|committed|lockstep)", line)
-    return tuple(int(x) for x in counted)
-
-
-def test_engine_reports_its_work(caplog):
-    # every replica-step is committed by the speculative pass or taken in
-    # the lockstep loop
-    horizon, seeds = 9000, [5, 6, 7]
-    cells, committed, lockstep = _engine_counts(caplog, P25, horizon, seeds)
-    assert committed + lockstep == len(seeds) * horizon
-    assert 0 < committed <= cells
 
 
 def test_batch_engine_matches_single_runs():
@@ -293,18 +268,9 @@ def test_engine_trajectories_match_golden_hashes(block, monkeypatch):
     assert got == GOLDEN_WALKS
 
 
-def test_lone_replicas_match_golden_hashes(monkeypatch):
-    """Each golden replica run alone takes all its lockstep steps in
-    Python floats (_Walks._solo); stacked, the lone runs give the batch's
-    hashes."""
-    solo_steps = []
-    solo = walk_module._Walks._solo
-
-    def counted(self, r, done, b, end):
-        solo_steps.append(end - b)
-        solo(self, r, done, b, end)
-
-    monkeypatch.setattr(walk_module._Walks, "_solo", counted)
+def test_lone_replicas_match_golden_hashes():
+    """Each golden replica run alone; stacked, the lone runs give the
+    batch's hashes."""
     got = {}
     for key in GOLDEN_WALKS:
         p, starts, horizon, seeds, sched = _golden_walks(*key)
@@ -314,7 +280,25 @@ def test_lone_replicas_match_golden_hashes(monkeypatch):
         ]
         got[key] = _digest(np.concatenate(parts) for parts in zip(*runs))
     assert got == GOLDEN_WALKS
-    assert sum(solo_steps) > 0
+
+
+def test_step_loop_builds_from_an_empty_cache(tmp_path, monkeypatch):
+    # a cold build gives the golden trajectories; a compile command that
+    # fails raises BuildError naming the command and its error output
+    monkeypatch.setattr(walk_module, "_CACHE", tmp_path)
+    walk_module._step_loop.cache_clear()
+    try:
+        keys = [(3, 0.0, 2.5), (5, 0.5, 1.15), (10, 0.0, 1.5)]
+        assert {key: _walk_digest(*key) for key in keys} == {key: GOLDEN_WALKS[key] for key in keys}
+        assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
+        monkeypatch.setattr(walk_module, "_CACHE", tmp_path / "failing")
+        monkeypatch.setattr(walk_module, "_FLAGS", (*walk_module._FLAGS, "-fno-such-option"))
+        walk_module._step_loop.cache_clear()
+        with pytest.raises(BuildError, match="-fno-such-option.*exited with 1: .*no-such-option"):
+            simulate(P25, 0, 10, 1)
+        assert list((tmp_path / "failing").iterdir()) == []
+    finally:
+        walk_module._step_loop.cache_clear()
 
 
 class _Uniforms:
@@ -371,33 +355,22 @@ CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
     ],
     ids=["hollow-K3", "K5-loops", "circulant"],
 )
-def test_speculative_filter_is_exact_on_pick_boundaries(p, monkeypatch):
-    # every uniform lies within the filter's margin of a pick boundary, so
-    # the filter must doubt it and the exact pick decide; short blocks
-    # restart the speculative pass every 32 steps
+def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
+    # every uniform sits on a pick boundary or one ulp either side of it,
+    # where a product or sum rounded otherwise than in step() would pick
+    # another site; short blocks put many block edges into each walk
     horizon, seeds = 1500, [3, 4, 5]
     walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
-    engines = []
-    init = walk_module._Walks.__init__
-
-    def stand_in(self, p, starts, horizon, seeds, *rest):
-        init(self, p, starts, horizon, seeds, *rest)
-        self.gens = [_Uniforms(walks[seed][0]) for seed in seeds]
-        engines.append(self)
-
-    monkeypatch.setattr(walk_module._Walks, "__init__", stand_in)
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 32)
     sched = checkpoint_schedule(horizon)
-    starts = [seed % p.size for seed in seeds]
-    final, chk, sites = _batch_walk(p, starts, horizon, seeds, True, sched)
+    starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
+    gens = [_Uniforms(walks[seed][0]) for seed in seeds]
+    final, chk, sites = walk_module._walk(p, starts, horizon, gens, True, sched)
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(sites[r], walks[seed][1])
         np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
         for k, counts in zip(sched, chk[r]):
             np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
-    # the speculative pass committed at least a fifth of the steps
-    (engine,) = engines
-    assert 5 * engine.stats["committed_cells"] > len(seeds) * horizon
 
 
 def test_loop_model_reduces_to_plain_step():
