@@ -287,11 +287,12 @@ def _walk(p, starts, horizon, gens, record_sites, checkpoint_at):
         nblk = min(BLOCK_STEPS, horizon - done)
         for row, g in zip(ublock, gens):
             g.random(out=row[:nblk])
-        # table[k] = (1 + k)^alpha for every count the block can reach;
-        # doubling keeps the rebuilds few
+        # table[k] = (1 + k)^alpha for every count the block can reach,
+        # raised in place; doubling keeps the rebuilds few
         need = int(counts.max(initial=0)) + nblk + 1
         if table.size < need:
-            table = np.power(1.0 + np.arange(min(max(need, 2 * table.size), horizon + 2)), p.alpha)
+            table = np.arange(1.0, min(max(need, 2 * table.size), horizon + 2) + 1.0)
+            np.power(table, p.alpha, out=table)
         loop(
             n, r, nblk, ublock.shape[1], a.ctypes.data, table.ctypes.data, ublock.ctypes.data,
             site.ctypes.data, counts.ctypes.data, csum.ctypes.data, done,
@@ -319,8 +320,10 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     if np.any(starts >= n):
         raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
+    if np.any(checkpoint_at[1:] <= checkpoint_at[:-1]):
+        raise ValidationError("checkpoint steps must increase")
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     return _walk(p, starts, horizon, gens, record_sites, checkpoint_at)
 
 

@@ -462,6 +462,13 @@ def test_batch_walk_rejects_starts_that_are_not_sites(starts):
         _batch_walk(P25, starts, 10, [1, 2], False, checkpoint_schedule(10))
 
 
+@pytest.mark.parametrize("steps", [[50, 10], [10, 10]])
+def test_batch_walk_rejects_checkpoints_out_of_order(steps):
+    # the step loop fills checkpoint rows in order and would skip these
+    with pytest.raises(ValidationError):
+        _batch_walk(P25, [0], 100, [1], False, steps)
+
+
 def test_numpy_integer_seed_and_horizon_are_accepted():
     rec = simulate(P25, np.int64(0), np.int64(40), np.uint64(3))
     assert type(rec.seed) is int and rec.seed == 3 and rec.horizon == 40
