@@ -177,6 +177,11 @@ def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: fl
     return [faces[s] for s in sites], profiles, histogram, mean_profile
 
 
+def _has_anchors(p: ModelParameters) -> bool:
+    """Whether equilibrium_anchors(p) is not empty, without the catalog."""
+    return p.size <= 12 and np.array_equal(p.matrix.entries, complete_graph(p.size).entries)
+
+
 def equilibrium_anchors(p: ModelParameters) -> list:
     """Reference points for nearest-equilibrium classification.
 
@@ -186,7 +191,7 @@ def equilibrium_anchors(p: ModelParameters) -> list:
     enumerated; vertices and face centers serve as anchors instead.
     """
     n = p.size
-    if n > 12 or not np.array_equal(p.matrix.entries, complete_graph(n).entries):
+    if not _has_anchors(p):
         return []
     if p.loop_c == 0.0:
         return enumerate_all(n, p.alpha)
@@ -432,8 +437,9 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     document's own config: one record per replica, in replica order and
     with the replica's seed, each occupation a point of the model's
     simplex, each support 1-based integer labels in 1..n with one tail
-    share per label. Nearest-equilibrium indices are not checked against
-    the anchor count, which would take the catalog."""
+    share per label, and each nearest equilibrium an index >= 0 at a
+    distance >= 0 if the model gets anchors, else -1 at a NaN distance (not
+    checked against the anchor count, which would take the catalog)."""
     config = config_from_json_dict(d["config"])
     reps, n = d["replicas"], config.model.size
     if len(reps) != config.replicas:
@@ -459,7 +465,12 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
         )
         for i, rep in enumerate(reps)
     )
+    anchored = _has_anchors(config.model)
     for i, rep in enumerate(replicas):
+        k, dist = rep.nearest_equilibrium, rep.distance
+        if not (k >= 0 and dist >= 0 if anchored else k == -1 and math.isnan(dist)):
+            want = "an index >= 0 at a distance >= 0" if anchored else "-1 at a NaN distance"
+            raise ValidationError(f"replica {i} has nearest equilibrium {k} at distance {dist}, not {want}")
         if rep.replica != i:
             raise ValidationError(f"record {i} holds replica {rep.replica}")
         if rep.seed != replica_seed(config.base_seed, i):

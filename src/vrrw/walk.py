@@ -3,9 +3,9 @@
 The walk jumps from its current site to j with probability proportional
 to A[site][j] * (1 + Z(j))^alpha, where Z(j) counts visits to j including
 time 0. One compiled loop (_walk.c, built at the first walk) advances any
-number of replicas, each consuming uniforms from its own seeded stream in
-fixed order, so a replica's trajectory is bit-identical whether it runs
-alone or inside a batch.
+number of replicas, each drawing one uniform per step from its own seeded
+PCG64, so a replica's trajectory is bit-identical whether it runs alone or
+inside a batch.
 
 The loop picks what step, the numpy reference, picks, bit for bit,
 because it does the same IEEE double operations in the same order: each
@@ -38,9 +38,9 @@ from .dynamics import ModelParameters
 from .errors import BuildError, NumericError, ValidationError
 from .graph import simplex_points
 
-#: Uniforms are drawn from each replica's generator in blocks of this
-#: size, and the compiled loop takes one block per call. The value never
-#: affects trajectories, only buffering.
+#: Steps per call of the compiled loop: the weight table grows between
+#: calls, and a call cannot be interrupted. The value never affects
+#: trajectories.
 BLOCK_STEPS = 4096
 
 #: Full site sequences are kept only up to this horizon; beyond it records
@@ -54,13 +54,18 @@ _TOTAL_LOG_CAP = 709.0
 
 #: The step loop's source and its build: the compiler and its flags, which
 #: keep products and sums rounded one by one (see the module docstring).
-#: The library is cached under the package's __pycache__, named by a hash
-#: of the source and the flags.
+#: The source includes numpy's bitgen.h, the struct through which it calls
+#: a PCG64. The library is cached under the package's __pycache__, named by
+#: a hash of the source, that header and the flags.
 _SOURCE = Path(__file__).with_name("_walk.c")
+_HEADER = Path(np.get_include(), "numpy", "random", "bitgen.h")
 _CACHE = _SOURCE.parent / "__pycache__"
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
+#: _bitgen(bits.capsule, b"BitGenerator") is the bitgen_t * of a numpy bit generator.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+_bitgen = _capsule_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 @dataclass(frozen=True)
@@ -220,13 +225,14 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
 def _step_loop():
     """walk_block of _walk.c, loaded from _CACHE and built there first if
     no build of this source with these flags is there yet."""
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    code = _SOURCE.read_bytes() + _HEADER.read_bytes() + " ".join(_FLAGS).encode()
+    key = hashlib.sha256(code).hexdigest()[:16]
     lib = _CACHE / f"_walk-{key}.so"
     if not lib.exists():
         _build(lib)
     loop = ctypes.CDLL(str(lib)).walk_block
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    loop.argtypes = [i64] * 4 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    loop.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
     loop.restype = None
     return loop
 
@@ -242,7 +248,7 @@ def _build(lib: Path) -> None:
         os.close(fd)
     except OSError as exc:
         raise BuildError(f"cannot write the walk's step loop into {lib.parent}: {exc}") from exc
-    cmd = [_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE)]
+    cmd = [_COMPILER, *_FLAGS, "-I", np.get_include(), "-o", tmp, str(_SOURCE)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode:
@@ -256,37 +262,26 @@ def _build(lib: Path) -> None:
 
 
 def _walk(p, starts, horizon, gens, record_sites, checkpoint_at):
-    """Advance one replica per generator of gens from starts (int64) for
-    `horizon` steps, each drawing its uniforms from its own generator
-    through random(out=...) a block at a time, and return what _batch_walk
-    returns. checkpoint_at is a sorted int64 array free of repeats."""
+    """Advance one replica per bitgen_t * of gens (a ctypes array) from
+    starts (int64) for `horizon` steps, each drawing one double per step
+    from its own generator, which must be private to the call (the loop
+    runs without the GIL or the generator's lock), and return what
+    _batch_walk returns. checkpoint_at is sorted int64, free of repeats."""
     loop = _step_loop()
     n, r = p.size, len(gens)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     site = starts.copy()
     counts = np.zeros((r, n), dtype=np.int64)
     counts[np.arange(r), starts] = 1
-    # A full block, one column wider than BLOCK_STEPS, even for short
-    # walks: freeing a buffer this large raises glibc's mmap threshold, and
-    # with it how fast later multi-megabyte temporaries in the process (such
-    # as the trap sampler's) allocate, so its size stays the one the trap
-    # sampler's timings were taken with.
-    ublock = np.zeros((r, BLOCK_STEPS + 1))
     chk = np.empty((r, checkpoint_at.size, n), dtype=np.int64)
     sites, log16, log64 = None, None, None
     if record_sites:
         sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
         sites[:, 0] = starts
-        if sites.dtype == np.int16:
-            log16 = sites.ctypes.data
-        else:
-            log64 = sites.ctypes.data
-    csum, table = np.empty(n), np.empty(0)
-    done = 0
+        log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
+    csum, table, done = np.empty(n), np.empty(0), 0
     while done < horizon:
         nblk = min(BLOCK_STEPS, horizon - done)
-        for row, g in zip(ublock, gens):
-            g.random(out=row[:nblk])
         # table[k] = (1 + k)^alpha for every count the block can reach,
         # raised in place; doubling keeps the rebuilds few
         need = int(counts.max(initial=0)) + nblk + 1
@@ -294,9 +289,8 @@ def _walk(p, starts, horizon, gens, record_sites, checkpoint_at):
             table = np.arange(1.0, min(max(need, 2 * table.size), horizon + 2) + 1.0)
             np.power(table, p.alpha, out=table)
         loop(
-            n, r, nblk, ublock.shape[1], a.ctypes.data, table.ctypes.data, ublock.ctypes.data,
-            site.ctypes.data, counts.ctypes.data, csum.ctypes.data, done,
-            checkpoint_at.ctypes.data, checkpoint_at.size,
+            n, r, nblk, gens, a.ctypes.data, table.ctypes.data, site.ctypes.data,
+            counts.ctypes.data, csum.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
             int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64, horizon + 1,
         )
         done += nblk
@@ -311,19 +305,19 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     in step order. checkpoint_at must be sorted and free of repeats, as
     checkpoint_schedule returns it.
     """
-    n = p.size
     horizon = _nonnegative_int(horizon, "horizon")
     starts = np.array([_nonnegative_int(s, "start site") for s in starts], dtype=np.int64)
     seeds = [_nonnegative_int(s, "seed") for s in seeds]
     if starts.shape != (len(seeds),):
         raise ValidationError("starts and seeds must have matching length")
-    if np.any(starts >= n):
+    if np.any(starts >= p.size):
         raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
     checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
     if np.any(checkpoint_at[1:] <= checkpoint_at[:-1]):
         raise ValidationError("checkpoint steps must increase")
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    bits = [np.random.PCG64(s) for s in seeds]
+    gens = (ctypes.c_void_p * len(bits))(*[_bitgen(b.capsule, b"BitGenerator") for b in bits])
     return _walk(p, starts, horizon, gens, record_sites, checkpoint_at)
 
 
@@ -342,25 +336,17 @@ def simulate(
     The full site sequence is kept for horizons up to 10^6 (override with
     record_sites); geometric occupation snapshots are always kept.
     """
-    horizon, seed = _nonnegative_int(horizon, "horizon"), _nonnegative_int(seed, "seed")
-    start = _nonnegative_int(start, "start site")
+    horizon = _integer(horizon, "horizon")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if start >= p.size:
-        raise ValidationError(f"start site {start} out of range for {p.size} sites")
     if record_sites is None:
         record_sites = horizon <= FULL_LOG_LIMIT
-    if checkpoints is None:
-        checkpoints = checkpoint_schedule(horizon)
-    else:
-        checkpoints = checkpoint_schedule(horizon, extra=checkpoints)
-    final, chk, sites = _batch_walk(
-        p, [start], horizon, [seed], record_sites, checkpoints
-    )
+    checkpoints = checkpoint_schedule(horizon, extra=() if checkpoints is None else checkpoints)
+    final, chk, sites = _batch_walk(p, [start], horizon, [seed], record_sites, checkpoints)
     return TrajectoryRecord(
-        start=start,
+        start=int(start),
         params=p,
-        seed=seed,
+        seed=int(seed),
         horizon=horizon,
         final_counts=final[0],
         checkpoint_steps=checkpoints,

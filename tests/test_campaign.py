@@ -36,6 +36,7 @@ from vrrw.campaign import (
     replica_start,
 )
 from vrrw.graph import coords_of
+from conftest import X86_V4
 
 P3 = ModelParameters.for_complete_graph(3, 2.5)
 
@@ -460,6 +461,13 @@ GOLDEN_EXPORTS = {
     (8, 1.15, 800, 5000, 11): "21bf427fe816d9e677c09242931ebb92489a89ec263eb3a383650444a9c80b02",
     (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
 }
+# The same exports on numpy's AVX2 path (see conftest.X86_V4): the N=8
+# catalog's coordinates, and with them 32 of the 800 distances, differ in
+# their last bits; the walks and the K3 anchors do not.
+GOLDEN_EXPORTS_AVX2 = {
+    **GOLDEN_EXPORTS,
+    (8, 1.15, 800, 5000, 11): "ed90f169b9f813c023638918e68226007999b29222758f5c80e07f47d3fd3843",
+}
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_EXPORTS))
@@ -473,7 +481,8 @@ def test_campaign_exports_match_golden_hashes(key, tmp_path):
     )
     path = tmp_path / "campaign.json"
     export(run_campaign(cfg), path, "json")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key]
+    golden = GOLDEN_EXPORTS if X86_V4 else GOLDEN_EXPORTS_AVX2
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[key]
 
 
 def _drop_last_replica(d):
@@ -518,6 +527,40 @@ def test_load_checks_an_export_against_its_config(case, small_export, tmp_path):
         load_campaign(path)
 
 
+# Nearest-anchor fields that contradict the model, each in replica 0 of a
+# K3 export, whose model gets anchors, or of a K13 export, whose model (past
+# the catalog's 12 sites) gets none. Each loaded before load_campaign
+# checked them.
+MISANCHORED_EXPORTS = {
+    "anchored-minus-one": (3, {"nearest_equilibrium": -1, "distance": float("nan")}),
+    "anchored-nan-distance": (3, {"distance": float("nan")}),
+    "anchored-negative-distance": (3, {"distance": -0.5}),
+    "unanchored-below-minus-one": (13, {"nearest_equilibrium": -5}),
+    "unanchored-index": (13, {"nearest_equilibrium": 0}),
+    "unanchored-distance": (13, {"distance": 0.1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISANCHORED_EXPORTS))
+def test_load_checks_nearest_anchors_against_the_model(case, small_export, tmp_path):
+    n, fields = MISANCHORED_EXPORTS[case]
+    if n == 3:
+        d = json.loads(json.dumps(small_export))
+    else:
+        path = tmp_path / "unanchored.json"
+        cfg = ExperimentConfig(
+            model=ModelParameters.for_complete_graph(n, 1.3), replicas=3, horizon=50, base_seed=5
+        )
+        export(run_campaign(cfg), path, "json")
+        load_campaign(path)
+        d = json.loads(path.read_text())
+    d["replicas"][0].update(fields)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValidationError, match="nearest equilibrium"):
+        load_campaign(path)
+
+
 def test_loaded_replicas_share_faces_and_one_occupation_array(small_export, tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(small_export))
@@ -530,6 +573,19 @@ def test_loaded_replicas_share_faces_and_one_occupation_array(small_export, tmp_
     assert [rep.final_occupation.tolist() for rep in reps] == [
         rep["final_occupation"] for rep in small_export["replicas"]
     ]
+
+
+def test_walk_memory_does_not_scale_with_the_block():
+    # each replica draws its uniforms from its own generator as it steps; a
+    # [R, BLOCK_STEPS + 1] block of them would take 64 MiB here
+    cfg = ExperimentConfig(model=P3, replicas=2000, horizon=200, base_seed=1)
+    tracemalloc.start()
+    try:
+        run_campaign(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_gz_export_streams_zlib_gzip_bytes(tmp_path):

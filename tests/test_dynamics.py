@@ -28,6 +28,7 @@ from vrrw import (
     vector_field,
 )
 from vrrw.graph import InteractionMatrix
+from conftest import X86_V4
 from vrrw.dynamics import _field_array, tangent_basis
 from vrrw.files import open_text
 
@@ -572,6 +573,8 @@ def _flow_digest(n, alpha, c):
 # the dt = 5 flows from the same two starts do. They pin the integrator's
 # floating-point operations and its typed errors; they were made with
 # numpy 2.4.6 on x86-64 with AVX-512, like the walk's golden hashes.
+# GOLDEN_FLOW_HASHES_AVX2 holds the SHA-256s on numpy's AVX2 path (see
+# conftest.X86_V4), where the same flows end in the same outcomes.
 GOLDEN_FLOWS = {
     (2, 1.05, 0.0): (
         "4cb97f6c10f6c2e59e45b325f81357c56aecad67326de8a3640b2a1e3164a0d7",
@@ -704,19 +707,60 @@ GOLDEN_FLOWS = {
 }
 
 
+GOLDEN_FLOW_HASHES_AVX2 = {
+    (2, 1.05, 0.0): "33646e388a28c194b1e251f2d5d88b81830919c311905a0ac8eb238278d9dd0c",
+    (2, 1.05, 0.5): "ee38679c7cf7cda4751b1b608389f14bdab75421d7fc5073418993d0980d38c4",
+    (2, 1.5, 0.0): "aad156fc44fcafdefa143854779bf7b354fc3aab668bc45bc4d56ccd457a4638",
+    (2, 1.5, 0.5): "f135870d9ce59d64154b59d3b0ef31ba898575ce22a7eb89457108a722a6f50d",
+    (2, 2.5, 0.0): "a604e8d1ac9c4f35be9d8c56327d71575295a3a635ce354181bde9a4751ef158",
+    (2, 2.5, 0.5): "44aa817ead0e0c8089ca33cced14852a8842ab0639eaa1a1884a22ba764ad0f8",
+    (2, 4.0, 0.0): "fea13a428f72e5abd17c2bb904a1ada3ed46ffd9cdde4a6fc54aaad9fae94786",
+    (2, 4.0, 0.5): "80a99ba0327d5c343f747eb30f942f109b7b6a6e06eb16ae27ccd7be1f5bd5e3",
+    (3, 1.05, 0.0): "475979ab91588080dc43cc781388b90312dc84fa104a9634bb66c393ce47f4e4",
+    (3, 1.05, 0.5): "c2e3f003e89d3a911d4c1951c0919acc78cf66abcb96613eca40c7f376380ee7",
+    (3, 1.5, 0.0): "370f988a40668891b2a34115fe94e5528556e400d4f6fa3bf07ec97e08cfabf6",
+    (3, 1.5, 0.5): "8d4f0d6b082a18d3c075930d2378d670a80ddaba5dfc01dd2b4c0f18fce20938",
+    (3, 2.5, 0.0): "31e5dd86a93d079b53cc63bb4045b50dd47479e9b6a42d500137641ad34c99ba",
+    (3, 2.5, 0.5): "aa790f47b42f25ae6566a32b2886ac82c64b9692ca27157df9c007289bb27038",
+    (3, 4.0, 0.0): "23bc5b169f9ee64933e16b35a9e73a621aba45f15694591b2b681274b35834e7",
+    (3, 4.0, 0.5): "2cbd3b004b50ef2cc3e62765351f8823329b4d8e7b56a30e57b4041368de1d5b",
+    (5, 1.05, 0.0): "eb626bf2bc8d49d1d233e41c46cfc9b99c300ad767aced1da28c0d16c2ce9c9f",
+    (5, 1.05, 0.5): "1d13be3d6bf1e249a87a20fc248e9b17e16d276f3450f0287813d56df8eeac84",
+    (5, 1.5, 0.0): "4db39e101796e4227dde03b2b98f7877474ca02b209a1c4eece5cda4135dc6c7",
+    (5, 1.5, 0.5): "95d59610284d0247d2b57b97edaba509db0a8109f5808ac3081202e0aea21375",
+    (5, 2.5, 0.0): "cf645eb23e5fa4c619983697094f84924a9faad494c9e00aca5acacd176d64e5",
+    (5, 2.5, 0.5): "2e88f05d99e6775ead5f2fafdd6335ef63a6c31322475de4a131057c94d49e96",
+    (5, 4.0, 0.0): "2383102264c27a06e481452a9e9f0feb340a4c51f83c667327865c537fc18926",
+    (5, 4.0, 0.5): "bd803246e745d6a9c64df0875d8c7043ba15079cc3c0f169433a0945df208fa9",
+    (8, 1.05, 0.0): "34c56260c31d2ee02967fc23f1716d297eea3ff780dd4de2804529fcb7acbb79",
+    (8, 1.05, 0.5): "a1e10e4a3f1602e38b8277848cee70b0860542d7a86c6a0ee938af9080ee9052",
+    (8, 1.5, 0.0): "97a8fbb2d5bd112706c08125960035f53aed45a664f92519ea66de506f5328ea",
+    (8, 1.5, 0.5): "fb7796211480ace7769d43083d5b30cb2814bb9cab5c1f0d362b9c84e9b18c3d",
+    (8, 2.5, 0.0): "a7e71b9b72e0d3b9d6474f97a6f49fdf7d42ba8e5f8aa2a8ac05d352156d8484",
+    (8, 2.5, 0.5): "c330396baf63f303af50a51d5abadc2adbd0cedd723dd0a41328221cb2873e7e",
+    (8, 4.0, 0.0): "c8fa4a91dfae6847685271e0ee70a2aeb7732ccd76e322758a6db54a90fc54a3",
+    (8, 4.0, 0.5): "851986288eec891cd8fb2b3c3dabd0c573a2dc5a6a8d820cc21044915a6e2d0c",
+}
+
+
 def test_flow_trajectories_match_golden_hashes():
+    golden = GOLDEN_FLOWS
+    if not X86_V4:
+        golden = {key: (GOLDEN_FLOW_HASHES_AVX2[key], ends) for key, (_, ends) in GOLDEN_FLOWS.items()}
     got = {
         (n, alpha, c): _flow_digest(n, alpha, c)
         for n in (2, 3, 5, 8)
         for alpha in (1.05, 1.5, 2.5, 4.0)
         for c in (0.0, 0.5)
     }
-    assert got == GOLDEN_FLOWS
+    assert got == golden
 
 
 # SHA-256 of FlowTrajectory.write_csv for the flow that
-# `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
+# `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates, on
+# numpy's AVX-512 and on its AVX2 path.
 GOLDEN_FLOW_CSV = "663edc909153b4171e9d54fc10504c2cc80b0f41216fe09c0fb4e34971b9ced0"
+GOLDEN_FLOW_CSV_AVX2 = "024bd1435b77aa0077641ea71a2198884b0ebc8e0c032b5b978d29d59f29e92f"
 
 
 def test_flow_csv_bytes_match_golden_hash(tmp_path):
@@ -724,4 +768,5 @@ def test_flow_csv_bytes_match_golden_hash(tmp_path):
     path = tmp_path / "flow.csv"
     with open_text(path, "w") as fh:
         integrate_flow(p, np.array([0.5, 0.3, 0.2]), t_end=40.0).write_csv(fh)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_CSV
+    golden = GOLDEN_FLOW_CSV if X86_V4 else GOLDEN_FLOW_CSV_AVX2
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden

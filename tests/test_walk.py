@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 
 import numpy as np
@@ -303,18 +304,38 @@ def test_step_loop_builds_from_an_empty_cache(tmp_path, monkeypatch):
 
 class _Uniforms:
     """Stand-in for a numpy Generator that hands out given uniforms in
-    order, one at a time or into a buffer."""
+    order."""
 
     def __init__(self, values):
         self.values, self.at = list(values), 0
 
-    def random(self, out=None):
-        if out is None:
-            self.at += 1
-            return self.values[self.at - 1]
-        out[:] = self.values[self.at : self.at + out.size]
-        self.at += out.size
-        return out
+    def random(self):
+        self.at += 1
+        return self.values[self.at - 1]
+
+
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's bitgen_t (numpy/random/bitgen.h); the step loop calls only
+    next_double."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.c_void_p),
+        ("next_uint32", ctypes.c_void_p),
+        ("next_double", _NEXT_DOUBLE),
+        ("next_raw", ctypes.c_void_p),
+    ]
+
+
+def _bitgen_stand_ins(streams):
+    """One bitgen_t per stream whose next_double hands out the stream's
+    uniforms in order, and the array of their pointers that _walk takes."""
+    callbacks = [_NEXT_DOUBLE(lambda state, it=iter(values): next(it)) for values in streams]
+    gens = [_BitGen(next_double=f) for f in callbacks]
+    return callbacks, gens, (ctypes.c_void_p * len(gens))(*map(ctypes.addressof, gens))
 
 
 def _boundary_walk(p, start, horizon, seed):
@@ -364,13 +385,27 @@ def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 32)
     sched = checkpoint_schedule(horizon)
     starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
-    gens = [_Uniforms(walks[seed][0]) for seed in seeds]
+    # the callbacks and structs must outlive the call
+    callbacks, structs, gens = _bitgen_stand_ins([walks[seed][0] for seed in seeds])
     final, chk, sites = walk_module._walk(p, starts, horizon, gens, True, sched)
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(sites[r], walks[seed][1])
         np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
         for k, counts in zip(sched, chk[r]):
             np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
+
+
+def test_each_step_draws_one_double():
+    # the RNG contract: a replica reads one double of its PCG64 per step, so
+    # a walk leaves each generator where advance(horizon) does; a horizon
+    # off the block size covers a partial block
+    horizon, seeds = 5000, [3, 17, 2**40]
+    bits = [np.random.PCG64(seed) for seed in seeds]
+    gens = (ctypes.c_void_p * 3)(*[walk_module._bitgen(b.capsule, b"BitGenerator") for b in bits])
+    starts = np.array([0, 1, 2], dtype=np.int64)
+    walk_module._walk(P25, starts, horizon, gens, False, np.array([], dtype=np.int64))
+    for seed, b in zip(seeds, bits):
+        assert b.state == np.random.PCG64(seed).advance(horizon).state
 
 
 def test_loop_model_reduces_to_plain_step():
