@@ -224,7 +224,7 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
 @functools.cache
 def _step_loop():
     """walk_block of _walk.c, loaded from _CACHE and built there first if
-    no build of this source with these flags is there yet."""
+    no build of this source, header and flags is there yet."""
     code = _SOURCE.read_bytes() + _HEADER.read_bytes() + " ".join(_FLAGS).encode()
     key = hashlib.sha256(code).hexdigest()[:16]
     lib = _CACHE / f"_walk-{key}.so"

@@ -541,19 +541,19 @@ MISANCHORED_EXPORTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def unanchored_export(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "unanchored.json"
+    p13 = ModelParameters.for_complete_graph(13, 1.3)
+    export(run_campaign(ExperimentConfig(model=p13, replicas=3, horizon=50, base_seed=5)), path, "json")
+    load_campaign(path)  # as written, its -1 indices and NaN distances load
+    return json.loads(path.read_text())
+
+
 @pytest.mark.parametrize("case", sorted(MISANCHORED_EXPORTS))
-def test_load_checks_nearest_anchors_against_the_model(case, small_export, tmp_path):
+def test_load_checks_nearest_anchors_against_the_model(case, small_export, unanchored_export, tmp_path):
     n, fields = MISANCHORED_EXPORTS[case]
-    if n == 3:
-        d = json.loads(json.dumps(small_export))
-    else:
-        path = tmp_path / "unanchored.json"
-        cfg = ExperimentConfig(
-            model=ModelParameters.for_complete_graph(n, 1.3), replicas=3, horizon=50, base_seed=5
-        )
-        export(run_campaign(cfg), path, "json")
-        load_campaign(path)
-        d = json.loads(path.read_text())
+    d = json.loads(json.dumps(small_export if n == 3 else unanchored_export))
     d["replicas"][0].update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))

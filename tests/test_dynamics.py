@@ -28,9 +28,9 @@ from vrrw import (
     vector_field,
 )
 from vrrw.graph import InteractionMatrix
-from conftest import X86_V4
 from vrrw.dynamics import _field_array, tangent_basis
 from vrrw.files import open_text
+from conftest import X86_V4
 
 
 P3 = ModelParameters.for_complete_graph(3, 1.5)
@@ -573,8 +573,6 @@ def _flow_digest(n, alpha, c):
 # the dt = 5 flows from the same two starts do. They pin the integrator's
 # floating-point operations and its typed errors; they were made with
 # numpy 2.4.6 on x86-64 with AVX-512, like the walk's golden hashes.
-# GOLDEN_FLOW_HASHES_AVX2 holds the SHA-256s on numpy's AVX2 path (see
-# conftest.X86_V4), where the same flows end in the same outcomes.
 GOLDEN_FLOWS = {
     (2, 1.05, 0.0): (
         "4cb97f6c10f6c2e59e45b325f81357c56aecad67326de8a3640b2a1e3164a0d7",
@@ -707,6 +705,8 @@ GOLDEN_FLOWS = {
 }
 
 
+# The SHA-256s of the same flows on numpy's AVX2 path (see conftest.X86_V4),
+# where they end in the same outcomes.
 GOLDEN_FLOW_HASHES_AVX2 = {
     (2, 1.05, 0.0): "33646e388a28c194b1e251f2d5d88b81830919c311905a0ac8eb238278d9dd0c",
     (2, 1.05, 0.5): "ee38679c7cf7cda4751b1b608389f14bdab75421d7fc5073418993d0980d38c4",
