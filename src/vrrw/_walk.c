@@ -1,17 +1,78 @@
-/* One block of steps of the reinforced walk for every replica; vrrw/walk.py
- * builds this file at the first walk and says why its picks equal step's. */
+/* One block of steps of the reinforced walk for every replica, and each
+ * replica's PCG64 state, both as numpy's PCG64 bit for bit; vrrw/walk.py
+ * builds this file and says why its picks equal step's. A state row holds
+ * state and inc as four uint64 words, low first; 128-bit values live in registers. */
 #include <stdint.h>
-#include "numpy/random/bitgen.h"
+
+typedef unsigned __int128 u128;
+
+/* PCG64's multiplier, and numpy's SeedSequence hash constants */
+static const u128 MULT = (u128)0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL;
+static const uint32_t INIT_A = 0x43b0d7e5u, MULT_A = 0x931e8875u, INIT_B = 0x8b51f9ddu,
+                      MULT_B = 0x58f38dedu, MIX_MULT_L = 0xca01f9ddu, MIX_MULT_R = 0x4973f715u;
+
+/* SeedSequence's hashmix, whose running multiplier h gains a factor mult */
+static uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)
+{
+    v ^= *h;
+    *h *= mult;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t v = MIX_MULT_L * x - MIX_MULT_R * y;
+    return v ^ (v >> 16);
+}
+
+/* a 128-bit value from its two words, low first, and back */
+static u128 load(const uint64_t *w) { return (u128)w[1] << 64 | w[0]; }
+static void store(uint64_t *w, u128 v) { w[0] = (uint64_t)v, w[1] = (uint64_t)(v >> 64); }
+
+/* Row r of state gets numpy's PCG64(seed) for the seed whose 32-bit words,
+ * low first, are row r of the reps x width words (width >= 4): SeedSequence's
+ * pool of 4 (slots past the last nonzero word hash 0, words past the fourth
+ * are mixed in after), generate_state(4, uint64), then pcg64_srandom_r. */
+void seed_pcg64(int64_t reps, int64_t width, const uint32_t *words, uint64_t *state)
+{
+    for (int64_t r = 0; r < reps; r++) {
+        const uint32_t *w = words + r * width;
+        int64_t nw = width;
+        while (nw > 4 && w[nw - 1] == 0)
+            nw--;
+        uint32_t pool[4], h = INIT_A;
+        for (int i = 0; i < 4; i++)
+            pool[i] = hashmix(w[i], &h, MULT_A);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], &h, MULT_A));
+        for (int64_t src = 4; src < nw; src++)
+            for (int dst = 0; dst < 4; dst++)
+                pool[dst] = mix(pool[dst], hashmix(w[src], &h, MULT_A));
+        /* generate_state's word k (low half first) goes to g[k ^ 1]: low words first */
+        uint64_t g[4] = {0};
+        h = INIT_B;
+        for (int i = 0; i < 8; i++)
+            g[i / 2 ^ 1] |= (uint64_t)hashmix(pool[i % 4], &h, MULT_B) << (i % 2 * 32);
+        /* a step from state 0 gives inc; add the initial state, step again */
+        u128 inc = load(g + 2) << 1 | 1;
+        store(state + r * 4, (inc + load(g)) * MULT + inc);
+        store(state + r * 4 + 2, inc);
+    }
+}
 
 /* Replica r takes nblk steps from site[r] with counts row r of the r x n
- * counts, drawing one uniform per step from gens[r]->next_double, the call
- * numpy's Generator.random makes for each double. A step weighs site j by
- * a[site * n + j] * table[count_j], adds the weights in site order into csum
- * (n doubles of scratch) and moves to the number of prefix sums at or below
- * u times their total. Step step0 + k + 1 is logged into row r of log16 or
- * log64 (whichever is not NULL, rows of log_stride), and its counts go to
+ * counts, drawing one uniform per step from its PCG64 in row r of state
+ * as numpy's next_double does: an LCG step, the XSL-RR output, and its top
+ * 53 bits times 2^-53. A step weighs site j by a[site * n + j] *
+ * table[count_j], adds the weights in site order into csum (n doubles of
+ * scratch) and moves to the number of prefix sums at or below u times
+ * their total. Step step0 + k + 1 is logged into row r of log16 or log64
+ * (whichever is not NULL, rows of log_stride), and its counts go to
  * chk[r][i] when it equals chk_steps[i], for i from chk0 on. */
-void walk_block(int64_t n, int64_t reps, int64_t nblk, bitgen_t *const *gens,
+void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *state,
                 const double *a, const double *table,
                 int64_t *site, int64_t *counts, double *csum, int64_t step0,
                 const int64_t *chk_steps, int64_t nchk, int64_t chk0, int64_t *chk,
@@ -19,6 +80,8 @@ void walk_block(int64_t n, int64_t reps, int64_t nblk, bitgen_t *const *gens,
 {
     for (int64_t r = 0; r < reps; r++) {
         int64_t s = site[r], i = chk0, *c = counts + r * n;
+        uint64_t *g = state + r * 4;
+        u128 x = load(g), inc = load(g + 2);
         for (int64_t k = 0; k < nblk; k++) {
             const double *row = a + s * n;
             double total = 0.0;
@@ -26,7 +89,12 @@ void walk_block(int64_t n, int64_t reps, int64_t nblk, bitgen_t *const *gens,
                 total += row[j] * table[c[j]];
                 csum[j] = total;
             }
-            double cut = gens[r]->next_double(gens[r]->state) * total;
+            x = x * MULT + inc;
+            uint64_t hi = (uint64_t)(x >> 64), v = hi ^ (uint64_t)x;
+            unsigned rot = (unsigned)(hi >> 58);
+            v = (v >> rot) | (v << ((-rot) & 63));
+            /* through int64_t, so that no unsigned conversion is emitted */
+            double cut = (double)(int64_t)(v >> 11) * 0x1.0p-53 * total;
             /* csum[n - 1] = total > cut for u < 1: the bound only keeps s in range */
             for (s = 0; s < n - 1 && csum[s] <= cut; s++)
                 ;
@@ -43,5 +111,6 @@ void walk_block(int64_t n, int64_t reps, int64_t nblk, bitgen_t *const *gens,
             }
         }
         site[r] = s;
+        store(g, x);
     }
 }

@@ -172,9 +172,14 @@ def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: fl
         for i, row_sites, profile in zip(rows.tolist(), columns, group):
             sites[i], profiles[i] = tuple(row_sites), profile
         histogram[size] = len(rows)
-        mean_profile[size] = tuple(np.mean(-np.sort(-group, axis=1), axis=0).tolist())
+        mean_profile[size] = _mean_sorted(group)
     faces = {s: FaceIndex(sites=s) for s in set(sites)}
     return [faces[s] for s in sites], profiles, histogram, mean_profile
+
+
+def _mean_sorted(group: np.ndarray) -> tuple:
+    """Mean of the rows of group, each sorted in decreasing order."""
+    return tuple(np.mean(-np.sort(-group, axis=1), axis=0).tolist())
 
 
 def _has_anchors(p: ModelParameters) -> bool:
@@ -432,6 +437,13 @@ def _write_json(result: CampaignResult, fh) -> None:
     fh.write("\n  ]" + after + "\n")
 
 
+def _floats(xs, what: str) -> list:
+    """The JSON numbers xs as floats; a string or a bool among them raises."""
+    if any(type(x) not in (int, float) for x in xs):
+        raise ValidationError(f"{what} must be numbers, got {xs!r}")
+    return [float(x) for x in xs]
+
+
 def _result_from_json_dict(d: dict) -> CampaignResult:
     """A campaign result from its JSON document, checked against the
     document's own config: one record per replica, in replica order and
@@ -439,12 +451,14 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     simplex, each support 1-based integer labels in 1..n with one tail
     share per label, and each nearest equilibrium an index >= 0 at a
     distance >= 0 if the model gets anchors, else -1 at a NaN distance (not
-    checked against the anchor count, which would take the catalog)."""
+    checked against the anchor count, which would take the catalog). Number
+    fields must hold JSON numbers, and the provenance and the aggregates must
+    be those of the config and the records."""
     config = config_from_json_dict(d["config"])
     reps, n = d["replicas"], config.model.size
     if len(reps) != config.replicas:
         raise ValidationError(f"{len(reps)} replica records for {config.replicas} replicas")
-    occupations = np.array([rep["final_occupation"] for rep in reps], dtype=float)
+    occupations = np.array([_floats(rep["final_occupation"], "occupations") for rep in reps])
     if occupations.shape != (len(reps), n):
         raise ValidationError(f"final occupations must be rows of {n}, got shape {occupations.shape}")
     occupations = simplex_points(occupations)
@@ -458,10 +472,10 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
             replica=_integer(rep["replica"], "replica"),
             seed=_integer(rep["seed"], "seed"),
             support=faces[tuple(rep["support"])],
-            tail_profile=tuple(float(x) for x in rep["tail_profile"]),
+            tail_profile=tuple(_floats(rep["tail_profile"], "tail shares")),
             final_occupation=occupations[i],
             nearest_equilibrium=_integer(rep["nearest_equilibrium"], "nearest equilibrium"),
-            distance=float(rep["distance"]),
+            distance=_floats([rep["distance"]], "distances")[0],
         )
         for i, rep in enumerate(reps)
     )
@@ -479,18 +493,22 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
             raise ValidationError(
                 f"replica {i} has {len(rep.tail_profile)} tail shares for {len(rep.support.sites)} sites"
             )
-    agg = d["aggregates"]
-    return CampaignResult(
+    groups = {}  # tail profiles by support size, in replica order
+    for rep in replicas:
+        groups.setdefault(len(rep.tail_profile), []).append(rep.tail_profile)
+    result = CampaignResult(
         config=config,
         replicas=replicas,
-        support_histogram={int(k): int(v) for k, v in agg["support_histogram"].items()},
-        mean_sorted_profile={
-            int(k): tuple(float(x) for x in v)
-            for k, v in agg["mean_sorted_profile"].items()
-        },
-        config_hash=d["provenance"]["config_hash"],
+        support_histogram={k: len(groups[k]) for k in sorted(groups)},
+        mean_sorted_profile={k: _mean_sorted(np.array(groups[k])) for k in sorted(groups)},
+        config_hash=config.config_hash(),
         code_version=d["provenance"]["code_version"],
     )
+    head = _json_head(result)
+    for key in ("provenance", "aggregates"):
+        if json.dumps(d[key], sort_keys=True) != json.dumps(head[key], sort_keys=True):
+            raise ValidationError(f"the {key} {d[key]} are not the config's and records', {head[key]}")
+    return result
 
 
 def export(result: CampaignResult, path, format: str) -> None:

@@ -41,13 +41,9 @@ def _print_provenance(seed, config_hash: str) -> None:
 
 
 def _resolve_seed(flag_value, config_value=None) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    if config_value is not None:
-        return int(config_value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
+    for value in (flag_value, config_value, os.environ.get(SEED_ENV_VAR)):
+        if value is not None:
+            return int(value)
     return 0
 
 
@@ -88,20 +84,18 @@ def _cmd_equilibria(args) -> int:
 
     classified.sort(key=sort_key)
     if args.json:
-        rows = []
-        for e in classified:
-            d = e.two_level_data
-            rows.append(
-                {
-                    "support": list(e.support.labels()),
-                    "kind": e.kind,
-                    "point": [float(x) for x in np.asarray(e.point)],
-                    "eigenvalues": [float(x) for x in e.tangent_eigenvalues],
-                    "verdict": e.verdict,
-                    "t": d.t if d else None,
-                    "k": d.k if d else None,
-                }
-            )
+        rows = [
+            {
+                "support": list(e.support.labels()),
+                "kind": e.kind,
+                "point": [float(x) for x in np.asarray(e.point)],
+                "eigenvalues": [float(x) for x in e.tangent_eigenvalues],
+                "verdict": e.verdict,
+                "t": e.two_level_data.t if e.two_level_data else None,
+                "k": e.two_level_data.k if e.two_level_data else None,
+            }
+            for e in classified
+        ]
         print(json.dumps(rows, indent=2))
     else:
         for e in classified:
@@ -120,10 +114,7 @@ def _cmd_thresholds(args) -> int:
     _print_provenance(seed, canonical_hash({"cmd": "thresholds", "c": args.c, "kmax": args.kmax}))
     table = threshold_table(args.c, args.kmax)
     if args.json:
-        rows = [
-            {"k": row.k, "alpha_crit": row.alpha_crit, "loop_c": row.loop_c}
-            for row in table
-        ]
+        rows = [{"k": row.k, "alpha_crit": row.alpha_crit, "loop_c": row.loop_c} for row in table]
         print(json.dumps(rows, indent=2))
     else:
         print("k  alpha_crit")
@@ -238,12 +229,9 @@ def _cmd_rubin(args) -> int:
 def _cmd_campaign(args) -> int:
     with open_text(args.config) as fh:
         raw = json.load(fh)
-    if args.replicas is not None:
-        raw["replicas"] = args.replicas
-    if args.horizon is not None:
-        raw["horizon"] = args.horizon
-    if args.base_seed is not None:
-        raw["base_seed"] = args.base_seed
+    for key in ("replicas", "horizon", "base_seed"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     raw.setdefault("base_seed", _resolve_seed(None))
     cfg = config_from_json_dict(raw)
     _print_provenance(cfg.base_seed, cfg.config_hash())
@@ -341,10 +329,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # subcommands report missing required combinations as usage errors
         return exc.code if isinstance(exc.code, int) else 2
-    except VrrwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (VrrwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

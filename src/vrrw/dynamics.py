@@ -263,8 +263,7 @@ def _jacobian_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
 
 def tangent_basis(n: int) -> np.ndarray:
     """Columns e_i - e_n, i = 1..n-1: a basis of the zero-sum tangent space."""
-    b = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
-    return b
+    return np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
 
 
 def tangent_eigenvalues(j: np.ndarray, weights=None) -> np.ndarray:

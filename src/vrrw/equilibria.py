@@ -152,11 +152,8 @@ def threshold_table(c: float, kmax: int) -> ThresholdTable:
     """
     if kmax < 2:
         raise DomainError(f"table needs kmax >= 2, got {kmax}")
-    rows = []
-    for k in range(2, kmax + 1):
-        if k == 2 and c == 0.0:
-            continue
-        rows.append(ThresholdRow(k=k, alpha_crit=critical_alpha_loop(k, c), loop_c=c))
+    first = 3 if c == 0.0 else 2
+    rows = [ThresholdRow(k=k, alpha_crit=critical_alpha_loop(k, c), loop_c=c) for k in range(first, kmax + 1)]
     return ThresholdTable(rows=tuple(rows))
 
 
@@ -192,9 +189,7 @@ def _bisect_root(n: int, k: int, alpha: float, lo: float, hi: float) -> float:
     flo = level_ratio_polynomial(lo, n, k, alpha)
     for step in range(_BISECT_CAP + 1):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if hi - lo < 1e-14 * max(1.0, hi):
+        if mid <= lo or mid >= hi or hi - lo < 1e-14 * max(1.0, hi):
             return mid
         fmid = level_ratio_polynomial(mid, n, k, alpha)
         if fmid == 0.0:
@@ -365,9 +360,7 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     """
     residual = float(np.abs(vector_field(p, e.point)).max())
     if residual >= RESIDUAL_TOL:
-        raise ValidationError(
-            f"point is not an equilibrium: field residual {residual:.3e}"
-        )
+        raise ValidationError(f"point is not an equilibrium: field residual {residual:.3e}")
     n = p.size
     sites = e.support.sites
     m = len(sites)
@@ -393,22 +386,7 @@ def summarize(equilibria) -> list:
     groups = {}
     for e in equilibria:
         d = e.two_level_data
-        key = (
-            len(e.support.sites),
-            e.kind,
-            d.k if d else 0,
-            round(d.t, 9) if d else 1.0,
-            e.verdict,
-        )
+        key = (len(e.support.sites), e.kind, d.k if d else 0, round(d.t, 9) if d else 1.0, e.verdict)
         groups[key] = groups.get(key, 0) + 1
-    return [
-        {
-            "support_size": key[0],
-            "kind": key[1],
-            "k": key[2],
-            "t": key[3],
-            "verdict": key[4],
-            "count": count,
-        }
-        for key, count in sorted(groups.items())
-    ]
+    names = ("support_size", "kind", "k", "t", "verdict")
+    return [dict(zip(names, key), count=count) for key, count in sorted(groups.items())]

@@ -126,11 +126,7 @@ def with_diagonal(matrix: InteractionMatrix, c: float) -> InteractionMatrix:
         raise ValidationError("diagonal override requires a constant original diagonal")
     arr = matrix.entries.copy()
     np.fill_diagonal(arr, c)
-    return InteractionMatrix(
-        size=matrix.size,
-        entries=arr,
-        row_sum=float(matrix.row_sum - diag[0] + c),
-    )
+    return InteractionMatrix(size=matrix.size, entries=arr, row_sum=float(matrix.row_sum - diag[0] + c))
 
 
 def simplex_points(x) -> np.ndarray:

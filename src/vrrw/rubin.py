@@ -125,9 +125,7 @@ def _clock_weights(weight, levels):
     raise ValidationError(f"clock weight w({level}) must be positive, got {value}")
 
 
-def rubin_simulate(
-    config: ClockConfig, start: int, jump_budget: int, seed: int
-) -> RubinRecord:
+def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int) -> RubinRecord:
     """Run the clock race for jump_budget jumps and return the embedded
     chain, its jump times, and the count of resampled exact ties.
 
@@ -218,17 +216,12 @@ def rubin_simulate(
 def _tail_inverse_sum(weight, truncation: int) -> float:
     """Upper bound on sum_{l > truncation} 1/w(l) from dyadic chunks and
     probe monotonicity; raises when the chunks do not contract."""
-    total = 0.0
-    lo = truncation
-    prev = None
-    prev_w = None
+    total, lo, prev, prev_w = 0.0, truncation, None, None
     for _ in range(_TAIL_PROBES):
         hi = lo * 2
         w_lo = _clock_weights(weight, int(lo + 1))
         if prev_w is not None and w_lo < prev_w:
-            raise SummabilityError(
-                f"weight decreases beyond {truncation}; tail cannot be certified"
-            )
+            raise SummabilityError(f"weight decreases beyond {truncation}; tail cannot be certified")
         prev_w = w_lo
         chunk = (hi - lo) / w_lo
         if prev is not None and chunk >= _TAIL_CONTRACTION * prev:
@@ -262,9 +255,7 @@ def trap_probability_bound(
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     if start_index < 0 or truncation <= start_index:
-        raise ValidationError(
-            f"need 0 <= start_index < truncation, got {start_index}, {truncation}"
-        )
+        raise ValidationError(f"need 0 <= start_index < truncation, got {start_index}, {truncation}")
     levels = np.arange(start_index, truncation + 1, dtype=np.int64)
     w = _clock_weights(weight, levels)
     w0 = _clock_weights(weight, 0)
@@ -315,15 +306,12 @@ def sample_trap_event(
     if degree < 1 or draws < 1:
         raise ValidationError("need degree >= 1 and draws >= 1")
     if start_index < 0 or truncation <= start_index:
-        raise ValidationError(
-            f"need 0 <= start_index < truncation, got {start_index}, {truncation}"
-        )
+        raise ValidationError(f"need 0 <= start_index < truncation, got {start_index}, {truncation}")
     levels = np.arange(start_index, truncation + 1, dtype=np.int64)
     rates = _clock_weights(weight, levels)
     w0 = _clock_weights(weight, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    hits = 0
-    remaining = draws
+    hits, remaining = 0, draws
     chunk_cap = max(1, int(4e6 // (degree * levels.size)))
     # one buffer for all chunks, so no chunk allocates multi-MB temporaries
     buf = np.empty((min(chunk_cap, draws), degree, levels.size))

@@ -5,7 +5,8 @@ to A[site][j] * (1 + Z(j))^alpha, where Z(j) counts visits to j including
 time 0. One compiled loop (_walk.c, built at the first walk) advances any
 number of replicas, each drawing one uniform per step from its own seeded
 PCG64, so a replica's trajectory is bit-identical whether it runs alone or
-inside a batch.
+inside a batch. _walk.c seeds and steps that PCG64 itself, reproducing
+numpy's PCG64(seed) stream and its next_double exactly.
 
 The loop picks what step, the numpy reference, picks, bit for bit,
 because it does the same IEEE double operations in the same order: each
@@ -54,18 +55,12 @@ _TOTAL_LOG_CAP = 709.0
 
 #: The step loop's source and its build: the compiler and its flags, which
 #: keep products and sums rounded one by one (see the module docstring).
-#: The source includes numpy's bitgen.h, the struct through which it calls
-#: a PCG64. The library is cached under the package's __pycache__, named by
-#: a hash of the source, that header and the flags.
+#: The library is cached under the package's __pycache__, named by a hash
+#: of the source and the flags.
 _SOURCE = Path(__file__).with_name("_walk.c")
-_HEADER = Path(np.get_include(), "numpy", "random", "bitgen.h")
 _CACHE = _SOURCE.parent / "__pycache__"
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-#: _bitgen(bits.capsule, b"BitGenerator") is the bitgen_t * of a numpy bit generator.
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-_bitgen = _capsule_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 @dataclass(frozen=True)
@@ -223,18 +218,19 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
 
 @functools.cache
 def _step_loop():
-    """walk_block of _walk.c, loaded from _CACHE and built there first if
-    no build of this source, header and flags is there yet."""
-    code = _SOURCE.read_bytes() + _HEADER.read_bytes() + " ".join(_FLAGS).encode()
+    """_walk.c as a library, loaded from _CACHE and built there first if
+    no build of this source and flags is there yet."""
+    code = _SOURCE.read_bytes() + " ".join(_FLAGS).encode()
     key = hashlib.sha256(code).hexdigest()[:16]
-    lib = _CACHE / f"_walk-{key}.so"
-    if not lib.exists():
-        _build(lib)
-    loop = ctypes.CDLL(str(lib)).walk_block
+    path = _CACHE / f"_walk-{key}.so"
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    loop.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
-    loop.restype = None
-    return loop
+    lib.walk_block.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
+    lib.walk_block.restype = lib.seed_pcg64.restype = None
+    return lib
 
 
 def _build(lib: Path) -> None:
@@ -248,7 +244,7 @@ def _build(lib: Path) -> None:
         os.close(fd)
     except OSError as exc:
         raise BuildError(f"cannot write the walk's step loop into {lib.parent}: {exc}") from exc
-    cmd = [_COMPILER, *_FLAGS, "-I", np.get_include(), "-o", tmp, str(_SOURCE)]
+    cmd = [_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode:
@@ -261,14 +257,14 @@ def _build(lib: Path) -> None:
             os.unlink(tmp)
 
 
-def _walk(p, starts, horizon, gens, record_sites, checkpoint_at):
-    """Advance one replica per bitgen_t * of gens (a ctypes array) from
-    starts (int64) for `horizon` steps, each drawing one double per step
-    from its own generator, which must be private to the call (the loop
-    runs without the GIL or the generator's lock), and return what
-    _batch_walk returns. checkpoint_at is sorted int64, free of repeats."""
-    loop = _step_loop()
-    n, r = p.size, len(gens)
+def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
+    """Advance one replica per row of state (uint64 [R, 4], as _seed_states
+    makes it) from starts (int64) for `horizon` steps, each drawing one
+    double per step from its own PCG64, and return what _batch_walk
+    returns. Each row is left at its generator's state after the walk.
+    checkpoint_at is sorted int64, free of repeats."""
+    loop = _step_loop().walk_block
+    n, r = p.size, len(state)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     site = starts.copy()
     counts = np.zeros((r, n), dtype=np.int64)
@@ -289,12 +285,23 @@ def _walk(p, starts, horizon, gens, record_sites, checkpoint_at):
             table = np.arange(1.0, min(max(need, 2 * table.size), horizon + 2) + 1.0)
             np.power(table, p.alpha, out=table)
         loop(
-            n, r, nblk, gens, a.ctypes.data, table.ctypes.data, site.ctypes.data,
+            n, r, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, site.ctypes.data,
             counts.ctypes.data, csum.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
             int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64, horizon + 1,
         )
         done += nblk
     return counts, chk, sites
+
+
+def _seed_states(seeds):
+    """The PCG64 states, uint64 [R, 4], of the nonnegative int seeds: row r
+    holds state and inc of numpy's PCG64(seeds[r]), each low word first."""
+    width = max(4, -(-max((s.bit_length() for s in seeds), default=0) // 32))
+    words = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    words = np.frombuffer(words, dtype="<u4").astype(np.uint32)
+    state = np.empty((len(seeds), 4), dtype=np.uint64)
+    _step_loop().seed_pcg64(len(seeds), width, words.ctypes.data, state.ctypes.data)
+    return state
 
 
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
@@ -316,9 +323,7 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
     if np.any(checkpoint_at[1:] <= checkpoint_at[:-1]):
         raise ValidationError("checkpoint steps must increase")
-    bits = [np.random.PCG64(s) for s in seeds]
-    gens = (ctypes.c_void_p * len(bits))(*[_bitgen(b.capsule, b"BitGenerator") for b in bits])
-    return _walk(p, starts, horizon, gens, record_sites, checkpoint_at)
+    return _walk(p, starts, horizon, _seed_states(seeds), record_sites, checkpoint_at)
 
 
 def simulate(

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import math
 import tracemalloc
 import zlib
 
@@ -490,8 +491,19 @@ def _drop_last_replica(d):
     d["aggregates"]["support_histogram"][str(len(rep["support"]))] -= 1
 
 
+def _stringify(record, field):
+    value = record[field]
+    record[field] = list(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _nudge_mean_profile(d):
+    profile = d["aggregates"]["mean_sorted_profile"]["2"]
+    profile[0] = math.nextafter(profile[0], 1.0)
+
+
 # Malformed exports of a 3-site campaign; each loaded silently before
-# load_campaign checked an export against its own config.
+# load_campaign checked an export against its own config. Number fields
+# given as strings keep their values, so only their type is wrong.
 MALFORMED_EXPORTS = {
     "short-rows": lambda d: [rep.update(final_occupation=[0.5, 0.5]) for rep in d["replicas"]],
     "ragged-rows": lambda d: d["replicas"][1].update(final_occupation=[0.5, 0.5]),
@@ -507,6 +519,16 @@ MALFORMED_EXPORTS = {
     "foreign-seed": lambda d: d["replicas"][2].update(seed=d["replicas"][2]["seed"] + 1),
     "repeated-replica": lambda d: d["replicas"][1].update(replica=0),
     "swapped-replicas": lambda d: d["replicas"].insert(0, d["replicas"].pop(1)),
+    "foreign-config-hash": lambda d: d["provenance"].update(config_hash="nonsense"),
+    "shifted-histogram": lambda d: d["aggregates"].update(support_histogram={"2": 2, "3": 2}),
+    "profile-of-size-9": lambda d: d["aggregates"]["mean_sorted_profile"].update({"9": [1.0]}),
+    "nudged-profile": _nudge_mean_profile,
+    "str-distance": lambda d: _stringify(d["replicas"][0], "distance"),
+    "bool-distance": lambda d: d["replicas"][0].update(distance=True),
+    "str-tail-share": lambda d: _stringify(d["replicas"][0], "tail_profile"),
+    "bool-tail-share": lambda d: d["replicas"][0].update(tail_profile=[True, False]),
+    "str-occupation": lambda d: _stringify(d["replicas"][0], "final_occupation"),
+    "bool-occupation": lambda d: d["replicas"][0].update(final_occupation=[True, False, False]),
 }
 
 

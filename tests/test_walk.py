@@ -1,5 +1,5 @@
-import ctypes
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -314,37 +314,34 @@ class _Uniforms:
         return self.values[self.at - 1]
 
 
-_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+#: PCG64's multiplier and its inverse modulo 2^128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
 
 
-class _BitGen(ctypes.Structure):
-    """numpy's bitgen_t (numpy/random/bitgen.h); the step loop calls only
-    next_double."""
-
-    _fields_ = [
-        ("state", ctypes.c_void_p),
-        ("next_uint64", ctypes.c_void_p),
-        ("next_uint32", ctypes.c_void_p),
-        ("next_double", _NEXT_DOUBLE),
-        ("next_raw", ctypes.c_void_p),
-    ]
+def _pcg_state(row):
+    """(state, inc) of a state row of the step loop, as numpy's
+    PCG64.state["state"] gives them."""
+    w = [int(x) for x in row]
+    return w[0] | w[1] << 64, w[2] | w[3] << 64
 
 
-def _bitgen_stand_ins(streams):
-    """One bitgen_t per stream whose next_double hands out the stream's
-    uniforms in order, and the array of their pointers that _walk takes."""
-    callbacks = [_NEXT_DOUBLE(lambda state, it=iter(values): next(it)) for values in streams]
-    gens = [_BitGen(next_double=f) for f in callbacks]
-    return callbacks, gens, (ctypes.c_void_p * len(gens))(*map(ctypes.addressof, gens))
+def _state_before(m, inc):
+    """A state row whose next double is m * 2^-53: one step leads to
+    m << 11, whose high word is 0, so XSL-RR outputs it unrotated."""
+    x = ((m << 11) - inc) * _PCG_MULT_INV % 2**128
+    return [x & (2**64 - 1), x >> 64, inc & (2**64 - 1), inc >> 64]
 
 
 def _boundary_walk(p, start, horizon, seed):
-    """Uniforms of a step() walk that each sit on, or one ulp either side
-    of, a pick boundary u = csum[k] / total of their step, and the walk's
-    sites. Most sit on an edge of the interval of the site the walk came
-    from, so the walk keeps alternating between two sites for a while."""
+    """Grid numerators m of the uniforms m * 2^-53 of a step() walk, and
+    the walk's sites. A PCG64 double lies on that grid, so each uniform is
+    the grid point on a pick boundary u = csum[k] / total of its step,
+    where there is one, or the nearest grid point on either side of it.
+    Most sit at an edge of the interval of the site the walk came from, so
+    the walk keeps alternating between two sites for a while."""
     rng = np.random.default_rng(seed)
-    s, prev, uniforms, sites = init_walk(p, start), start, [], [start]
+    s, prev, grid, sites = init_walk(p, start), start, [], [start]
     for _ in range(horizon):
         weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
         csum = np.cumsum(weights)
@@ -355,13 +352,32 @@ def _boundary_walk(p, start, horizon, seed):
             k, toward = edges[rng.integers(len(edges))]
         else:
             k, toward = rng.integers(p.size - 1), rng.choice([0.0, 1.0])
-        u = csum[k] / csum[-1]
-        u = np.nextafter(u, toward) if rng.random() < 0.9 else rng.choice([u, np.nextafter(u, 1.0 - toward)])
-        u = float(np.clip(u, 0.0, np.nextafter(1.0, 0.0)))
-        prev, s = s.site, step(p, s, _Uniforms([u]))
-        uniforms.append(u)
+        g = csum[k] / csum[-1] * 2.0**53
+        inside, outside = (math.floor(g) + 1, math.ceil(g) - 1)[:: 1 if toward else -1]
+        on = [int(g)] if g == math.floor(g) else []
+        m = inside if rng.random() < 0.9 else int(rng.choice([*on, outside]))
+        m = min(max(m, 0), 2**53 - 1)
+        prev, s = s.site, step(p, s, _Uniforms([m * 2.0**-53]))
+        grid.append(m)
         sites.append(s.site)
-    return uniforms, sites
+    return grid, sites
+
+
+class _CraftedLoop:
+    """The step loop, driven one step per call: before each step it gives
+    every replica the state whose next double is that replica's next
+    wanted uniform, and after it checks that the replica drew it."""
+
+    def __init__(self, state, streams):
+        self.lib, self.state, self.streams = walk_module._step_loop(), state, [iter(s) for s in streams]
+
+    def walk_block(self, n, reps, nblk, state, *rest):
+        assert nblk == 1 and state == self.state.ctypes.data
+        wanted = [next(it) for it in self.streams]
+        for row, m in zip(self.state, wanted):
+            row[:] = _state_before(m, _pcg_state(row)[1])
+        self.lib.walk_block(n, reps, nblk, state, *rest)
+        assert [_pcg_state(row)[0] for row in self.state] == [m << 11 for m in wanted]
 
 
 CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
@@ -377,17 +393,18 @@ CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
     ids=["hollow-K3", "K5-loops", "circulant"],
 )
 def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
-    # every uniform sits on a pick boundary or one ulp either side of it,
-    # where a product or sum rounded otherwise than in step() would pick
-    # another site; short blocks put many block edges into each walk
+    # every uniform is the grid point on a pick boundary or the nearest one
+    # on either side of it, where a product or sum rounded otherwise than
+    # in step(), or a strict comparison, would pick another site
     horizon, seeds = 1500, [3, 4, 5]
     walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
-    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 32)
     sched = checkpoint_schedule(horizon)
     starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
-    # the callbacks and structs must outlive the call
-    callbacks, structs, gens = _bitgen_stand_ins([walks[seed][0] for seed in seeds])
-    final, chk, sites = walk_module._walk(p, starts, horizon, gens, True, sched)
+    state = walk_module._seed_states(seeds)
+    loop = _CraftedLoop(state, [walks[seed][0] for seed in seeds])
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1)
+    monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
+    final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(sites[r], walks[seed][1])
         np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
@@ -397,15 +414,41 @@ def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
 
 def test_each_step_draws_one_double():
     # the RNG contract: a replica reads one double of its PCG64 per step, so
-    # a walk leaves each generator where advance(horizon) does; a horizon
-    # off the block size covers a partial block
+    # a walk leaves each state row where advance(horizon) leaves numpy's
+    # PCG64; a horizon off the block size covers a partial block
     horizon, seeds = 5000, [3, 17, 2**40]
-    bits = [np.random.PCG64(seed) for seed in seeds]
-    gens = (ctypes.c_void_p * 3)(*[walk_module._bitgen(b.capsule, b"BitGenerator") for b in bits])
+    state = walk_module._seed_states(seeds)
     starts = np.array([0, 1, 2], dtype=np.int64)
-    walk_module._walk(P25, starts, horizon, gens, False, np.array([], dtype=np.int64))
-    for seed, b in zip(seeds, bits):
-        assert b.state == np.random.PCG64(seed).advance(horizon).state
+    walk_module._walk(P25, starts, horizon, state, False, np.array([], dtype=np.int64))
+    for seed, row in zip(seeds, state):
+        want = np.random.PCG64(seed).advance(horizon).state["state"]
+        assert _pcg_state(row) == (want["state"], want["inc"])
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200, 2**1000 + 7]
+
+
+def test_seeder_equals_numpy_pcg64():
+    # seeds of 1 to 300 bits besides the edges of SeedSequence's word
+    # handling: its pool of four words and the words mixed in past it; in
+    # one batch every seed's words are padded to those of the widest
+    rng = np.random.default_rng(8)
+    lengths = map(int, rng.integers(1, 301, size=250))
+    seeds = SEEDS + [1 << (b - 1) | int.from_bytes(rng.bytes(38), "little") >> (305 - b) for b in lengths]
+    for batch in (seeds, SEEDS[:6], [2**1000 + 7]):
+        got = [_pcg_state(row) for row in walk_module._seed_states(batch)]
+        want = [np.random.PCG64(s).state["state"] for s in batch]
+        assert got == [(w["state"], w["inc"]) for w in want]
+
+
+def test_simulate_with_a_wide_seed_matches_stepping():
+    p = ModelParameters.for_complete_graph(5, 1.5, loop_c=0.5)
+    rec = simulate(p, 2, 3000, 2**200)
+    s, g = init_walk(p, 2), np.random.Generator(np.random.PCG64(2**200))
+    for k in range(1, 3001):
+        s = step(p, s, g)
+        assert s.site == rec.sites[k]
+    np.testing.assert_array_equal(s.counts, rec.final_counts)
 
 
 def test_loop_model_reduces_to_plain_step():
