@@ -1,7 +1,8 @@
-/* One block of steps of the reinforced walk for every replica, and each
- * replica's PCG64 state, both as numpy's PCG64 bit for bit; vrrw/walk.py
- * builds this file and says why its picks equal step's. A state row holds
- * state and inc as four uint64 words, low first; 128-bit values live in registers. */
+/* One block of steps of the reinforced walk for every replica, each
+ * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's powers;
+ * vrrw/walk.py builds this file and says why its picks equal step's. A state
+ * row holds state and inc as four uint64 words, low first; 128-bit values live in registers. */
+#include <math.h>
 #include <stdint.h>
 
 typedef unsigned __int128 u128;
@@ -61,6 +62,14 @@ void seed_pcg64(int64_t reps, int64_t width, const uint32_t *words, uint64_t *st
         store(state + r * 4, (inc + load(g)) * MULT + inc);
         store(state + r * 4 + 2, inc);
     }
+}
+
+/* table[k] = (1 + k)^alpha for lo <= k < hi by libm's pow, which step calls
+ * through math.pow; without -ffast-math no vector pow is called */
+void power_table(int64_t lo, int64_t hi, double alpha, double *table)
+{
+    for (int64_t k = lo; k < hi; k++)
+        table[k] = pow(1.0 + (double)k, alpha);
 }
 
 /* Replica r takes nblk steps from site[r] with counts row r of the r x n

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import ModelParameters
-from .equilibria import Equilibrium, enumerate_all, face_center
+from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, enumerate_all, face_center
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
 from .graph import FaceIndex, complete_graph, simplex_points, validate
@@ -200,20 +200,9 @@ def equilibrium_anchors(p: ModelParameters) -> list:
         return []
     if p.loop_c == 0.0:
         return enumerate_all(n, p.alpha)
-    anchors = []
-    for m in range(1, n + 1):
-        for sites in itertools.combinations(range(n), m):
-            point = face_center(FaceIndex(sites=sites), n)
-            anchors.append(
-                Equilibrium(
-                    point=point,
-                    support=FaceIndex(sites=sites),
-                    kind="face_center",
-                    tangent_eigenvalues=(),
-                    verdict="marginal",
-                )
-            )
-    return anchors
+    faces = [FaceIndex(sites=s) for m in range(1, n + 1) for s in itertools.combinations(range(n), m)]
+    fields = dict(kind=FACE_CENTER, tangent_eigenvalues=(), verdict=MARGINAL)
+    return [Equilibrium(point=face_center(face, n), support=face, **fields) for face in faces]
 
 
 def _nearest(occupations: np.ndarray, anchors) -> tuple:
@@ -281,9 +270,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     occupations = simplex_points(final / (cfg.horizon + 1.0))
     anchors = equilibrium_anchors(p)
     nearest_idx, nearest_dist = _nearest(occupations, anchors)
-    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(
-        tail, window, cfg.detection.min_share
-    )
+    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(tail, window, cfg.detection.min_share)
     replicas = tuple(
         ReplicaResult(
             replica=i, seed=seeds[i], support=faces[i], tail_profile=tuple(profiles[i].tolist()),
@@ -315,7 +302,7 @@ def model_from_json(d: dict) -> ModelParameters:
         matrix = validate(np.asarray(d["matrix"], dtype=float))
     else:
         matrix = complete_graph(_integer(d["n"], "n"))
-    return ModelParameters(matrix=matrix, alpha=float(d["alpha"]), loop_c=float(d.get("c", 0.0)))
+    return ModelParameters(matrix=matrix, alpha=_number(d["alpha"], "alpha"), loop_c=_number(d.get("c", 0.0), "c"))
 
 
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
@@ -346,8 +333,8 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
         base_seed=d["base_seed"],
         start=start,
         detection=DetectionConfig(
-            tail_fraction=float(det.get("tail_fraction", 0.5)),
-            min_share=float(det.get("min_share", 0.02)),
+            tail_fraction=_number(det.get("tail_fraction", 0.5), "tail_fraction"),
+            min_share=_number(det.get("min_share", 0.02), "min_share"),
         ),
     )
 
@@ -437,11 +424,11 @@ def _write_json(result: CampaignResult, fh) -> None:
     fh.write("\n  ]" + after + "\n")
 
 
-def _floats(xs, what: str) -> list:
-    """The JSON numbers xs as floats; a string or a bool among them raises."""
-    if any(type(x) not in (int, float) for x in xs):
-        raise ValidationError(f"{what} must be numbers, got {xs!r}")
-    return [float(x) for x in xs]
+def _number(x, what: str) -> float:
+    """The JSON number x as a float; a string or a bool raises."""
+    if type(x) not in (int, float):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    return float(x)
 
 
 def _result_from_json_dict(d: dict) -> CampaignResult:
@@ -458,7 +445,7 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     reps, n = d["replicas"], config.model.size
     if len(reps) != config.replicas:
         raise ValidationError(f"{len(reps)} replica records for {config.replicas} replicas")
-    occupations = np.array([_floats(rep["final_occupation"], "occupations") for rep in reps])
+    occupations = np.array([[_number(x, "occupation") for x in rep["final_occupation"]] for rep in reps])
     if occupations.shape != (len(reps), n):
         raise ValidationError(f"final occupations must be rows of {n}, got shape {occupations.shape}")
     occupations = simplex_points(occupations)
@@ -472,10 +459,10 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
             replica=_integer(rep["replica"], "replica"),
             seed=_integer(rep["seed"], "seed"),
             support=faces[tuple(rep["support"])],
-            tail_profile=tuple(_floats(rep["tail_profile"], "tail shares")),
+            tail_profile=tuple(_number(x, "tail share") for x in rep["tail_profile"]),
             final_occupation=occupations[i],
             nearest_equilibrium=_integer(rep["nearest_equilibrium"], "nearest equilibrium"),
-            distance=_floats([rep["distance"]], "distances")[0],
+            distance=_number(rep["distance"], "distance"),
         )
         for i, rep in enumerate(reps)
     )

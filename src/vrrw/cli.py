@@ -26,7 +26,7 @@ from .errors import VrrwError
 from .files import canonical_hash, open_text
 from .graph import InteractionMatrix, complete_graph
 from .rubin import ClockConfig, power_weight, rubin_simulate
-from .walk import simulate
+from .walk import _integer, simulate
 
 SEED_ENV_VAR = "VRRW_SEED"
 
@@ -41,10 +41,10 @@ def _print_provenance(seed, config_hash: str) -> None:
 
 
 def _resolve_seed(flag_value, config_value=None) -> int:
-    for value in (flag_value, config_value, os.environ.get(SEED_ENV_VAR)):
+    for value in (flag_value, config_value):
         if value is not None:
-            return int(value)
-    return 0
+            return _integer(value, "seed")
+    return int(os.environ.get(SEED_ENV_VAR, 0))
 
 
 def _load_matrix(path, n, ctx: argparse.ArgumentParser):
@@ -171,6 +171,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, cfg.get("seed"))
     if "alpha" not in model or start is None or horizon is None:
         args.parser.error("--alpha, --start and --horizon are required (flags or config)")
+    start, horizon = _integer(start, "start"), _integer(horizon, "horizon")
     p = model_from_json(model)
     payload = {
         "cmd": "simulate",
@@ -182,7 +183,7 @@ def _cmd_simulate(args) -> int:
         "seed": seed,
     }
     _print_provenance(seed, canonical_hash(payload))
-    record = simulate(p, int(start) - 1, int(horizon), seed)
+    record = simulate(p, start - 1, horizon, seed)
     log_kind = args.log or ("sites" if record.sites is not None else "checkpoints")
     # checked before --out is opened, so a failed run leaves that path alone
     if log_kind == "sites" and record.sites is None:

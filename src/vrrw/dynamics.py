@@ -22,6 +22,7 @@ integrate_flow and equilibria.classify call them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from sys import float_info
@@ -109,12 +110,21 @@ class FlowTrajectory:
             fh.write(",".join(row) + "\n")
 
 
+def _power(values, exponent: float) -> np.ndarray:
+    """v^exponent for the floats v >= 0 of values by libm's pow (math.pow), as np.power's last
+    bits vary with numpy's SIMD kernels; a power past the double range raises OverflowError."""
+    return np.array([math.pow(v, exponent) for v in values])
+
+
 def _scaled_powers(x: np.ndarray, exponent: float):
     """(x/m)^exponent, each value in [0, 1], and m = max x."""
-    m = float(x.max(initial=0.0))
+    xs = x.tolist()
+    m = max(xs, default=0.0)
     if m <= 0.0:
         raise DegenerateSupportError("point has empty support")
-    return np.power(x / m, exponent), m
+    if min(xs) < 0.0:
+        raise ValidationError(f"powers need nonnegative coordinates, got {xs}")
+    return _power([v / m for v in xs], exponent), m
 
 
 def _vanishing(a: np.ndarray, rows: np.ndarray, x: np.ndarray, what: str):
@@ -144,7 +154,7 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
         raise DegenerateSupportError(
             f"kernel rows {np.nonzero(dead)[0].tolist()} do not reach support {np.nonzero(x > 0)[0].tolist()}"
         )
-    rows = a * np.power(reach / m[:, None], p.alpha)
+    rows = a * np.array([_scaled_powers(row, p.alpha)[0] for row in reach])
     return rows / rows.sum(axis=1)[:, None]
 
 
@@ -333,9 +343,7 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
             x[zero] = 0.0
             x /= x.sum()
         if cap_ok and x.max() > LOOPFREE_CAP and not check_loopfree_cap(x, matrix):
-            raise ValidationError(
-                f"flow left the feasible occupation region at t={k * dt:.6g}"
-            )
+            raise ValidationError(f"flow left the feasible occupation region at t={k * dt:.6g}")
         times[k], states[k], energies[k] = k * dt, x, _energy(a, alpha, x)
 
     log.debug("%d RK4 steps: %d projection clips", steps, stats["clips"])

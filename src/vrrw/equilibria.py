@@ -179,10 +179,13 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _scan_grid() -> np.ndarray:
-    g = np.logspace(np.log10(_SCAN_LO), np.log10(_SCAN_HI), _SCAN_POINTS)
-    g.setflags(write=False)
-    return g
+def _scan_grid():
+    """The scan's exponents y and its points 10^y; a point passed on is 10.0 ** y[i], libm's."""
+    y = np.linspace(np.log10(_SCAN_LO), np.log10(_SCAN_HI), _SCAN_POINTS)
+    g = 10.0**y  # np.power, whose last bits vary with numpy's SIMD kernels: signs only
+    for a in (y, g):
+        a.setflags(write=False)
+    return y, g
 
 
 def _bisect_root(n: int, k: int, alpha: float, lo: float, hi: float) -> float:
@@ -208,7 +211,7 @@ def _reduced_condition(n: int, k: int, alpha: float, t: np.ndarray) -> np.ndarra
     """The ratio condition on (0, 1] with t^(a-1) factored out of its
     t-terms, (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a]; for k = 1 the
     bracket alone, which has its sign and cannot underflow."""
-    bracket = (n - k) * t - k - (n - k - 1) * t**alpha
+    bracket = (n - k) * t - k - (n - k - 1) * t**alpha  # np.power: signs only
     return bracket if k == 1 else (k - 1) + t ** (alpha - 1) * bracket
 
 
@@ -218,16 +221,17 @@ def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
     by dense log-grid sign scan plus bisection. The known root t=1 is
     deflated by discarding anything within 1e-9 of it. Above 1 the scan
     reads phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t), so no power exceeds 1."""
-    grid = _scan_grid()
+    exponents, grid = _scan_grid()
     below = grid <= 1.0
     vals = np.concatenate(
         [_reduced_condition(n, k, alpha, grid[below]),
          -_reduced_condition(n, n - k, alpha, 1.0 / grid[~below])]
     )
-    roots = [float(t) for t in grid[vals == 0.0]]
+    roots = [10.0**y for y in exponents[vals == 0.0].tolist()]
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    roots += [_bisect_root(n, k, alpha, float(grid[i]), float(grid[i + 1])) for i in flips]
+    for lo, hi in zip(exponents[flips].tolist(), exponents[flips + 1].tolist()):
+        roots.append(_bisect_root(n, k, alpha, 10.0**lo, 10.0**hi))
     out = sorted(r for r in roots if abs(r - 1.0) > _UNIT_ROOT_TOL)
     dedup = []
     for r in out:

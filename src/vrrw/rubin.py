@@ -54,6 +54,7 @@ def power_weight(alpha: float) -> Callable[[int], float]:
     def w(level):
         if isinstance(level, (int, float)):
             return (level + 1.0) ** alpha
+        # np.power: level arrays feed only the trap sampler's hit count and its bound
         return (np.asarray(level, dtype=float) + 1.0) ** alpha
 
     return w

@@ -8,16 +8,15 @@ PCG64, so a replica's trajectory is bit-identical whether it runs alone or
 inside a batch. _walk.c seeds and steps that PCG64 itself, reproducing
 numpy's PCG64(seed) stream and its next_double exactly.
 
-The loop picks what step, the numpy reference, picks, bit for bit,
-because it does the same IEEE double operations in the same order: each
-weight is a matrix entry times (1 + Z(j))^alpha, the prefix sums are
-added sequentially in site order, as _sums adds them, and the pick counts
-the prefix sums at or below u times the last, as _pick_columns does. It
-is compiled with -ffp-contract=off, so no product and sum fuse into one
-rounding, and without -ffast-math, so no sum is reordered. Its powers
-come from one table of np.power over 1 + 0, 1, 2, ..., whose elements do
-not depend on the shape of the array or on their place in it, so they
-equal the np.power that step takes of the same counts.
+The loop picks what step, the reference, picks, bit for bit, because it
+does the same IEEE double operations in the same order: each weight is a
+matrix entry times (1 + Z(j))^alpha, the prefix sums are added
+sequentially in site order, and the pick counts the prefix sums at or
+below u times the last, as _pick does. It is compiled with
+-ffp-contract=off, so no product and sum fuse into one rounding, and
+without -ffast-math, so no sum is reordered and pow is libm's. Its powers
+come from libm's pow, as step's do through math.pow, so the identity rests
+on one libm function, whatever SIMD kernels numpy dispatches.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ModelParameters
+from .dynamics import ModelParameters, _power
 from .errors import BuildError, NumericError, ValidationError
 from .graph import simplex_points
 
@@ -53,14 +52,14 @@ FULL_LOG_LIMIT = 1_000_000
 _WEIGHT_LOG_CAP = 690.0
 _TOTAL_LOG_CAP = 709.0
 
-#: The step loop's source and its build: the compiler and its flags, which
-#: keep products and sums rounded one by one (see the module docstring).
+#: The step loop's source and its build: the compiler, its flags, which keep
+#: products and sums rounded one by one (see the module docstring), and libm.
 #: The library is cached under the package's __pycache__, named by a hash
 #: of the source and the flags.
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _COMPILER = "cc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,7 @@ def _check_weight_range(p: ModelParameters, horizon: int) -> None:
     log_weight = p.alpha * math.log(horizon + 2)
     log_total = log_weight + math.log(p.effective_matrix.row_sum)
     if log_weight > _WEIGHT_LOG_CAP or log_total > _TOTAL_LOG_CAP:
-        raise NumericError(
-            f"visit weights overflow doubles at horizon {horizon} with exponent {p.alpha}"
-        )
+        raise NumericError(f"visit weights overflow doubles at horizon {horizon} with exponent {p.alpha}")
 
 
 def init_walk(p: ModelParameters, start: int) -> WalkState:
@@ -176,20 +173,10 @@ def init_walk(p: ModelParameters, start: int) -> WalkState:
     return WalkState(site=start, counts=counts, step=0)
 
 
-def _sums(eff: np.ndarray) -> np.ndarray:
-    """Prefix sums down the columns of eff, which holds sites on its first
-    axis; every index into the other axes names a column.
-
-    They equal, bit for bit, np.cumsum(rows, axis=1) for rows = eff.T:
-    both add sequentially.
-    """
-    return np.add.accumulate(eff, axis=0)
-
-
-def _pick_columns(eff: np.ndarray, u) -> np.ndarray:
-    """Site picked in each column of eff (sites first, nonnegative
-    weights, columns as in _sums) by that column's uniform in u: the
-    number of prefix sums at or below u times the last prefix sum.
+def _pick(weights: np.ndarray, rng) -> int:
+    """Site that one uniform u of rng picks by the nonnegative weights: the number of their
+    prefix sums, added sequentially in site order, at or below u times the last. A total
+    that is not finite raises NumericError before u is drawn.
 
     For a finite total t in the normal double range and 0 <= u < 1 the
     rounded product u * t is strictly below t, so at most n - 1 prefix
@@ -197,20 +184,22 @@ def _pick_columns(eff: np.ndarray, u) -> np.ndarray:
     site 0, csum[i-1] <= u * t: its weight is positive. validate keeps
     the off-diagonal entries of a matrix normal, so every total is.
     """
-    csum = _sums(eff)
-    return (csum <= u * csum[-1]).sum(axis=0)
+    csum = np.cumsum(weights)
+    if not np.isfinite(csum[-1]):
+        raise NumericError("transition weights have no finite total")
+    return int(np.count_nonzero(csum <= rng.random() * csum[-1]))
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:
     """Advance one step, drawing a single uniform from rng. With loop_c > 0
     staying put carries weight loop_c * (1 + Z(site))^alpha through the
     effective matrix. This is the sequential reference for simulate."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = p.effective_matrix.entries[s.site] * np.power(1.0 + s.counts, p.alpha)
-        total = _sums(weights[:, None])[-1, 0]
-    if not np.isfinite(total):
-        raise NumericError("transition weights have no finite total")
-    nxt = int(_pick_columns(weights[:, None], rng.random())[0])
+    try:
+        powers = _power((1.0 + s.counts).tolist(), p.alpha)
+    except OverflowError as exc:
+        raise NumericError("a transition weight overflows the double range") from exc
+    with np.errstate(over="ignore"):
+        nxt = _pick(p.effective_matrix.entries[s.site] * powers, rng)
     counts = s.counts.copy()
     counts[nxt] += 1
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
@@ -229,7 +218,8 @@ def _step_loop():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.walk_block.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
     lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
-    lib.walk_block.restype = lib.seed_pcg64.restype = None
+    lib.power_table.argtypes = [i64, i64, ctypes.c_double, ptr]
+    lib.walk_block.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
     return lib
 
 
@@ -263,7 +253,7 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
     double per step from its own PCG64, and return what _batch_walk
     returns. Each row is left at its generator's state after the walk.
     checkpoint_at is sorted int64, free of repeats."""
-    loop = _step_loop().walk_block
+    lib = _step_loop()
     n, r = p.size, len(state)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     site = starts.copy()
@@ -278,13 +268,13 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
     csum, table, done = np.empty(n), np.empty(0), 0
     while done < horizon:
         nblk = min(BLOCK_STEPS, horizon - done)
-        # table[k] = (1 + k)^alpha for every count the block can reach,
-        # raised in place; doubling keeps the rebuilds few
+        # table[k] = (1 + k)^alpha for every count the block can reach; it doubles, new entries only
         need = int(counts.max(initial=0)) + nblk + 1
         if table.size < need:
-            table = np.arange(1.0, min(max(need, 2 * table.size), horizon + 2) + 1.0)
-            np.power(table, p.alpha, out=table)
-        loop(
+            old, table = table, np.empty(min(max(need, 2 * table.size), horizon + 2))
+            table[: old.size] = old
+            lib.power_table(old.size, table.size, p.alpha, table.ctypes.data)
+        lib.walk_block(
             n, r, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, site.ctypes.data,
             counts.ctypes.data, csum.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
             int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64, horizon + 1,

@@ -20,13 +20,6 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-# Whether numpy dispatches its AVX-512 (X86_V4) kernels here. np.power's
-# AVX-512 and AVX2 kernels differ in the last bit of about 5% of values, and
-# the flow's and the catalog's bytes with them, so the golden hashes of
-# those bytes hold one value for each kernel. NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR" selects the AVX2 path on an AVX-512 host.
-X86_V4 = np._core._multiarray_umath.__cpu_features__.get("X86_V4", False)
-
 # filled by tests/test_acceptance.py, printed after the run
 ACCEPTANCE_LINES: dict = {}
 

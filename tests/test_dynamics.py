@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vrrw
 from vrrw import (
     BoundaryJacobianError,
     DegenerateSupportError,
@@ -30,7 +37,6 @@ from vrrw import (
 from vrrw.graph import InteractionMatrix
 from vrrw.dynamics import _field_array, tangent_basis
 from vrrw.files import open_text
-from conftest import X86_V4
 
 
 P3 = ModelParameters.for_complete_graph(3, 1.5)
@@ -150,6 +156,18 @@ def test_energy_overflow_off_the_simplex_is_typed():
     assert np.isfinite(lyapunov(p, np.array([2.0, 2.0, 1.0])))
     with pytest.raises(NumericError):
         lyapunov_derivative(p, np.array([2.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("v", [[-0.1, 0.6, 0.5], [0.5, 0.5, -1e-300]])
+def test_negative_coordinates_are_rejected(v):
+    # math.pow raises ValueError at a negative base; np.power gave NaN,
+    # which surfaced as an "underflow" NumericError or a NaN kernel row
+    p = ModelParameters.for_complete_graph(3, 2.5)
+    for f in (lyapunov, lyapunov_derivative, invariant_measure, jacobian):
+        with pytest.raises(ValidationError, match="nonnegative coordinates"):
+            f(p, np.array(v))
+    with pytest.raises(ValidationError, match="nonnegative coordinates"):
+        transition_kernel(p, 0.0, np.array(v))
 
 
 def test_no_interaction_is_degenerate_and_underflow_is_numeric():
@@ -571,27 +589,27 @@ def _flow_digest(n, alpha, c):
 
 # Per (n, alpha, loop_c): the SHA-256 of the flows in _flow_digest and what
 # the dt = 5 flows from the same two starts do. They pin the integrator's
-# floating-point operations and its typed errors; they were made with
-# numpy 2.4.6 on x86-64 with AVX-512, like the walk's golden hashes.
+# floating-point operations and its typed errors. Every power they take is
+# libm's pow; they were made with glibc's FMA pow on x86-64.
 GOLDEN_FLOWS = {
     (2, 1.05, 0.0): (
-        "4cb97f6c10f6c2e59e45b325f81357c56aecad67326de8a3640b2a1e3164a0d7",
+        "33646e388a28c194b1e251f2d5d88b81830919c311905a0ac8eb238278d9dd0c",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 1.05, 0.5): (
-        "1edfb1bd467d204c9ce4a5a8705944187f84146ac73de6fe8808c1b21e231239",
+        "ee38679c7cf7cda4751b1b608389f14bdab75421d7fc5073418993d0980d38c4",
         ('ok', 'ok'),
     ),
     (2, 1.5, 0.0): (
-        "e0a8c157cdd17087b40293b42950331c6437b83afaabe79635af6eec94f8cca9",
+        "aad156fc44fcafdefa143854779bf7b354fc3aab668bc45bc4d56ccd457a4638",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 1.5, 0.5): (
-        "4b10a8fc7aabc594d3a96a2fff5d97c54d1344634e5f860784d795f5759aa5ac",
+        "f135870d9ce59d64154b59d3b0ef31ba898575ce22a7eb89457108a722a6f50d",
         ('ok', 'ok'),
     ),
     (2, 2.5, 0.0): (
-        "af812fcd85af5c03822abb0b51394e69e288409f6cd5a79995ee0dcda6104fbe",
+        "a604e8d1ac9c4f35be9d8c56327d71575295a3a635ce354181bde9a4751ef158",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 2.5, 0.5): (
@@ -599,7 +617,7 @@ GOLDEN_FLOWS = {
         ('ok', 'ok'),
     ),
     (2, 4.0, 0.0): (
-        "547b71c2bc78db551ffd15a76e150c1158e18136ab949b20b6514be336a96c89",
+        "fea13a428f72e5abd17c2bb904a1ada3ed46ffd9cdde4a6fc54aaad9fae94786",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 4.0, 0.5): (
@@ -607,31 +625,31 @@ GOLDEN_FLOWS = {
         ('ok', 'ok'),
     ),
     (3, 1.05, 0.0): (
-        "9853e6aa707c4682256d28c275248babda57121f86669e7a1e122b31b80fdc4c",
+        "475979ab91588080dc43cc781388b90312dc84fa104a9634bb66c393ce47f4e4",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 1.05, 0.5): (
-        "50178cb95e139fec72729a861c91974447476d6239b15ed76f69efd3f02a95a5",
+        "c2e3f003e89d3a911d4c1951c0919acc78cf66abcb96613eca40c7f376380ee7",
         ('ok', 'ok'),
     ),
     (3, 1.5, 0.0): (
-        "a21cc98adac67e4fe47be134580fb126c2898461fcd167bbe9a4f8b06f58100a",
+        "370f988a40668891b2a34115fe94e5528556e400d4f6fa3bf07ec97e08cfabf6",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 1.5, 0.5): (
-        "af605f73f4b2a85cb73801e09bd89d4eab33e203072ceb2cc75edcf07b38f051",
+        "8d4f0d6b082a18d3c075930d2378d670a80ddaba5dfc01dd2b4c0f18fce20938",
         ('ok', 'ok'),
     ),
     (3, 2.5, 0.0): (
-        "8103e3dc97a9e6050d8fc6e0c24017743d4e5bc760264e8ac9465e5d9ebdf1d3",
+        "31e5dd86a93d079b53cc63bb4045b50dd47479e9b6a42d500137641ad34c99ba",
         ('ValidationError', 'DegenerateSupportError'),
     ),
     (3, 2.5, 0.5): (
-        "6f2ee66cc32a7e2233e72959c93891c63fbed63b6f2476895205181746269b01",
+        "aa790f47b42f25ae6566a32b2886ac82c64b9692ca27157df9c007289bb27038",
         ('ok', 'ok'),
     ),
     (3, 4.0, 0.0): (
-        "5f5ecf6791185af4be34ffa9c0a6ab45db58870c9da8653728635b0851256a22",
+        "23bc5b169f9ee64933e16b35a9e73a621aba45f15694591b2b681274b35834e7",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 4.0, 0.5): (
@@ -639,128 +657,85 @@ GOLDEN_FLOWS = {
         ('ok', 'ok'),
     ),
     (5, 1.05, 0.0): (
-        "c6c1c67bd5c25b97676cd00da7a05adb5c2eeb0050794756491cf2f14b2b0285",
+        "eb626bf2bc8d49d1d233e41c46cfc9b99c300ad767aced1da28c0d16c2ce9c9f",
         ('ok', 'ok'),
     ),
     (5, 1.05, 0.5): (
-        "0c2f0678682896979a88b8669ed7815526fd10e023468d92e57140929efc6384",
+        "1d13be3d6bf1e249a87a20fc248e9b17e16d276f3450f0287813d56df8eeac84",
         ('ok', 'ok'),
     ),
     (5, 1.5, 0.0): (
-        "01782e960d54042ddff0a74a95fc3550755a0b70e4271a501862659433a24294",
+        "4db39e101796e4227dde03b2b98f7877474ca02b209a1c4eece5cda4135dc6c7",
         ('ValidationError', 'DegenerateSupportError'),
     ),
     (5, 1.5, 0.5): (
-        "18bd0c5d60c10ab35bded2be4382b8fe97cb19785227fcd0057dedb3f55d08c9",
+        "95d59610284d0247d2b57b97edaba509db0a8109f5808ac3081202e0aea21375",
         ('ok', 'ok'),
     ),
     (5, 2.5, 0.0): (
-        "4bd12e6adf07e67affc5f3e5aa5bb21a70ac0877d1c378eacceb12164f2f0636",
+        "cf645eb23e5fa4c619983697094f84924a9faad494c9e00aca5acacd176d64e5",
         ('DegenerateSupportError', 'ok'),
     ),
     (5, 2.5, 0.5): (
-        "f7817f39118cd0dc6c16f974eb22a6edad820b830ee334f5c881066792b926dd",
+        "2e88f05d99e6775ead5f2fafdd6335ef63a6c31322475de4a131057c94d49e96",
         ('ok', 'ok'),
     ),
     (5, 4.0, 0.0): (
-        "2011bea80f68b892e264090c7cfd641d20eef5e0f32e2b91fd50ac4961d1b90d",
+        "2383102264c27a06e481452a9e9f0feb340a4c51f83c667327865c537fc18926",
         ('ok', 'ok'),
     ),
     (5, 4.0, 0.5): (
-        "41a165d8afe9d21ad985c5af8c4e22e86af3d77354f2daa67aa5aa5492146d92",
+        "bd803246e745d6a9c64df0875d8c7043ba15079cc3c0f169433a0945df208fa9",
         ('ok', 'ok'),
     ),
     (8, 1.05, 0.0): (
-        "f2d2d70336044b5b1c1a60cdc963259635a2dd2bc24bea0587ca684e97bac750",
+        "34c56260c31d2ee02967fc23f1716d297eea3ff780dd4de2804529fcb7acbb79",
         ('ok', 'ok'),
     ),
     (8, 1.05, 0.5): (
-        "7cefd2cadc5a06a2d363feb707f4d04cb2b34631b009fd90a79d902831ab6b42",
+        "a1e10e4a3f1602e38b8277848cee70b0860542d7a86c6a0ee938af9080ee9052",
         ('ok', 'ok'),
     ),
     (8, 1.5, 0.0): (
-        "0dfdc9f50e5ff49c6d42e83641c0306aabf8a4b68bd03f6247d39d30b27cfdba",
+        "97a8fbb2d5bd112706c08125960035f53aed45a664f92519ea66de506f5328ea",
         ('ok', 'ok'),
     ),
     (8, 1.5, 0.5): (
-        "8320527d69a42a92df6845b4018d295af73e9ba1bbb40d7f811f2543676141d4",
+        "fb7796211480ace7769d43083d5b30cb2814bb9cab5c1f0d362b9c84e9b18c3d",
         ('ok', 'ok'),
     ),
     (8, 2.5, 0.0): (
-        "a94e10aced849bf92494952f52238d94d9637e26029654137d8f93e058464258",
+        "a7e71b9b72e0d3b9d6474f97a6f49fdf7d42ba8e5f8aa2a8ac05d352156d8484",
         ('ok', 'ok'),
     ),
     (8, 2.5, 0.5): (
-        "cd49e2ef18aca1c26c93d1bb288a21dc46792ed5aee3716ff82aebab4c704e73",
+        "c330396baf63f303af50a51d5abadc2adbd0cedd723dd0a41328221cb2873e7e",
         ('ok', 'ok'),
     ),
     (8, 4.0, 0.0): (
-        "5601cfe9c57e58a7df16f6bcd4702bfedce4389b159ec9bdc49bc3dc3551a9d4",
+        "c8fa4a91dfae6847685271e0ee70a2aeb7732ccd76e322758a6db54a90fc54a3",
         ('ok', 'DegenerateSupportError'),
     ),
     (8, 4.0, 0.5): (
-        "94674a506cdf0b01a38f415ca3eeb988a6ca2158d0479f79db93743cbad02302",
+        "851986288eec891cd8fb2b3c3dabd0c573a2dc5a6a8d820cc21044915a6e2d0c",
         ('ok', 'ok'),
     ),
-}
-
-
-# The SHA-256s of the same flows on numpy's AVX2 path (see conftest.X86_V4),
-# where they end in the same outcomes.
-GOLDEN_FLOW_HASHES_AVX2 = {
-    (2, 1.05, 0.0): "33646e388a28c194b1e251f2d5d88b81830919c311905a0ac8eb238278d9dd0c",
-    (2, 1.05, 0.5): "ee38679c7cf7cda4751b1b608389f14bdab75421d7fc5073418993d0980d38c4",
-    (2, 1.5, 0.0): "aad156fc44fcafdefa143854779bf7b354fc3aab668bc45bc4d56ccd457a4638",
-    (2, 1.5, 0.5): "f135870d9ce59d64154b59d3b0ef31ba898575ce22a7eb89457108a722a6f50d",
-    (2, 2.5, 0.0): "a604e8d1ac9c4f35be9d8c56327d71575295a3a635ce354181bde9a4751ef158",
-    (2, 2.5, 0.5): "44aa817ead0e0c8089ca33cced14852a8842ab0639eaa1a1884a22ba764ad0f8",
-    (2, 4.0, 0.0): "fea13a428f72e5abd17c2bb904a1ada3ed46ffd9cdde4a6fc54aaad9fae94786",
-    (2, 4.0, 0.5): "80a99ba0327d5c343f747eb30f942f109b7b6a6e06eb16ae27ccd7be1f5bd5e3",
-    (3, 1.05, 0.0): "475979ab91588080dc43cc781388b90312dc84fa104a9634bb66c393ce47f4e4",
-    (3, 1.05, 0.5): "c2e3f003e89d3a911d4c1951c0919acc78cf66abcb96613eca40c7f376380ee7",
-    (3, 1.5, 0.0): "370f988a40668891b2a34115fe94e5528556e400d4f6fa3bf07ec97e08cfabf6",
-    (3, 1.5, 0.5): "8d4f0d6b082a18d3c075930d2378d670a80ddaba5dfc01dd2b4c0f18fce20938",
-    (3, 2.5, 0.0): "31e5dd86a93d079b53cc63bb4045b50dd47479e9b6a42d500137641ad34c99ba",
-    (3, 2.5, 0.5): "aa790f47b42f25ae6566a32b2886ac82c64b9692ca27157df9c007289bb27038",
-    (3, 4.0, 0.0): "23bc5b169f9ee64933e16b35a9e73a621aba45f15694591b2b681274b35834e7",
-    (3, 4.0, 0.5): "2cbd3b004b50ef2cc3e62765351f8823329b4d8e7b56a30e57b4041368de1d5b",
-    (5, 1.05, 0.0): "eb626bf2bc8d49d1d233e41c46cfc9b99c300ad767aced1da28c0d16c2ce9c9f",
-    (5, 1.05, 0.5): "1d13be3d6bf1e249a87a20fc248e9b17e16d276f3450f0287813d56df8eeac84",
-    (5, 1.5, 0.0): "4db39e101796e4227dde03b2b98f7877474ca02b209a1c4eece5cda4135dc6c7",
-    (5, 1.5, 0.5): "95d59610284d0247d2b57b97edaba509db0a8109f5808ac3081202e0aea21375",
-    (5, 2.5, 0.0): "cf645eb23e5fa4c619983697094f84924a9faad494c9e00aca5acacd176d64e5",
-    (5, 2.5, 0.5): "2e88f05d99e6775ead5f2fafdd6335ef63a6c31322475de4a131057c94d49e96",
-    (5, 4.0, 0.0): "2383102264c27a06e481452a9e9f0feb340a4c51f83c667327865c537fc18926",
-    (5, 4.0, 0.5): "bd803246e745d6a9c64df0875d8c7043ba15079cc3c0f169433a0945df208fa9",
-    (8, 1.05, 0.0): "34c56260c31d2ee02967fc23f1716d297eea3ff780dd4de2804529fcb7acbb79",
-    (8, 1.05, 0.5): "a1e10e4a3f1602e38b8277848cee70b0860542d7a86c6a0ee938af9080ee9052",
-    (8, 1.5, 0.0): "97a8fbb2d5bd112706c08125960035f53aed45a664f92519ea66de506f5328ea",
-    (8, 1.5, 0.5): "fb7796211480ace7769d43083d5b30cb2814bb9cab5c1f0d362b9c84e9b18c3d",
-    (8, 2.5, 0.0): "a7e71b9b72e0d3b9d6474f97a6f49fdf7d42ba8e5f8aa2a8ac05d352156d8484",
-    (8, 2.5, 0.5): "c330396baf63f303af50a51d5abadc2adbd0cedd723dd0a41328221cb2873e7e",
-    (8, 4.0, 0.0): "c8fa4a91dfae6847685271e0ee70a2aeb7732ccd76e322758a6db54a90fc54a3",
-    (8, 4.0, 0.5): "851986288eec891cd8fb2b3c3dabd0c573a2dc5a6a8d820cc21044915a6e2d0c",
 }
 
 
 def test_flow_trajectories_match_golden_hashes():
-    golden = GOLDEN_FLOWS
-    if not X86_V4:
-        golden = {key: (GOLDEN_FLOW_HASHES_AVX2[key], ends) for key, (_, ends) in GOLDEN_FLOWS.items()}
     got = {
         (n, alpha, c): _flow_digest(n, alpha, c)
         for n in (2, 3, 5, 8)
         for alpha in (1.05, 1.5, 2.5, 4.0)
         for c in (0.0, 0.5)
     }
-    assert got == golden
+    assert got == GOLDEN_FLOWS
 
 
 # SHA-256 of FlowTrajectory.write_csv for the flow that
-# `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates, on
-# numpy's AVX-512 and on its AVX2 path.
-GOLDEN_FLOW_CSV = "663edc909153b4171e9d54fc10504c2cc80b0f41216fe09c0fb4e34971b9ced0"
-GOLDEN_FLOW_CSV_AVX2 = "024bd1435b77aa0077641ea71a2198884b0ebc8e0c032b5b978d29d59f29e92f"
+# `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
+GOLDEN_FLOW_CSV = "024bd1435b77aa0077641ea71a2198884b0ebc8e0c032b5b978d29d59f29e92f"
 
 
 def test_flow_csv_bytes_match_golden_hash(tmp_path):
@@ -768,5 +743,37 @@ def test_flow_csv_bytes_match_golden_hash(tmp_path):
     path = tmp_path / "flow.csv"
     with open_text(path, "w") as fh:
         integrate_flow(p, np.array([0.5, 0.3, 0.2]), t_end=40.0).write_csv(fh)
-    golden = GOLDEN_FLOW_CSV if X86_V4 else GOLDEN_FLOW_CSV_AVX2
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_CSV
+
+
+# SHA-256s of the states of the first flow of GOLDEN_FLOWS[8, 1.5, 0.0], the
+# points of enumerate_all(8, 1.15) and the sites of a 3000-step K5 walk
+_DIGESTS = """
+import hashlib
+import numpy as np
+from vrrw import ModelParameters, enumerate_all, integrate_flow, simulate
+
+def sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+v0 = np.random.default_rng([8, 150, 0]).dirichlet(np.ones(8))
+flow = integrate_flow(ModelParameters.for_complete_graph(8, 1.5), v0, 4.0, 0.01)
+catalog = np.array([e.point for e in enumerate_all(8, 1.15)])
+walk = simulate(ModelParameters.for_complete_graph(5, 1.3, loop_c=0.5), 0, 3000, 9)
+print(sha(flow.states), sha(catalog), sha(walk.sites.astype(np.int64)))
+"""
+
+
+def test_bytes_do_not_depend_on_numpys_simd_kernels():
+    # every power behind these bytes is libm's pow, so a process on numpy's
+    # AVX2 path writes the bytes this one does; np.power's AVX2 and AVX-512
+    # kernels differ in the last bit of about 5% of values
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_DIGESTS, {})
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    src_root = str(Path(vrrw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == here.getvalue()
