@@ -1,5 +1,5 @@
 /* One block of steps of the reinforced walk for every replica, each
- * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's powers;
+ * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's table of powers;
  * vrrw/walk.py builds this file and says why its picks equal step's. A state
  * row holds state and inc as four uint64 words, low first; 128-bit values live in registers. */
 #include <math.h>
@@ -64,38 +64,45 @@ void seed_pcg64(int64_t reps, int64_t width, const uint32_t *words, uint64_t *st
     }
 }
 
-/* table[k] = (1 + k)^alpha for lo <= k < hi by libm's pow, which step calls
- * through math.pow; without -ffast-math no vector pow is called */
-void power_table(int64_t lo, int64_t hi, double alpha, double *table)
+/* table[k] = (1 + k)^alpha for 0 <= k < size by libm's pow, which step
+ * calls through math.pow; without -ffast-math no vector pow is called */
+void power_table(int64_t size, double alpha, double *table)
 {
-    for (int64_t k = lo; k < hi; k++)
+    for (int64_t k = 0; k < size; k++)
         table[k] = pow(1.0 + (double)k, alpha);
 }
 
 /* Replica r takes nblk steps from site[r] with counts row r of the r x n
  * counts, drawing one uniform per step from its PCG64 in row r of state
  * as numpy's next_double does: an LCG step, the XSL-RR output, and its top
- * 53 bits times 2^-53. A step weighs site j by a[site * n + j] *
- * table[count_j], adds the weights in site order into csum (n doubles of
- * scratch) and moves to the number of prefix sums at or below u times
- * their total. Step step0 + k + 1 is logged into row r of log16 or log64
- * (whichever is not NULL, rows of log_stride), and its counts go to
- * chk[r][i] when it equals chk_steps[i], for i from chk0 on. */
-void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *state,
-                const double *a, const double *table,
-                int64_t *site, int64_t *counts, double *csum, int64_t step0,
-                const int64_t *chk_steps, int64_t nchk, int64_t chk0, int64_t *chk,
-                int16_t *log16, int64_t *log64, int64_t log_stride)
+ * 53 bits times 2^-53. A step weighs site j by a[site * n + j] * *q[j], adds
+ * the weights in site order into csum and moves to the number of prefix sums
+ * at or below u times their total. q, w and csum hold n words each: while no
+ * count can pass the table in the block, q[j] = table + count_j and a step
+ * moves q[s] on; else q[j] = w + j and each step is an event that refreshes
+ * w[s] by pow. Step at is logged into row r of log16 or log64 (the one not NULL,
+ * rows of log_stride); its counts go to chk[r][i], an event too, when at = chk_steps[i], i >= chk0. */
+void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *restrict state,
+                const double *restrict a, const double *restrict table, int64_t size, double alpha,
+                int64_t *restrict site, int64_t *restrict counts, const double **q, int64_t step0,
+                const int64_t *restrict chk_steps, int64_t nchk, int64_t chk0, int64_t *restrict chk,
+                int16_t *restrict log16, int64_t *restrict log64, int64_t log_stride)
 {
+    double *w = (double *)(q + n), *restrict csum = w + n;
     for (int64_t r = 0; r < reps; r++) {
-        int64_t s = site[r], i = chk0, *c = counts + r * n;
+        int64_t s = site[r], i = chk0, *c = counts + r * n, cached = 0;
         uint64_t *g = state + r * 4;
         u128 x = load(g), inc = load(g + 2);
-        for (int64_t k = 0; k < nblk; k++) {
+        for (int64_t j = 0; j < n; j++)
+            cached |= c[j] + nblk >= size;
+        for (int64_t j = 0; j < n; j++)
+            q[j] = cached ? (w[j] = pow(1.0 + (double)c[j], alpha), w + j) : table + c[j];
+        int64_t event = cached ? step0 + 1 : i < nchk ? chk_steps[i] : 0;
+        for (int64_t at = step0 + 1; at <= step0 + nblk; at++) {
             const double *row = a + s * n;
             double total = 0.0;
             for (int64_t j = 0; j < n; j++) {
-                total += row[j] * table[c[j]];
+                total += row[j] * *q[j];
                 csum[j] = total;
             }
             x = x * MULT + inc;
@@ -107,18 +114,24 @@ void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *state,
             /* csum[n - 1] = total > cut for u < 1: the bound only keeps s in range */
             for (s = 0; s < n - 1 && csum[s] <= cut; s++)
                 ;
-            c[s] += 1;
-            int64_t at = step0 + k + 1;
+            q[s]++;
             if (log16)
                 log16[r * log_stride + at] = (int16_t)s;
             else if (log64)
                 log64[r * log_stride + at] = s;
-            if (i < nchk && chk_steps[i] == at) {
-                for (int64_t j = 0; j < n; j++)
-                    chk[(r * nchk + i) * n + j] = c[j];
-                i++;
+            if (at == event) {
+                if (cached)
+                    q[s] = w + s, w[s] = pow(1.0 + (double)++c[s], alpha);
+                if (i < nchk && chk_steps[i] == at) {
+                    for (int64_t j = 0; j < n; j++)
+                        chk[(r * nchk + i) * n + j] = cached ? c[j] : q[j] - table;
+                    i++;
+                }
+                event = cached ? at + 1 : i < nchk ? chk_steps[i] : 0;
             }
         }
+        for (int64_t j = 0; j < n && !cached; j++)
+            c[j] = q[j] - table;
         site[r] = s;
         store(g, x);
     }

@@ -15,8 +15,9 @@ sequentially in site order, and the pick counts the prefix sums at or
 below u times the last, as _pick does. It is compiled with
 -ffp-contract=off, so no product and sum fuse into one rounding, and
 without -ffast-math, so no sum is reordered and pow is libm's. Its powers
-come from libm's pow, as step's do through math.pow, so the identity rests
-on one libm function, whatever SIMD kernels numpy dispatches.
+come from libm's pow, as step's do through math.pow (a table filled once per
+walk, or pow itself past it), so the identity rests on one libm function,
+whatever SIMD kernels numpy dispatches.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .dynamics import ModelParameters, _power
 from .errors import BuildError, NumericError, ValidationError
 from .graph import simplex_points
 
-#: Steps per call of the compiled loop: the weight table grows between
-#: calls, and a call cannot be interrupted. The value never affects
-#: trajectories.
+#: Steps per call of the compiled loop, which cannot be interrupted, and
+#: entries of a walk's power table (8 MiB), filled once; larger counts take
+#: libm's pow one by one. Neither value affects trajectories.
 BLOCK_STEPS = 4096
+TABLE_SIZE = 2**20
 
 #: Full site sequences are kept only up to this horizon; beyond it records
 #: carry geometric checkpoints only.
@@ -126,12 +128,12 @@ def splitmix64(x: int) -> int:
 
 def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     """Geometric snapshot times ceil(1.2^m) capped at and including the
-    horizon, merged with any extra requested steps."""
-    vals, x = [*extra, horizon], 1.0
+    horizon, merged with any extra requested steps, all integers."""
+    vals, x = [*(_integer(k, "checkpoint step") for k in extra), _integer(horizon, "horizon")], 1.0
     while math.ceil(x) <= horizon:
         vals.append(math.ceil(x))
         x *= 1.2
-    steps = sorted(set(np.asarray(vals, dtype=np.int64).tolist()))
+    steps = sorted(set(vals))
     if steps[0] < 1 or steps[-1] > horizon:
         raise ValidationError("checkpoint steps must lie in [1, horizon]")
     return np.array(steps, dtype=np.int64)
@@ -215,10 +217,10 @@ def _step_loop():
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.walk_block.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lib.walk_block.argtypes = [i64] * 3 + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
     lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
-    lib.power_table.argtypes = [i64, i64, ctypes.c_double, ptr]
+    lib.power_table.argtypes = [i64, f64, ptr]
     lib.walk_block.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
     return lib
 
@@ -265,18 +267,13 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
         sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
         sites[:, 0] = starts
         log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
-    csum, table, done = np.empty(n), np.empty(0), 0
+    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n), 0
+    lib.power_table(table.size, p.alpha, table.ctypes.data)
     while done < horizon:
         nblk = min(BLOCK_STEPS, horizon - done)
-        # table[k] = (1 + k)^alpha for every count the block can reach; it doubles, new entries only
-        need = int(counts.max(initial=0)) + nblk + 1
-        if table.size < need:
-            old, table = table, np.empty(min(max(need, 2 * table.size), horizon + 2))
-            table[: old.size] = old
-            lib.power_table(old.size, table.size, p.alpha, table.ctypes.data)
         lib.walk_block(
-            n, r, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, site.ctypes.data,
-            counts.ctypes.data, csum.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
+            n, r, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, table.size, p.alpha, site.ctypes.data,
+            counts.ctypes.data, scratch.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
             int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64, horizon + 1,
         )
         done += nblk

@@ -1,11 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrrw
 from vrrw import (
     BuildError,
     ModelParameters,
@@ -146,13 +151,17 @@ def test_picks_land_on_positive_weight_sites(n):
     st.floats(min_value=1.1, max_value=5.0),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=40, max_value=300),
+    st.integers(min_value=1, max_value=800),
 )
-def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block):
-    # short blocks put many block edges and checkpoints into one walk
+def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block, table):
+    # short blocks put many block edges and checkpoints into one walk; with
+    # a table shorter than the horizon, a block whose counts may pass it
+    # takes its weights from pow
     p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
     horizon = 700
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walk_module, "BLOCK_STEPS", block)
+        mp.setattr(walk_module, "TABLE_SIZE", table)
         rec = simulate(p, seed % n, horizon, seed)
     g = np.random.default_rng(seed)
     s = init_walk(p, seed % n)
@@ -248,10 +257,19 @@ def _walk_digest(n, c, alpha):
     return _digest(_batch_walk(p, starts, horizon, seeds, True, sched))
 
 
-@pytest.mark.parametrize("block", [None, 64, 1000])
-def test_engine_trajectories_match_golden_hashes(block, monkeypatch):
+_BLOCK_TABLE = [(block, table) for table in (None, 1, 64) for block in (None, 64, 1000)]
+
+
+@pytest.mark.parametrize(
+    "block, table", _BLOCK_TABLE, ids=[f"{b}" if t is None else f"{b}-table{t}" for b, t in _BLOCK_TABLE]
+)
+def test_engine_trajectories_match_golden_hashes(block, table, monkeypatch):
+    # with a table of 1 or 64 entries, a block whose counts may pass it
+    # takes its weights from pow, the same doubles as the table's
     if block is not None:
         monkeypatch.setattr(walk_module, "BLOCK_STEPS", block)
+    if table is not None:
+        monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
     got = {key: _walk_digest(*key) for key in GOLDEN_WALKS}
     assert got == GOLDEN_WALKS
 
@@ -383,21 +401,24 @@ CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
 def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
     # every uniform is the grid point on a pick boundary or the nearest one
     # on either side of it, where a product or sum rounded otherwise than
-    # in step(), or a strict comparison, would pick another site
+    # in step(), or a strict comparison, would pick another site; with a
+    # table of one entry every weight comes from pow
     horizon, seeds = 1500, [3, 4, 5]
     walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
     sched = checkpoint_schedule(horizon)
     starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
-    state = walk_module._seed_states(seeds)
-    loop = _CraftedLoop(state, [walks[seed][0] for seed in seeds])
+    states = [walk_module._seed_states(seeds) for _ in range(2)]
+    loops = [_CraftedLoop(state, [walks[seed][0] for seed in seeds]) for state in states]
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1)
-    monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
-    final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
-    for r, seed in enumerate(seeds):
-        np.testing.assert_array_equal(sites[r], walks[seed][1])
-        np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
-        for k, counts in zip(sched, chk[r]):
-            np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
+    for table, state, loop in zip((walk_module.TABLE_SIZE, 1), states, loops):
+        monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
+        monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
+        final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
+        for r, seed in enumerate(seeds):
+            np.testing.assert_array_equal(sites[r], walks[seed][1])
+            np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
+            for k, counts in zip(sched, chk[r]):
+                np.testing.assert_array_equal(counts, np.bincount(sites[r][: k + 1], minlength=p.size))
 
 
 def test_each_step_draws_one_double():
@@ -472,6 +493,42 @@ def test_checkpoint_schedule_shape():
     assert np.all(np.diff(sched) > 0)
     with pytest.raises(ValidationError):
         checkpoint_schedule(0)
+    np.testing.assert_array_equal(
+        checkpoint_schedule(np.int64(20), extra=np.array([7])), checkpoint_schedule(20, (7,))
+    )
+    # a step that is not an integer raises; it is not truncated
+    for horizon, extra in [(10.5, ()), (True, ()), ("10", ()), (20, (10.7,)), (20, (True,)), (20, ("5",))]:
+        with pytest.raises(ValidationError):
+            checkpoint_schedule(horizon, extra=extra)
+    for extra in ([10.7], [True], ["5"]):
+        with pytest.raises(ValidationError):
+            simulate(P25, 0, 20, 1, checkpoints=extra)
+
+
+_LONG_WALK = """
+import resource
+from vrrw import ModelParameters, simulate
+p = ModelParameters.for_complete_graph(3, 2.5)
+simulate(p, 0, 1000, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rec = simulate(p, 0, 10**7, 1, record_sites=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, *rec.final_counts)
+"""
+
+
+def test_long_walk_memory_stays_bounded():
+    # a walk of 10^7 steps without a site log reads its weights from one
+    # table of at most TABLE_SIZE doubles (8 MiB), so after a short walk
+    # has loaded the step loop its peak RSS (KiB on Linux) rises by at
+    # most 24 MiB; a table over every count reached would take 38 MiB
+    env = dict(os.environ)
+    src_root = str(Path(vrrw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LONG_WALK], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rise, *counts = map(int, proc.stdout.split())
+    assert sum(counts) == 10**7 + 1
+    assert rise <= 24 * 1024
 
 
 def test_trajectory_record_accessors():
