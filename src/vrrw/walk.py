@@ -267,7 +267,7 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
         sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
         sites[:, 0] = starts
         log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
-    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n), 0
+    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n), 0  # scratch: 3n words
     lib.power_table(table.size, p.alpha, table.ctypes.data)
     while done < horizon:
         nblk = min(BLOCK_STEPS, horizon - done)
