@@ -23,8 +23,8 @@ from .dynamics import ModelParameters
 from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, enumerate_all, face_center
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
-from .graph import FaceIndex, complete_graph, simplex_points, validate
-from .walk import _batch_walk, _integer, splitmix64
+from .graph import FaceIndex, _integer, complete_graph, simplex_points, validate
+from .walk import _batch_walk, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
 
@@ -150,10 +150,9 @@ def _tail_window(horizon: int, tail_fraction: float) -> int:
 
 
 def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: float):
-    """A FaceIndex and a tail profile per row of (R, N) tail counts, then
-    the support histogram and the mean sorted profile, keyed by support
-    size in increasing order. Rows are grouped by support size, so each
-    profile is divided by numpy's sum of exactly its retained shares."""
+    """A FaceIndex and a tail profile, a tuple of shares, per row of (R, N)
+    tail counts. Rows are grouped by support size, so each profile is
+    divided by numpy's sum of exactly its retained shares."""
     shares = tail_counts / window
     retained = (tail_counts >= 1) & (shares >= min_share)
     # A threshold above every share would empty a set; keep the dominant
@@ -162,24 +161,41 @@ def _detect_from_tail_counts(tail_counts: np.ndarray, window: int, min_share: fl
     retained[empty, np.argmax(shares[empty], axis=1)] = True
     sizes = retained.sum(axis=1)
     sites, profiles = [None] * len(sizes), [None] * len(sizes)
-    histogram, mean_profile = {}, {}
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         mask = retained[rows]
         kept = shares[rows][mask].reshape(-1, size)
-        group = kept / kept.sum(axis=1, keepdims=True)
+        group = (kept / kept.sum(axis=1, keepdims=True)).tolist()
         columns = np.nonzero(mask)[1].reshape(-1, size).tolist()
         for i, row_sites, profile in zip(rows.tolist(), columns, group):
-            sites[i], profiles[i] = tuple(row_sites), profile
-        histogram[size] = len(rows)
-        mean_profile[size] = _mean_sorted(group)
+            sites[i], profiles[i] = tuple(row_sites), tuple(profile)
     faces = {s: FaceIndex(sites=s) for s in set(sites)}
-    return [faces[s] for s in sites], profiles, histogram, mean_profile
+    return [faces[s] for s in sites], profiles
 
 
 def _mean_sorted(group: np.ndarray) -> tuple:
     """Mean of the rows of group, each sorted in decreasing order."""
     return tuple(np.mean(-np.sort(-group, axis=1), axis=0).tolist())
+
+
+def _result(config, seeds, supports, profiles, occupations, nearest, distances, code_version) -> CampaignResult:
+    """The campaign result of per-replica columns, replica i from row i of
+    each. The tail profiles are grouped by support size in replica order:
+    the support histogram counts each group and the mean sorted profile
+    averages it, both keyed by support size in increasing order."""
+    columns = zip(seeds, supports, profiles, occupations, nearest, distances)
+    replicas = tuple(ReplicaResult(i, *row) for i, row in enumerate(columns))
+    groups = {}  # tail profiles by support size, in replica order
+    for profile in profiles:
+        groups.setdefault(len(profile), []).append(profile)
+    return CampaignResult(
+        config=config,
+        replicas=replicas,
+        support_histogram={k: len(groups[k]) for k in sorted(groups)},
+        mean_sorted_profile={k: _mean_sorted(np.array(groups[k])) for k in sorted(groups)},
+        config_hash=config.config_hash(),
+        code_version=code_version,
+    )
 
 
 def _has_anchors(p: ModelParameters) -> bool:
@@ -260,32 +276,15 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     at = [cutoff] if cutoff >= 1 else []
     final, chk, _ = _batch_walk(p, starts, cfg.horizon, seeds, False, at)
 
-    if cutoff >= 1:
-        base = chk[:, 0]
-    else:
-        base = np.zeros((r, n), dtype=np.int64)
-        base[np.arange(r), starts] = 1
+    base = chk[:, 0] if cutoff >= 1 else np.eye(n, dtype=np.int64)[starts]
     tail = final - base
 
     occupations = simplex_points(final / (cfg.horizon + 1.0))
     anchors = equilibrium_anchors(p)
     nearest_idx, nearest_dist = _nearest(occupations, anchors)
-    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(tail, window, cfg.detection.min_share)
-    replicas = tuple(
-        ReplicaResult(
-            replica=i, seed=seeds[i], support=faces[i], tail_profile=tuple(profiles[i].tolist()),
-            final_occupation=occupations[i], nearest_equilibrium=idx, distance=dist,
-        )
-        for i, (idx, dist) in enumerate(zip(nearest_idx.tolist(), nearest_dist.tolist()))
-    )
-
-    return CampaignResult(
-        config=cfg,
-        replicas=replicas,
-        support_histogram=histogram,
-        mean_sorted_profile=mean_profile,
-        config_hash=cfg.config_hash(),
-        code_version=__version__,
+    faces, profiles = _detect_from_tail_counts(tail, window, cfg.detection.min_share)
+    return _result(
+        cfg, seeds, faces, profiles, occupations, nearest_idx.tolist(), nearest_dist.tolist(), __version__
     )
 
 
@@ -454,42 +453,27 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
         faces[labels] = FaceIndex(sites=tuple(_integer(s, "support label") - 1 for s in labels))
         if faces[labels].sites[-1] >= n:
             raise ValidationError(f"support labels {list(labels)} exceed the {n} sites")
-    replicas = tuple(
-        ReplicaResult(
-            replica=_integer(rep["replica"], "replica"),
-            seed=_integer(rep["seed"], "seed"),
-            support=faces[tuple(rep["support"])],
-            tail_profile=tuple(_number(x, "tail share") for x in rep["tail_profile"]),
-            final_occupation=occupations[i],
-            nearest_equilibrium=_integer(rep["nearest_equilibrium"], "nearest equilibrium"),
-            distance=_number(rep["distance"], "distance"),
-        )
-        for i, rep in enumerate(reps)
-    )
+    seeds = [_integer(rep["seed"], "seed") for rep in reps]
+    supports = [faces[tuple(rep["support"])] for rep in reps]
+    profiles = [tuple(_number(x, "tail share") for x in rep["tail_profile"]) for rep in reps]
+    nearest = [_integer(rep["nearest_equilibrium"], "nearest equilibrium") for rep in reps]
+    distances = [_number(rep["distance"], "distance") for rep in reps]
     anchored = _has_anchors(config.model)
-    for i, rep in enumerate(replicas):
-        k, dist = rep.nearest_equilibrium, rep.distance
+    for i, rep in enumerate(reps):
+        k, dist = nearest[i], distances[i]
         if not (k >= 0 and dist >= 0 if anchored else k == -1 and math.isnan(dist)):
             want = "an index >= 0 at a distance >= 0" if anchored else "-1 at a NaN distance"
             raise ValidationError(f"replica {i} has nearest equilibrium {k} at distance {dist}, not {want}")
-        if rep.replica != i:
-            raise ValidationError(f"record {i} holds replica {rep.replica}")
-        if rep.seed != replica_seed(config.base_seed, i):
-            raise ValidationError(f"replica {i} has seed {rep.seed}, not replica_seed({config.base_seed}, {i})")
-        if len(rep.tail_profile) != len(rep.support.sites):
+        if _integer(rep["replica"], "replica") != i:
+            raise ValidationError(f"record {i} holds replica {rep['replica']}")
+        if seeds[i] != replica_seed(config.base_seed, i):
+            raise ValidationError(f"replica {i} has seed {seeds[i]}, not replica_seed({config.base_seed}, {i})")
+        if len(profiles[i]) != len(supports[i].sites):
             raise ValidationError(
-                f"replica {i} has {len(rep.tail_profile)} tail shares for {len(rep.support.sites)} sites"
+                f"replica {i} has {len(profiles[i])} tail shares for {len(supports[i].sites)} sites"
             )
-    groups = {}  # tail profiles by support size, in replica order
-    for rep in replicas:
-        groups.setdefault(len(rep.tail_profile), []).append(rep.tail_profile)
-    result = CampaignResult(
-        config=config,
-        replicas=replicas,
-        support_histogram={k: len(groups[k]) for k in sorted(groups)},
-        mean_sorted_profile={k: _mean_sorted(np.array(groups[k])) for k in sorted(groups)},
-        config_hash=config.config_hash(),
-        code_version=d["provenance"]["code_version"],
+    result = _result(
+        config, seeds, supports, profiles, occupations, nearest, distances, d["provenance"]["code_version"]
     )
     head = _json_head(result)
     for key in ("provenance", "aggregates"):

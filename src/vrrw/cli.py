@@ -24,9 +24,9 @@ from .dynamics import ModelParameters, integrate_flow
 from .equilibria import classify, enumerate_all, threshold_table
 from .errors import VrrwError
 from .files import canonical_hash, open_text
-from .graph import InteractionMatrix, complete_graph
+from .graph import InteractionMatrix, _integer, complete_graph
 from .rubin import ClockConfig, power_weight, rubin_simulate
-from .walk import _integer, simulate
+from .walk import simulate
 
 SEED_ENV_VAR = "VRRW_SEED"
 

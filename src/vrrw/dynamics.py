@@ -314,8 +314,8 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     x = simplex_points(v0)
     if x.ndim != 1:
         raise ValidationError(f"flow start must be one point, got shape {x.shape}")
-    if not (0 < dt <= t_end):
-        raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    if not (0 < dt <= t_end < math.inf):
+        raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     steps = max(1, int(round(t_end / dt)))
     zero = x == 0.0
     matrix = p.effective_matrix

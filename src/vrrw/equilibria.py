@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .graph import FaceIndex, coords_of, simplex_points
+from .graph import FaceIndex, _integer, coords_of, simplex_points
 
 #: Eigenvalue margin separating genuine criticality from float noise.
 STABILITY_MARGIN = 1e-8
@@ -114,6 +114,7 @@ def center_eigenvalue(k: int, alpha: float, loop_c: float = 0.0) -> float:
 
         -1 + alpha (k - 2 + 2c) / (k - 1 + c).
     """
+    k = _integer(k, "face size")
     if k < 2:
         raise DomainError(f"face center spectrum needs size >= 2, got {k}")
     if alpha <= 1:
@@ -124,6 +125,7 @@ def center_eigenvalue(k: int, alpha: float, loop_c: float = 0.0) -> float:
 def critical_alpha(k: int) -> float:
     """Exponent above which the center of a size-k face turns unstable:
     (k-1)/(k-2). Finite only for k >= 3."""
+    k = _integer(k, "face size")
     if k < 3:
         raise DomainError(f"no finite critical exponent for face size {k}")
     return (k - 1) / (k - 2)
@@ -134,6 +136,7 @@ def critical_alpha_loop(k: int, c: float) -> float:
 
     Reduces to critical_alpha(k) at c=0; diverges as k approaches 2(1-c).
     """
+    k = _integer(k, "face size")
     if k < 2:
         raise DomainError(f"loop-model threshold needs face size >= 2, got {k}")
     if not 0.0 <= c < 1.0:
@@ -150,6 +153,7 @@ def threshold_table(c: float, kmax: int) -> ThresholdTable:
     The k=2 row exists only for c > 0; without self-loops 2-site centers
     are stable at every exponent.
     """
+    kmax = _integer(kmax, "largest face size")
     if kmax < 2:
         raise DomainError(f"table needs kmax >= 2, got {kmax}")
     first = 3 if c == 0.0 else 2
@@ -168,6 +172,7 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
     """
     if t <= 0:
         raise DomainError(f"ratio must be positive, got {t}")
+    n, k = _integer(n, "site count"), _integer(k, "block size")
     if not 1 <= k <= n - 1:
         raise ValidationError(f"block size k={k} out of range for n={n}")
     t = float(t)
@@ -277,6 +282,7 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
     At most two equilibria exist for any (n, k, alpha); the returned
     points are interior and carry their closed-form tangent spectra.
     """
+    n, k = _integer(n, "site count"), _integer(k, "block size")
     if n < 2:
         raise ValidationError(f"need at least 2 sites, got {n}")
     if not 1 <= k <= n / 2:
@@ -307,6 +313,7 @@ def enumerate_all(n: int, alpha: float) -> list:
     faces by (size, sites), center first, then block size, ratio, and
     block placement.
     """
+    n = _integer(n, "site count")
     if not 2 <= n <= 12:
         raise DomainError(f"enumeration budget covers 2 <= n <= 12, got {n}")
     if alpha <= 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from sys import float_info
 
@@ -27,6 +28,17 @@ VALIDATION_RTOL = 1e-12
 #: Occupation cap on sites without a self-loop. The exact flow never
 #: crosses it, but a large RK4 step can; checked, not enforced.
 LOOPFREE_CAP = 0.75
+
+
+def _integer(x, what: str) -> int:
+    """x as a Python int; numpy integers pass, bools, floats and strings
+    do not."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -105,6 +117,7 @@ def validate(entries) -> InteractionMatrix:
 
 def complete_graph(n: int) -> InteractionMatrix:
     """All-ones off-diagonal matrix on n sites (zero diagonal, row sum n-1)."""
+    n = _integer(n, "site count")
     if n < 2:
         raise ValidationError(f"complete graph needs at least 2 sites, got {n}")
     arr = np.ones((n, n)) - np.eye(n)
@@ -119,8 +132,8 @@ def with_diagonal(matrix: InteractionMatrix, c: float) -> InteractionMatrix:
     the matrix unchanged. Row sums stay constant because the original
     diagonal is constant for the supported (complete-graph) family.
     """
-    if c < 0:
-        raise ValidationError(f"self-loop weight must be >= 0, got {c}")
+    if not np.isfinite(c) or c < 0:
+        raise ValidationError(f"self-loop weight must be finite and >= 0, got {c}")
     diag = np.diagonal(matrix.entries)
     if not np.all(diag == diag[0]):
         raise ValidationError("diagonal override requires a constant original diagonal")
@@ -157,10 +170,7 @@ class FaceIndex:
     def __post_init__(self):
         if len(self.sites) == 0:
             raise ValidationError("face must contain at least one site")
-        try:
-            sites = tuple(sorted(int(s) for s in self.sites))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"face sites must be integers: {self.sites}") from exc
+        sites = tuple(sorted(_integer(s, "face site") for s in self.sites))
         if len(set(sites)) != len(sites):
             raise ValidationError(f"face has repeated sites: {sites}")
         if sites[0] < 0:

@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, SummabilityError, ValidationError
-from .graph import InteractionMatrix
-from .walk import TrajectoryRecord, _integer, _nonnegative_int, checkpoint_schedule, splitmix64
+from .graph import InteractionMatrix, _integer
+from .walk import TrajectoryRecord, _nonnegative_int, checkpoint_schedule, splitmix64
 
 #: Dyadic probe depth for certifying weight-sequence tails.
 _TAIL_PROBES = 64
@@ -252,7 +252,10 @@ def trap_probability_bound(
     log, so the returned value never exceeds the infinite product.
 
     Returns 0 when some factor is nonpositive (the bound is vacuous then).
+    The degree and the levels are integers.
     """
+    degree, start_index = _integer(degree, "degree"), _integer(start_index, "start index")
+    truncation = _integer(truncation, "truncation")
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     if start_index < 0 or truncation <= start_index:

@@ -26,7 +26,6 @@ import ctypes
 import functools
 import hashlib
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 
 from .dynamics import ModelParameters, _power
 from .errors import BuildError, NumericError, ValidationError
-from .graph import simplex_points
+from .graph import _integer, simplex_points
 
 #: Steps per call of the compiled loop, which cannot be interrupted, and
 #: entries of a walk's power table (8 MiB), filled once; larger counts take
@@ -137,17 +136,6 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     if steps[0] < 1 or steps[-1] > horizon:
         raise ValidationError("checkpoint steps must lie in [1, horizon]")
     return np.array(steps, dtype=np.int64)
-
-
-def _integer(x, what: str) -> int:
-    """x as a Python int; numpy integers pass, bools, floats and strings
-    do not."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
 def _nonnegative_int(x, what: str) -> int:

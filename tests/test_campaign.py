@@ -29,6 +29,7 @@ import vrrw.campaign as campaign_module
 from vrrw.campaign import (
     _detect_from_tail_counts,
     _nearest,
+    _result,
     _result_to_json_dict,
     _tail_window,
     config_from_json_dict,
@@ -37,7 +38,7 @@ from vrrw.campaign import (
     replica_start,
 )
 from vrrw.cli import main
-from vrrw.graph import coords_of
+from vrrw.graph import coords_of, simplex_points
 
 P3 = ModelParameters.for_complete_graph(3, 2.5)
 
@@ -49,7 +50,7 @@ def detect(sites, min_share=0.02, n=3):
     horizon = sites.size - 1
     window = _tail_window(horizon, 0.5)
     tail = np.bincount(sites[horizon - window + 1 :], minlength=n)
-    [support], [profile], _, _ = _detect_from_tail_counts(tail[None], window, min_share)
+    [support], [profile] = _detect_from_tail_counts(tail[None], window, min_share)
     return support, profile
 
 
@@ -66,7 +67,7 @@ def test_detection_ignores_early_excursions():
     tail = [0, 1] * 450
     support, profile = detect(head + tail + [0])
     assert tuple(support) == (0, 1)
-    assert profile.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(profile) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_detection_monotone_in_share_threshold():
@@ -86,7 +87,7 @@ def test_detection_works_from_checkpoint_snapshots():
     assert r.sites is None
     cut_idx = int(np.nonzero(r.checkpoint_steps == 25_000)[0][0])
     tail = r.final_counts - r.checkpoint_counts[cut_idx]
-    [support], [profile], _, _ = _detect_from_tail_counts(
+    [support], [profile] = _detect_from_tail_counts(
         tail[None], _tail_window(50_000, 0.5), 0.02
     )
     full = simulate(P3, 0, 50_000, 33)
@@ -117,17 +118,26 @@ def test_batch_detection_matches_row_by_row_reference(n, min_share):
     pvals = [rng.dirichlet(np.full(n, c)) for c in rng.choice([0.05, 0.5, 5.0, 500.0], size=300)]
     tail = rng.multinomial(window, pvals)
     tail = np.concatenate([tail, np.full((1, n), window // n), np.eye(n, dtype=np.int64)[-1:] * window])
-    faces, profiles, histogram, mean_profile = _detect_from_tail_counts(tail, window, min_share)
+    faces, profiles = _detect_from_tail_counts(tail, window, min_share)
 
     want = [_detect_row(row, window, min_share) for row in tail]
     assert [face.sites for face in faces] == [sites for sites, _ in want]
     for got, (_, profile) in zip(profiles, want):
-        assert got.tobytes() == profile.tobytes()
+        assert np.array(got).tobytes() == profile.tobytes()
     if min_share == 0.3 and n >= 8:
         shares = tail / window
         assert np.any(~((tail >= 1) & (shares >= min_share)).any(axis=1))
 
-    # the aggregates as run_campaign built them from its replica results
+    # the aggregates as _result builds them, against grouping the reference
+    # profiles by support size
+    r = len(tail)
+    cfg = ExperimentConfig(
+        model=ModelParameters.for_complete_graph(n, 2.5), replicas=r, horizon=2 * window, base_seed=0
+    )
+    occupations = simplex_points(tail / tail.sum(axis=1, keepdims=True))
+    seeds = [replica_seed(0, i) for i in range(r)]
+    res = _result(cfg, seeds, faces, profiles, occupations, [-1] * r, [math.nan] * r, "test")
+    histogram, mean_profile = res.support_histogram, res.mean_sorted_profile
     by_size = {}
     for sites, profile in want:
         by_size.setdefault(len(sites), []).append(sorted((float(x) for x in profile), reverse=True))

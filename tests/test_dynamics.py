@@ -468,6 +468,20 @@ def test_flow_keeps_initial_zeros():
     assert np.all(np.asarray(traj.states)[:, 2] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [
+        pytest.param(float("inf"), 1.0, id="infinite-t_end"),
+        pytest.param(float("nan"), 1.0, id="nan-t_end"),
+        pytest.param(1.0, float("nan"), id="nan-dt"),
+        pytest.param(float("inf"), float("inf"), id="infinite-dt"),
+    ],
+)
+def test_flow_rejects_non_finite_times(t_end, dt):
+    with pytest.raises(ValidationError, match="dt <= t_end"):
+        integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=t_end, dt=dt)
+
+
 def test_flow_trajectory_csv_round_trip(tmp_path):
     traj = integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=0.1)
     path = tmp_path / "flow.csv"

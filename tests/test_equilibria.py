@@ -14,6 +14,7 @@ from vrrw import (
     ValidationError,
     center_eigenvalue,
     classify,
+    complete_graph,
     critical_alpha,
     critical_alpha_loop,
     enumerate_all,
@@ -66,6 +67,26 @@ def test_loop_threshold_known_values():
         critical_alpha_loop(2, 0.0)  # threshold pole
     with pytest.raises(DomainError):
         critical_alpha_loop(3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: critical_alpha(3.5), id="critical_alpha"),
+        pytest.param(lambda: critical_alpha_loop(3.5, 0.0), id="critical_alpha_loop"),
+        pytest.param(lambda: center_eigenvalue(3.5, 2.0), id="center_eigenvalue"),
+        pytest.param(lambda: level_ratio_polynomial(0.5, 4, 1.5, 2.0), id="level_ratio_polynomial"),
+        pytest.param(lambda: enumerate_all(3.0, 2.5), id="enumerate_all"),
+        pytest.param(lambda: complete_graph(2.5), id="complete_graph"),
+        pytest.param(lambda: threshold_table(0.0, 4.5), id="threshold_table"),
+        pytest.param(lambda: solve_two_level(4, 1.5, 1.5), id="solve_two_level"),
+        pytest.param(lambda: critical_alpha(True), id="bool-size"),
+    ],
+)
+def test_face_sizes_and_site_counts_take_only_integers(call):
+    # the first four gave a value, the next four a bare TypeError
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
 
 
 def test_threshold_table_contents():

@@ -137,6 +137,21 @@ def test_face_index_labels_are_one_based():
         FaceIndex(sites=())
 
 
+@pytest.mark.parametrize("sites", [(0.5, 1), (0.9,), (True, 2), (1, "2")])
+def test_face_index_takes_only_integer_sites(sites):
+    # int() used to truncate these: (0.5, 1) made the face (0, 1)
+    with pytest.raises(ValidationError, match="face site must be an integer"):
+        FaceIndex(sites=sites)
+    face = FaceIndex(sites=(np.int64(2), np.uint8(0)))
+    assert face.sites == (0, 2) and all(type(s) is int for s in face.sites)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf")])
+def test_with_diagonal_rejects_non_finite_weights(c):
+    with pytest.raises(ValidationError, match="self-loop weight"):
+        with_diagonal(complete_graph(3), c)
+
+
 real_vectors = arrays(
     np.float64,
     st.integers(min_value=2, max_value=8),

@@ -83,6 +83,20 @@ def test_trap_sampler_takes_only_integers(args, kwargs):
         sample_trap_event(degree, power_weight(3.0), start, draws, seed, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "degree, start, truncation",
+    [
+        pytest.param(2.5, 5, 1000, id="float-degree"),
+        pytest.param(2, 5.5, 1000, id="float-start"),
+        pytest.param(2, 5, 1000.5, id="float-truncation"),
+    ],
+)
+def test_trap_bound_takes_only_integers(degree, start, truncation):
+    # each gave a bound before, as if the level sums ran over reals
+    with pytest.raises(ValidationError, match="must be an integer"):
+        trap_probability_bound(degree, power_weight(3.0), start, truncation)
+
+
 def test_embedded_chain_is_deterministic():
     a = rubin_simulate(CFG, 0, 60, 42)
     b = rubin_simulate(CFG, 0, 60, 42)
