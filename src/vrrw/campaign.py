@@ -179,10 +179,11 @@ def _mean_sorted(group: np.ndarray) -> tuple:
 
 
 def _result(config, seeds, supports, profiles, occupations, nearest, distances, code_version) -> CampaignResult:
-    """The campaign result of per-replica columns, replica i from row i of
-    each. The tail profiles are grouped by support size in replica order:
-    the support histogram counts each group and the mean sorted profile
-    averages it, both keyed by support size in increasing order."""
+    """The campaign result of per-replica columns, in ReplicaResult's field
+    order, replica i from row i of each. The tail profiles are grouped by
+    support size in replica order: the support histogram counts each group
+    and the mean sorted profile averages it, both keyed by support size in
+    increasing order."""
     columns = zip(seeds, supports, profiles, occupations, nearest, distances)
     replicas = tuple(ReplicaResult(i, *row) for i, row in enumerate(columns))
     groups = {}  # tail profiles by support size, in replica order
