@@ -1,7 +1,11 @@
-/* One block of steps of the reinforced walk for every replica, each
- * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's table of powers;
- * vrrw/walk.py builds this file and says why its picks equal step's. A state
- * row holds state and inc as four uint64 words, low first; 128-bit values live in registers. */
+/* One block of steps of the reinforced walk for a list of replicas, by one of
+ * two kernels that pick the same sites: walk_block steps one replica at a time and
+ * ends each pick's scan at the first prefix sum above the cut, walk_group steps up
+ * to LANES replicas in lockstep and counts the prefix sums at or below it; also each
+ * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's table of powers.
+ * vrrw/walk.py builds this file, says why the picks equal step's and chooses the
+ * kernel per replica and block. A state row holds state and inc as four uint64
+ * words, low first; 128-bit values live in registers. */
 #include <math.h>
 #include <stdint.h>
 
@@ -72,8 +76,8 @@ void power_table(int64_t size, double alpha, double *table)
         table[k] = pow(1.0 + (double)k, alpha);
 }
 
-/* Replica r takes nblk steps from site[r] with counts row r of the r x n
- * counts, drawing one uniform per step from its PCG64 in row r of state
+/* Each replica r = rows[k], k < reps, takes nblk steps from site[r] with row r
+ * of the n-column counts, drawing one uniform per step from its PCG64 in row r of state
  * as numpy's next_double does: an LCG step, the XSL-RR output, and its top
  * 53 bits times 2^-53. A step weighs site j by a[site * n + j] * *q[j], adds
  * the weights in site order into csum and moves to the number of prefix sums
@@ -82,15 +86,15 @@ void power_table(int64_t size, double alpha, double *table)
  * moves q[s] on; else q[j] = w + j and each step is an event that refreshes
  * w[s] by pow. Step at is logged into row r of log16 or log64 (the one not NULL,
  * rows of log_stride); its counts go to chk[r][i], an event too, when at = chk_steps[i], i >= chk0. */
-void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *restrict state,
+void walk_block(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint64_t *restrict state,
                 const double *restrict a, const double *restrict table, int64_t size, double alpha,
                 int64_t *restrict site, int64_t *restrict counts, const double **q, int64_t step0,
                 const int64_t *restrict chk_steps, int64_t nchk, int64_t chk0, int64_t *restrict chk,
                 int16_t *restrict log16, int64_t *restrict log64, int64_t log_stride)
 {
     double *w = (double *)(q + n), *restrict csum = w + n;
-    for (int64_t r = 0; r < reps; r++) {
-        int64_t s = site[r], i = chk0, *c = counts + r * n, cached = 0;
+    for (int64_t k = 0; k < reps; k++) {
+        int64_t r = rows[k], s = site[r], i = chk0, *c = counts + r * n, cached = 0;
         uint64_t *g = state + r * 4;
         u128 x = load(g), inc = load(g + 2);
         for (int64_t j = 0; j < n; j++)
@@ -134,5 +138,75 @@ void walk_block(int64_t n, int64_t reps, int64_t nblk, uint64_t *restrict state,
             c[j] = q[j] - table;
         site[r] = s;
         store(g, x);
+    }
+}
+
+/* walk_block's steps, for the replicas in groups of up to LANES that step in
+ * lockstep: each step takes a step of every lane in turn. Lane l keeps its q, w and
+ * csum of n words each at offset l * n of their arrays, a scratch of 3n LANES words.
+ * A lane's weights, sums and cut are walk_block's, and it picks the count of the
+ * first n - 1 prefix sums at or below the cut: where walk_block's scan stops, as the
+ * sums never decrease. No branch depends on the uniform, so the lanes' steps overlap.
+ * A short last group has fewer lanes; checkpoint steps are the same for every lane. */
+#define LANES 8
+void walk_group(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint64_t *restrict state,
+                const double *restrict a, const double *restrict table, int64_t size, double alpha,
+                int64_t *restrict site, int64_t *restrict counts, const double **q, int64_t step0,
+                const int64_t *restrict chk_steps, int64_t nchk, int64_t chk0, int64_t *restrict chk,
+                int16_t *restrict log16, int64_t *restrict log64, int64_t log_stride)
+{
+    double *w = (double *)(q + LANES * n), *restrict csum = w + LANES * n;
+    for (int64_t k = 0; k < reps; k += LANES) {
+        int64_t m = reps - k < LANES ? reps - k : LANES, r[LANES], s[LANES], *c[LANES], cached[LANES];
+        u128 x[LANES], inc[LANES];
+        for (int64_t l = 0; l < m; l++) {
+            r[l] = rows[k + l], s[l] = site[r[l]], c[l] = counts + r[l] * n, cached[l] = 0;
+            x[l] = load(state + r[l] * 4), inc[l] = load(state + r[l] * 4 + 2);
+            for (int64_t j = 0; j < n; j++)
+                cached[l] |= c[l][j] + nblk >= size;
+            for (int64_t j = 0; j < n; j++)
+                q[l * n + j] = cached[l] ? (w[l * n + j] = pow(1.0 + (double)c[l][j], alpha), w + l * n + j)
+                                         : table + c[l][j];
+        }
+        int64_t i = chk0;
+        for (int64_t at = step0 + 1; at <= step0 + nblk; at++) {
+            for (int64_t l = 0; l < m; l++) {
+                const double *row = a + s[l] * n, **ql = q + l * n;
+                double total = 0.0, *cl = csum + l * n;
+                for (int64_t j = 0; j < n; j++) {
+                    total += row[j] * *ql[j];
+                    cl[j] = total;
+                }
+                x[l] = x[l] * MULT + inc[l];
+                uint64_t hi = (uint64_t)(x[l] >> 64), v = hi ^ (uint64_t)x[l];
+                unsigned rot = (unsigned)(hi >> 58);
+                v = (v >> rot) | (v << ((-rot) & 63));
+                double cut = (double)(int64_t)(v >> 11) * 0x1.0p-53 * total;
+                int64_t t = 0;
+                for (int64_t j = 0; j < n - 1; j++)
+                    t += cl[j] <= cut;
+                s[l] = t;
+                if (cached[l])
+                    w[l * n + t] = pow(1.0 + (double)++c[l][t], alpha);
+                else
+                    ql[t]++;
+                if (log16)
+                    log16[r[l] * log_stride + at] = (int16_t)t;
+                else if (log64)
+                    log64[r[l] * log_stride + at] = t;
+            }
+            if (i < nchk && chk_steps[i] == at) {
+                for (int64_t l = 0; l < m; l++)
+                    for (int64_t j = 0; j < n; j++)
+                        chk[(r[l] * nchk + i) * n + j] = cached[l] ? c[l][j] : q[l * n + j] - table;
+                i++;
+            }
+        }
+        for (int64_t l = 0; l < m; l++) {
+            for (int64_t j = 0; j < n && !cached[l]; j++)
+                c[l][j] = q[l * n + j] - table;
+            site[r[l]] = s[l];
+            store(state + r[l] * 4, x[l]);
+        }
     }
 }

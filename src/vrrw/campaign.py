@@ -23,7 +23,7 @@ from .dynamics import ModelParameters
 from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, enumerate_all, face_center
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
-from .graph import FaceIndex, _integer, complete_graph, simplex_points, validate
+from .graph import FaceIndex, _integer, _number, complete_graph, simplex_points, validate
 from .walk import _batch_walk, splitmix64
 
 UNIFORM_RANDOM = "uniform-random"
@@ -422,13 +422,6 @@ def _write_json(result: CampaignResult, fh) -> None:
         )
         fh.write(",\n" + record if i else record)
     fh.write("\n  ]" + after + "\n")
-
-
-def _number(x, what: str) -> float:
-    """The JSON number x as a float; a string or a bool raises."""
-    if type(x) not in (int, float):
-        raise ValidationError(f"{what} must be a number, got {x!r}")
-    return float(x)
 
 
 def _result_from_json_dict(d: dict) -> CampaignResult:

@@ -39,6 +39,7 @@ from .errors import (
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
+    _number,
     _project,
     check_loopfree_cap,
     complete_graph,
@@ -52,6 +53,10 @@ log = logging.getLogger(__name__)
 
 #: Imaginary parts above this trigger the symmetrized eigensolver fallback.
 _IMAG_TOL = 1e-8
+
+#: Most RK4 steps (t_end / dt) one integrate_flow call takes. The call keeps
+#: every state, so a flow this long on n sites holds (n + 2) * 8 MB.
+FLOW_STEP_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,9 @@ class ModelParameters:
     loop_c: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 1.0:
+        if not math.isfinite(_number(self.alpha, "reinforcement exponent")) or self.alpha <= 1.0:
             raise ValidationError(f"reinforcement exponent must be > 1, got {self.alpha}")
-        if not np.isfinite(self.loop_c) or self.loop_c < 0.0:
+        if not math.isfinite(_number(self.loop_c, "self-loop weight")) or self.loop_c < 0.0:
             raise ValidationError(f"self-loop weight must be >= 0, got {self.loop_c}")
 
     @cached_property
@@ -309,13 +314,16 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     scheme, re-projecting onto the simplex after every step.
 
     Coordinates that start at exactly zero are pinned to zero (faces are
-    invariant), and t_end is rounded to a whole number of steps.
+    invariant), and t_end is rounded to a whole number of steps. A flow of
+    more than FLOW_STEP_LIMIT steps (t_end / dt) raises ValidationError.
     """
     x = simplex_points(v0)
     if x.ndim != 1:
         raise ValidationError(f"flow start must be one point, got shape {x.shape}")
     if not (0 < dt <= t_end < math.inf):
         raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
+    if t_end / dt > FLOW_STEP_LIMIT:
+        raise ValidationError(f"t_end / dt = {t_end / dt:.6g} steps, past the budget of {FLOW_STEP_LIMIT}")
     steps = max(1, int(round(t_end / dt)))
     zero = x == 0.0
     matrix = p.effective_matrix

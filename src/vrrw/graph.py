@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import operator
 from dataclasses import dataclass, field
 from sys import float_info
@@ -39,6 +40,14 @@ def _integer(x, what: str) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{what} must be an integer, got {x!r}")
+
+
+def _number(x, what: str) -> float:
+    """x as a float; ints, floats and numpy numbers pass, bools and strings
+    do not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    return float(x)
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -132,6 +141,7 @@ def with_diagonal(matrix: InteractionMatrix, c: float) -> InteractionMatrix:
     the matrix unchanged. Row sums stay constant because the original
     diagonal is constant for the supported (complete-graph) family.
     """
+    c = _number(c, "self-loop weight")
     if not np.isfinite(c) or c < 0:
         raise ValidationError(f"self-loop weight must be finite and >= 0, got {c}")
     diag = np.diagonal(matrix.entries)
@@ -168,9 +178,12 @@ class FaceIndex:
     sites: tuple = field(default=())
 
     def __post_init__(self):
-        if len(self.sites) == 0:
+        try:
+            sites = tuple(sorted(_integer(s, "face site") for s in self.sites))
+        except TypeError:
+            raise ValidationError(f"face sites must be a collection of sites, got {self.sites!r}") from None
+        if not sites:
             raise ValidationError("face must contain at least one site")
-        sites = tuple(sorted(_integer(s, "face site") for s in self.sites))
         if len(set(sites)) != len(sites):
             raise ValidationError(f"face has repeated sites: {sites}")
         if sites[0] < 0:

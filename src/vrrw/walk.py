@@ -18,6 +18,22 @@ without -ffast-math, so no sum is reordered and pow is libm's. Its powers
 come from libm's pow, as step's do through math.pow (a table filled once per
 walk, or pow itself past it), so the identity rests on one libm function,
 whatever SIMD kernels numpy dispatches.
+
+The loop has two kernels, which form the weights, sums and u * total alike.
+walk_block steps one replica at a time and scans the prefix sums up to the
+first one above u * total; walk_group steps up to eight replicas in lockstep
+and picks the count of the first n - 1 sums at or below it, _pick's own
+definition. Both give the same site: the weights are nonnegative, so the
+prefix sums never decrease, and the sums at or below u * total are exactly
+those before the first one above it. The scan's exit is a branch on the
+uniform. While a replica alternates on two sites the branch predictor
+guesses it; while a replica wanders among more sites it misses about once
+a step, and the steps do not overlap. walk_group's count takes no branch on
+the uniform, so its lanes' steps overlap. _walk therefore chooses per block:
+a replica that put at least 7/8 of its previous block's steps on two sites
+goes through walk_block, and every other replica through walk_group. A
+walk's first block of FIRST_BLOCK steps has no previous block and takes
+every replica through walk_block.
 """
 
 from __future__ import annotations
@@ -43,6 +59,10 @@ from .graph import _integer, simplex_points
 #: libm's pow one by one. Neither value affects trajectories.
 BLOCK_STEPS = 4096
 TABLE_SIZE = 2**20
+
+#: Steps of a walk's first block, which every replica takes through
+#: walk_block: no block before it tells which kernel suits the replica.
+FIRST_BLOCK = 512
 
 #: Full site sequences are kept only up to this horizon; beyond it records
 #: carry geometric checkpoints only.
@@ -206,10 +226,11 @@ def _step_loop():
         _build(path)
     lib = ctypes.CDLL(str(path))
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.walk_block.argtypes = [i64] * 3 + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    kernel = [i64, i64, ptr, i64] + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    lib.walk_block.argtypes = lib.walk_group.argtypes = kernel
     lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
     lib.power_table.argtypes = [i64, f64, ptr]
-    lib.walk_block.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
+    lib.walk_block.restype = lib.walk_group.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
     return lib
 
 
@@ -255,16 +276,25 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
         sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
         sites[:, 0] = starts
         log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
-    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n), 0  # scratch: 3n words
+    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n * 8), 0  # 3n words a lane
     lib.power_table(table.size, p.alpha, table.ctypes.data)
+    pairs, wanders = np.arange(r), np.arange(0)
     while done < horizon:
-        nblk = min(BLOCK_STEPS, horizon - done)
-        lib.walk_block(
-            n, r, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, table.size, p.alpha, site.ctypes.data,
-            counts.ctypes.data, scratch.ctypes.data, done, checkpoint_at.ctypes.data, checkpoint_at.size,
-            int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64, horizon + 1,
-        )
+        nblk = min(BLOCK_STEPS, FIRST_BLOCK if done == 0 else BLOCK_STEPS, horizon - done)
+        before = counts.copy()
+        for kernel, rows in ((lib.walk_block, pairs), (lib.walk_group, wanders)):
+            if rows.size:
+                kernel(
+                    n, rows.size, rows.ctypes.data, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data,
+                    table.size, p.alpha, site.ctypes.data, counts.ctypes.data, scratch.ctypes.data, done,
+                    checkpoint_at.ctypes.data, checkpoint_at.size, int(np.searchsorted(checkpoint_at, done + 1)),
+                    chk.ctypes.data, log16, log64, horizon + 1,
+                )
         done += nblk
+        # a replica that put 7/8 of the block's steps on two sites is taken to alternate on them
+        top_two = np.partition(counts - before, n - 2, axis=1)[:, n - 2 :].sum(axis=1)
+        paired = 8 * top_two >= 7 * nblk
+        pairs, wanders = np.flatnonzero(paired), np.flatnonzero(~paired)
     return counts, chk, sites
 
 

@@ -35,7 +35,7 @@ from vrrw import (
     vector_field,
 )
 from vrrw.graph import InteractionMatrix
-from vrrw.dynamics import _field_array, tangent_basis
+from vrrw.dynamics import FLOW_STEP_LIMIT, _field_array, tangent_basis
 from vrrw.files import open_text
 
 
@@ -479,6 +479,14 @@ def test_flow_keeps_initial_zeros():
 )
 def test_flow_rejects_non_finite_times(t_end, dt):
     with pytest.raises(ValidationError, match="dt <= t_end"):
+        integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-10), (1e12, 1e-3), (1.0, 0.999e-6)])
+def test_flow_rejects_more_steps_than_its_budget(t_end, dt):
+    # an overflowing step count raised OverflowError, and 10^15 steps asked
+    # numpy for 7 PiB of states and raised MemoryError
+    with pytest.raises(ValidationError, match=f"budget of {FLOW_STEP_LIMIT}"):
         integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=t_end, dt=dt)
 
 

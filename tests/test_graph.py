@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from vrrw import (
     FaceIndex,
+    ModelParameters,
     NumericError,
     ValidationError,
     complete_graph,
@@ -150,6 +151,25 @@ def test_face_index_takes_only_integer_sites(sites):
 def test_with_diagonal_rejects_non_finite_weights(c):
     with pytest.raises(ValidationError, match="self-loop weight"):
         with_diagonal(complete_graph(3), c)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: FaceIndex(sites=5), id="face-of-an-int"),
+        pytest.param(lambda: with_diagonal(complete_graph(3), "1"), id="str-loop-weight"),
+        pytest.param(lambda: with_diagonal(complete_graph(3), True), id="bool-loop-weight"),
+        pytest.param(lambda: ModelParameters.for_complete_graph(3, "2"), id="str-alpha"),
+        pytest.param(lambda: ModelParameters.for_complete_graph(3, None), id="none-alpha"),
+        pytest.param(lambda: ModelParameters.for_complete_graph(3, 2.0, loop_c="1"), id="str-loop_c"),
+    ],
+)
+def test_non_numbers_raise_validation_errors(make):
+    # each raised a bare TypeError from len() or np.isfinite
+    with pytest.raises(ValidationError, match="must be a number|must be a collection"):
+        make()
+    # numpy numbers pass, and the parameters keep the value given
+    assert ModelParameters.for_complete_graph(3, np.float64(2.0), loop_c=np.int64(1)).loop_c == 1
 
 
 real_vectors = arrays(

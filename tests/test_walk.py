@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 import os
@@ -173,7 +174,7 @@ def test_engine_matches_stepping_across_block_edges(n, c, alpha, seed, block, ta
         np.testing.assert_array_equal(counts, np.bincount(rec.sites[: k + 1], minlength=n))
 
 
-def test_batch_engine_matches_single_runs():
+def test_batch_engine_matches_single_runs(monkeypatch):
     # three blocks at alpha 2.5, so the batch, its two halves and each
     # replica alone all cross block boundaries
     horizon = 9000
@@ -193,6 +194,60 @@ def test_batch_engine_matches_single_runs():
         np.testing.assert_array_equal(sites[i], solo.sites)
         np.testing.assert_array_equal(finals[i], solo.final_counts)
         np.testing.assert_array_equal(checks[i], solo.checkpoint_counts)
+    # batches of 1, 7, 8, 9 and 17 replicas at alpha 2, a short last group
+    # of walk_group among them, with blocks of 1000 steps: in the largest,
+    # a block steps some replicas through each kernel, and a replica that
+    # alternates on two sites in one block after the first wanders in another
+    p = ModelParameters.for_complete_graph(3, 2.0)
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1000)
+    log = _KernelLog()
+    monkeypatch.setattr(walk_module, "_step_loop", lambda: log)
+    for size in (1, 7, 8, 9, 17):
+        seeds, starts = [40 + k for k in range(size)], [k % 3 for k in range(size)]
+        log.calls.clear()
+        finals, checks, sites = _batch_walk(p, starts, horizon, seeds, True, sched)
+        calls = list(log.calls)
+        for i, seed in enumerate(seeds):
+            solo = simulate(p, starts[i], horizon, seed)
+            np.testing.assert_array_equal(sites[i], solo.sites)
+            np.testing.assert_array_equal(finals[i], solo.final_counts)
+            np.testing.assert_array_equal(checks[i], solo.checkpoint_counts)
+    steps = {"walk_block": {}, "walk_group": {}}
+    for name, step0, rows in calls:
+        steps[name][step0] = set(rows)
+    assert steps["walk_block"].keys() & steps["walk_group"].keys()
+    later_pairs = set().union(*(rows for step0, rows in steps["walk_block"].items() if step0 > 0))
+    assert later_pairs & set().union(*steps["walk_group"].values())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_group_kernel_matches_block_kernel(n, c, monkeypatch):
+    # the same replicas through walk_block alone and through walk_group
+    # alone: groups of 1 to 8 lanes and one of 8, 8 and 1 (17 replicas),
+    # blocks of 97 steps, and a table of the default size, of one entry
+    # (every lane takes pow), and of 200 or 300 entries, where a lane takes
+    # pow in a block in which one of its counts may pass the table while
+    # other lanes of its group read the table (past two sites or with loops)
+    p = ModelParameters.for_complete_graph(n, 1.15 + 0.35 * (n % 4), loop_c=c)
+    horizon, sched = 600, checkpoint_schedule(600, extra=(97, 98, 194))
+    lib = walk_module._step_loop()
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 97)
+    for table in (walk_module.TABLE_SIZE, 1, 200, 300):
+        monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
+        for size in (*range(1, 9), 17):
+            seeds = [1000 * n + 10 * size + k for k in range(size)]
+            starts = np.array([k % n for k in range(size)], dtype=np.int64)
+            got = {}
+            for kernel in ("walk_block", "walk_group"):
+                state = walk_module._seed_states(seeds)
+                loop = _OneKernel(lib, kernel)
+                monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
+                got[kernel] = (*walk_module._walk(p, starts, horizon, state, True, sched), state)
+            for want, have in zip(got["walk_block"], got["walk_group"]):
+                np.testing.assert_array_equal(have, want)
+            counts, _, sites, _ = got["walk_block"]
+            np.testing.assert_array_equal(counts, [np.bincount(row, minlength=n) for row in sites])
 
 
 # SHA-256 of the final counts, checkpoint counts and site log (each as
@@ -368,22 +423,64 @@ def _boundary_walk(p, start, horizon, seed):
     return grid, sites
 
 
+def _rows(reps, rows):
+    """The replica rows a kernel call of the step loop steps."""
+    return list((ctypes.c_int64 * reps).from_address(rows))
+
+
+class _OneKernel:
+    """The step loop with both kernels, walk_block and walk_group, taken by
+    the one named; _walk then steps every replica and block through it."""
+
+    def __init__(self, lib, kernel):
+        self.lib, self.kernel = lib, getattr(lib, kernel)
+
+    def __getattr__(self, name):
+        return self.kernel if name in ("walk_block", "walk_group") else getattr(self.lib, name)
+
+
+class _KernelLog:
+    """The step loop, logging the kernel, first step and rows of each call."""
+
+    def __init__(self):
+        self.lib, self.calls = walk_module._step_loop(), []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name not in ("walk_block", "walk_group"):
+            return fn
+
+        def logged(n, reps, rows, nblk, state, *rest):
+            self.calls.append((name, rest[7], _rows(reps, rows)))
+            fn(n, reps, rows, nblk, state, *rest)
+
+        return logged
+
+
 class _CraftedLoop:
-    """The step loop, driven one step per call: before each step it gives
-    every replica the state whose next double is that replica's next
-    wanted uniform, and after it checks that the replica drew it."""
+    """The step loop, driven one step per call, through the kernel each
+    call names or, if given, through `kernel` alone: before each step it
+    gives every stepped replica the state whose next double is that
+    replica's next wanted uniform, and after it checks that the replica
+    drew it."""
 
-    def __init__(self, state, streams):
+    def __init__(self, state, streams, kernel=None):
         self.lib, self.state, self.streams = walk_module._step_loop(), state, [iter(s) for s in streams]
-        self.power_table = self.lib.power_table
+        self.power_table, self.kernel = self.lib.power_table, kernel
 
-    def walk_block(self, n, reps, nblk, state, *rest):
+    def _step(self, name, n, reps, rows, nblk, state, *rest):
         assert nblk == 1 and state == self.state.ctypes.data
-        wanted = [next(it) for it in self.streams]
-        for row, m in zip(self.state, wanted):
-            row[:] = _state_before(m, _pcg_state(row)[1])
-        self.lib.walk_block(n, reps, nblk, state, *rest)
-        assert [_pcg_state(row)[0] for row in self.state] == [m << 11 for m in wanted]
+        wanted = {r: next(self.streams[r]) for r in _rows(reps, rows)}
+        for r, m in wanted.items():
+            self.state[r] = _state_before(m, _pcg_state(self.state[r])[1])
+        getattr(self.lib, self.kernel or name)(n, reps, rows, nblk, state, *rest)
+        assert {r: _pcg_state(self.state[r])[0] for r in wanted} == {r: m << 11 for r, m in wanted.items()}
+
+    def walk_block(self, *args):
+        self._step("walk_block", *args)
+
+    def walk_group(self, *args):
+        self._step("walk_group", *args)
 
 
 CIRCULANT = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
@@ -402,15 +499,18 @@ def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
     # every uniform is the grid point on a pick boundary or the nearest one
     # on either side of it, where a product or sum rounded otherwise than
     # in step(), or a strict comparison, would pick another site; with a
-    # table of one entry every weight comes from pow
+    # table of one entry every weight comes from pow. Each walk runs through
+    # the kernels as _walk chooses them, and through each kernel alone.
     horizon, seeds = 1500, [3, 4, 5]
     walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
     sched = checkpoint_schedule(horizon)
     starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
-    states = [walk_module._seed_states(seeds) for _ in range(2)]
-    loops = [_CraftedLoop(state, [walks[seed][0] for seed in seeds]) for state in states]
+    runs = [(table, kernel) for table in (walk_module.TABLE_SIZE, 1) for kernel in (None, "walk_block", "walk_group")]
+    states = [walk_module._seed_states(seeds) for _ in runs]
+    streams = [walks[seed][0] for seed in seeds]
+    loops = [_CraftedLoop(state, streams, kernel) for state, (_, kernel) in zip(states, runs)]
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1)
-    for table, state, loop in zip((walk_module.TABLE_SIZE, 1), states, loops):
+    for (table, _), state, loop in zip(runs, states, loops):
         monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
         monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
         final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
