@@ -76,7 +76,7 @@ void power_table(int64_t size, double alpha, double *table)
         table[k] = pow(1.0 + (double)k, alpha);
 }
 
-/* Each replica r = rows[k], k < reps, takes nblk steps from site[r] with row r
+/* Each replica r = rows[k] (k if rows is NULL), k < reps, takes nblk steps from site[r] with row r
  * of the n-column counts, drawing one uniform per step from its PCG64 in row r of state
  * as numpy's next_double does: an LCG step, the XSL-RR output, and its top
  * 53 bits times 2^-53. A step weighs site j by a[site * n + j] * *q[j], adds
@@ -94,7 +94,7 @@ void walk_block(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint
 {
     double *w = (double *)(q + n), *restrict csum = w + n;
     for (int64_t k = 0; k < reps; k++) {
-        int64_t r = rows[k], s = site[r], i = chk0, *c = counts + r * n, cached = 0;
+        int64_t r = rows ? rows[k] : k, s = site[r], i = chk0, *c = counts + r * n, cached = 0;
         uint64_t *g = state + r * 4;
         u128 x = load(g), inc = load(g + 2);
         for (int64_t j = 0; j < n; j++)
@@ -160,7 +160,7 @@ void walk_group(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint
         int64_t m = reps - k < LANES ? reps - k : LANES, r[LANES], s[LANES], *c[LANES], cached[LANES];
         u128 x[LANES], inc[LANES];
         for (int64_t l = 0; l < m; l++) {
-            r[l] = rows[k + l], s[l] = site[r[l]], c[l] = counts + r[l] * n, cached[l] = 0;
+            r[l] = rows ? rows[k + l] : k + l, s[l] = site[r[l]], c[l] = counts + r[l] * n, cached[l] = 0;
             x[l] = load(state + r[l] * 4), inc[l] = load(state + r[l] * 4 + 2);
             for (int64_t j = 0; j < n; j++)
                 cached[l] |= c[l][j] + nblk >= size;

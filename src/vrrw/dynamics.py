@@ -320,6 +320,7 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     x = simplex_points(v0)
     if x.ndim != 1:
         raise ValidationError(f"flow start must be one point, got shape {x.shape}")
+    t_end, dt = _number(t_end, "t_end"), _number(dt, "dt")
     if not (0 < dt <= t_end < math.inf):
         raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     if t_end / dt > FLOW_STEP_LIMIT:

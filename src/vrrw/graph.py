@@ -43,11 +43,14 @@ def _integer(x, what: str) -> int:
 
 
 def _number(x, what: str) -> float:
-    """x as a float; ints, floats and numpy numbers pass, bools and strings
-    do not."""
+    """x as a float; ints, floats and numpy numbers pass, bools, strings
+    and integers past the double range do not."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{what} must be a number in the double range") from None
 
 
 def _as_float_array(x, name: str) -> np.ndarray:

@@ -278,23 +278,28 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
         log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
     table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n * 8), 0  # 3n words a lane
     lib.power_table(table.size, p.alpha, table.ctypes.data)
-    pairs, wanders = np.arange(r), np.arange(0)
+    # per kernel, the replicas it steps and the address of their rows (None: every row)
+    calls = [(lib.walk_block, r, None)]
     while done < horizon:
         nblk = min(BLOCK_STEPS, FIRST_BLOCK if done == 0 else BLOCK_STEPS, horizon - done)
         before = counts.copy()
-        for kernel, rows in ((lib.walk_block, pairs), (lib.walk_group, wanders)):
-            if rows.size:
-                kernel(
-                    n, rows.size, rows.ctypes.data, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data,
-                    table.size, p.alpha, site.ctypes.data, counts.ctypes.data, scratch.ctypes.data, done,
-                    checkpoint_at.ctypes.data, checkpoint_at.size, int(np.searchsorted(checkpoint_at, done + 1)),
-                    chk.ctypes.data, log16, log64, horizon + 1,
-                )
+        for kernel, reps, rows in calls:
+            kernel(
+                n, reps, rows, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, table.size, p.alpha,
+                site.ctypes.data, counts.ctypes.data, scratch.ctypes.data, done, checkpoint_at.ctypes.data,
+                checkpoint_at.size, int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64,
+                horizon + 1,
+            )
         done += nblk
-        # a replica that put 7/8 of the block's steps on two sites is taken to alternate on them
-        top_two = np.partition(counts - before, n - 2, axis=1)[:, n - 2 :].sum(axis=1)
-        paired = 8 * top_two >= 7 * nblk
-        pairs, wanders = np.flatnonzero(paired), np.flatnonzero(~paired)
+        if done < horizon:
+            # a replica that put 7/8 of the block's steps on two sites is taken to alternate on them
+            top_two = np.partition(counts - before, n - 2, axis=1)[:, n - 2 :].sum(axis=1)
+            paired = 8 * top_two >= 7 * nblk
+            kept = np.flatnonzero(paired), np.flatnonzero(~paired)  # the arrays behind the addresses
+            calls = [
+                (kernel, rows.size, rows.ctypes.data)
+                for kernel, rows in zip((lib.walk_block, lib.walk_group), kept) if rows.size
+            ]
     return counts, chk, sites
 
 

@@ -490,6 +490,13 @@ def test_flow_rejects_more_steps_than_its_budget(t_end, dt):
         integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=t_end, dt=dt)
 
 
+@pytest.mark.parametrize("t_end, dt", [("1", 0.1), (1.0, "0.1"), (True, 0.1), (1.0, None)])
+def test_flow_times_must_be_numbers(t_end, dt):
+    # a string raised a bare TypeError from the comparison, and True ran as 1.0
+    with pytest.raises(ValidationError, match="must be a number"):
+        integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=t_end, dt=dt)
+
+
 def test_flow_trajectory_csv_round_trip(tmp_path):
     traj = integrate_flow(P3, np.array([0.5, 0.3, 0.2]), t_end=0.1)
     path = tmp_path / "flow.csv"

@@ -161,12 +161,14 @@ def test_with_diagonal_rejects_non_finite_weights(c):
         pytest.param(lambda: with_diagonal(complete_graph(3), True), id="bool-loop-weight"),
         pytest.param(lambda: ModelParameters.for_complete_graph(3, "2"), id="str-alpha"),
         pytest.param(lambda: ModelParameters.for_complete_graph(3, None), id="none-alpha"),
+        pytest.param(lambda: ModelParameters.for_complete_graph(3, 10**400), id="alpha-past-doubles"),
         pytest.param(lambda: ModelParameters.for_complete_graph(3, 2.0, loop_c="1"), id="str-loop_c"),
     ],
 )
 def test_non_numbers_raise_validation_errors(make):
-    # each raised a bare TypeError from len() or np.isfinite
-    with pytest.raises(ValidationError, match="must be a number|must be a collection"):
+    # each raised a bare TypeError from len() or np.isfinite, or an
+    # OverflowError from float()
+    with pytest.raises(ValidationError, match="must be a (number|collection)"):
         make()
     # numpy numbers pass, and the parameters keep the value given
     assert ModelParameters.for_complete_graph(3, np.float64(2.0), loop_c=np.int64(1)).loop_c == 1

@@ -424,8 +424,9 @@ def _boundary_walk(p, start, horizon, seed):
 
 
 def _rows(reps, rows):
-    """The replica rows a kernel call of the step loop steps."""
-    return list((ctypes.c_int64 * reps).from_address(rows))
+    """The replica rows a kernel call of the step loop steps: every row
+    when the address of the rows is None."""
+    return list(range(reps)) if rows is None else list((ctypes.c_int64 * reps).from_address(rows))
 
 
 class _OneKernel:
