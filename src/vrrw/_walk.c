@@ -76,8 +76,8 @@ void power_table(int64_t size, double alpha, double *table)
         table[k] = pow(1.0 + (double)k, alpha);
 }
 
-/* Each replica r = rows[k] (k if rows is NULL), k < reps, takes nblk steps from site[r] with row r
- * of the n-column counts, drawing one uniform per step from its PCG64 in row r of state
+/* Replica r takes nblk steps from site[r] with row r of the n-column counts,
+ * drawing one uniform per step from its PCG64 in row r of state
  * as numpy's next_double does: an LCG step, the XSL-RR output, and its top
  * 53 bits times 2^-53. A step weighs site j by a[site * n + j] * *q[j], adds
  * the weights in site order into csum and moves to the number of prefix sums
@@ -85,60 +85,73 @@ void power_table(int64_t size, double alpha, double *table)
  * count can pass the table in the block, q[j] = table + count_j and a step
  * moves q[s] on; else q[j] = w + j and each step is an event that refreshes
  * w[s] by pow. Step at is logged into row r of log16 or log64 (the one not NULL,
- * rows of log_stride); its counts go to chk[r][i], an event too, when at = chk_steps[i], i >= chk0. */
+ * rows of log_stride); its counts go to chk[r][i], an event too, when at = chk_steps[i], i >= chk0.
+ * Kept out of line: inlined into walk_block's loop over a list of rows, its step
+ * loop was compiled otherwise and ran about 20% slower on a walk alternating on two sites. */
+static __attribute__((noinline)) void
+walk_replica(int64_t r, int64_t n, int64_t nblk, uint64_t *restrict state, const double *restrict a,
+             const double *restrict table, int64_t size, double alpha, int64_t *restrict site,
+             int64_t *restrict counts, const double **q, int64_t step0, const int64_t *restrict chk_steps,
+             int64_t nchk, int64_t chk0, int64_t *restrict chk, int16_t *restrict log16,
+             int64_t *restrict log64, int64_t log_stride)
+{
+    double *w = (double *)(q + n), *restrict csum = w + n;
+    int64_t s = site[r], i = chk0, *c = counts + r * n, cached = 0;
+    uint64_t *g = state + r * 4;
+    u128 x = load(g), inc = load(g + 2);
+    for (int64_t j = 0; j < n; j++)
+        cached |= c[j] + nblk >= size;
+    for (int64_t j = 0; j < n; j++)
+        q[j] = cached ? (w[j] = pow(1.0 + (double)c[j], alpha), w + j) : table + c[j];
+    int64_t event = cached ? step0 + 1 : i < nchk ? chk_steps[i] : 0;
+    for (int64_t at = step0 + 1; at <= step0 + nblk; at++) {
+        const double *row = a + s * n;
+        double total = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            total += row[j] * *q[j];
+            csum[j] = total;
+        }
+        x = x * MULT + inc;
+        uint64_t hi = (uint64_t)(x >> 64), v = hi ^ (uint64_t)x;
+        unsigned rot = (unsigned)(hi >> 58);
+        v = (v >> rot) | (v << ((-rot) & 63));
+        /* through int64_t, so that no unsigned conversion is emitted */
+        double cut = (double)(int64_t)(v >> 11) * 0x1.0p-53 * total;
+        /* csum[n - 1] = total > cut for u < 1: the bound only keeps s in range */
+        for (s = 0; s < n - 1 && csum[s] <= cut; s++)
+            ;
+        q[s]++;
+        if (log16)
+            log16[r * log_stride + at] = (int16_t)s;
+        else if (log64)
+            log64[r * log_stride + at] = s;
+        if (at == event) {
+            if (cached)
+                q[s] = w + s, w[s] = pow(1.0 + (double)++c[s], alpha);
+            if (i < nchk && chk_steps[i] == at) {
+                for (int64_t j = 0; j < n; j++)
+                    chk[(r * nchk + i) * n + j] = cached ? c[j] : q[j] - table;
+                i++;
+            }
+            event = cached ? at + 1 : i < nchk ? chk_steps[i] : 0;
+        }
+    }
+    for (int64_t j = 0; j < n && !cached; j++)
+        c[j] = q[j] - table;
+    site[r] = s;
+    store(g, x);
+}
+
+/* walk_replica for each replica r = rows[k] (k if rows is NULL), k < reps */
 void walk_block(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint64_t *restrict state,
                 const double *restrict a, const double *restrict table, int64_t size, double alpha,
                 int64_t *restrict site, int64_t *restrict counts, const double **q, int64_t step0,
                 const int64_t *restrict chk_steps, int64_t nchk, int64_t chk0, int64_t *restrict chk,
                 int16_t *restrict log16, int64_t *restrict log64, int64_t log_stride)
 {
-    double *w = (double *)(q + n), *restrict csum = w + n;
-    for (int64_t k = 0; k < reps; k++) {
-        int64_t r = rows ? rows[k] : k, s = site[r], i = chk0, *c = counts + r * n, cached = 0;
-        uint64_t *g = state + r * 4;
-        u128 x = load(g), inc = load(g + 2);
-        for (int64_t j = 0; j < n; j++)
-            cached |= c[j] + nblk >= size;
-        for (int64_t j = 0; j < n; j++)
-            q[j] = cached ? (w[j] = pow(1.0 + (double)c[j], alpha), w + j) : table + c[j];
-        int64_t event = cached ? step0 + 1 : i < nchk ? chk_steps[i] : 0;
-        for (int64_t at = step0 + 1; at <= step0 + nblk; at++) {
-            const double *row = a + s * n;
-            double total = 0.0;
-            for (int64_t j = 0; j < n; j++) {
-                total += row[j] * *q[j];
-                csum[j] = total;
-            }
-            x = x * MULT + inc;
-            uint64_t hi = (uint64_t)(x >> 64), v = hi ^ (uint64_t)x;
-            unsigned rot = (unsigned)(hi >> 58);
-            v = (v >> rot) | (v << ((-rot) & 63));
-            /* through int64_t, so that no unsigned conversion is emitted */
-            double cut = (double)(int64_t)(v >> 11) * 0x1.0p-53 * total;
-            /* csum[n - 1] = total > cut for u < 1: the bound only keeps s in range */
-            for (s = 0; s < n - 1 && csum[s] <= cut; s++)
-                ;
-            q[s]++;
-            if (log16)
-                log16[r * log_stride + at] = (int16_t)s;
-            else if (log64)
-                log64[r * log_stride + at] = s;
-            if (at == event) {
-                if (cached)
-                    q[s] = w + s, w[s] = pow(1.0 + (double)++c[s], alpha);
-                if (i < nchk && chk_steps[i] == at) {
-                    for (int64_t j = 0; j < n; j++)
-                        chk[(r * nchk + i) * n + j] = cached ? c[j] : q[j] - table;
-                    i++;
-                }
-                event = cached ? at + 1 : i < nchk ? chk_steps[i] : 0;
-            }
-        }
-        for (int64_t j = 0; j < n && !cached; j++)
-            c[j] = q[j] - table;
-        site[r] = s;
-        store(g, x);
-    }
+    for (int64_t k = 0; k < reps; k++)
+        walk_replica(rows ? rows[k] : k, n, nblk, state, a, table, size, alpha, site, counts, q, step0, chk_steps,
+                     nchk, chk0, chk, log16, log64, log_stride);
 }
 
 /* walk_block's steps, for the replicas in groups of up to LANES that step in

@@ -226,8 +226,8 @@ def _step_loop():
         _build(path)
     lib = ctypes.CDLL(str(path))
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    kernel = [i64, i64, ptr, i64] + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
-    lib.walk_block.argtypes = lib.walk_group.argtypes = kernel
+    kernel_args = [i64, i64, ptr, i64] + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
+    lib.walk_block.argtypes = lib.walk_group.argtypes = kernel_args
     lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
     lib.power_table.argtypes = [i64, f64, ptr]
     lib.walk_block.restype = lib.walk_group.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
@@ -282,7 +282,7 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
     calls = [(lib.walk_block, r, None)]
     while done < horizon:
         nblk = min(BLOCK_STEPS, FIRST_BLOCK if done == 0 else BLOCK_STEPS, horizon - done)
-        before = counts.copy()
+        before = counts.copy() if done + nblk < horizon else None  # for the next block's choice
         for kernel, reps, rows in calls:
             kernel(
                 n, reps, rows, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, table.size, p.alpha,
@@ -291,7 +291,7 @@ def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
                 horizon + 1,
             )
         done += nblk
-        if done < horizon:
+        if before is not None:
             # a replica that put 7/8 of the block's steps on two sites is taken to alternate on them
             top_two = np.partition(counts - before, n - 2, axis=1)[:, n - 2 :].sum(axis=1)
             paired = 8 * top_two >= 7 * nblk
