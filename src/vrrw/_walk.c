@@ -1,11 +1,14 @@
-/* One block of steps of the reinforced walk for a list of replicas, by one of
- * two kernels that pick the same sites: walk_block steps one replica at a time and
- * ends each pick's scan at the first prefix sum above the cut, walk_group steps up
- * to LANES replicas in lockstep and counts the prefix sums at or below it; also each
- * replica's PCG64 state as numpy's PCG64 bit for bit, and the walk's table of powers.
- * vrrw/walk.py builds this file, says why the picks equal step's and chooses the
- * kernel per replica and block. A state row holds state and inc as four uint64
- * words, low first; 128-bit values live in registers. */
+/* The reinforced walk's steps for a list of replicas, each replica's PCG64 state as
+ * numpy's PCG64 bit for bit, and the walk's table of powers. Two kernels step a block
+ * and pick the same sites: walk_block steps one replica at a time and ends each pick's
+ * scan at the first prefix sum above the cut; walk_group steps up to LANES replicas in
+ * lockstep and counts the prefix sums at or below the cut, which is where the scan
+ * ends, as the sums never decrease. vrrw/walk.py builds this file, says why the picks
+ * equal step's, and chooses the kernel per replica and block: walk_block for a replica
+ * whose previous block put 7/8 of its steps on two sites, whose scan exit the branch
+ * predictor then guesses, else walk_group, which takes no branch on the uniform. A
+ * state row holds state and inc as four uint64 words, low first; 128-bit values live
+ * in registers. */
 #include <math.h>
 #include <stdint.h>
 
