@@ -1,16 +1,28 @@
-/* The reinforced walk's steps for a list of replicas, each replica's PCG64 state as
- * numpy's PCG64 bit for bit, and the walk's table of powers. Two kernels step a block
- * and pick the same sites: walk_block steps one replica at a time and ends each pick's
+/* The package's compiled code: the reinforced walk's steps and the mean-field flow.
+ *
+ * The walk: its steps for a list of replicas, each replica's PCG64 state as numpy's
+ * PCG64 bit for bit, and the walk's table of powers. Two kernels step a block and
+ * pick the same sites: walk_block steps one replica at a time and ends each pick's
  * scan at the first prefix sum above the cut; walk_group steps up to LANES replicas in
  * lockstep and counts the prefix sums at or below the cut, which is where the scan
- * ends, as the sums never decrease. vrrw/walk.py builds this file, says why the picks
- * equal step's, and chooses the kernel per replica and block: walk_block for a replica
- * whose previous block put 7/8 of its steps on two sites, whose scan exit the branch
- * predictor then guesses, else walk_group, which takes no branch on the uniform. A
- * state row holds state and inc as four uint64 words, low first; 128-bit values live
- * in registers. */
+ * ends, as the sums never decrease. vrrw/walk.py says why the picks equal step's, and
+ * chooses the kernel per replica and block: walk_block for a replica whose previous
+ * block put 7/8 of its steps on two sites, whose scan exit the branch predictor then
+ * guesses, else walk_group, which takes no branch on the uniform. A state row holds
+ * state and inc as four uint64 words, low first; 128-bit values live in registers.
+ *
+ * The flow (the mf_ functions at the end): the field F, the energy H and the simplex
+ * projection of vrrw/dynamics.py and vrrw/graph.py, and one RK4 over them. Every sum
+ * is added in site order and every power is libm's pow of a coordinate over the
+ * largest, so no bit depends on BLAS or on numpy's SIMD kernels.
+ *
+ * vrrw/files.py builds this file with -ffp-contract=off and without -ffast-math, so
+ * each product and sum is rounded on its own, in the order written here. */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -225,4 +237,215 @@ void walk_group(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint
             store(state + r[l] * 4, x[l]);
         }
     }
+}
+
+/* The mean-field statuses, which vrrw/dynamics.py turns into typed errors: the
+ * projection's, the point's, the sums' (below or past the normal range), the flow's. */
+enum { MF_OK, MF_NONFINITE, MF_UNSETTLED, MF_CANCELLED, MF_EMPTY, MF_NEGATIVE, MF_CORE_VANISHES,
+       MF_ENERGY_VANISHES, MF_ENERGY_OVERFLOWS, MF_BLEW_UP, MF_CAP };
+
+/* s = (x / m)^alpha by libm's pow, m = max x */
+static int scaled_powers(int64_t n, const double *x, double alpha, double *s, double *m)
+{
+    double top = 0.0;
+    int negative = 0;
+    for (int64_t j = 0; j < n; j++)
+        top = x[j] > top ? x[j] : top, negative |= x[j] < 0.0;
+    if (!(top > 0.0))
+        return MF_EMPTY;
+    if (negative)
+        return MF_NEGATIVE;
+    for (int64_t j = 0; j < n; j++)
+        s[j] = pow(x[j] / top, alpha);
+    *m = top;
+    return MF_OK;
+}
+
+/* s = (x / m)^alpha, f = A s and core = <s, A s> for the n x n matrix a, each sum in site order */
+static int pieces(int64_t n, const double *a, double alpha, const double *x, double *s, double *f, double *core,
+                  double *m)
+{
+    int status = scaled_powers(n, x, alpha, s, m);
+    if (status)
+        return status;
+    double c = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double fi = 0.0;
+        for (int64_t j = 0; j < n; j++)
+            fi += a[i * n + j] * s[j];
+        f[i] = fi;
+        c += s[i] * fi;
+    }
+    *core = c;
+    return MF_OK;
+}
+
+/* H(x) = <s, A s> m^alpha m^alpha into h; s and f are n words of scratch each */
+static int energy(int64_t n, const double *a, double alpha, const double *x, double *s, double *f, double *h)
+{
+    double core, m;
+    int status = pieces(n, a, alpha, x, s, f, &core, &m);
+    if (status)
+        return status;
+    double scale = pow(m, alpha);
+    *h = core * scale * scale;
+    /* an infinite scale overflows even where core is 0 */
+    return isinf(scale) || *h > DBL_MAX ? MF_ENERGY_OVERFLOWS : *h >= DBL_MIN ? MF_OK : MF_ENERGY_VANISHES;
+}
+
+static int descending(const void *p, const void *q)
+{
+    double x = *(const double *)p, y = *(const double *)q;
+    return (x < y) - (x > y);
+}
+
+/* The Euclidean projection of x onto the simplex, in place: with x sorted
+ * decreasingly into srt (n words of scratch), take the largest m whose
+ * x_(m) - (sum of the top m, less 1) / m is positive, and shift x down by that
+ * threshold, clipping at 0. A point whose coordinates are nonnegative and sum to
+ * within 1e-12 of 1 is left as it is; *clips counts a projection that moves x.
+ * Huge inputs may need a second pass, as the shift cancels. In exact arithmetic
+ * m = 1 always passes; when the cancellation fails it too, the status says so. */
+static int project(int64_t n, double *x, double *srt, int64_t *clips)
+{
+    for (int pass = 0; pass < 16; pass++) {
+        double low = INFINITY, total = 0.0;
+        int finite = 1;
+        for (int64_t j = 0; j < n; j++)
+            low = x[j] < low ? x[j] : low, total += x[j], finite &= isfinite(x[j]) != 0;
+        if (low >= 0.0 && fabs(total - 1.0) <= 1e-12)
+            return MF_OK;
+        if (!finite)
+            return MF_NONFINITE;
+        *clips += pass == 0;
+        memcpy(srt, x, n * sizeof *srt);
+        qsort(srt, n, sizeof *srt, descending);
+        double csum = 0.0, theta = NAN;
+        for (int64_t m = 1; m <= n; m++) {
+            csum += srt[m - 1];
+            double shift = (csum - 1.0) / (double)m;
+            if (srt[m - 1] - shift > 0.0)
+                theta = shift;
+        }
+        if (isnan(theta))
+            return MF_CANCELLED;
+        for (int64_t j = 0; j < n; j++)
+            x[j] = x[j] - theta > 0.0 ? x[j] - theta : 0.0;
+    }
+    return MF_UNSETTLED;
+}
+
+/* F(x) = pi(w) - x into out, w the projection of x with x's zeros kept at 0:
+ * out = s f / core - x with the pieces of w. w, s and f are n words each; on a
+ * failure w holds the point it is about: x if its projection failed, else w. */
+static int field(int64_t n, const double *a, double alpha, const double *x, double *out, double *w, double *s,
+                 double *f, int64_t *clips)
+{
+    memcpy(w, x, n * sizeof *w);
+    int status = project(n, w, s, clips);
+    if (status) {
+        memcpy(w, x, n * sizeof *w);
+        return status;
+    }
+    for (int64_t j = 0; j < n; j++)
+        w[j] = x[j] == 0.0 ? 0.0 : w[j];
+    double core, m;
+    status = pieces(n, a, alpha, w, s, f, &core, &m);
+    if (!status && !(core >= DBL_MIN))
+        status = MF_CORE_VANISHES;
+    for (int64_t j = 0; j < n && !status; j++)
+        out[j] = s[j] * f[j] / core - x[j];
+    return status;
+}
+
+/* y = x + h k, an RK4 stage's point */
+static const double *stage(int64_t n, double *y, const double *x, double h, const double *k)
+{
+    for (int64_t j = 0; j < n; j++)
+        y[j] = x[j] + h * k[j];
+    return y;
+}
+
+/* The entry points for one point x of n coordinates, x = io[0, n): each writes
+ * its results after x in io, takes its scratch from there, and returns a status.
+ * mf_project: io = x, scratch[n]; x is projected in place. */
+int64_t mf_project(int64_t n, double *io)
+{
+    int64_t clips = 0;
+    return project(n, io, io + n, &clips);
+}
+
+/* io = x, F(x)[n], w[n], scratch[2n]; on a failure w is the point it is about */
+int64_t mf_field(int64_t n, const double *a, double alpha, double *io)
+{
+    int64_t clips = 0;
+    return field(n, a, alpha, io, io + n, io + 2 * n, io + 3 * n, io + 4 * n, &clips);
+}
+
+/* io = x, s[n], f[n], core[1] */
+int64_t mf_pieces(int64_t n, const double *a, double alpha, double *io)
+{
+    double m;
+    int status = pieces(n, a, alpha, io, io + n, io + 2 * n, io + 3 * n, &m);
+    return status ? status : io[3 * n] >= DBL_MIN ? MF_OK : MF_CORE_VANISHES;
+}
+
+/* io = x, H(x)[1], scratch[2n] */
+int64_t mf_energy(int64_t n, const double *a, double alpha, double *io)
+{
+    return energy(n, a, alpha, io, io + n + 1, io + 2 * n + 1, io + n);
+}
+
+/* RK4 from the point in states[0, n) for `steps` steps of dt, each row of states
+ * and entry of energies the next: four fields, the update
+ * x + dt/6 (k1 + 2 k2 + 2 k3 + k4), its projection, the start's zeros pinned to 0
+ * and the row renormalized, the cap test (a site without a loop, a[j][j] = 0,
+ * above cap stops the flow) and H. info = {the step it stopped at, clips}. A
+ * failure leaves the rows before its step, the step's row if the cap or H failed
+ * it, and in work[0, n) the point a field or H failed at. work is 7n words. */
+int64_t mf_flow(int64_t n, const double *a, double alpha, int64_t steps, double dt, double cap, double *states,
+                double *energies, double *work, int64_t *info)
+{
+    double *w = work, *k1 = w + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *s = k4 + n, *f = s + n;
+    const double *start = states, half = 0.5 * dt, sixth = dt / 6.0;
+    int64_t k = 0, status = energy(n, a, alpha, start, s, f, energies), zeros = 0;
+    for (int64_t j = 0; j < n; j++)
+        zeros |= start[j] == 0.0;
+    info[1] = 0;
+    while (!status && k < steps) {
+        const double *x = states + k * n;
+        double *next = states + ++k * n;
+        /* the stages' points go in next, which the update overwrites */
+        status = field(n, a, alpha, x, k1, w, s, f, info + 1);
+        if (!status)
+            status = field(n, a, alpha, stage(n, next, x, half, k1), k2, w, s, f, info + 1);
+        if (!status)
+            status = field(n, a, alpha, stage(n, next, x, half, k2), k3, w, s, f, info + 1);
+        if (!status)
+            status = field(n, a, alpha, stage(n, next, x, dt, k3), k4, w, s, f, info + 1);
+        if (status)
+            break;
+        for (int64_t j = 0; j < n; j++)
+            next[j] = x[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+        if (project(n, next, s, info + 1)) {
+            status = MF_BLEW_UP;
+            break;
+        }
+        if (zeros) {
+            double total = 0.0;
+            for (int64_t j = 0; j < n; j++)
+                total += next[j] = start[j] == 0.0 ? 0.0 : next[j];
+            for (int64_t j = 0; j < n; j++)
+                next[j] /= total;
+        }
+        for (int64_t j = 0; j < n; j++)
+            if (a[j * n + j] == 0.0 && next[j] > cap)
+                status = MF_CAP;
+        if (!status && (status = energy(n, a, alpha, next, s, f, energies + k)))
+            memcpy(w, next, n * sizeof *w);
+    }
+    if (k == 0 && status)
+        memcpy(w, start, n * sizeof *w);
+    info[0] = k;
+    return status;
 }

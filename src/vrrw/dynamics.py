@@ -12,11 +12,15 @@ step integrator for the flow, and the fundamental matrix of the frozen
 kernel. H is a strict Lyapunov function: it increases along every
 non-equilibrium trajectory.
 
-Every power of the coordinates is s = (x/m)^a in [0, 1], m = max x, from
-_scaled_powers; only H and dH/dt carry the scale, as m^a m^a. An underflowed
-sum raises NumericError. F, H, the Jacobian and the projection each have one
-array-level core (_field_array, _energy, _jacobian_array, graph._project);
-integrate_flow and equilibria.classify call them.
+F, H and the projection have one compiled core, the mf_ functions of
+_walk.c, which vrrw.files builds at their first use. Every power of the
+coordinates is s = (x/m)^a in [0, 1], m = max x, by libm's pow; A s and
+<s, A s> are summed in site order, so no bit depends on BLAS; only H and
+dH/dt carry the scale, as m^a m^a. An underflowed sum raises NumericError.
+_field_array, _pi_core, _energy and graph._project are thin calls into the
+core; vector_field, invariant_measure, lyapunov, lyapunov_derivative,
+jacobian and equilibria.classify take their pieces from them, and
+integrate_flow runs its whole RK4 in the core.
 """
 
 from __future__ import annotations
@@ -29,18 +33,20 @@ from sys import float_info
 
 import numpy as np
 
+from . import files
 from .errors import (
     BoundaryJacobianError,
     DegenerateSupportError,
     NumericError,
     ReducibilityError,
     ValidationError,
+    VrrwError,
 )
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
     _number,
-    _project,
+    _projection_error,
     check_loopfree_cap,
     complete_graph,
     coords_of,
@@ -132,12 +138,42 @@ def _scaled_powers(x: np.ndarray, exponent: float):
     return _power([v / m for v in xs], exponent), m
 
 
-def _vanishing(a: np.ndarray, rows: np.ndarray, x: np.ndarray, what: str):
-    """Error for a sum over A_ij, i in rows, j in supp x, below the normal
-    double range: underflow, or exactly 0 when all those A_ij are 0."""
-    if np.any(a[np.ix_(rows, x > 0)] > 0):
+def _coords(p: ModelParameters, v) -> np.ndarray:
+    """coords_of(v) as a vector of p's n coordinates; any other shape raises
+    ValidationError, before the compiled core could read past it."""
+    x = coords_of(v)
+    if x.shape != (p.size,):
+        raise ValidationError(f"point must be a vector of {p.size} coordinates, got shape {x.shape}")
+    return x
+
+
+def _compiled(name: str, a: np.ndarray, alpha: float, x: np.ndarray, words: int):
+    """The buffer io of words * n + 1 doubles after the core's function
+    `name` ran on the point x = io[:n] for the n x n entries a, and its status."""
+    n = x.size
+    io = np.empty(words * n + 1)
+    io[:n] = x
+    a = np.ascontiguousarray(a, dtype=float)
+    return io, getattr(files._library(), name)(n, a.ctypes.data, alpha, io.ctypes.data)
+
+
+def _error(status: int, a: np.ndarray, x: np.ndarray) -> VrrwError:
+    """The typed error for a failed status of the core at the point x. A sum
+    over A_ij, i and j in supp x, below the normal double range is an
+    underflow, or exactly 0 when all those A_ij are 0."""
+    if status <= files.MF_CANCELLED:
+        return _projection_error(status, x)
+    if status == files.MF_EMPTY:
+        return DegenerateSupportError("point has empty support")
+    if status == files.MF_NEGATIVE:
+        return ValidationError(f"powers need nonnegative coordinates, got {x.tolist()}")
+    if status == files.MF_ENERGY_OVERFLOWS:
+        return NumericError("interaction energy overflows the double range")
+    what = "scaled interaction energy" if status == files.MF_CORE_VANISHES else "interaction energy"
+    on = x > 0
+    if np.any(a[np.ix_(on, on)] > 0):
         return NumericError(f"{what} underflows the double range")
-    return DegenerateSupportError(f"{what} vanishes on support {np.nonzero(x > 0)[0].tolist()}")
+    return DegenerateSupportError(f"{what} vanishes on support {np.nonzero(on)[0].tolist()}")
 
 
 def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
@@ -150,7 +186,7 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
     """
     if eps < 0:
         raise ValidationError(f"kernel regularizer must be >= 0, got {eps}")
-    x = coords_of(v) + eps
+    x = _coords(p, v) + eps
     a = p.effective_matrix.entries
     reach = np.where(a > 0, x, 0.0)
     m = reach.max(axis=1)
@@ -164,51 +200,43 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
 
 
 def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
-    """H(x) = <A x^a, x^a> through s = (x/m)^a, m = max x."""
-    s, m = _scaled_powers(x, alpha)
-    try:
-        h = float(s @ a @ s) * m**alpha * m**alpha
-    except OverflowError:
-        h = float("inf")
-    if h > float_info.max:
-        raise NumericError("interaction energy overflows the double range")
-    if not h >= float_info.min:
-        raise _vanishing(a, x > 0, x, "interaction energy")
-    return h
+    """H(x) = <A s, s> m^a m^a, s = (x/m)^a, m = max x, by the core."""
+    io, status = _compiled("mf_energy", a, alpha, x, 3)
+    if status:
+        raise _error(status, a, x)
+    return float(io[x.size])
 
 
 def lyapunov(p: ModelParameters, v) -> float:
     """Interaction energy H(v) = <A v^a, v^a>."""
-    return _energy(p.effective_matrix.entries, p.alpha, coords_of(v))
+    return _energy(p.effective_matrix.entries, p.alpha, _coords(p, v))
 
 
 def _pi_core(a: np.ndarray, alpha: float, x: np.ndarray):
-    """Scale-invariant pieces of the reversible measure: powers s = (x/m)^a,
-    their interaction field A s, and the scaled energy <A s, s>."""
-    s, m = _scaled_powers(x, alpha)
-    field = a @ s
-    core = float(s @ field)
-    if not core >= float_info.min:
-        raise _vanishing(a, x > 0, x, "scaled interaction energy")
-    return s, field, core
+    """Scale-invariant pieces of the reversible measure by the core: powers
+    s = (x/m)^a, their interaction field A s, and the scaled energy <A s, s>."""
+    io, status = _compiled("mf_pieces", a, alpha, x, 3)
+    if status:
+        raise _error(status, a, x)
+    n = x.size
+    return io[n : 2 * n], io[2 * n : 3 * n], float(io[3 * n])
 
 
 def invariant_measure(p: ModelParameters, v) -> np.ndarray:
     """Reversible measure of the frozen kernel: pi_i proportional to
     v_i^a (A v^a)_i. Requires positive interaction energy."""
-    x = coords_of(v)
-    s, field, core = _pi_core(p.effective_matrix.entries, p.alpha, x)
+    s, field, core = _pi_core(p.effective_matrix.entries, p.alpha, _coords(p, v))
     return simplex_points(s * field / core)
 
 
-def _field_array(a: np.ndarray, alpha: float, x: np.ndarray, stats=None) -> np.ndarray:
-    """-x + pi(iota(x)) for a 1-D array x, with the projection preserving
-    exact zeros of x; stats["clips"] counts a projection that moved x."""
-    w = _project(x, stats)
-    if w is not x:
-        w[x == 0.0] = 0.0
-    s, field, core = _pi_core(a, alpha, w)
-    return s * field / core - x
+def _field_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+    """-x + pi(iota(x)) for a 1-D array x by the core, with the projection
+    keeping the exact zeros of x at zero."""
+    io, status = _compiled("mf_field", a, alpha, x, 5)
+    n = x.size
+    if status:
+        raise _error(status, a, io[2 * n : 3 * n])
+    return io[n : 2 * n]
 
 
 def vector_field(p: ModelParameters, v) -> np.ndarray:
@@ -218,9 +246,9 @@ def vector_field(p: ModelParameters, v) -> np.ndarray:
     F at v / sum(v); components of the result sum to zero and vanish on the
     zero set of v.
     """
-    x = coords_of(v)
+    x = _coords(p, v)
     total = float(x.sum())
-    if x.ndim != 1 or abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"field input must be a vector with unit sum, got {x!r}")
     return _field_array(p.effective_matrix.entries, p.alpha, x / total)
 
@@ -230,15 +258,16 @@ def lyapunov_derivative(p: ModelParameters, v) -> float:
 
         <grad H, F> = 2a H * sum_{v_i > 0} (pi_i - v_i)^2 / v_i,
 
-    manifestly nonnegative, zero exactly when pi = v.
+    manifestly nonnegative, zero exactly when pi = v. The sum is added in
+    site order, as cumsum adds; a BLAS dot's order depends on its kernel.
     """
-    x = coords_of(v)
+    x = _coords(p, v)
     a = p.effective_matrix.entries
     h = _energy(a, p.alpha, x)
     s, field, core = _pi_core(a, p.alpha, x)
     on = x > 0
     gap = s[on] * field[on] / core - x[on]
-    rate = 2.0 * p.alpha * h * float(gap @ (gap / x[on]))
+    rate = 2.0 * p.alpha * h * float(np.cumsum(gap * (gap / x[on]))[-1])
     if rate > float_info.max:
         raise NumericError("energy derivative overflows the double range")
     return rate
@@ -258,7 +287,7 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
     a < 2, so boundary points are rejected there; classification on faces
     takes the Jacobian of the face-restricted entries instead.
     """
-    x = coords_of(v)
+    x = _coords(p, v)
     if np.any(x == 0.0) and p.alpha < 2.0:
         raise BoundaryJacobianError(
             "Jacobian at a face boundary is one-sided for exponent < 2; "
@@ -315,49 +344,41 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
 
     Coordinates that start at exactly zero are pinned to zero (faces are
     invariant), and t_end is rounded to a whole number of steps. A flow of
-    more than FLOW_STEP_LIMIT steps (t_end / dt) raises ValidationError.
+    more than FLOW_STEP_LIMIT steps (t_end / dt) raises ValidationError. The
+    steps run in the compiled core (mf_flow in _walk.c); a step that fails
+    raises the error its field, projection or energy would raise, and a
+    step's projection that fails, or a step that crosses the loop-free cap
+    from below, names its time.
     """
-    x = simplex_points(v0)
-    if x.ndim != 1:
-        raise ValidationError(f"flow start must be one point, got shape {x.shape}")
+    x = simplex_points(_coords(p, v0))
     t_end, dt = _number(t_end, "t_end"), _number(dt, "dt")
     if not (0 < dt <= t_end < math.inf):
         raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     if t_end / dt > FLOW_STEP_LIMIT:
         raise ValidationError(f"t_end / dt = {t_end / dt:.6g} steps, past the budget of {FLOW_STEP_LIMIT}")
     steps = max(1, int(round(t_end / dt)))
-    zero = x == 0.0
     matrix = p.effective_matrix
-    a, alpha = matrix.entries, p.alpha
+    a = np.ascontiguousarray(matrix.entries, dtype=float)
     # a start may exceed the cap; only a step that crosses it logs and raises
-    cap_ok = not np.any(matrix.loop_free_sites & (x > LOOPFREE_CAP))
-    stats = {"clips": 0}
-
-    times = np.empty(steps + 1)
+    cap = math.inf if np.any(matrix.loop_free_sites & (x > LOOPFREE_CAP)) else LOOPFREE_CAP
     states = np.empty((steps + 1, x.size))
-    energies = np.empty(steps + 1)
-    times[0], states[0], energies[0] = 0.0, x, _energy(a, alpha, x)
-
-    for k in range(1, steps + 1):
-        k1 = _field_array(a, alpha, x, stats)
-        k2 = _field_array(a, alpha, x + 0.5 * dt * k1, stats)
-        k3 = _field_array(a, alpha, x + 0.5 * dt * k2, stats)
-        k4 = _field_array(a, alpha, x + dt * k3, stats)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        try:
-            x = _project(x, stats)
-        except NumericError as exc:
-            raise NumericError(f"flow integration blew up at t={k * dt:.6g}") from exc
-        if zero.any():
-            x[zero] = 0.0
-            x /= x.sum()
-        if cap_ok and x.max() > LOOPFREE_CAP and not check_loopfree_cap(x, matrix):
-            raise ValidationError(f"flow left the feasible occupation region at t={k * dt:.6g}")
-        times[k], states[k], energies[k] = k * dt, x, _energy(a, alpha, x)
-
-    log.debug("%d RK4 steps: %d projection clips", steps, stats["clips"])
+    states[0] = x
+    energies, work, info = np.empty(steps + 1), np.empty(7 * x.size), np.zeros(2, dtype=np.int64)
+    status = files._library().mf_flow(
+        x.size, a.ctypes.data, p.alpha, steps, dt, cap, states.ctypes.data, energies.ctypes.data,
+        work.ctypes.data, info.ctypes.data,
+    )
+    k, clips = int(info[0]), int(info[1])
+    if status == files.MF_CAP:
+        check_loopfree_cap(states[k], matrix)
+        raise ValidationError(f"flow left the feasible occupation region at t={k * dt:.6g}")
+    if status == files.MF_BLEW_UP:
+        raise NumericError(f"flow integration blew up at t={k * dt:.6g}")
+    if status:
+        raise _error(status, a, work[: x.size])
+    log.debug("%d RK4 steps: %d projection clips", steps, clips)
     states.setflags(write=False)
-    return FlowTrajectory(times=times, states=states, lyapunov_values=energies)
+    return FlowTrajectory(times=np.arange(steps + 1) * dt, states=states, lyapunov_values=energies)
 
 
 def fundamental_matrix(p: ModelParameters, v) -> np.ndarray:

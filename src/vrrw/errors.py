@@ -18,7 +18,7 @@ class ValidationError(VrrwError):
 
 
 class BuildError(VrrwError):
-    """The walk's compiled step loop could not be built."""
+    """The compiled library (the walk's steps and the flow) could not be built."""
 
 
 class NumericError(VrrwError):

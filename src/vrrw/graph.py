@@ -19,6 +19,7 @@ from sys import float_info
 
 import numpy as np
 
+from . import files
 from .errors import NumericError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -209,29 +210,30 @@ def coords_of(v) -> np.ndarray:
     return _as_float_array(v, "point")
 
 
-def _project(arr: np.ndarray, stats=None) -> np.ndarray:
-    """Euclidean projection of a 1-D float array onto the probability simplex:
-    with x sorted decreasingly, find the largest m with x_(m) - (sum of top
-    m - 1)/m > 0 and shift-clip by that threshold. A simplex point is returned
-    itself (exact idempotence); a clipped input is counted in stats["clips"].
-    """
-    x = arr
-    # huge inputs may need a second clip pass because the shift cancels
-    # catastrophically, hence the small loop
-    for _ in range(16):
-        if arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= VALIDATION_RTOL:
-            return arr
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("projection input contains non-finite entries")
-        if stats is not None and arr is x:
-            stats["clips"] += 1
-        srt = np.sort(arr)[::-1]
-        csum = np.cumsum(srt) - 1.0
-        ok = srt - csum / np.arange(1, arr.size + 1) > 0
-        m = int(np.nonzero(ok)[0][-1]) + 1
-        theta = csum[m - 1] / m
-        arr = np.maximum(arr - theta, 0.0)
-    raise NumericError(f"simplex projection failed to settle for input {x!r}")
+def _projection_error(status: int, x) -> NumericError:
+    """The error for a failed status of the compiled projection of x."""
+    if status == files.MF_NONFINITE:
+        return NumericError("projection input contains non-finite entries")
+    if status == files.MF_UNSETTLED:
+        return NumericError(f"simplex projection failed to settle for input {x!r}")
+    return NumericError(f"simplex projection cancels to no threshold for input {x!r}")
+
+
+def _project(arr: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a 1-D float array onto the probability simplex,
+    as a new array, by mf_project in _walk.c: with x sorted decreasingly, find
+    the largest m with x_(m) - (sum of top m - 1)/m > 0 and shift-clip by that
+    threshold, in up to 16 passes, as huge inputs may need a second one. In
+    exact arithmetic m = 1 always passes; when the shift cancels so far that
+    none does, as for [1e300, -1e300, 0], NumericError is raised, as for a
+    non-finite input or 16 passes that do not settle."""
+    n = arr.size
+    io = np.empty(2 * n)
+    io[:n] = arr
+    status = files._library().mf_project(n, io.ctypes.data)
+    if status:
+        raise _projection_error(status, arr)
+    return io[:n]
 
 
 def project_to_simplex(x) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The walk jumps from its current site to j with probability proportional
 to A[site][j] * (1 + Z(j))^alpha, where Z(j) counts visits to j including
-time 0. One compiled loop (_walk.c, built at the first walk) advances any
-number of replicas, each drawing one uniform per step from its own seeded
-PCG64, so a replica's trajectory is bit-identical whether it runs alone or
-inside a batch. _walk.c seeds and steps that PCG64 itself, reproducing
-numpy's PCG64(seed) stream and its next_double exactly.
+time 0. One compiled loop (in _walk.c, which vrrw.files builds at its
+first use) advances any number of replicas, each drawing one uniform per
+step from its own seeded PCG64, so a replica's trajectory is bit-identical
+whether it runs alone or inside a batch. _walk.c seeds and steps that
+PCG64 itself, reproducing numpy's PCG64(seed) stream and its next_double
+exactly.
 
 The loop picks what step, the reference, picks, bit for bit, because it
 does the same IEEE double operations in the same order: each weight is a
@@ -38,20 +39,15 @@ every replica through walk_block.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import files
 from .dynamics import ModelParameters, _power
-from .errors import BuildError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .graph import _integer, simplex_points
 
 #: Steps per call of the compiled loop, which cannot be interrupted, and
@@ -72,16 +68,6 @@ FULL_LOG_LIMIT = 1_000_000
 #: weighted total below e**709, so no total is ever infinite.
 _WEIGHT_LOG_CAP = 690.0
 _TOTAL_LOG_CAP = 709.0
-
-#: The step loop's source and its build: the compiler, its flags, which keep
-#: products and sums rounded one by one (see the module docstring), and libm.
-#: The library is cached under the package's __pycache__, named by a hash
-#: of the source and the flags.
-_SOURCE = Path(__file__).with_name("_walk.c")
-_CACHE = _SOURCE.parent / "__pycache__"
-_COMPILER = "cc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
-
 
 @dataclass(frozen=True)
 class WalkState:
@@ -215,56 +201,13 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
 
 
-@functools.cache
-def _step_loop():
-    """_walk.c as a library, loaded from _CACHE and built there first if
-    no build of this source and flags is there yet."""
-    code = _SOURCE.read_bytes() + " ".join(_FLAGS).encode()
-    key = hashlib.sha256(code).hexdigest()[:16]
-    path = _CACHE / f"_walk-{key}.so"
-    if not path.exists():
-        _build(path)
-    lib = ctypes.CDLL(str(path))
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    kernel_args = [i64, i64, ptr, i64] + [ptr] * 3 + [i64, f64] + [ptr] * 3 + [i64, ptr, i64, i64] + [ptr] * 3 + [i64]
-    lib.walk_block.argtypes = lib.walk_group.argtypes = kernel_args
-    lib.seed_pcg64.argtypes = [i64, i64, ptr, ptr]
-    lib.power_table.argtypes = [i64, f64, ptr]
-    lib.walk_block.restype = lib.walk_group.restype = lib.seed_pcg64.restype = lib.power_table.restype = None
-    return lib
-
-
-def _build(lib: Path) -> None:
-    """Compile _SOURCE into lib. The compiler writes a temporary file that
-    then replaces lib whole, so a concurrent walk never loads half of it."""
-    import subprocess  # only a build needs it, and its import takes milliseconds
-
-    try:
-        lib.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-        os.close(fd)
-    except OSError as exc:
-        raise BuildError(f"cannot write the walk's step loop into {lib.parent}: {exc}") from exc
-    cmd = [_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE)]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode:
-            raise BuildError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()}")
-        os.replace(tmp, lib)
-    except OSError as exc:
-        raise BuildError(f"{' '.join(cmd)} failed: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
     """Advance one replica per row of state (uint64 [R, 4], as _seed_states
     makes it) from starts (int64) for `horizon` steps, each drawing one
     double per step from its own PCG64, and return what _batch_walk
     returns. Each row is left at its generator's state after the walk.
     checkpoint_at is sorted int64, free of repeats."""
-    lib = _step_loop()
+    lib = files._library()
     n, r = p.size, len(state)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     site = starts.copy()
@@ -310,7 +253,7 @@ def _seed_states(seeds):
     words = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
     words = np.frombuffer(words, dtype="<u4").astype(np.uint32)
     state = np.empty((len(seeds), 4), dtype=np.uint64)
-    _step_loop().seed_pcg64(len(seeds), width, words.ctypes.data, state.ctypes.data)
+    files._library().seed_pcg64(len(seeds), width, words.ctypes.data, state.ctypes.data)
     return state
 
 

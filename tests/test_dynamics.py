@@ -34,9 +34,11 @@ from vrrw import (
     transition_kernel,
     vector_field,
 )
-from vrrw.graph import InteractionMatrix
+from vrrw.graph import InteractionMatrix, project_to_simplex
 from vrrw.dynamics import FLOW_STEP_LIMIT, _field_array, tangent_basis
 from vrrw.files import open_text
+
+import flow_reference as ref
 
 
 P3 = ModelParameters.for_complete_graph(3, 1.5)
@@ -583,6 +585,163 @@ def test_loop_model_effective_matrix():
     assert np.all(np.diag(p.matrix.entries) == 0.0)
 
 
+@pytest.mark.parametrize(
+    "f", [integrate_flow, vector_field, jacobian, lyapunov, invariant_measure, lyapunov_derivative]
+)
+@pytest.mark.parametrize("v", [[0.5, 0.5], [[0.5, 0.3, 0.2]]], ids=["short", "matrix"])
+def test_points_of_the_wrong_shape_raise_validation_errors(f, v):
+    # on K3 a 2-point raised numpy's ValueError and a 1 x 3 matrix a bare
+    # TypeError; the compiled core would read past a short point
+    with pytest.raises(ValidationError, match="vector of 3 coordinates"):
+        f(P3, np.array(v)) if f is not integrate_flow else f(P3, np.array(v), t_end=1.0)
+
+
+# huge inputs whose first pass leaves them off the simplex, as the shift
+# cancels, and which settle in a second pass
+SECOND_PASS = [
+    [8576474636841338.0, 8576474636841335.0, 8576474636841338.0],
+    [1.0552877686707934e16, -377661588104657.2, 4132344361324508.5],
+    [7.001601300235723e16] * 5,
+    [1659010222429734.2] * 3 + [1659010222429731.2] * 2,
+]
+
+
+@pytest.mark.parametrize("x", SECOND_PASS)
+def test_projection_of_huge_inputs_matches_the_reference(x):
+    want, passes = ref.project(x)
+    assert passes == 2
+    assert project_to_simplex(x).tolist() == want
+
+
+@pytest.mark.parametrize("eps", [5e-13, 5e-12])
+def test_projection_keeps_sums_within_its_tolerance(eps):
+    # a sum within 1e-12 of 1 is a simplex point, returned as it is; a sum
+    # further off is clipped
+    x = [0.25, 0.75 + eps]
+    want, passes = ref.project(x)
+    assert passes == (eps > 1e-12)
+    assert project_to_simplex(x).tolist() == want
+
+
+@pytest.mark.parametrize("x", [[1e300, -1e300, 0.0], [-1e300, -1e300], [1e17, -1e17]])
+def test_projection_that_cancels_to_no_threshold_is_a_numeric_error(x):
+    # no m passes the threshold test, m = 1 included, so no pass can settle;
+    # it raised IndexError
+    with pytest.raises(ref.Stop):
+        ref.project(x)
+    with pytest.raises(NumericError, match="cancels to no threshold"):
+        project_to_simplex(x)
+
+
+def _flow_against_reference(caplog, p, v0, t_end, dt):
+    """Check integrate_flow against the reference flow, bit for bit: times,
+    states, energies and projection clips, or the error type and the step
+    of a failure, before which the flow of one step less must match.
+    Returns the clips of a flow that ends, else 0."""
+    a, steps = p.effective_matrix.entries.tolist(), int(round(t_end / dt))
+    try:
+        states, energies, clips = ref.flow(a, p.alpha, list(v0), steps, dt)
+    except ref.Stop as stop:
+        with pytest.raises(stop.kind):
+            integrate_flow(p, v0, t_end=t_end, dt=dt)
+        if stop.step:
+            if stop.step > 1:
+                _flow_against_reference(caplog, p, v0, (stop.step - 1) * dt, dt)
+            with pytest.raises(stop.kind):
+                integrate_flow(p, v0, t_end=stop.step * dt, dt=dt)
+        return 0
+    assert _projection_clips(caplog, p, v0, t_end, dt) == clips
+    traj = integrate_flow(p, v0, t_end=t_end, dt=dt)
+    assert traj.times.tolist() == [k * dt for k in range(steps + 1)]
+    assert traj.states.tolist() == states
+    assert traj.lyapunov_values.tolist() == energies
+    return clips
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_compiled_flow_matches_the_reference(n, c, caplog):
+    # a Dirichlet start and one with an exact zero, at dt 0.01 and at dt 1
+    # and 2, where stages and steps leave the simplex and are clipped
+    p = ModelParameters.for_complete_graph(n, 2.5, loop_c=c)
+    rng = np.random.default_rng([n, 250, round(10 * c)])
+    dirichlet = rng.dirichlet(np.ones(n))
+    face = rng.dirichlet(np.ones(n))
+    face[-1] = 0.0
+    face /= face.sum()
+    clips = 0
+    for v0 in (dirichlet.tolist(), face.tolist()):
+        for t_end, dt in ((0.5, 0.01), (8.0, 1.0), (8.0, 2.0)):
+            clips += _flow_against_reference(caplog, p, v0, t_end, dt)
+    # on hollow K2 the start with a zero is a vertex, which has no energy
+    assert (n, c) == (2, 0.0) or clips > 0
+
+
+def test_compiled_flow_clips_as_the_reference_does_at_dt_1(caplog):
+    # a start above the cap, whose first step at dt = 1 leaves the simplex
+    v0 = [0.9788323124415316, 0.020306851450982752, 0.0008608361074857944]
+    assert _flow_against_reference(caplog, P3, v0, 10.0, 1.0) == 1
+
+
+@pytest.mark.parametrize(
+    "n, alpha, dt, kind, step",
+    [
+        (3, 2.5, 5.0, ValidationError, 2),
+        (5, 1.5, 3.0, DegenerateSupportError, 6),
+        (8, 4.0, 5.0, DegenerateSupportError, 5),
+    ],
+)
+def test_failing_flow_stops_where_the_reference_does(n, alpha, dt, kind, step, caplog):
+    # the Dirichlet starts of GOLDEN_FLOWS: a step that crosses the cap, and
+    # a field whose projection lands on one site of a hollow graph
+    p = ModelParameters.for_complete_graph(n, alpha)
+    v0 = np.random.default_rng([n, round(100 * alpha), 0]).dirichlet(np.ones(n)).tolist()
+    with pytest.raises(ref.Stop) as stop:
+        ref.flow(p.effective_matrix.entries.tolist(), alpha, v0, step + 2, dt)
+    assert (stop.value.kind, stop.value.step) == (kind, step)
+    _flow_against_reference(caplog, p, v0, (step + 2) * dt, dt)
+
+
+def _agrees(compiled, reference):
+    """compiled() == reference(), or both raise the reference's error type."""
+    try:
+        want = reference()
+    except ref.Stop as stop:
+        with pytest.raises(stop.kind):
+            compiled()
+        return
+    assert compiled() == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_mean_field_functions_match_the_reference(n, c):
+    # random points, some with an exact zero, and random real vectors to project
+    rng = np.random.default_rng([n, round(10 * c), 7])
+    for alpha in (1.05, 1.5, 2.5, 4.0):
+        p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+        a = p.effective_matrix.entries.tolist()
+        for _ in range(10):
+            v = rng.dirichlet(np.full(n, 0.7))
+            if rng.random() < 0.3:
+                v[rng.integers(n)] = 0.0
+                v /= v.sum()
+            x, total = v.tolist(), float(v.sum())
+            _agrees(lambda: np.asarray(invariant_measure(p, v)).tolist(), lambda: ref.measure(a, alpha, x))
+            _agrees(lambda: lyapunov(p, v), lambda: ref.energy(a, alpha, x))
+            _agrees(lambda: lyapunov_derivative(p, v), lambda: ref.derivative(a, alpha, x))
+            _agrees(
+                lambda: np.asarray(vector_field(p, v)).tolist(),
+                lambda: ref.field(a, alpha, [xj / total for xj in x])[0],
+            )
+            # off the simplex, where the projection clips and the zeros are pinned back
+            off = (v * (1.0 + rng.uniform(-1e-6, 1e-6))).tolist()
+            _agrees(lambda: _field_array(p.effective_matrix.entries, alpha, np.array(off)).tolist(),
+                    lambda: ref.field(a, alpha, off)[0])
+            y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)).tolist()
+            _agrees(lambda: project_to_simplex(y).tolist(), lambda: ref.project(y)[0])
+
+
 def _flow_outcome(p, v0, t_end, dt):
     """SHA-256 of a flow's times, states and energies, or the name of the
     typed error it raised."""
@@ -618,15 +777,16 @@ def _flow_digest(n, alpha, c):
 
 # Per (n, alpha, loop_c): the SHA-256 of the flows in _flow_digest and what
 # the dt = 5 flows from the same two starts do. They pin the integrator's
-# floating-point operations and its typed errors. Every power they take is
-# libm's pow; they were made with glibc's FMA pow on x86-64.
+# floating-point operations and its typed errors. Every sum they take is
+# added in site order in the compiled core, with no BLAS call, and every
+# power is libm's pow; they were made with glibc's FMA pow on x86-64.
 GOLDEN_FLOWS = {
     (2, 1.05, 0.0): (
         "33646e388a28c194b1e251f2d5d88b81830919c311905a0ac8eb238278d9dd0c",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 1.05, 0.5): (
-        "ee38679c7cf7cda4751b1b608389f14bdab75421d7fc5073418993d0980d38c4",
+        "a98562ec5f933739fb36db96a913ba99390de21ea43d461d57135de3dd2185d0",
         ('ok', 'ok'),
     ),
     (2, 1.5, 0.0): (
@@ -634,7 +794,7 @@ GOLDEN_FLOWS = {
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 1.5, 0.5): (
-        "f135870d9ce59d64154b59d3b0ef31ba898575ce22a7eb89457108a722a6f50d",
+        "fc1e293035060e5a285295b5b9c62d3e6818f64026b86c682abcadb7bf092a14",
         ('ok', 'ok'),
     ),
     (2, 2.5, 0.0): (
@@ -642,7 +802,7 @@ GOLDEN_FLOWS = {
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (2, 2.5, 0.5): (
-        "44aa817ead0e0c8089ca33cced14852a8842ab0639eaa1a1884a22ba764ad0f8",
+        "260c9dac630dcaae08d1d5903b754b27eaea49bb86e14a0d934429ff284cf7ed",
         ('ok', 'ok'),
     ),
     (2, 4.0, 0.0): (
@@ -654,99 +814,99 @@ GOLDEN_FLOWS = {
         ('ok', 'ok'),
     ),
     (3, 1.05, 0.0): (
-        "475979ab91588080dc43cc781388b90312dc84fa104a9634bb66c393ce47f4e4",
+        "fc264e16d8cffb8aa5641118646f3341b4b8ec641dcfb77cfaa12312c88f267e",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 1.05, 0.5): (
-        "c2e3f003e89d3a911d4c1951c0919acc78cf66abcb96613eca40c7f376380ee7",
+        "9673a8e658bf82941ddb3a460b0b648db260bc75af6937625be88cb58fdb8905",
         ('ok', 'ok'),
     ),
     (3, 1.5, 0.0): (
-        "370f988a40668891b2a34115fe94e5528556e400d4f6fa3bf07ec97e08cfabf6",
+        "1eff265d0bff749f6d01462270b165a24e6165160bc1de7b502f019a6641466f",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 1.5, 0.5): (
-        "8d4f0d6b082a18d3c075930d2378d670a80ddaba5dfc01dd2b4c0f18fce20938",
+        "0f47d3cb9e854ca84335707db4c5476385d718769271caf925c218a97c32aca2",
         ('ok', 'ok'),
     ),
     (3, 2.5, 0.0): (
-        "31e5dd86a93d079b53cc63bb4045b50dd47479e9b6a42d500137641ad34c99ba",
+        "d2a9646081b30021bd676292d4b3c75a6c279c4c3e28de6ed65dc4e26293270d",
         ('ValidationError', 'DegenerateSupportError'),
     ),
     (3, 2.5, 0.5): (
-        "aa790f47b42f25ae6566a32b2886ac82c64b9692ca27157df9c007289bb27038",
+        "f78e47842e5322748c35f020c178fbfd4bf3a05d7a9a7c108d9ad7ec9b9d0014",
         ('ok', 'ok'),
     ),
     (3, 4.0, 0.0): (
-        "23bc5b169f9ee64933e16b35a9e73a621aba45f15694591b2b681274b35834e7",
+        "a6e06ee048350ab6e998d8dcf343020cf89b44580ff13e3cedf3bc74fc5fcd30",
         ('DegenerateSupportError', 'DegenerateSupportError'),
     ),
     (3, 4.0, 0.5): (
-        "2cbd3b004b50ef2cc3e62765351f8823329b4d8e7b56a30e57b4041368de1d5b",
+        "9247bae6e8f81b37048498a283b154411c53b7de796469e05669c63a5bd9d608",
         ('ok', 'ok'),
     ),
     (5, 1.05, 0.0): (
-        "eb626bf2bc8d49d1d233e41c46cfc9b99c300ad767aced1da28c0d16c2ce9c9f",
+        "3eee810dd42137ea8553a1d69fc308828e36d6b3869eff032ddec8c7c29fcddf",
         ('ok', 'ok'),
     ),
     (5, 1.05, 0.5): (
-        "1d13be3d6bf1e249a87a20fc248e9b17e16d276f3450f0287813d56df8eeac84",
+        "8c4555b9bfed1fbd44be44647003ed6cdd7c51cb0c0c36e6d45455a6d7b676cb",
         ('ok', 'ok'),
     ),
     (5, 1.5, 0.0): (
-        "4db39e101796e4227dde03b2b98f7877474ca02b209a1c4eece5cda4135dc6c7",
+        "d6304569dfbd68142a9e27782b4ae21b8c90351d280b64b8e623925edc3790bc",
         ('ValidationError', 'DegenerateSupportError'),
     ),
     (5, 1.5, 0.5): (
-        "95d59610284d0247d2b57b97edaba509db0a8109f5808ac3081202e0aea21375",
+        "85bb36e938e207ab0ff8ff563bafe56511e064d85ed46ceea5686b6c76a0021c",
         ('ok', 'ok'),
     ),
     (5, 2.5, 0.0): (
-        "cf645eb23e5fa4c619983697094f84924a9faad494c9e00aca5acacd176d64e5",
+        "5f6aaf2ef8a8da42d70d9c9fb4aaee8e35c0d82e01272428a828b7a12707254f",
         ('DegenerateSupportError', 'ok'),
     ),
     (5, 2.5, 0.5): (
-        "2e88f05d99e6775ead5f2fafdd6335ef63a6c31322475de4a131057c94d49e96",
+        "410772123318aad69373657fa0ff8d805704ccac7d81768e1de976ecab4844af",
         ('ok', 'ok'),
     ),
     (5, 4.0, 0.0): (
-        "2383102264c27a06e481452a9e9f0feb340a4c51f83c667327865c537fc18926",
+        "e923b6a21db900f212fb46241aa1b0aa7b2b8af5dad9def0fa5c9c3910998bc7",
         ('ok', 'ok'),
     ),
     (5, 4.0, 0.5): (
-        "bd803246e745d6a9c64df0875d8c7043ba15079cc3c0f169433a0945df208fa9",
+        "2b2d5f310bb4bc84c3407f99fbce073de9f2545b07301ab47a00f9b6308395c9",
         ('ok', 'ok'),
     ),
     (8, 1.05, 0.0): (
-        "34c56260c31d2ee02967fc23f1716d297eea3ff780dd4de2804529fcb7acbb79",
+        "6d9289c5f7fc69df091c07fc50a43756a05889d32dadba060c5d1466e2cef1e5",
         ('ok', 'ok'),
     ),
     (8, 1.05, 0.5): (
-        "a1e10e4a3f1602e38b8277848cee70b0860542d7a86c6a0ee938af9080ee9052",
+        "3a1e72d6fcf770c71eece787b87f52ea109bf1d461262fd1e5474c199c257de9",
         ('ok', 'ok'),
     ),
     (8, 1.5, 0.0): (
-        "97a8fbb2d5bd112706c08125960035f53aed45a664f92519ea66de506f5328ea",
+        "8581414f8dfcf8d6a90a09a55ffa3e97b93c2dd50a83f06c537c850cf0bf8346",
         ('ok', 'ok'),
     ),
     (8, 1.5, 0.5): (
-        "fb7796211480ace7769d43083d5b30cb2814bb9cab5c1f0d362b9c84e9b18c3d",
+        "595fce5593606624fa18c64dd55ab7a066ef87f2b44c2c66bae0f6ab49ecc2dc",
         ('ok', 'ok'),
     ),
     (8, 2.5, 0.0): (
-        "a7e71b9b72e0d3b9d6474f97a6f49fdf7d42ba8e5f8aa2a8ac05d352156d8484",
+        "1539641d7868dce5809a4f93a1d7f4050551972262bf2e7018ea04e70aae1bc9",
         ('ok', 'ok'),
     ),
     (8, 2.5, 0.5): (
-        "c330396baf63f303af50a51d5abadc2adbd0cedd723dd0a41328221cb2873e7e",
+        "f9925a0d9385e37e373577ec8b59dfcfc1c3c6868d04987f634d01ebebf0780f",
         ('ok', 'ok'),
     ),
     (8, 4.0, 0.0): (
-        "c8fa4a91dfae6847685271e0ee70a2aeb7732ccd76e322758a6db54a90fc54a3",
+        "ea30c87bedaf6d4df18c6ca842a6e5473b8352b52953832c4c922bb3d5450cae",
         ('ok', 'DegenerateSupportError'),
     ),
     (8, 4.0, 0.5): (
-        "851986288eec891cd8fb2b3c3dabd0c573a2dc5a6a8d820cc21044915a6e2d0c",
+        "85d3cc94ec6d71fdc38cc83df46e879fff008e92e456bc3d967465ac2760ab7a",
         ('ok', 'ok'),
     ),
 }
@@ -764,7 +924,7 @@ def test_flow_trajectories_match_golden_hashes():
 
 # SHA-256 of FlowTrajectory.write_csv for the flow that
 # `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
-GOLDEN_FLOW_CSV = "024bd1435b77aa0077641ea71a2198884b0ebc8e0c032b5b978d29d59f29e92f"
+GOLDEN_FLOW_CSV = "a786f098c95e37aeea0f63645eae2c695ea89c16e8e79ce74598a1b3d4738079"
 
 
 def test_flow_csv_bytes_match_golden_hash(tmp_path):

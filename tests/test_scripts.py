@@ -2,13 +2,19 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import numpy
+
 import vrrw
+import vrrw.campaign
+import vrrw.dynamics
+import vrrw.rubin
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,6 +47,27 @@ def test_phase_sweep_writes_one_row_of_fractions_per_exponent(tmp_path):
     assert [float(row[0]) for row in rows] == [1.5, 2.5]
     for row in rows:
         assert abs(sum(float(x) for x in row[1:4]) - 1.0) < 1e-12
+
+
+def test_traced_benchmark_targets_exist_and_are_called(monkeypatch):
+    # bench/layers.py wraps these module attributes in a traced run and
+    # leaves out the metrics of any it cannot find; each campaign phase it
+    # times must be called once per campaign
+    layers = _load("layers", ROOT / "bench")
+    for module, names in ((vrrw.campaign, layers.CAMPAIGN_PHASES), (vrrw.dynamics, layers.FLOW_CALLS)):
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert vrrw.rubin.np is numpy
+    calls = dict.fromkeys(layers.CAMPAIGN_PHASES, 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(vrrw.campaign, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(vrrw.campaign, name, counted)
+    model = vrrw.ModelParameters.for_complete_graph(3, 2.5)
+    vrrw.run_campaign(vrrw.ExperimentConfig(model=model, replicas=4, horizon=200, base_seed=1))
+    assert calls == dict.fromkeys(layers.CAMPAIGN_PHASES, 1)
 
 
 def _bench_run(seed, exit=0, correct=True, **metrics):

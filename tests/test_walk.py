@@ -24,6 +24,7 @@ from vrrw import (
     step,
     transition_kernel,
 )
+import vrrw.files as files_module
 import vrrw.walk as walk_module
 from vrrw.graph import validate
 from vrrw.dynamics import _power
@@ -201,7 +202,7 @@ def test_batch_engine_matches_single_runs(monkeypatch):
     p = ModelParameters.for_complete_graph(3, 2.0)
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1000)
     log = _KernelLog()
-    monkeypatch.setattr(walk_module, "_step_loop", lambda: log)
+    monkeypatch.setattr(files_module, "_library", lambda: log)
     for size in (1, 7, 8, 9, 17):
         seeds, starts = [40 + k for k in range(size)], [k % 3 for k in range(size)]
         log.calls.clear()
@@ -231,7 +232,7 @@ def test_group_kernel_matches_block_kernel(n, c, monkeypatch):
     # other lanes of its group read the table (past two sites or with loops)
     p = ModelParameters.for_complete_graph(n, 1.15 + 0.35 * (n % 4), loop_c=c)
     horizon, sched = 600, checkpoint_schedule(600, extra=(97, 98, 194))
-    lib = walk_module._step_loop()
+    lib = files_module._library()
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 97)
     for table in (walk_module.TABLE_SIZE, 1, 200, 300):
         monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
@@ -242,7 +243,7 @@ def test_group_kernel_matches_block_kernel(n, c, monkeypatch):
             for kernel in ("walk_block", "walk_group"):
                 state = walk_module._seed_states(seeds)
                 loop = _OneKernel(lib, kernel)
-                monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
+                monkeypatch.setattr(files_module, "_library", lambda: loop)
                 got[kernel] = (*walk_module._walk(p, starts, horizon, state, True, sched), state)
             for want, have in zip(got["walk_block"], got["walk_group"]):
                 np.testing.assert_array_equal(have, want)
@@ -346,20 +347,20 @@ def test_lone_replicas_match_golden_hashes():
 def test_step_loop_builds_from_an_empty_cache(tmp_path, monkeypatch):
     # a cold build gives the golden trajectories; a compile command that
     # fails raises BuildError naming the command and its error output
-    monkeypatch.setattr(walk_module, "_CACHE", tmp_path)
-    walk_module._step_loop.cache_clear()
+    monkeypatch.setattr(files_module, "_CACHE", tmp_path)
+    files_module._library.cache_clear()
     try:
         keys = [(3, 0.0, 2.5), (5, 0.5, 1.15), (10, 0.0, 1.5)]
         assert {key: _walk_digest(*key) for key in keys} == {key: GOLDEN_WALKS[key] for key in keys}
         assert [f.suffix for f in tmp_path.iterdir()] == [".so"]
-        monkeypatch.setattr(walk_module, "_CACHE", tmp_path / "failing")
-        monkeypatch.setattr(walk_module, "_FLAGS", (*walk_module._FLAGS, "-fno-such-option"))
-        walk_module._step_loop.cache_clear()
+        monkeypatch.setattr(files_module, "_CACHE", tmp_path / "failing")
+        monkeypatch.setattr(files_module, "_FLAGS", (*files_module._FLAGS, "-fno-such-option"))
+        files_module._library.cache_clear()
         with pytest.raises(BuildError, match="-fno-such-option.*exited with 1: .*no-such-option"):
             simulate(P25, 0, 10, 1)
         assert list((tmp_path / "failing").iterdir()) == []
     finally:
-        walk_module._step_loop.cache_clear()
+        files_module._library.cache_clear()
 
 
 class _Uniforms:
@@ -444,7 +445,7 @@ class _KernelLog:
     """The step loop, logging the kernel, first step and rows of each call."""
 
     def __init__(self):
-        self.lib, self.calls = walk_module._step_loop(), []
+        self.lib, self.calls = files_module._library(), []
 
     def __getattr__(self, name):
         fn = getattr(self.lib, name)
@@ -466,7 +467,7 @@ class _CraftedLoop:
     drew it."""
 
     def __init__(self, state, streams, kernel=None):
-        self.lib, self.state, self.streams = walk_module._step_loop(), state, [iter(s) for s in streams]
+        self.lib, self.state, self.streams = files_module._library(), state, [iter(s) for s in streams]
         self.power_table, self.kernel = self.lib.power_table, kernel
 
     def _step(self, name, n, reps, rows, nblk, state, *rest):
@@ -513,7 +514,7 @@ def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1)
     for (table, _), state, loop in zip(runs, states, loops):
         monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
-        monkeypatch.setattr(walk_module, "_step_loop", lambda: loop)
+        monkeypatch.setattr(files_module, "_library", lambda: loop)
         final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
         for r, seed in enumerate(seeds):
             np.testing.assert_array_equal(sites[r], walks[seed][1])
