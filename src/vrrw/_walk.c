@@ -5,11 +5,12 @@
  * pick the same sites: walk_block steps one replica at a time and ends each pick's
  * scan at the first prefix sum above the cut; walk_group steps up to LANES replicas in
  * lockstep and counts the prefix sums at or below the cut, which is where the scan
- * ends, as the sums never decrease. vrrw/walk.py says why the picks equal step's, and
- * chooses the kernel per replica and block: walk_block for a replica whose previous
- * block put 7/8 of its steps on two sites, whose scan exit the branch predictor then
- * guesses, else walk_group, which takes no branch on the uniform. A state row holds
- * state and inc as four uint64 words, low first; 128-bit values live in registers.
+ * ends, as the sums never decrease. vrrw/walk.py says why the picks equal step's. One
+ * driver, walk_run, runs a walk's blocks in calls of bounded work and chooses the
+ * kernel per replica and block: walk_block for a replica whose previous block put 7/8
+ * of its steps on two sites, whose scan exit the branch predictor then guesses, else
+ * walk_group, which takes no branch on the uniform. A state row holds state and inc
+ * as four uint64 words, low first; 128-bit values live in registers.
  *
  * The flow (the mf_ functions at the end): the field F, the energy H and the simplex
  * projection of vrrw/dynamics.py and vrrw/graph.py, and one RK4 over them. Every sum
@@ -102,8 +103,10 @@ void power_table(int64_t size, double alpha, double *table)
  * w[s] by pow. Step at is logged into row r of log16 or log64 (the one not NULL,
  * rows of log_stride); its counts go to chk[r][i], an event too, when at = chk_steps[i], i >= chk0.
  * Kept out of line: inlined into walk_block's loop over a list of rows, its step
- * loop was compiled otherwise and ran about 20% slower on a walk alternating on two sites. */
-static __attribute__((noinline)) void
+ * loop was compiled otherwise and ran about 20% slower on a walk alternating on two sites.
+ * Aligned to 64 bytes, so that code placed before it does not move its step loop
+ * against cache-line boundaries: moved 0x50 bytes on, the loop ran about 8% slower there. */
+static __attribute__((noinline, aligned(64))) void
 walk_replica(int64_t r, int64_t n, int64_t nblk, uint64_t *restrict state, const double *restrict a,
              const double *restrict table, int64_t size, double alpha, int64_t *restrict site,
              int64_t *restrict counts, const double **q, int64_t step0, const int64_t *restrict chk_steps,
@@ -237,6 +240,101 @@ void walk_group(int64_t n, int64_t reps, const int64_t *rows, int64_t nblk, uint
             store(state + r[l] * 4, x[l]);
         }
     }
+}
+
+/* The kernels' order after a block of nblk steps: a replica whose two largest count
+ * increases over the block (after - before) sum to at least 7/8 of its steps is paired.
+ * rows lists the paired replicas, then the others, each in increasing order; returns
+ * how many are paired. */
+static int64_t choose(int64_t n, int64_t reps, int64_t nblk, const int64_t *after, const int64_t *before,
+                      int64_t *rows)
+{
+    int64_t paired = 0, back = reps;
+    for (int64_t r = 0; r < reps; r++) {
+        int64_t top = 0, second = 0;
+        for (int64_t j = r * n; j < (r + 1) * n; j++) {
+            int64_t d = after[j] - before[j];
+            if (d > top)
+                second = top, top = d;
+            else if (d > second)
+                second = d;
+        }
+        if (8 * (top + second) >= 7 * nblk)
+            rows[paired++] = r;
+        else
+            rows[--back] = r;
+    }
+    for (int64_t i = paired, j = reps - 1; i < j; i++, j--) {
+        int64_t t = rows[i];
+        rows[i] = rows[j], rows[j] = t;
+    }
+    return paired;
+}
+
+/* A walk of `horizon` steps for reps replicas, in calls that each run whole blocks
+ * until one more would take the call past `budget` replica-steps (it runs at least
+ * one) or the walk ends, and return the steps done, so that the caller sees a signal
+ * between calls. The first block is `first` steps long, the others `block`. Between
+ * calls the walk lives in the workspace iw, laid out as vrrw/walk.py makes it:
+ *   done, paired       steps done (0 before the first call), rows' paired part
+ *   site[reps]         each replica's site: its start before the first call
+ *   counts[reps n]     its visit counts
+ *   chk[reps nchk n]   its counts at the checkpoint steps
+ *   state[4 reps]      its PCG64 (uint64 words)
+ *   grouped[reps]      the blocks it took through walk_group
+ *   chk_steps[nchk]    the checkpoint steps, increasing
+ *   rows[reps]         the kernels' order: walk_block steps the paired part, walk_group the rest
+ *   before[reps n]     the counts before a block that a next block follows
+ * and then, as doubles, the table of `size` powers and the kernels' scratch of 3n
+ * LANES words. The first call seeds state from words (width 32-bit words a replica,
+ * as seed_pcg64 reads them), counts each start and logs it at step 0, and fills the
+ * table. Its first block takes every replica through walk_block: no block before it
+ * tells which kernel suits a replica. After a block that a next block follows, choose
+ * orders the rows. */
+int64_t walk_run(int64_t n, int64_t reps, double alpha, const double *a, int64_t horizon, int64_t first,
+                 int64_t block, int64_t budget, int64_t size, int64_t nchk, int64_t width, const uint32_t *words,
+                 int16_t *log16, int64_t *log64, int64_t *iw)
+{
+    int64_t *site = iw + 2, *counts = site + reps, *chk = counts + reps * n, *grouped = chk + reps * nchk * n + 4 * reps,
+            *chk_steps = grouped + reps, *rows = chk_steps + nchk, *before = rows + reps;
+    uint64_t *state = (uint64_t *)(chk + reps * nchk * n);
+    double *table = (double *)(before + reps * n);
+    const double **q = (const double **)(table + size);
+    int64_t done = iw[0], taken = 0, i = 0;
+    if (done == 0) {
+        seed_pcg64(reps, width, words, state);
+        power_table(size, alpha, table);
+        memset(counts, 0, reps * n * sizeof *counts);
+        memset(grouped, 0, reps * sizeof *grouped);
+        for (int64_t r = 0; r < reps; r++) {
+            counts[r * n + site[r]] = 1, rows[r] = r;
+            if (log16)
+                log16[r * (horizon + 1)] = (int16_t)site[r];
+            else if (log64)
+                log64[r * (horizon + 1)] = site[r];
+        }
+        iw[1] = reps;
+    }
+    while (done < horizon) {
+        int64_t nblk = done ? block : first < block ? first : block, paired = iw[1];
+        nblk = nblk < horizon - done ? nblk : horizon - done;
+        if (taken && taken + reps * nblk > budget)
+            break;
+        if (done + nblk < horizon)
+            memcpy(before, counts, reps * n * sizeof *counts);
+        while (i < nchk && chk_steps[i] <= done)
+            i++;
+        walk_block(n, paired, rows, nblk, state, a, table, size, alpha, site, counts, q, done, chk_steps, nchk, i,
+                   chk, log16, log64, horizon + 1);
+        walk_group(n, reps - paired, rows + paired, nblk, state, a, table, size, alpha, site, counts, q, done,
+                   chk_steps, nchk, i, chk, log16, log64, horizon + 1);
+        for (int64_t k = paired; k < reps; k++)
+            grouped[rows[k]]++;
+        done += nblk, taken += reps * nblk;
+        if (done < horizon)
+            iw[1] = choose(n, reps, nblk, counts, before, rows);
+    }
+    return iw[0] = done;
 }
 
 /* The mean-field statuses, which vrrw/dynamics.py turns into typed errors: the
@@ -396,23 +494,24 @@ int64_t mf_energy(int64_t n, const double *a, double alpha, double *io)
     return energy(n, a, alpha, io, io + n + 1, io + 2 * n + 1, io + n);
 }
 
-/* RK4 from the point in states[0, n) for `steps` steps of dt, each row of states
- * and entry of energies the next: four fields, the update
+/* RK4 steps first + 1 to last of dt from the start in states[0, n), each row of
+ * states and entry of energies the next: four fields, the update
  * x + dt/6 (k1 + 2 k2 + 2 k3 + k4), its projection, the start's zeros pinned to 0
  * and the row renormalized, the cap test (a site without a loop, a[j][j] = 0,
- * above cap stops the flow) and H. info = {the step it stopped at, clips}. A
- * failure leaves the rows before its step, the step's row if the cap or H failed
- * it, and in work[0, n) the point a field or H failed at. work is 7n words. */
-int64_t mf_flow(int64_t n, const double *a, double alpha, int64_t steps, double dt, double cap, double *states,
-                double *energies, double *work, int64_t *info)
+ * above cap stops the flow) and H; step 0 is H of the start. Rows up to first
+ * are a previous call's, so a flow can take its steps in slices of calls.
+ * info = {the step it stopped at, clips so far}. A failure leaves the rows
+ * before its step, the step's row if the cap or H failed it, and in work[0, n)
+ * the point a field or H failed at. work is 7n words. */
+int64_t mf_flow(int64_t n, const double *a, double alpha, int64_t first, int64_t last, double dt, double cap,
+                double *states, double *energies, double *work, int64_t *info)
 {
     double *w = work, *k1 = w + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *s = k4 + n, *f = s + n;
     const double *start = states, half = 0.5 * dt, sixth = dt / 6.0;
-    int64_t k = 0, status = energy(n, a, alpha, start, s, f, energies), zeros = 0;
+    int64_t k = first, status = first ? MF_OK : energy(n, a, alpha, start, s, f, energies), zeros = 0;
     for (int64_t j = 0; j < n; j++)
         zeros |= start[j] == 0.0;
-    info[1] = 0;
-    while (!status && k < steps) {
+    while (!status && k < last) {
         const double *x = states + k * n;
         double *next = states + ++k * n;
         /* the stages' points go in next, which the update overwrites */

@@ -64,6 +64,11 @@ _IMAG_TOL = 1e-8
 #: every state, so a flow this long on n sites holds (n + 2) * 8 MB.
 FLOW_STEP_LIMIT = 10**6
 
+#: Steps times sites that one mf_flow call, which a signal cannot interrupt,
+#: may take: integrate_flow takes max(1, FLOW_SLICE // n) steps a call. It
+#: does not affect the flow.
+FLOW_SLICE = 2**18
+
 
 @dataclass(frozen=True)
 class ModelParameters:
@@ -345,7 +350,8 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     Coordinates that start at exactly zero are pinned to zero (faces are
     invariant), and t_end is rounded to a whole number of steps. A flow of
     more than FLOW_STEP_LIMIT steps (t_end / dt) raises ValidationError. The
-    steps run in the compiled core (mf_flow in _walk.c); a step that fails
+    steps run in the compiled core (mf_flow in _walk.c), in calls of at most
+    FLOW_SLICE // n steps, so a signal lands between them; a step that fails
     raises the error its field, projection or energy would raise, and a
     step's projection that fails, or a step that crosses the loop-free cap
     from below, names its time.
@@ -364,11 +370,14 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     states = np.empty((steps + 1, x.size))
     states[0] = x
     energies, work, info = np.empty(steps + 1), np.empty(7 * x.size), np.zeros(2, dtype=np.int64)
-    status = files._library().mf_flow(
-        x.size, a.ctypes.data, p.alpha, steps, dt, cap, states.ctypes.data, energies.ctypes.data,
-        work.ctypes.data, info.ctypes.data,
-    )
-    k, clips = int(info[0]), int(info[1])
+    lib, per_call = files._library(), max(1, FLOW_SLICE // x.size)
+    head = (x.size, a.ctypes.data, p.alpha)
+    tail = (dt, cap, states.ctypes.data, energies.ctypes.data, work.ctypes.data, info.ctypes.data)
+    k, status = 0, files.MF_OK
+    while not status and k < steps:
+        status = lib.mf_flow(*head, k, min(k + per_call, steps), *tail)
+        k = int(info[0])
+    clips = int(info[1])
     if status == files.MF_CAP:
         check_loopfree_cap(states[k], matrix)
         raise ValidationError(f"flow left the feasible occupation region at t={k * dt:.6g}")

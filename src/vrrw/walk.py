@@ -30,15 +30,22 @@ those before the first one above it. The scan's exit is a branch on the
 uniform. While a replica alternates on two sites the branch predictor
 guesses it; while a replica wanders among more sites it misses about once
 a step, and the steps do not overlap. walk_group's count takes no branch on
-the uniform, so its lanes' steps overlap. _walk therefore chooses per block:
-a replica that put at least 7/8 of its previous block's steps on two sites
-goes through walk_block, and every other replica through walk_group. A
-walk's first block of FIRST_BLOCK steps has no previous block and takes
-every replica through walk_block.
+the uniform, so its lanes' steps overlap.
+
+One compiled driver, walk_run, runs a walk's blocks and chooses each
+replica's kernel per block: a replica that put at least 7/8 of its previous
+block's steps on two sites goes through walk_block, and every other replica
+through walk_group. A walk's first block of FIRST_BLOCK steps has no
+previous block and takes every replica through walk_block. walk_run also
+seeds the generators, counts the starts and fills the power table, and it
+returns after at most SLICE_STEPS replica-steps of whole blocks: _walk calls
+it again until the walk is done, so a signal is seen between calls, and a
+short walk is one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,13 +57,16 @@ from .dynamics import ModelParameters, _power
 from .errors import NumericError, ValidationError
 from .graph import _integer, simplex_points
 
-#: Steps per call of the compiled loop, which cannot be interrupted, and
-#: entries of a walk's power table (8 MiB), filled once; larger counts take
-#: libm's pow one by one. Neither value affects trajectories.
+#: Steps of a block, after which walk_run chooses each replica's kernel;
+#: entries of a walk's power table (8 MiB), filled once, past which counts
+#: take libm's pow one by one; and the replica-steps of whole blocks that one
+#: walk_run call, which a signal cannot interrupt, may take (at least one
+#: block). None of them affects trajectories.
 BLOCK_STEPS = 4096
 TABLE_SIZE = 2**20
+SLICE_STEPS = 2**24
 
-#: Steps of a walk's first block, which every replica takes through
+#: Steps of a walk's first block, which walk_run takes every replica through
 #: walk_block: no block before it tells which kernel suits the replica.
 FIRST_BLOCK = 512
 
@@ -131,14 +141,22 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=256)
+def _geometric_steps(horizon: int) -> tuple:
+    """The distinct ceil(1.2^m) up to horizon and horizon itself, sorted."""
+    vals, x = {horizon}, 1.0
+    while math.ceil(x) <= horizon:
+        vals.add(math.ceil(x))
+        x *= 1.2
+    return tuple(sorted(vals))
+
+
 def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     """Geometric snapshot times ceil(1.2^m) capped at and including the
     horizon, merged with any extra requested steps, all integers."""
-    vals, x = [*(_integer(k, "checkpoint step") for k in extra), _integer(horizon, "horizon")], 1.0
-    while math.ceil(x) <= horizon:
-        vals.append(math.ceil(x))
-        x *= 1.2
-    steps = sorted(set(vals))
+    extra = [_integer(k, "checkpoint step") for k in extra]
+    horizon = _integer(horizon, "horizon")
+    steps = sorted({*extra, *_geometric_steps(horizon)}) if extra else _geometric_steps(horizon)
     if steps[0] < 1 or steps[-1] > horizon:
         raise ValidationError("checkpoint steps must lie in [1, horizon]")
     return np.array(steps, dtype=np.int64)
@@ -201,60 +219,49 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
     return WalkState(site=nxt, counts=counts, step=s.step + 1)
 
 
-def _walk(p, starts, horizon, state, record_sites, checkpoint_at):
-    """Advance one replica per row of state (uint64 [R, 4], as _seed_states
-    makes it) from starts (int64) for `horizon` steps, each drawing one
-    double per step from its own PCG64, and return what _batch_walk
-    returns. Each row is left at its generator's state after the walk.
-    checkpoint_at is sorted int64, free of repeats."""
-    lib = files._library()
-    n, r = p.size, len(state)
+def _seed_words(seeds):
+    """The nonnegative int seeds as seed_pcg64 reads them: the words per
+    seed, at least 4, and each seed's 32-bit words, low first."""
+    width = max(4, -(-max(map(int.bit_length, seeds), default=0) // 32))
+    return width, b"".join([s.to_bytes(4 * width, "little") for s in seeds])
+
+
+def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
+    """Advance one replica per seed from starts for `horizon` steps, each
+    drawing one double per step from its own PCG64, in calls of walk_run in
+    _walk.c of at most SLICE_STEPS replica-steps each. Returns what
+    _batch_walk returns, then each replica's PCG64 state after the walk
+    (uint64 [R, 4]: state and inc, low words first) and the number of
+    blocks it took through walk_group. checkpoint_at is sorted int64, free
+    of repeats."""
+    n, r, c = p.size, len(seeds), checkpoint_at.size
+    width, words = _seed_words(seeds)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
-    site = starts.copy()
-    counts = np.zeros((r, n), dtype=np.int64)
-    counts[np.arange(r), starts] = 1
-    chk = np.empty((r, checkpoint_at.size, n), dtype=np.int64)
     sites, log16, log64 = None, None, None
     if record_sites:
         sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
-        sites[:, 0] = starts
         log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
-    table, scratch, done = np.empty(min(horizon + 2, TABLE_SIZE)), np.empty(3 * n * 8), 0  # 3n words a lane
-    lib.power_table(table.size, p.alpha, table.ctypes.data)
-    # per kernel, the replicas it steps and the address of their rows (None: every row)
-    calls = [(lib.walk_block, r, None)]
-    while done < horizon:
-        nblk = min(BLOCK_STEPS, FIRST_BLOCK if done == 0 else BLOCK_STEPS, horizon - done)
-        before = counts.copy() if done + nblk < horizon else None  # for the next block's choice
-        for kernel, reps, rows in calls:
-            kernel(
-                n, reps, rows, nblk, state.ctypes.data, a.ctypes.data, table.ctypes.data, table.size, p.alpha,
-                site.ctypes.data, counts.ctypes.data, scratch.ctypes.data, done, checkpoint_at.ctypes.data,
-                checkpoint_at.size, int(np.searchsorted(checkpoint_at, done + 1)), chk.ctypes.data, log16, log64,
-                horizon + 1,
-            )
-        done += nblk
-        if before is not None:
-            # a replica that put 7/8 of the block's steps on two sites is taken to alternate on them
-            top_two = np.partition(counts - before, n - 2, axis=1)[:, n - 2 :].sum(axis=1)
-            paired = 8 * top_two >= 7 * nblk
-            kept = np.flatnonzero(paired), np.flatnonzero(~paired)  # the arrays behind the addresses
-            calls = [
-                (kernel, rows.size, rows.ctypes.data)
-                for kernel, rows in zip((lib.walk_block, lib.walk_group), kept) if rows.size
-            ]
-    return counts, chk, sites
-
-
-def _seed_states(seeds):
-    """The PCG64 states, uint64 [R, 4], of the nonnegative int seeds: row r
-    holds state and inc of numpy's PCG64(seeds[r]), each low word first."""
-    width = max(4, -(-max((s.bit_length() for s in seeds), default=0) // 32))
-    words = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
-    words = np.frombuffer(words, dtype="<u4").astype(np.uint32)
-    state = np.empty((len(seeds), 4), dtype=np.uint64)
-    files._library().seed_pcg64(len(seeds), width, words.ctypes.data, state.ctypes.data)
-    return state
+    size = min(horizon + 2, TABLE_SIZE)
+    # walk_run's workspace, as _walk.c lays it out: done and paired, then per
+    # replica its site, counts, checkpoint counts, state and walk_group blocks,
+    # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
+    counts_at, chk_at = 2 + r, 2 + r + r * n
+    state_at = chk_at + r * c * n
+    steps_at = state_at + 5 * r
+    iw = np.zeros(steps_at + c + r * (1 + n) + size + 24 * n, dtype=np.int64)
+    iw[2:counts_at] = starts
+    iw[steps_at : steps_at + c] = checkpoint_at
+    args = (
+        n, r, p.alpha, a.ctypes.data, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c, width, words, log16,
+        log64, iw.ctypes.data,
+    )
+    lib = files._library()
+    while lib.walk_run(*args) < horizon:
+        pass
+    # copies, so that a record does not keep the power table alive
+    counts, chk = iw[counts_at:chk_at].reshape(r, n).copy(), iw[chk_at:state_at].reshape(r, c, n).copy()
+    state = iw[state_at : state_at + 4 * r].view(np.uint64).reshape(r, 4)
+    return counts, chk, sites, state, iw[state_at + 4 * r : steps_at]
 
 
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
@@ -266,17 +273,17 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     checkpoint_schedule returns it.
     """
     horizon = _nonnegative_int(horizon, "horizon")
-    starts = np.array([_nonnegative_int(s, "start site") for s in starts], dtype=np.int64)
+    starts = [_nonnegative_int(s, "start site") for s in starts]
     seeds = [_nonnegative_int(s, "seed") for s in seeds]
-    if starts.shape != (len(seeds),):
+    if len(starts) != len(seeds):
         raise ValidationError("starts and seeds must have matching length")
-    if np.any(starts >= p.size):
+    if starts and max(starts) >= p.size:
         raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
     checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
-    if np.any(checkpoint_at[1:] <= checkpoint_at[:-1]):
+    if np.count_nonzero(checkpoint_at[1:] <= checkpoint_at[:-1]):
         raise ValidationError("checkpoint steps must increase")
-    return _walk(p, starts, horizon, _seed_states(seeds), record_sites, checkpoint_at)
+    return _walk(p, starts, horizon, seeds, record_sites, checkpoint_at)[:3]
 
 
 def simulate(

@@ -922,6 +922,32 @@ def test_flow_trajectories_match_golden_hashes():
     assert got == GOLDEN_FLOWS
 
 
+@pytest.mark.parametrize("flow_slice", [1, 20])
+def test_flow_in_slices_matches_one_call(flow_slice, caplog, monkeypatch):
+    # integrate_flow's mf_flow calls of one step each, or of 20 // n steps:
+    # the golden flows, the flows that clip against the reference (times,
+    # states, energies and clip counts) and the flows that fail mid-flow
+    # (the error type at the reference's step, and the cap's t=...)
+    monkeypatch.setattr(vrrw.dynamics, "FLOW_SLICE", flow_slice)
+    for key in [(2, 1.5, 0.5), (3, 2.5, 0.0), (3, 4.0, 0.5), (5, 1.5, 0.0), (8, 1.05, 0.5), (8, 4.0, 0.0)]:
+        assert _flow_digest(*key) == GOLDEN_FLOWS[key]
+    clips = 0
+    for n in (3, 5, 8):
+        p = ModelParameters.for_complete_graph(n, 2.5, loop_c=0.5)
+        rng = np.random.default_rng([n, 250, 5])
+        face = rng.dirichlet(np.ones(n))
+        face[-1] = 0.0
+        for v0 in (rng.dirichlet(np.ones(n)).tolist(), (face / face.sum()).tolist()):
+            for t_end, dt in ((8.0, 1.0), (8.0, 2.0)):
+                clips += _flow_against_reference(caplog, p, v0, t_end, dt)
+    assert clips > 0
+    test_compiled_flow_clips_as_the_reference_does_at_dt_1(caplog)
+    for n, alpha, dt, kind, step in [(3, 2.5, 5.0, ValidationError, 2), (5, 1.5, 3.0, DegenerateSupportError, 6)]:
+        test_failing_flow_stops_where_the_reference_does(n, alpha, dt, kind, step, caplog)
+    caplog.clear()
+    test_cap_guard_stops_a_large_step_that_crosses_it(caplog)
+
+
 # SHA-256 of FlowTrajectory.write_csv for the flow that
 # `vrrw flow --n 3 --alpha 2.5 --v0 0.5,0.3,0.2 --t 40` integrates.
 GOLDEN_FLOW_CSV = "a786f098c95e37aeea0f63645eae2c695ea89c16e8e79ce74598a1b3d4738079"

@@ -30,6 +30,8 @@ from vrrw.graph import validate
 from vrrw.dynamics import _power
 from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick
 
+import walk_reference as ref
+
 P25 = ModelParameters.for_complete_graph(3, 2.5)
 
 
@@ -196,9 +198,10 @@ def test_batch_engine_matches_single_runs(monkeypatch):
         np.testing.assert_array_equal(finals[i], solo.final_counts)
         np.testing.assert_array_equal(checks[i], solo.checkpoint_counts)
     # batches of 1, 7, 8, 9 and 17 replicas at alpha 2, a short last group
-    # of walk_group among them, with blocks of 1000 steps: in the largest,
-    # a block steps some replicas through each kernel, and a replica that
-    # alternates on two sites in one block after the first wanders in another
+    # of walk_group among them, with blocks of 1000 steps, through the
+    # reference's block loop: in the largest, a block steps some replicas
+    # through each kernel, and a replica that alternates on two sites in one
+    # block after the first wanders in another
     p = ModelParameters.for_complete_graph(3, 2.0)
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1000)
     log = _KernelLog()
@@ -206,7 +209,8 @@ def test_batch_engine_matches_single_runs(monkeypatch):
     for size in (1, 7, 8, 9, 17):
         seeds, starts = [40 + k for k in range(size)], [k % 3 for k in range(size)]
         log.calls.clear()
-        finals, checks, sites = _batch_walk(p, starts, horizon, seeds, True, sched)
+        state = ref.seed_states(seeds)
+        finals, checks, sites, _ = ref.run(p, np.array(starts), horizon, state, True, sched)
         calls = list(log.calls)
         for i, seed in enumerate(seeds):
             solo = simulate(p, starts[i], horizon, seed)
@@ -241,14 +245,131 @@ def test_group_kernel_matches_block_kernel(n, c, monkeypatch):
             starts = np.array([k % n for k in range(size)], dtype=np.int64)
             got = {}
             for kernel in ("walk_block", "walk_group"):
-                state = walk_module._seed_states(seeds)
+                state = ref.seed_states(seeds)
                 loop = _OneKernel(lib, kernel)
                 monkeypatch.setattr(files_module, "_library", lambda: loop)
-                got[kernel] = (*walk_module._walk(p, starts, horizon, state, True, sched), state)
+                got[kernel] = (*ref.run(p, starts, horizon, state, True, sched)[:3], state)
             for want, have in zip(got["walk_block"], got["walk_group"]):
                 np.testing.assert_array_equal(have, want)
             counts, _, sites, _ = got["walk_block"]
             np.testing.assert_array_equal(counts, [np.bincount(row, minlength=n) for row in sites])
+
+
+class _CallCount:
+    """The library, counting the calls of walk_run."""
+
+    def __init__(self):
+        self.lib, self.calls = files_module._library(), 0
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name != "walk_run":
+            return fn
+
+        def counted(*args):
+            self.calls += 1
+            assert self.calls <= 1000, "walk_run makes no progress"
+            return fn(*args)
+
+        return counted
+
+
+def _blocks(horizon):
+    """The block lengths of a walk of `horizon` steps."""
+    out, done = [], 0
+    while done < horizon:
+        out.append(min(walk_module.BLOCK_STEPS, walk_module.FIRST_BLOCK if done == 0 else walk_module.BLOCK_STEPS,
+                       horizon - done))
+        done += out[-1]
+    return out
+
+
+def _slices(blocks, reps, budget):
+    """The calls a walk of these blocks for reps replicas takes: each runs
+    whole blocks while their replica-steps fit the budget, and at least one."""
+    calls, taken = 0, budget
+    for nblk in blocks:
+        if taken + reps * nblk > budget:
+            calls, taken = calls + 1, 0
+        taken += reps * nblk
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, c, alpha", [(3, 0.0, 2.0), (3, 0.0, 2.5), (4, 0.5, 1.5), (8, 0.0, 1.15)], ids=["K3-2", "K3-2.5", "K4-loops", "K8"]
+)
+@pytest.mark.parametrize("slice_steps", [None, 1, 700, 1212, 2100])
+def test_driver_matches_the_reference_block_loop(n, c, alpha, slice_steps, monkeypatch):
+    # the driver against the reference's block loop: sites, counts,
+    # checkpoints, final PCG64 states and each replica's walk_group blocks,
+    # at uneven replica counts and at horizons on and off FIRST_BLOCK and
+    # the block size, in calls of the default budget or of slice_steps per
+    # replica: less than a block, which still runs one, one block of 700
+    # steps, the first two blocks (512 and 700) exactly, or three blocks;
+    # the driver makes one call per slice
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 700)
+    counter = _CallCount()
+    monkeypatch.setattr(files_module, "_library", lambda: counter)
+    mixed = changed = False
+    wander = True
+    for size in (1, 5, 9, 17):
+        if slice_steps is not None:
+            monkeypatch.setattr(walk_module, "SLICE_STEPS", slice_steps * size)
+        for horizon in (1, 511, 512, 513, 1211, 1212, 1213, 3001):
+            seeds = [7 * horizon + 100 * size + k for k in range(size)]
+            starts = np.array([(k * 5) % n for k in range(size)], dtype=np.int64)
+            sched = checkpoint_schedule(horizon, extra=(horizon // 2 + 1,))
+            counter.calls = 0
+            got = walk_module._walk(p, starts, horizon, seeds, True, sched)
+            state = ref.seed_states(seeds)
+            want = (*ref.run(p, starts, horizon, state, True, sched), state)
+            for have, wanted in zip(got, (want[0], want[1], want[2], want[4], want[3])):
+                np.testing.assert_array_equal(have, wanted)
+            blocks = _blocks(horizon)
+            assert counter.calls == _slices(blocks, size, walk_module.SLICE_STEPS)
+            grouped = got[4]
+            mixed |= grouped.min() == 0 < grouped.max()
+            changed |= bool(np.any((0 < grouped) & (grouped < len(blocks) - 1)))
+            wander &= bool(np.all(grouped == len(blocks) - 1))
+    # on K3 and K4 a block steps replicas through both kernels (so it does
+    # when one replica never takes walk_group and another does), and some
+    # replica takes walk_block in a block after one it took through
+    # walk_group; on K8 at alpha 1.15 every replica wanders, and takes
+    # walk_group in every block after the first
+    assert (mixed, changed, wander) == ((False, False, True) if n == 8 else (True, True, False))
+
+
+def test_a_walk_of_50_steps_is_one_call(monkeypatch):
+    counter = _CallCount()
+    monkeypatch.setattr(files_module, "_library", lambda: counter)
+    rec = simulate(P25, 0, 50, 9)
+    assert counter.calls == 1 and rec.final_counts.sum() == 51
+
+
+def _schedule_loop(horizon, extra=()):
+    """checkpoint_schedule's steps, as its loop made them before it kept
+    the geometric part per horizon."""
+    vals, x = [*extra, horizon], 1.0
+    while math.ceil(x) <= horizon:
+        vals.append(math.ceil(x))
+        x *= 1.2
+    return sorted(set(vals))
+
+
+def test_checkpoint_schedule_cache_gives_the_loops_steps():
+    for horizon in [*range(1, 5001), 10**8]:
+        extra = (horizon // 3 + 1, horizon) if horizon % 7 else ()
+        for ex in ((), extra):
+            got = checkpoint_schedule(horizon, extra=ex)
+            assert got.dtype == np.int64 and got.tolist() == _schedule_loop(horizon, ex)
+    # a caller that writes into a returned schedule leaves the next one alone
+    first = checkpoint_schedule(1000)
+    first[:] = -1
+    assert checkpoint_schedule(1000).tolist() == _schedule_loop(1000)
+    with_extra = checkpoint_schedule(1000, extra=(500,))
+    with_extra[0] = 0
+    assert checkpoint_schedule(1000, extra=(500,)).tolist() == _schedule_loop(1000, (500,))
 
 
 # SHA-256 of the final counts, checkpoint counts and site log (each as
@@ -425,14 +546,15 @@ def _boundary_walk(p, start, horizon, seed):
 
 
 def _rows(reps, rows):
-    """The replica rows a kernel call of the step loop steps: every row
+    """The replica rows a kernel call steps: every row
     when the address of the rows is None."""
     return list(range(reps)) if rows is None else list((ctypes.c_int64 * reps).from_address(rows))
 
 
 class _OneKernel:
     """The step loop with both kernels, walk_block and walk_group, taken by
-    the one named; _walk then steps every replica and block through it."""
+    the one named; the reference's block loop then steps every replica and
+    block through it."""
 
     def __init__(self, lib, kernel):
         self.lib, self.kernel = lib, getattr(lib, kernel)
@@ -502,20 +624,21 @@ def test_step_loop_is_exact_on_pick_boundaries(p, monkeypatch):
     # on either side of it, where a product or sum rounded otherwise than
     # in step(), or a strict comparison, would pick another site; with a
     # table of one entry every weight comes from pow. Each walk runs through
-    # the kernels as _walk chooses them, and through each kernel alone.
+    # the reference's block loop, with the kernels as it chooses them, and
+    # through each kernel alone.
     horizon, seeds = 1500, [3, 4, 5]
     walks = {seed: _boundary_walk(p, seed % p.size, horizon, seed) for seed in seeds}
     sched = checkpoint_schedule(horizon)
     starts = np.array([seed % p.size for seed in seeds], dtype=np.int64)
     runs = [(table, kernel) for table in (walk_module.TABLE_SIZE, 1) for kernel in (None, "walk_block", "walk_group")]
-    states = [walk_module._seed_states(seeds) for _ in runs]
+    states = [ref.seed_states(seeds) for _ in runs]
     streams = [walks[seed][0] for seed in seeds]
     loops = [_CraftedLoop(state, streams, kernel) for state, (_, kernel) in zip(states, runs)]
     monkeypatch.setattr(walk_module, "BLOCK_STEPS", 1)
     for (table, _), state, loop in zip(runs, states, loops):
         monkeypatch.setattr(walk_module, "TABLE_SIZE", table)
         monkeypatch.setattr(files_module, "_library", lambda: loop)
-        final, chk, sites = walk_module._walk(p, starts, horizon, state, True, sched)
+        final, chk, sites, _ = ref.run(p, starts, horizon, state, True, sched)
         for r, seed in enumerate(seeds):
             np.testing.assert_array_equal(sites[r], walks[seed][1])
             np.testing.assert_array_equal(final[r], np.bincount(sites[r], minlength=p.size))
@@ -528,9 +651,7 @@ def test_each_step_draws_one_double():
     # a walk leaves each state row where advance(horizon) leaves numpy's
     # PCG64; a horizon off the block size covers a partial block
     horizon, seeds = 5000, [3, 17, 2**40]
-    state = walk_module._seed_states(seeds)
-    starts = np.array([0, 1, 2], dtype=np.int64)
-    walk_module._walk(P25, starts, horizon, state, False, np.array([], dtype=np.int64))
+    state = walk_module._walk(P25, [0, 1, 2], horizon, seeds, False, np.array([], dtype=np.int64))[3]
     for seed, row in zip(seeds, state):
         want = np.random.PCG64(seed).advance(horizon).state["state"]
         assert _pcg_state(row) == (want["state"], want["inc"])
@@ -542,12 +663,15 @@ SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**20
 def test_seeder_equals_numpy_pcg64():
     # seeds of 1 to 300 bits besides the edges of SeedSequence's word
     # handling: its pool of four words and the words mixed in past it; in
-    # one batch every seed's words are padded to those of the widest
+    # one batch every seed's words are padded to those of the widest. The
+    # driver seeds its states in its first call, which a walk of 0 steps
+    # ends at once
     rng = np.random.default_rng(8)
     lengths = map(int, rng.integers(1, 301, size=250))
     seeds = SEEDS + [1 << (b - 1) | int.from_bytes(rng.bytes(38), "little") >> (305 - b) for b in lengths]
     for batch in (seeds, SEEDS[:6], [2**1000 + 7]):
-        got = [_pcg_state(row) for row in walk_module._seed_states(batch)]
+        state = walk_module._walk(P25, [0] * len(batch), 0, batch, False, np.array([], dtype=np.int64))[3]
+        got = [_pcg_state(row) for row in state]
         want = [np.random.PCG64(s).state["state"] for s in batch]
         assert got == [(w["state"], w["inc"]) for w in want]
 
