@@ -498,8 +498,9 @@ int64_t mf_energy(int64_t n, const double *a, double alpha, double *io)
  * states and entry of energies the next: four fields, the update
  * x + dt/6 (k1 + 2 k2 + 2 k3 + k4), its projection, the start's zeros pinned to 0
  * and the row renormalized, the cap test (a site without a loop, a[j][j] = 0,
- * above cap stops the flow) and H; step 0 is H of the start. Rows up to first
- * are a previous call's, so a flow can take its steps in slices of calls.
+ * above cap stops the flow, unless the start is above cap at such a site: only
+ * a step that crosses the cap stops it) and H; step 0 is H of the start. Rows up
+ * to first are a previous call's, so a flow can take its steps in slices of calls.
  * info = {the step it stopped at, clips so far}. A failure leaves the rows
  * before its step, the step's row if the cap or H failed it, and in work[0, n)
  * the point a field or H failed at. work is 7n words. */
@@ -510,7 +511,7 @@ int64_t mf_flow(int64_t n, const double *a, double alpha, int64_t first, int64_t
     const double *start = states, half = 0.5 * dt, sixth = dt / 6.0;
     int64_t k = first, status = first ? MF_OK : energy(n, a, alpha, start, s, f, energies), zeros = 0;
     for (int64_t j = 0; j < n; j++)
-        zeros |= start[j] == 0.0;
+        zeros |= start[j] == 0.0, cap = a[j * n + j] == 0.0 && start[j] > cap ? INFINITY : cap;
     while (!status && k < last) {
         const double *x = states + k * n;
         double *next = states + ++k * n;

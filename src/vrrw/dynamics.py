@@ -365,19 +365,15 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     steps = max(1, int(round(t_end / dt)))
     matrix = p.effective_matrix
     a = np.ascontiguousarray(matrix.entries, dtype=float)
-    # a start may exceed the cap; only a step that crosses it logs and raises
-    cap = math.inf if np.any(matrix.loop_free_sites & (x > LOOPFREE_CAP)) else LOOPFREE_CAP
     states = np.empty((steps + 1, x.size))
     states[0] = x
     energies, work, info = np.empty(steps + 1), np.empty(7 * x.size), np.zeros(2, dtype=np.int64)
-    lib, per_call = files._library(), max(1, FLOW_SLICE // x.size)
-    head = (x.size, a.ctypes.data, p.alpha)
-    tail = (dt, cap, states.ctypes.data, energies.ctypes.data, work.ctypes.data, info.ctypes.data)
-    k, status = 0, files.MF_OK
-    while not status and k < steps:
-        status = lib.mf_flow(*head, k, min(k + per_call, steps), *tail)
+    lib, per_call, status = files._library(), max(1, FLOW_SLICE // x.size), files.MF_OK
+    buffers = (states.ctypes.data, energies.ctypes.data, work.ctypes.data, info.ctypes.data)
+    while not status and info[0] < steps:
         k = int(info[0])
-    clips = int(info[1])
+        status = lib.mf_flow(x.size, a.ctypes.data, p.alpha, k, min(k + per_call, steps), dt, LOOPFREE_CAP, *buffers)
+    k, clips = int(info[0]), int(info[1])
     if status == files.MF_CAP:
         check_loopfree_cap(states[k], matrix)
         raise ValidationError(f"flow left the feasible occupation region at t={k * dt:.6g}")
