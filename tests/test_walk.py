@@ -278,8 +278,8 @@ def _blocks(horizon):
     """The block lengths of a walk of `horizon` steps."""
     out, done = [], 0
     while done < horizon:
-        out.append(min(walk_module.BLOCK_STEPS, walk_module.FIRST_BLOCK if done == 0 else walk_module.BLOCK_STEPS,
-                       horizon - done))
+        first = walk_module.FIRST_BLOCK if done == 0 else walk_module.BLOCK_STEPS
+        out.append(min(walk_module.BLOCK_STEPS, first, horizon - done))
         done += out[-1]
     return out
 
@@ -323,9 +323,9 @@ def test_driver_matches_the_reference_block_loop(n, c, alpha, slice_steps, monke
             counter.calls = 0
             got = walk_module._walk(p, starts, horizon, seeds, True, sched)
             state = ref.seed_states(seeds)
-            want = (*ref.run(p, starts, horizon, state, True, sched), state)
-            for have, wanted in zip(got, (want[0], want[1], want[2], want[4], want[3])):
-                np.testing.assert_array_equal(have, wanted)
+            counts, chk, sites, grouped = ref.run(p, starts, horizon, state, True, sched)
+            for have, want in zip(got, (counts, chk, sites, state, grouped)):
+                np.testing.assert_array_equal(have, want)
             blocks = _blocks(horizon)
             assert counter.calls == _slices(blocks, size, walk_module.SLICE_STEPS)
             grouped = got[4]
