@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import ModelParameters
-from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, enumerate_all, face_center
+from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, _catalog_size, enumerate_all, face_center
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
 from .graph import FaceIndex, _integer, _number, complete_graph, simplex_points, validate
@@ -199,9 +199,11 @@ def _result(config, seeds, supports, profiles, occupations, nearest, distances, 
     )
 
 
-def _has_anchors(p: ModelParameters) -> bool:
-    """Whether equilibrium_anchors(p) is not empty, without the catalog."""
-    return p.size <= 12 and np.array_equal(p.matrix.entries, complete_graph(p.size).entries)
+def _anchor_count(p: ModelParameters) -> int:
+    """len(equilibrium_anchors(p)), without the catalog."""
+    if p.size > 12 or not np.array_equal(p.matrix.entries, complete_graph(p.size).entries):
+        return 0
+    return 2**p.size - 1 if p.loop_c else _catalog_size(p.size, p.alpha)
 
 
 def equilibrium_anchors(p: ModelParameters) -> list:
@@ -213,7 +215,7 @@ def equilibrium_anchors(p: ModelParameters) -> list:
     enumerated; vertices and face centers serve as anchors instead.
     """
     n = p.size
-    if not _has_anchors(p):
+    if not _anchor_count(p):
         return []
     if p.loop_c == 0.0:
         return enumerate_all(n, p.alpha)
@@ -429,11 +431,10 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     document's own config: one record per replica, in replica order and
     with the replica's seed, each occupation a point of the model's
     simplex, each support 1-based integer labels in 1..n with one tail
-    share per label, and each nearest equilibrium an index >= 0 at a
-    distance >= 0 if the model gets anchors, else -1 at a NaN distance (not
-    checked against the anchor count, which would take the catalog). Number
-    fields must hold JSON numbers, and the provenance and the aggregates must
-    be those of the config and the records."""
+    share per label, and each nearest equilibrium an index below the anchor
+    count at a distance >= 0 if the model gets anchors, else -1 at a NaN
+    distance. Number fields must hold JSON numbers, and the provenance and
+    the aggregates must be those of the config and the records."""
     config = config_from_json_dict(d["config"])
     reps, n = d["replicas"], config.model.size
     if len(reps) != config.replicas:
@@ -452,11 +453,11 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
     profiles = [tuple(_number(x, "tail share") for x in rep["tail_profile"]) for rep in reps]
     nearest = [_integer(rep["nearest_equilibrium"], "nearest equilibrium") for rep in reps]
     distances = [_number(rep["distance"], "distance") for rep in reps]
-    anchored = _has_anchors(config.model)
+    anchors = _anchor_count(config.model)
     for i, rep in enumerate(reps):
         k, dist = nearest[i], distances[i]
-        if not (k >= 0 and dist >= 0 if anchored else k == -1 and math.isnan(dist)):
-            want = "an index >= 0 at a distance >= 0" if anchored else "-1 at a NaN distance"
+        if not (0 <= k < anchors and dist >= 0 if anchors else k == -1 and math.isnan(dist)):
+            want = f"an index in [0, {anchors}) at a distance >= 0" if anchors else "-1 at a NaN distance"
             raise ValidationError(f"replica {i} has nearest equilibrium {k} at distance {dist}, not {want}")
         if _integer(rep["replica"], "replica") != i:
             raise ValidationError(f"record {i} holds replica {rep['replica']}")

@@ -2,33 +2,28 @@
 
 Equilibria supported on a face are either the face center or points whose
 coordinates take exactly two values: k sites at a value u and the rest at
-t*u. The admissible ratios t are the positive roots of a one-variable
-polynomial-like function, found here by an exhaustive sign scan plus
-bisection. Stability comes from closed-form tangent spectra (centers and
-two-level points) or from the numeric Jacobian restricted to the support
-face; directions leaving the support always carry eigenvalue -1. The scan
-and the spectra take powers only of values at most 1, so they hold for
-every alpha > 1 until a pair energy underflows, which raises NumericError.
+t*u. The admissible ratios t are the positive roots of a generalized
+polynomial, isolated between its critical points and bisected. Stability
+comes from closed-form tangent spectra (centers and two-level points) or
+from the numeric Jacobian restricted to the support face; directions
+leaving the support always carry eigenvalue -1. Both take powers only of
+values at most 1, so they hold for every alpha > 1 until a ratio leaves the
+double range or a pair energy underflows, which raises NumericError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from sys import float_info
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import ModelParameters, _jacobian_array, tangent_eigenvalues, vector_field
-from .errors import (
-    ConvergenceError,
-    DegenerateSupportError,
-    DomainError,
-    NumericError,
-    ValidationError,
-)
+from .errors import DegenerateSupportError, DomainError, NumericError, ValidationError
 from .graph import FaceIndex, _integer, coords_of, simplex_points
 
 #: Eigenvalue margin separating genuine criticality from float noise.
@@ -36,11 +31,6 @@ STABILITY_MARGIN = 1e-8
 
 #: Residual bound every reported equilibrium must satisfy.
 RESIDUAL_TOL = 1e-10
-
-_SCAN_POINTS = 100_000
-_SCAN_LO, _SCAN_HI = 1e-6, 1e6
-_BISECT_CAP = 200
-_UNIT_ROOT_TOL = 1e-9
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -183,66 +173,68 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
         raise NumericError(f"ratio condition overflows at t={t!r}, alpha={alpha}") from exc
 
 
-@lru_cache(maxsize=None)
-def _scan_grid():
-    """The scan's exponents y and its points 10^y; a point passed on is 10.0 ** y[i], libm's."""
-    y = np.linspace(np.log10(_SCAN_LO), np.log10(_SCAN_HI), _SCAN_POINTS)
-    g = 10.0**y  # np.power, whose last bits vary with numpy's SIMD kernels: signs only
-    for a in (y, g):
-        a.setflags(write=False)
-    return y, g
-
-
-def _bisect_root(n: int, k: int, alpha: float, lo: float, hi: float) -> float:
-    flo = level_ratio_polynomial(lo, n, k, alpha)
-    for step in range(_BISECT_CAP + 1):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo < 1e-14 * max(1.0, hi):
-            return mid
-        fmid = level_ratio_polynomial(mid, n, k, alpha)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    raise ConvergenceError(
-        f"bisection for ratio roots (n={n}, k={k}, alpha={alpha}) "
-        f"failed to converge in {_BISECT_CAP} steps"
-    )
-
-
-def _reduced_condition(n: int, k: int, alpha: float, t: np.ndarray) -> np.ndarray:
-    """The ratio condition on (0, 1] with t^(a-1) factored out of its
-    t-terms, (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a]; for k = 1 the
-    bracket alone, which has its sign and cannot underflow."""
-    bracket = (n - k) * t - k - (n - k - 1) * t**alpha  # np.power: signs only
+def _ratio_sign(n: int, k: int, alpha: float, t: float) -> float:
+    """The sign of the ratio condition at t > 0, with no power above 1: on
+    (0, 1] (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a], for k = 1 the bracket
+    alone (which cannot underflow), above 1 phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t)."""
+    if t > 1.0:
+        return -_ratio_sign(n, n - k, alpha, 1.0 / t)
+    bracket = (n - k) * t - k - (n - k - 1) * t**alpha
     return bracket if k == 1 else (k - 1) + t ** (alpha - 1) * bracket
+
+
+def _slope(n: int, k: int, alpha: float, t: float, num=float):
+    """g(t) = t^(2-a) phi'(t) = -(n-k-1)(2a-1) t^a + (n-k) a t - k(a-1) on
+    (0, 1], g(t) / t^a above; num=Fraction sums all but the power exactly."""
+    a, x = num(alpha), num(t)
+    if t <= 1.0:
+        return -(n - k - 1) * (2 * a - 1) * num(t**alpha) + (n - k) * a * x - k * (a - 1)
+    return -(n - k - 1) * (2 * a - 1) + ((n - k) * a - k * (a - 1) / x) * num((1.0 / t) ** (alpha - 1))
+
+
+def _bisect(f, lo: float, hi: float):
+    """Where f changes sign in [lo, hi] (None if it does not), by geometric
+    bisection to a relative width of 1e-14: the last bits follow glibc's pow."""
+    below = f(lo) < 0
+    if (f(hi) < 0) == below:
+        return None
+    mid = math.sqrt(lo) * math.sqrt(hi)  # sqrt(lo * hi) overflows
+    while hi - lo > 1e-14 * hi and lo < mid < hi and (fmid := f(mid)) != 0.0:
+        lo, hi = (mid, hi) if (fmid < 0) == below else (lo, mid)
+        mid = math.sqrt(lo) * math.sqrt(hi)
+    return mid
 
 
 @lru_cache(maxsize=None)
 def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
-    """All roots t != 1 of the two-level ratio condition on (0, inf),
-    by dense log-grid sign scan plus bisection. The known root t=1 is
-    deflated by discarding anything within 1e-9 of it. Above 1 the scan
-    reads phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t), so no power exceeds 1."""
-    exponents, grid = _scan_grid()
-    below = grid <= 1.0
-    vals = np.concatenate(
-        [_reduced_condition(n, k, alpha, grid[below]),
-         -_reduced_condition(n, n - k, alpha, 1.0 / grid[~below])]
-    )
-    roots = [10.0**y for y in exponents[vals == 0.0].tolist()]
-    sign = np.sign(vals)
-    flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    for lo, hi in zip(exponents[flips].tolist(), exponents[flips + 1].tolist()):
-        roots.append(_bisect_root(n, k, alpha, 10.0**lo, 10.0**hi))
-    out = sorted(r for r in roots if abs(r - 1.0) > _UNIT_ROOT_TOL)
-    dedup = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > 1e-12 * max(1.0, r):
-            dedup.append(r)
-    return tuple(dedup)
+    """All roots t != 1 of the ratio condition phi on (0, inf), ascending.
+    By the rule of signs for generalized polynomials (exponents 0 < a-1 <
+    a < 2a-1, signs +, -, +, -) phi has at most three, t = 1 among them.
+    g (_slope) is linear for k = n-1, else concave with its peak at
+    t* = ((n-k) / ((n-k-1)(2a-1)))^(1/(a-1)); so phi has at most two critical
+    points, one on each side of t*, and at alpha = critical_alpha(n) one is
+    1, where phi'(1) = (n-1) - (n-2) a. Each piece between them not holding 1
+    holds at most one root. One past the double range raises NumericError."""
+    at_threshold = n > 2 and alpha == critical_alpha(n)
+    slope, sign = partial(_slope, n, k, alpha), partial(_ratio_sign, n, k, alpha)
+    if k == n - 1:
+        cuts = [1.0 if at_threshold else (n - 1) * (alpha - 1) / alpha]
+    else:
+        try:
+            peak = ((n - k) / ((n - k - 1) * (2 * alpha - 1))) ** (1 / (alpha - 1))
+        except OverflowError:
+            cuts = [None]
+        else:  # at the threshold with 2k = n, g peaks at t* = 1 with g(1) = 0
+            cuts = [] if slope(peak) <= 0 or at_threshold and 2 * k == n else [
+                1.0 if at_threshold and peak > 1 else _bisect(slope, float_info.min, peak),
+                1.0 if at_threshold and peak < 1 else _bisect(slope, peak, float_info.max),
+            ]
+    # phi tends to k-1 >= 0 at 0 (from below for k = 1), and to -inf at inf (+inf for k = n-1)
+    if None in cuts or (sign(float_info.min) < 0) != (k == 1) or (sign(float_info.max) < 0) != (k < n - 1):
+        raise NumericError(f"a two-level ratio (n={n}, k={k}, alpha={alpha}) lies past the double range")
+    edges = [float_info.min, *cuts, float_info.max]
+    roots = [_bisect(sign, lo, hi) for lo, hi in zip(edges, edges[1:]) if not lo <= 1.0 <= hi]
+    return tuple(t for t in roots if t is not None)
 
 
 def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
@@ -252,7 +244,8 @@ def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
     e = k(k-1) r1^2 + 2k(n-k) r1 r2 + (n-k)(n-k-1) r2^2 = H / M^(2a), which
     cannot cancel: within-block eigenvalues (a-1) - a r_m q_m / (M e)
     (multiplicities k-1 and n-k-1), and the cross-block -t u1^(2a-1) phi'(t) / H
-    = [(2a-1)(n-k-1) r2 q2 - a(n-k) r2 q1 + (a-1) k r1 q2] / (M e)."""
+    = -g(t) t^(a-1) / (M e), or -g(t) / (t^a M e) for t > 1, g summed in rationals."""
+    from fractions import Fraction  # only these spectra need it, and its import takes milliseconds
     u1 = 1.0 / (k + (n - k) * t)
     m = max(u1, t * u1)
     y1, y2 = u1 / m, t * u1 / m
@@ -262,8 +255,7 @@ def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
         raise NumericError(f"two-level pair energy underflows: {n} sites, k={k}, alpha={alpha}")
     lam1 = (alpha - 1.0) - alpha * r1 * q1 / (m * e)
     lam2 = (alpha - 1.0) - alpha * r2 * q2 / (m * e)
-    mu = (2 * alpha - 1) * (n - k - 1) * r2 * q2 - alpha * (n - k) * r2 * q1
-    mu += (alpha - 1) * k * r1 * q2
+    mu = -float(_slope(n, k, alpha, t, Fraction)) * (q2 if t <= 1.0 else 1.0)
     return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu / (m * e)]
 
 
@@ -303,6 +295,18 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
     return out
 
 
+def _face_ratios(m: int, alpha: float) -> list:
+    """(k, t) for each two-level point of a size-m face up to block placement:
+    k <= m/2, and t < 1 when 2k = m, as the complementary placement gives 1/t."""
+    return [(k, t) for k in range(1, m // 2 + 1) for t in _ratio_roots(m, k, alpha) if 2 * k < m or t < 1.0]
+
+
+def _catalog_size(n: int, alpha: float) -> int:
+    """len(enumerate_all(n, alpha)), from the ratio roots alone."""
+    per_face = {m: 1 + sum(math.comb(m, k) for k, _ in _face_ratios(m, alpha)) for m in range(2, n + 1)}
+    return sum(math.comb(n, m) * count for m, count in per_face.items())
+
+
 def enumerate_all(n: int, alpha: float) -> list:
     """Every equilibrium of the n-site hollow complete graph: for each
     face of size >= 2, its center plus all two-level points in the face
@@ -330,24 +334,18 @@ def enumerate_all(n: int, alpha: float) -> list:
         centers[face_at, 0, faces[:, None, :]] = 1.0 / m
         center_vals = [center_eigenvalue(m, alpha)] * (m - 1)
         groups = [(centers, _equilibrium_fields(FACE_CENTER, center_vals, n - m))]
-        for k in range(1, m // 2 + 1):
-            roots = _ratio_roots(m, k, alpha)
-            if 2 * k == m:
-                # Complementary placements realize the mirrored ratio 1/t;
-                # keeping t < 1 lists each point exactly once.
-                roots = tuple(t for t in roots if t < 1.0)
+        for k, t in _face_ratios(m, alpha):
             blocks = np.array(list(itertools.combinations(range(m), k)))
             block_at = np.arange(len(blocks))[None, :, None]
-            for t in roots:
-                u1 = 1.0 / (k + (m - k) * t)
-                u2 = t * u1
-                coords = np.zeros((len(faces), len(blocks), n))
-                coords[face_at, block_at, faces[:, None, :]] = u2
-                coords[face_at, block_at, faces[:, blocks]] = u1
-                coords /= coords.sum(axis=2, keepdims=True)
-                data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-                spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
-                groups.append((coords, _equilibrium_fields(TWO_LEVEL, spectrum, n - m, data)))
+            u1 = 1.0 / (k + (m - k) * t)
+            u2 = t * u1
+            coords = np.zeros((len(faces), len(blocks), n))
+            coords[face_at, block_at, faces[:, None, :]] = u2
+            coords[face_at, block_at, faces[:, blocks]] = u1
+            coords /= coords.sum(axis=2, keepdims=True)
+            data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
+            spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
+            groups.append((coords, _equilibrium_fields(TWO_LEVEL, spectrum, n - m, data)))
         groups = [(simplex_points(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
         for i, face in enumerate(faces.tolist()):
             support = FaceIndex(sites=tuple(face))

@@ -167,6 +167,13 @@ def test_anchor_sets():
     assert big == []
 
 
+@pytest.mark.parametrize("alpha, loop_c", [(1.6, 0.0), (3.0, 0.0), (1.6, 0.5)])
+def test_anchor_count_needs_no_catalog(alpha, loop_c):
+    for n in range(2, 13):
+        p = ModelParameters.for_complete_graph(n, alpha, loop_c=loop_c)
+        assert campaign_module._anchor_count(p) == len(equilibrium_anchors(p)), n
+
+
 @pytest.mark.parametrize("n, alpha", [(8, 22.0), (3, 60.0)])
 def test_campaign_runs_at_large_exponents(n, alpha):
     # the anchors are the full catalog, whose two-level spectra must not
@@ -498,7 +505,7 @@ def test_streamed_json_export_equals_json_dumps(model, name, tmp_path):
 # ExperimentConfig defaults: (n, alpha, replicas, horizon, base_seed) -> hash.
 # The K8 campaign anchors to all 5281 equilibria of enumerate_all(8, 1.15).
 GOLDEN_EXPORTS = {
-    (8, 1.15, 800, 5000, 11): "ed90f169b9f813c023638918e68226007999b29222758f5c80e07f47d3fd3843",
+    (8, 1.15, 800, 5000, 11): "ef3dcacd52f2dabfd17158f2fb587dbf5a602723c9cdedc0601bf8d87f575731",
     (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
 }
 
@@ -588,6 +595,7 @@ MISANCHORED_EXPORTS = {
     "anchored-minus-one": (3, {"nearest_equilibrium": -1, "distance": float("nan")}),
     "anchored-nan-distance": (3, {"distance": float("nan")}),
     "anchored-negative-distance": (3, {"distance": -0.5}),
+    "anchored-index-past-count": (3, {"nearest_equilibrium": 7}),
     "unanchored-below-minus-one": (13, {"nearest_equilibrium": -5}),
     "unanchored-index": (13, {"nearest_equilibrium": 0}),
     "unanchored-distance": (13, {"distance": 0.1}),
@@ -612,6 +620,15 @@ def test_load_checks_nearest_anchors_against_the_model(case, small_export, unanc
     path.write_text(json.dumps(d))
     with pytest.raises(ValidationError, match="nearest equilibrium"):
         load_campaign(path)
+
+
+def test_load_takes_the_last_anchor_index(small_export, tmp_path):
+    # the K3 catalog has 7 anchors, so 6 is the last index
+    d = json.loads(json.dumps(small_export))
+    d["replicas"][0]["nearest_equilibrium"] = 6
+    path = tmp_path / "last.json"
+    path.write_text(json.dumps(d))
+    assert load_campaign(path).replicas[0].nearest_equilibrium == 6
 
 
 def test_loaded_replicas_share_faces_and_one_occupation_array(small_export, tmp_path):

@@ -27,7 +27,7 @@ from vrrw import (
     validate,
     vector_field,
 )
-from vrrw.equilibria import FACE_CENTER, MARGINAL, STABILITY_MARGIN, TWO_LEVEL
+from vrrw.equilibria import FACE_CENTER, MARGINAL, STABILITY_MARGIN, TWO_LEVEL, _ratio_roots
 from vrrw.graph import FaceIndex, coords_of
 
 ALPHAS = (1.2, 1.4, 1.6, 2.5, 3.0)
@@ -250,6 +250,61 @@ def test_enumeration_counts_are_stable():
         assert len(enumerate_all(n, alpha)) == want, (n, alpha)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.05])
+def test_enumeration_counts_hold_near_one(alpha):
+    # no face-size threshold of n <= 6 lies below 1.2, so the catalog keeps
+    # its structure down to alpha -> 1, where some ratios pass 1e6
+    for n in range(3, 7):
+        assert len(enumerate_all(n, alpha)) == FROZEN_COUNTS[(n, 1.2)], (n, alpha)
+
+
+def test_ratio_roots_past_a_million_are_found():
+    # m = 3, k = 1: phi(t) = -t^(a-1) (t^a - 2t + 1), whose root other than
+    # 1 lies near 2^(1/(a-1)) = 2^25
+    (t,) = _ratio_roots(3, 1, 1.04)
+    assert 2**24 < t < 2**26
+    assert abs(t**1.04 - 2 * t + 1) <= 1e-13 * 2 * t
+
+
+@pytest.mark.parametrize("alpha", [1.0005, 1.0009])
+def test_ratio_past_the_double_range_is_a_numeric_error(alpha):
+    # 2^(1/(a-1)) > 2^1024 here
+    with pytest.raises(NumericError, match="past the double range"):
+        _ratio_roots(3, 1, alpha)
+    with pytest.raises(NumericError):
+        enumerate_all(3, alpha)
+
+
+def test_no_two_level_point_next_to_a_threshold_center():
+    # at critical_alpha(m), t = 1 is a multiple root of the ratio condition
+    for m in range(3, 13):
+        alpha = critical_alpha(m)
+        for k in range(1, m // 2 + 1):
+            for e in solve_two_level(m, k, alpha):
+                assert np.abs(coords_of(e.point) - 1 / m).max() > 1e-6, (m, k, alpha)
+
+
+def test_ratio_roots_keep_the_rule_of_signs_bound():
+    # phi has at most three positive roots, t = 1 among them, and the
+    # roots for block sizes (m-k, k) are the reciprocals of those for (k, m-k)
+    for m in range(2, 21):
+        for alpha in (1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0) + ((critical_alpha(m),) if m > 2 else ()):
+            for k in range(1, m):
+                roots = _ratio_roots(m, k, alpha)
+                assert len(roots) <= 2 and 1.0 not in roots, (m, k, alpha, roots)
+                assert list(roots) == sorted(roots)
+                mirrored = sorted(1 / t for t in _ratio_roots(m, m - k, alpha))
+                np.testing.assert_allclose(roots, mirrored, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.02, 1.05])
+def test_classify_agrees_with_closed_forms_near_one(alpha):
+    for n in range(3, 7):
+        p = ModelParameters.for_complete_graph(n, alpha)
+        for e in enumerate_all(n, alpha):
+            assert classify(p, e).verdict == e.verdict, (n, alpha, e.two_level_data)
+
+
 @pytest.mark.parametrize("alpha", [25.0, 60.0, 200.0])
 def test_enumeration_counts_hold_at_large_exponents(alpha):
     # above alpha = 3 the catalog's structure no longer changes; the counts
@@ -302,10 +357,12 @@ def test_ratio_condition_overflow_is_a_numeric_error():
 
 def test_two_level_spectrum_does_not_cancel():
     # at n = 8, k = 1 the cross-block eigenvalue was off by 5.7e-9 when the
-    # energy was taken as (sum v^a)^2 - sum v^2a; reference from 60-digit
-    # arithmetic
+    # energy was taken as (sum v^a)^2 - sum v^2a, and by 1.7e-15 when the
+    # terms of phi' were summed in floats; reference from 60-digit arithmetic
+    # at t = 0.14285714593559437
     (e,) = [s for s in solve_two_level(8, 1, 9.992593274434991) if s.two_level_data.t < 1]
-    assert min(e.tangent_eigenvalues) == pytest.approx(-0.99999978466829046645, abs=1e-15)
+    assert e.two_level_data.t == 0.14285714593559437
+    assert min(e.tangent_eigenvalues) == pytest.approx(-0.99999978466801197625, abs=1e-15)
 
 
 def test_enumeration_structure_for_three_sites():
