@@ -174,9 +174,9 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
 
 
 def _ratio_sign(n: int, k: int, alpha: float, t: float) -> float:
-    """The sign of the ratio condition at t > 0, with no power above 1: on
-    (0, 1] (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a], for k = 1 the bracket
-    alone (which cannot underflow), above 1 phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t)."""
+    """A value with the ratio condition's sign at t > 0 and no power above 1:
+    (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a] on (0, 1], the bracket alone
+    for k = 1 (no underflow), and phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t) above."""
     if t > 1.0:
         return -_ratio_sign(n, n - k, alpha, 1.0 / t)
     bracket = (n - k) * t - k - (n - k - 1) * t**alpha

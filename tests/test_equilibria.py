@@ -268,9 +268,10 @@ def test_ratio_roots_past_a_million_are_found():
 
 @pytest.mark.parametrize("alpha", [1.0005, 1.0009])
 def test_ratio_past_the_double_range_is_a_numeric_error(alpha):
-    # 2^(1/(a-1)) > 2^1024 here
-    with pytest.raises(NumericError, match="past the double range"):
-        _ratio_roots(3, 1, alpha)
+    # 2^(1/(a-1)) > 2^1024 here, and for k = 2 the ratio is its reciprocal
+    for k in (1, 2):
+        with pytest.raises(NumericError, match="past the double range"):
+            _ratio_roots(3, k, alpha)
     with pytest.raises(NumericError):
         enumerate_all(3, alpha)
 
@@ -363,6 +364,10 @@ def test_two_level_spectrum_does_not_cancel():
     (e,) = [s for s in solve_two_level(8, 1, 9.992593274434991) if s.two_level_data.t < 1]
     assert e.two_level_data.t == 0.14285714593559437
     assert min(e.tangent_eigenvalues) == pytest.approx(-0.99999978466801197625, abs=1e-15)
+    # at n = 3, k = 1, alpha = 25, phi' summed in floats was off by 2.7e-15
+    (e,) = solve_two_level(3, 1, 25.0)
+    assert e.two_level_data.t == 0.500000014901171
+    assert min(e.tangent_eigenvalues) == pytest.approx(-0.99999925494134211837, abs=1e-15)
 
 
 def test_enumeration_structure_for_three_sites():
