@@ -12,7 +12,7 @@ it happened at.
 import math
 from sys import float_info
 
-from vrrw.errors import DegenerateSupportError, NumericError, ValidationError
+from vrrw.errors import BoundaryJacobianError, DegenerateSupportError, NumericError, ValidationError
 
 
 class Stop(Exception):
@@ -102,6 +102,61 @@ def derivative(a, alpha, x):
             gap = sj * fj / core - xj
             gaps += gap * (gap / xj)
     return 2.0 * alpha * energy(a, alpha, x) * gaps
+
+
+def jacobian(a, alpha, x):
+    """The Jacobian of F at x, as numpy's elementwise expressions take it:
+    with t = (x / m)^(alpha - 1), rho_j = t_j f_j / core and
+    pi_i = s_i f_i / core, entry (i, j) is
+    alpha / m * ((delta_ij rho_i + (s_i a_ij) (t_j / core)) - 2 (pi_i rho_j)) - delta_ij.
+    A point with a zero coordinate needs alpha >= 2."""
+    if 0.0 in x and alpha < 2.0:
+        raise Stop(BoundaryJacobianError)
+    s, f, core = core_pieces(a, alpha, x)
+    t, m = powers(x, alpha - 1.0)
+    rho = [tj * fj / core for tj, fj in zip(t, f)]
+    pi = [sj * fj / core for sj, fj in zip(s, f)]
+    scale, n = alpha / m, len(x)
+    return [
+        [
+            scale * (((rho[i] if i == j else 0.0) + s[i] * a[i][j] * (t[j] / core)) - 2.0 * (pi[i] * rho[j]))
+            - (1.0 if i == j else 0.0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def pairwise(values):
+    """The sum of values as numpy's add.reduce adds a contiguous row: in
+    site order under 8 values, else in 8 running sums joined as a tree
+    (up to 128 values), else over halves whose first is a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return total(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise(values[:half]) + pairwise(values[half:])
+    r, i = list(values[:8]), 8
+    while i < n - n % 8:
+        r = [rj + v for rj, v in zip(r, values[i : i + 8])]
+        i += 8
+    return total([((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))] + values[i:])
+
+
+def kernel(a, alpha, eps, x):
+    """The frozen kernel at y = x + eps: row i is a_ij (y_j / m_i)^alpha over
+    the row's pairwise sum, m_i the largest y_j with a_ij > 0."""
+    if eps < 0:
+        raise Stop(ValidationError)
+    y = [v + eps for v in x]
+    rows = []
+    for row in a:
+        reach = [yj if aij > 0 else 0.0 for aij, yj in zip(row, y)]
+        weights = [aij * sj for aij, sj in zip(row, powers(reach, alpha)[0])]
+        norm = pairwise(weights)
+        rows.append([w / norm for w in weights])
+    return rows
 
 
 def project(x):

@@ -716,7 +716,8 @@ def _agrees(compiled, reference):
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_mean_field_functions_match_the_reference(n, c):
-    # random points, some with an exact zero, and random real vectors to project
+    # random points, some with an exact zero, and random real vectors to project;
+    # the Jacobian and the kernel at those points
     rng = np.random.default_rng([n, round(10 * c), 7])
     for alpha in (1.05, 1.5, 2.5, 4.0):
         p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
@@ -730,6 +731,9 @@ def test_mean_field_functions_match_the_reference(n, c):
             _agrees(lambda: np.asarray(invariant_measure(p, v)).tolist(), lambda: ref.measure(a, alpha, x))
             _agrees(lambda: lyapunov(p, v), lambda: ref.energy(a, alpha, x))
             _agrees(lambda: lyapunov_derivative(p, v), lambda: ref.derivative(a, alpha, x))
+            _agrees(lambda: jacobian(p, v).tolist(), lambda: ref.jacobian(a, alpha, x))
+            for eps in (0.0, 1e-3):
+                _agrees(lambda: transition_kernel(p, eps, v).tolist(), lambda: ref.kernel(a, alpha, eps, x))
             _agrees(
                 lambda: np.asarray(vector_field(p, v)).tolist(),
                 lambda: ref.field(a, alpha, [xj / total for xj in x])[0],
