@@ -12,10 +12,10 @@
  * walk_group, which takes no branch on the uniform. A state row holds state and inc
  * as four uint64 words, low first; 128-bit values live in registers.
  *
- * The flow (the mf_ functions at the end): the field F, the energy H and the simplex
- * projection of vrrw/dynamics.py and vrrw/graph.py, and one RK4 over them. Every sum
- * is added in site order and every power is libm's pow of a coordinate over the
- * largest, so no bit depends on BLAS or on numpy's SIMD kernels.
+ * The flow (the mf_ functions at the end): the field F, one point's powers, sums and
+ * energy H, and the simplex projection, for vrrw/dynamics.py and vrrw/graph.py, and one
+ * RK4 over them. Every sum is added in site order and every mean-field power is libm's
+ * pow of a coordinate over the largest, so no bit depends on BLAS or on numpy's SIMD kernels.
  *
  * vrrw/files.py builds this file with -ffp-contract=off and without -ffast-math, so
  * each product and sum is rounded on its own, in the order written here. */
@@ -480,18 +480,23 @@ int64_t mf_field(int64_t n, const double *a, double alpha, double *io)
     return field(n, a, alpha, io, io + n, io + 2 * n, io + 3 * n, io + 4 * n, &clips);
 }
 
-/* io = x, s[n], f[n], core[1] */
-int64_t mf_pieces(int64_t n, const double *a, double alpha, double *io)
+/* io = x, s[n], t[n], f[n], core, H, core's status, H's status: s = (x/m)^alpha, t = (x/m)^(alpha - 1),
+ * f = A s, core = <s, f> and H = core m^alpha m^alpha, as energy takes it (a helper shared with energy
+ * moved the walk's kernels, placed after it, and slowed a K8 walk by 3%). It returns the powers'
+ * status; a core or H outside the normal range still leaves s, t and f written. */
+int64_t mf_point(int64_t n, const double *a, double alpha, double *io)
 {
-    double m;
-    int status = pieces(n, a, alpha, io, io + n, io + 2 * n, io + 3 * n, &m);
-    return status ? status : io[3 * n] >= DBL_MIN ? MF_OK : MF_CORE_VANISHES;
-}
-
-/* io = x, H(x)[1], scratch[2n] */
-int64_t mf_energy(int64_t n, const double *a, double alpha, double *io)
-{
-    return energy(n, a, alpha, io, io + n + 1, io + 2 * n + 1, io + n);
+    double *s = io + n, *t = s + n, *f = t + n, *out = f + n, m;
+    int status = pieces(n, a, alpha, io, s, f, out, &m);
+    if (status)
+        return status;
+    for (int64_t j = 0; j < n; j++)
+        t[j] = pow(io[j] / m, alpha - 1.0);
+    double scale = pow(m, alpha);
+    out[1] = out[0] * scale * scale;
+    out[2] = out[0] >= DBL_MIN ? MF_OK : MF_CORE_VANISHES;
+    out[3] = isinf(scale) || out[1] > DBL_MAX ? MF_ENERGY_OVERFLOWS : out[1] >= DBL_MIN ? MF_OK : MF_ENERGY_VANISHES;
+    return MF_OK;
 }
 
 /* RK4 steps first + 1 to last of dt from the start in states[0, n), each row of
@@ -503,9 +508,11 @@ int64_t mf_energy(int64_t n, const double *a, double alpha, double *io)
  * to first are a previous call's, so a flow can take its steps in slices of calls.
  * info = {the step it stopped at, clips so far}. A failure leaves the rows
  * before its step, the step's row if the cap or H failed it, and in work[0, n)
- * the point a field or H failed at. work is 7n words. */
-int64_t mf_flow(int64_t n, const double *a, double alpha, int64_t first, int64_t last, double dt, double cap,
-                double *states, double *energies, double *work, int64_t *info)
+ * the point a field or H failed at. work is 7n words. Aligned to 64 bytes, as
+ * walk_replica is, so that code removed or added before it leaves its loop in place. */
+__attribute__((aligned(64))) int64_t
+mf_flow(int64_t n, const double *a, double alpha, int64_t first, int64_t last, double dt, double cap,
+        double *states, double *energies, double *work, int64_t *info)
 {
     double *w = work, *k1 = w + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *s = k4 + n, *f = s + n;
     const double *start = states, half = 0.5 * dt, sixth = dt / 6.0;

@@ -13,14 +13,14 @@ kernel. H is a strict Lyapunov function: it increases along every
 non-equilibrium trajectory.
 
 F, H and the projection have one compiled core, the mf_ functions of
-_walk.c, which vrrw.files builds at their first use. Every power of the
-coordinates is s = (x/m)^a in [0, 1], m = max x, by libm's pow; A s and
-<s, A s> are summed in site order, so no bit depends on BLAS; only H and
-dH/dt carry the scale, as m^a m^a. An underflowed sum raises NumericError.
-_field_array, _pi_core, _energy and graph._project are thin calls into the
-core; vector_field, invariant_measure, lyapunov, lyapunov_derivative,
-jacobian and equilibria.classify take their pieces from them, and
-integrate_flow runs its whole RK4 in the core.
+_walk.c, which vrrw.files builds at their first use. Every power of a
+coordinate, s = (x/m)^a or t = (x/m)^(a-1) with m = max x, is libm's pow
+in the core; A s and <s, A s> are summed in site order, so no bit depends
+on BLAS; only H and dH/dt carry the scale, as m^a m^a. An underflowed sum
+raises NumericError. A point takes one core call: _field_array's for
+vector_field, _point's for invariant_measure, lyapunov, lyapunov_derivative,
+jacobian, equilibria.classify and each kernel row, graph._project's for the
+projection; integrate_flow runs its whole RK4 in the core.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ from .errors import (
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
+    _as_float_array,
+    _exponent,
+    _nonnegative,
     _number,
     _projection_error,
     check_loopfree_cap,
@@ -84,10 +87,8 @@ class ModelParameters:
     loop_c: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(_number(self.alpha, "reinforcement exponent")) or self.alpha <= 1.0:
-            raise ValidationError(f"reinforcement exponent must be > 1, got {self.alpha}")
-        if not math.isfinite(_number(self.loop_c, "self-loop weight")) or self.loop_c < 0.0:
-            raise ValidationError(f"self-loop weight must be >= 0, got {self.loop_c}")
+        _exponent(self.alpha)
+        _nonnegative(self.loop_c, "self-loop weight")
 
     @cached_property
     def effective_matrix(self) -> InteractionMatrix:
@@ -126,23 +127,6 @@ class FlowTrajectory:
             fh.write(",".join(row) + "\n")
 
 
-def _power(values, exponent: float) -> np.ndarray:
-    """v^exponent for the floats v >= 0 of values by libm's pow (math.pow), as np.power's last
-    bits vary with numpy's SIMD kernels; a power past the double range raises OverflowError."""
-    return np.array([math.pow(v, exponent) for v in values])
-
-
-def _scaled_powers(x: np.ndarray, exponent: float):
-    """(x/m)^exponent, each value in [0, 1], and m = max x."""
-    xs = x.tolist()
-    m = max(xs, default=0.0)
-    if m <= 0.0:
-        raise DegenerateSupportError("point has empty support")
-    if min(xs) < 0.0:
-        raise ValidationError(f"powers need nonnegative coordinates, got {xs}")
-    return _power([v / m for v in xs], exponent), m
-
-
 def _coords(p: ModelParameters, v) -> np.ndarray:
     """coords_of(v) as a vector of p's n coordinates; any other shape raises
     ValidationError, before the compiled core could read past it."""
@@ -153,13 +137,12 @@ def _coords(p: ModelParameters, v) -> np.ndarray:
 
 
 def _compiled(name: str, a: np.ndarray, alpha: float, x: np.ndarray, words: int):
-    """The buffer io of words * n + 1 doubles after the core's function
-    `name` ran on the point x = io[:n] for the n x n entries a, and its status."""
-    n = x.size
-    io = np.empty(words * n + 1)
-    io[:n] = x
+    """The buffer io of `words` doubles after the core's function `name` ran
+    on the point x = io[:n] for the n x n entries a, and its status."""
+    io = np.empty(words)
+    io[: x.size] = x
     a = np.ascontiguousarray(a, dtype=float)
-    return io, getattr(files._library(), name)(n, a.ctypes.data, alpha, io.ctypes.data)
+    return io, getattr(files._library(), name)(x.size, a.ctypes.data, alpha, io.ctypes.data)
 
 
 def _error(status: int, a: np.ndarray, x: np.ndarray) -> VrrwError:
@@ -189,55 +172,51 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
     Row i takes powers of x_j / m_i, with m_i the largest x_j that A_ij > 0
     reaches, so its largest term is an entry of A and no row underflows.
     """
-    if eps < 0:
-        raise ValidationError(f"kernel regularizer must be >= 0, got {eps}")
-    x = _coords(p, v) + eps
+    x = _coords(p, v) + _nonnegative(eps, "kernel regularizer")
     a = p.effective_matrix.entries
     reach = np.where(a > 0, x, 0.0)
-    m = reach.max(axis=1)
-    dead = ~(m > 0)
+    dead = ~(reach.max(axis=1) > 0)
     if np.any(dead):
         raise DegenerateSupportError(
             f"kernel rows {np.nonzero(dead)[0].tolist()} do not reach support {np.nonzero(x > 0)[0].tolist()}"
         )
-    rows = a * np.array([_scaled_powers(row, p.alpha)[0] for row in reach])
+    rows = a * np.array([_point(a, p.alpha, row)[0] for row in reach])
     return rows / rows.sum(axis=1)[:, None]
 
 
-def _energy(a: np.ndarray, alpha: float, x: np.ndarray) -> float:
-    """H(x) = <A s, s> m^a m^a, s = (x/m)^a, m = max x, by the core."""
-    io, status = _compiled("mf_energy", a, alpha, x, 3)
-    if status:
-        raise _error(status, a, x)
-    return float(io[x.size])
+#: Offsets, past the core's values, of the statuses _point may check.
+_CORE, _ENERGY = 2, 3
+
+
+def _point(a: np.ndarray, alpha: float, x: np.ndarray, *checks: int):
+    """One point's pieces by the core: s = (x/m)^a, t = (x/m)^(a-1), f = A s,
+    the scaled energy core = <A s, s> and H = core m^a m^a, m = max x. An
+    empty or negative x raises its error, and so does each status of
+    `checks` (_CORE, _ENERGY) that failed, in that order."""
+    n = x.size
+    io, status = _compiled("mf_point", a, alpha, x, 4 * n + 4)
+    for failed in (status, *(int(io[4 * n + k]) for k in checks)):
+        if failed:
+            raise _error(failed, a, x)
+    return io[n : 2 * n], io[2 * n : 3 * n], io[3 * n : 4 * n], float(io[4 * n]), float(io[4 * n + 1])
 
 
 def lyapunov(p: ModelParameters, v) -> float:
     """Interaction energy H(v) = <A v^a, v^a>."""
-    return _energy(p.effective_matrix.entries, p.alpha, _coords(p, v))
-
-
-def _pi_core(a: np.ndarray, alpha: float, x: np.ndarray):
-    """Scale-invariant pieces of the reversible measure by the core: powers
-    s = (x/m)^a, their interaction field A s, and the scaled energy <A s, s>."""
-    io, status = _compiled("mf_pieces", a, alpha, x, 3)
-    if status:
-        raise _error(status, a, x)
-    n = x.size
-    return io[n : 2 * n], io[2 * n : 3 * n], float(io[3 * n])
+    return _point(p.effective_matrix.entries, p.alpha, _coords(p, v), _ENERGY)[4]
 
 
 def invariant_measure(p: ModelParameters, v) -> np.ndarray:
     """Reversible measure of the frozen kernel: pi_i proportional to
     v_i^a (A v^a)_i. Requires positive interaction energy."""
-    s, field, core = _pi_core(p.effective_matrix.entries, p.alpha, _coords(p, v))
+    s, _, field, core, _ = _point(p.effective_matrix.entries, p.alpha, _coords(p, v), _CORE)
     return simplex_points(s * field / core)
 
 
 def _field_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
     """-x + pi(iota(x)) for a 1-D array x by the core, with the projection
     keeping the exact zeros of x at zero."""
-    io, status = _compiled("mf_field", a, alpha, x, 5)
+    io, status = _compiled("mf_field", a, alpha, x, 5 * x.size)
     n = x.size
     if status:
         raise _error(status, a, io[2 * n : 3 * n])
@@ -267,9 +246,7 @@ def lyapunov_derivative(p: ModelParameters, v) -> float:
     site order, as cumsum adds; a BLAS dot's order depends on its kernel.
     """
     x = _coords(p, v)
-    a = p.effective_matrix.entries
-    h = _energy(a, p.alpha, x)
-    s, field, core = _pi_core(a, p.alpha, x)
+    s, _, field, core, h = _point(p.effective_matrix.entries, p.alpha, x, _ENERGY, _CORE)
     on = x > 0
     gap = s[on] * field[on] / core - x[on]
     rate = 2.0 * p.alpha * h * float(np.cumsum(gap * (gap / x[on]))[-1])
@@ -303,11 +280,10 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
 
 def _jacobian_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
     """The Jacobian of jacobian's docstring for the matrix entries a."""
-    s, field, core = _pi_core(a, alpha, x)
-    t, m = _scaled_powers(x, alpha - 1.0)
+    s, t, field, core, _ = _point(a, alpha, x, _CORE)
     rho = t * field / core
     dpi = np.diag(rho) + (s[:, None] * a) * (t / core) - 2.0 * np.outer(s * field / core, rho)
-    return alpha / m * dpi - np.eye(x.size)
+    return alpha / float(x.max()) * dpi - np.eye(x.size)
 
 
 def tangent_basis(n: int) -> np.ndarray:
@@ -324,8 +300,9 @@ def tangent_eigenvalues(j: np.ndarray, weights=None) -> np.ndarray:
     supplied, the spectrum is recomputed through the symmetrization
     diag(v)^(-1/2) (J diag(v)) diag(v)^(-1/2), whose full spectrum is the
     tangent spectrum plus one exact -1 from the normalization direction.
+    A non-finite entry of j raises NumericError.
     """
-    n = j.shape[0]
+    n = _as_float_array(j, "Jacobian").shape[0]
     if n == 1:
         return np.array([])
     b = tangent_basis(n)

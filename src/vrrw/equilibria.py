@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import ModelParameters, _jacobian_array, tangent_eigenvalues, vector_field
 from .errors import DegenerateSupportError, DomainError, NumericError, ValidationError
-from .graph import FaceIndex, _integer, coords_of, simplex_points
+from .graph import FaceIndex, _exponent, _integer, _nonnegative, _number, coords_of, simplex_points
 
 #: Eigenvalue margin separating genuine criticality from float noise.
 STABILITY_MARGIN = 1e-8
@@ -107,8 +107,7 @@ def center_eigenvalue(k: int, alpha: float, loop_c: float = 0.0) -> float:
     k = _integer(k, "face size")
     if k < 2:
         raise DomainError(f"face center spectrum needs size >= 2, got {k}")
-    if alpha <= 1:
-        raise ValidationError(f"reinforcement exponent must be > 1, got {alpha}")
+    alpha, loop_c = _exponent(alpha), _nonnegative(loop_c, "self-loop weight")
     return -1.0 + alpha * (k - 2 + 2.0 * loop_c) / (k - 1 + loop_c)
 
 
@@ -160,13 +159,13 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
     Vanishes at t=1 (the face center) for every (n, k, alpha). A power
     past the double range raises NumericError.
     """
-    if t <= 0:
-        raise DomainError(f"ratio must be positive, got {t}")
+    t = _number(t, "ratio")
+    if not 0.0 < t <= float_info.max:
+        raise DomainError(f"ratio must be positive and finite, got {t}")
     n, k = _integer(n, "site count"), _integer(k, "block size")
     if not 1 <= k <= n - 1:
         raise ValidationError(f"block size k={k} out of range for n={n}")
-    t = float(t)
-    a = alpha
+    a = _exponent(alpha)
     try:
         return -(n - k - 1) * t ** (2 * a - 1) + (n - k) * t**a - k * t ** (a - 1) + (k - 1)
     except OverflowError as exc:
@@ -279,10 +278,9 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
         raise ValidationError(f"need at least 2 sites, got {n}")
     if not 1 <= k <= n / 2:
         raise ValidationError(f"block size must satisfy 1 <= k <= n/2, got k={k}, n={n}")
-    if alpha <= 1:
-        raise ValidationError(f"reinforcement exponent must be > 1, got {alpha}")
+    alpha = _exponent(alpha)
     out = []
-    for t in _ratio_roots(n, k, float(alpha)):
+    for t in _ratio_roots(n, k, alpha):
         u1 = 1.0 / (k + (n - k) * t)
         u2 = t * u1
         coords = np.concatenate([np.full(k, u1), np.full(n - k, u2)])
@@ -320,9 +318,7 @@ def enumerate_all(n: int, alpha: float) -> list:
     n = _integer(n, "site count")
     if not 2 <= n <= 12:
         raise DomainError(f"enumeration budget covers 2 <= n <= 12, got {n}")
-    if alpha <= 1:
-        raise ValidationError(f"reinforcement exponent must be > 1, got {alpha}")
-    alpha = float(alpha)
+    alpha = _exponent(alpha)
     out = []
     for m in range(2, n + 1):
         faces = np.array(list(itertools.combinations(range(n), m)))

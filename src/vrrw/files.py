@@ -101,9 +101,9 @@ def _library():
     lib.walk_run.argtypes = [i64, i64, f64, ptr] + [i64] * 7 + [ptr] * 4
     lib.walk_run.restype = i64
     lib.mf_project.argtypes = [i64, ptr]
-    lib.mf_field.argtypes = lib.mf_pieces.argtypes = lib.mf_energy.argtypes = [i64, ptr, f64, ptr]
+    lib.mf_field.argtypes = lib.mf_point.argtypes = [i64, ptr, f64, ptr]
     lib.mf_flow.argtypes = [i64, ptr, f64, i64, i64, f64, f64] + [ptr] * 4
-    for fn in (lib.mf_project, lib.mf_field, lib.mf_pieces, lib.mf_energy, lib.mf_flow):
+    for fn in (lib.mf_project, lib.mf_field, lib.mf_point, lib.mf_flow):
         fn.restype = i64
     return lib
 

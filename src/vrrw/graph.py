@@ -54,6 +54,22 @@ def _number(x, what: str) -> float:
         raise ValidationError(f"{what} must be a number in the double range") from None
 
 
+def _exponent(alpha) -> float:
+    """alpha as a float; a reinforcement exponent must be finite and > 1."""
+    alpha = _number(alpha, "reinforcement exponent")
+    if not 1.0 < alpha <= float_info.max:
+        raise ValidationError(f"reinforcement exponent must be finite and > 1, got {alpha}")
+    return alpha
+
+
+def _nonnegative(x, what: str) -> float:
+    """x as a float that is finite and >= 0, else ValidationError."""
+    x = _number(x, what)
+    if not 0.0 <= x <= float_info.max:
+        raise ValidationError(f"{what} must be finite and >= 0, got {x}")
+    return x
+
+
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
@@ -145,9 +161,7 @@ def with_diagonal(matrix: InteractionMatrix, c: float) -> InteractionMatrix:
     the matrix unchanged. Row sums stay constant because the original
     diagonal is constant for the supported (complete-graph) family.
     """
-    c = _number(c, "self-loop weight")
-    if not np.isfinite(c) or c < 0:
-        raise ValidationError(f"self-loop weight must be finite and >= 0, got {c}")
+    c = _nonnegative(c, "self-loop weight")
     diag = np.diagonal(matrix.entries)
     if not np.all(diag == diag[0]):
         raise ValidationError("diagonal override requires a constant original diagonal")

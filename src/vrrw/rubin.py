@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, SummabilityError, ValidationError
-from .graph import InteractionMatrix, _integer
+from .graph import InteractionMatrix, _exponent, _integer
 from .walk import TrajectoryRecord, _nonnegative_int, checkpoint_schedule, splitmix64
 
 #: Dyadic probe depth for certifying weight-sequence tails.
@@ -48,8 +48,7 @@ _THREAD = threading.local()
 
 def power_weight(alpha: float) -> Callable[[int], float]:
     """The strongly reinforcing weight family w(l) = (l+1)^alpha."""
-    if alpha <= 1:
-        raise ValidationError(f"summable reinforcement needs exponent > 1, got {alpha}")
+    alpha = _exponent(alpha)
 
     def w(level):
         if isinstance(level, (int, float)):

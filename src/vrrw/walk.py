@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import files
-from .dynamics import ModelParameters, _power
+from .dynamics import ModelParameters
 from .errors import NumericError, ValidationError
 from .graph import _integer, simplex_points
 
@@ -202,6 +202,12 @@ def _pick(weights: np.ndarray, rng) -> int:
     if not np.isfinite(csum[-1]):
         raise NumericError("transition weights have no finite total")
     return int(np.count_nonzero(csum <= rng.random() * csum[-1]))
+
+
+def _power(values, exponent: float) -> np.ndarray:
+    """v^exponent for the floats v >= 0 of values by libm's pow (math.pow), as np.power's last
+    bits vary with numpy's SIMD kernels; a power past the double range raises OverflowError."""
+    return np.array([math.pow(v, exponent) for v in values])
 
 
 def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkState:

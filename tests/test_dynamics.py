@@ -17,25 +17,32 @@ import vrrw
 from vrrw import (
     BoundaryJacobianError,
     DegenerateSupportError,
+    DomainError,
     FlowTrajectory,
     ModelParameters,
     NumericError,
     ReducibilityError,
     ValidationError,
     VrrwError,
+    center_eigenvalue,
     complete_graph,
+    enumerate_all,
     fundamental_matrix,
     integrate_flow,
     invariant_measure,
     jacobian,
     lyapunov,
+    level_ratio_polynomial,
     lyapunov_derivative,
+    power_weight,
+    solve_two_level,
     tangent_eigenvalues,
     transition_kernel,
     vector_field,
 )
 from vrrw.graph import InteractionMatrix, project_to_simplex
 from vrrw.dynamics import FLOW_STEP_LIMIT, _field_array, tangent_basis
+from vrrw import files
 from vrrw.files import open_text
 
 import flow_reference as ref
@@ -143,6 +150,87 @@ def test_large_exponent_energy_underflow_is_typed():
     np.testing.assert_allclose(pi, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
     assert 0.0 < pi[2] < 1e-60  # (.4/.6)^400 / 2, kept, not underflowed
     np.testing.assert_allclose(transition_kernel(p, 0.0, V).sum(axis=1), 1.0)
+
+
+class _CoreLog:
+    """The compiled library, logging the name of each call of an mf_ entry."""
+
+    def __init__(self):
+        self.lib, self.calls = files._library(), []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if not name.startswith("mf_"):
+            return fn
+
+        def logged(*args):
+            self.calls.append(name)
+            return fn(*args)
+
+        return logged
+
+
+@pytest.mark.parametrize("f", [lyapunov, invariant_measure, lyapunov_derivative, jacobian])
+def test_each_point_function_makes_one_core_call(f, monkeypatch):
+    log = _CoreLog()
+    monkeypatch.setattr(files, "_library", lambda: log)
+    f(P3, V)
+    assert len(log.calls) == 1
+
+
+def test_energy_and_scaled_energy_fail_apart():
+    # at K3's centre, alpha = 400: H = 6 (1/3)^800 underflows, while the
+    # scaled energy <A s, s> = 6 and so the measure are exact
+    p, centre = ModelParameters.for_complete_graph(3, 400.0), np.full(3, 1.0 / 3.0)
+    for f in (lyapunov, lyapunov_derivative):
+        with pytest.raises(NumericError, match="^interaction energy underflows the double range$"):
+            f(p, centre)
+    np.testing.assert_array_equal(invariant_measure(p, centre), centre)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# each returned nan or inf, or raised TypeError, a misleading typed error or
+# numpy's LinAlgError
+_OUT_OF_RANGE = [
+    (center_eigenvalue, (3, _NAN), ValidationError),
+    (center_eigenvalue, (3, _INF), ValidationError),
+    (center_eigenvalue, (3, "2"), ValidationError),
+    (center_eigenvalue, (3, 1.5, -1.0), ValidationError),
+    (center_eigenvalue, (3, 1.5, _INF), ValidationError),
+    (level_ratio_polynomial, (0.5, 3, 1, _NAN), ValidationError),
+    (level_ratio_polynomial, (0.5, 3, 1, 0.5), ValidationError),
+    (level_ratio_polynomial, (_NAN, 3, 1, 1.5), DomainError),
+    (level_ratio_polynomial, (_INF, 3, 1, 1.5), DomainError),
+    (level_ratio_polynomial, ("1", 3, 1, 1.5), ValidationError),
+    (solve_two_level, (3, 1, _NAN), ValidationError),
+    (solve_two_level, (3, 1, _INF), ValidationError),
+    (enumerate_all, (3, "2"), ValidationError),
+    (enumerate_all, (3, _NAN), ValidationError),
+    (power_weight, ("2",), ValidationError),
+    (power_weight, (_NAN,), ValidationError),
+    (transition_kernel, (P3, "0.1", V), ValidationError),
+    (transition_kernel, (P3, _INF, V), ValidationError),
+    (transition_kernel, (P3, _NAN, V), ValidationError),
+    (tangent_eigenvalues, (np.full((3, 3), _NAN),), NumericError),
+]
+
+
+def _call_id(f, args):
+    """f(args), with P3 as p, V as v and any other array as full(shape, entry)."""
+
+    def arg(a):
+        if isinstance(a, np.ndarray):
+            return "v" if a is V else f"full({a.shape}, {a.flat[0]})"
+        return "p" if a is P3 else repr(a)
+
+    return f"{f.__name__}({', '.join(map(arg, args))})"
+
+
+@pytest.mark.parametrize("f, args, kind", _OUT_OF_RANGE, ids=[_call_id(f, args) for f, args, _ in _OUT_OF_RANGE])
+def test_exponents_weights_and_ratios_out_of_range_raise_typed_errors(f, args, kind):
+    with pytest.raises(kind):
+        f(*args)
 
 
 def test_energy_overflow_off_the_simplex_is_typed():

@@ -27,8 +27,7 @@ from vrrw import (
 import vrrw.files as files_module
 import vrrw.walk as walk_module
 from vrrw.graph import validate
-from vrrw.dynamics import _power
-from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick
+from vrrw.walk import FULL_LOG_LIMIT, _batch_walk, _pick, _power
 
 import walk_reference as ref
 
