@@ -128,15 +128,12 @@ def jacobian(a, alpha, x):
 
 
 def pairwise(values):
-    """The sum of values as numpy's add.reduce adds a contiguous row: in
-    site order under 8 values, else in 8 running sums joined as a tree
-    (up to 128 values), else over halves whose first is a multiple of 8."""
+    """The sum of up to 128 values as numpy's add.reduce adds a contiguous
+    row: in site order under 8 values, else in 8 running sums joined as a
+    tree, and the last n % 8 values added after it in site order."""
     n = len(values)
     if n < 8:
         return total(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise(values[:half]) + pairwise(values[half:])
     r, i = list(values[:8]), 8
     while i < n - n % 8:
         r = [rj + v for rj, v in zip(r, values[i : i + 8])]
