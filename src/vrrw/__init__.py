@@ -49,7 +49,6 @@ from .equilibria import (
 from .errors import (
     BoundaryJacobianError,
     BuildError,
-    ConvergenceError,
     DegenerateSupportError,
     DomainError,
     NumericError,

@@ -54,6 +54,9 @@ class DetectionConfig:
     min_share: float = 0.02
 
     def __post_init__(self):
+        # stored as floats, so a config hashes alike before its export and after its load
+        for name in ("tail_fraction", "min_share"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValidationError(f"tail_fraction must lie in (0,1), got {self.tail_fraction}")
         if not 0.0 <= self.min_share < 1.0:
@@ -70,6 +73,8 @@ class ExperimentConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
+        if not (isinstance(self.model, ModelParameters) and isinstance(self.detection, DetectionConfig)):
+            raise ValidationError(f"need a model and detection config, got {self.model!r}, {self.detection!r}")
         # stored as Python ints, so the hash, the export and the walk agree
         names = ["replicas", "horizon", "base_seed"]
         if not isinstance(self.start, str):
@@ -293,8 +298,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
 
 def _model_to_json(p: ModelParameters) -> dict:
     out = {"n": p.size, "alpha": p.alpha, "c": p.loop_c}
-    hollow = complete_graph(p.size)
-    if not np.array_equal(p.matrix.entries, hollow.entries):
+    if not np.array_equal(p.matrix.entries, complete_graph(p.size).entries):
         out["matrix"] = p.matrix.entries.tolist()
     return out
 
@@ -334,10 +338,7 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
         horizon=d["horizon"],
         base_seed=d["base_seed"],
         start=start,
-        detection=DetectionConfig(
-            tail_fraction=_number(det.get("tail_fraction", 0.5), "tail_fraction"),
-            min_share=_number(det.get("min_share", 0.02), "min_share"),
-        ),
+        detection=DetectionConfig(det.get("tail_fraction", 0.5), det.get("min_share", 0.02)),
     )
 
 
@@ -358,71 +359,34 @@ def _json_head(result: CampaignResult) -> dict:
     }
 
 
-def _result_to_json_dict(result: CampaignResult) -> dict:
-    """The JSON document of a campaign result. The json export is
-    json.dumps(this, sort_keys=True, indent=2) and a newline, written
-    record by record (_write_json)."""
+def _record(rep: ReplicaResult) -> dict:
+    """The JSON record of one replica; sites are 1-based there."""
     return {
-        **_json_head(result),
-        "replicas": [
-            {
-                "replica": rep.replica,
-                "seed": rep.seed,
-                "support": list(rep.support.labels()),
-                "tail_profile": list(rep.tail_profile),
-                "final_occupation": rep.final_occupation.tolist(),
-                "nearest_equilibrium": rep.nearest_equilibrium,
-                "distance": rep.distance,
-            }
-            for rep in result.replicas
-        ],
+        "replica": rep.replica,
+        "seed": rep.seed,
+        "support": [s + 1 for s in rep.support.sites],
+        "tail_profile": list(rep.tail_profile),
+        "final_occupation": rep.final_occupation.tolist(),
+        "nearest_equilibrium": rep.nearest_equilibrium,
+        "distance": rep.distance,
     }
 
 
-#: A replica record of _result_to_json_dict as json.dumps(..., sort_keys=True,
-#: indent=2) lays it out inside the document's "replicas" list.
-_JSON_RECORD = """    {
-      "distance": %s,
-      "final_occupation": [
-        %s
-      ],
-      "nearest_equilibrium": %r,
-      "replica": %r,
-      "seed": %r,
-      "support": [
-        %s
-      ],
-      "tail_profile": [
-        %s
-      ]
-    }"""
-_JSON_ITEMS = ",\n        "
-
-
-def _json_floats(xs) -> str:
-    """Floats as json writes them, joined as the items of a record's list:
-    float.__repr__, and json itself for NaN and the infinities."""
-    return _JSON_ITEMS.join([float.__repr__(x) if math.isfinite(x) else json.dumps(x) for x in xs])
+#: Writes json.dumps(record, sort_keys=True), without building an encoder per
+#: call; a record holds fresh lists, so no check for cycles.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _write_json(result: CampaignResult, fh) -> None:
-    """Write json.dumps(_result_to_json_dict(result), sort_keys=True,
-    indent=2) and a newline, one replica record at a time: json's encoder
-    for indent is pure Python and takes several times longer."""
+    """Write a campaign result's JSON document: the head laid out by
+    json.dumps(..., sort_keys=True, indent=2), then each replica's _record on
+    a line of its own, as json.dumps(record, sort_keys=True) writes it."""
     head = json.dumps({**_json_head(result), "replicas": []}, sort_keys=True, indent=2)
     before, after = head.rsplit('"replicas": []', 1)
     fh.write(before + '"replicas": [\n')
+    encode = _RECORD_ENCODER.encode
     for i, rep in enumerate(result.replicas):
-        record = _JSON_RECORD % (
-            _json_floats((rep.distance,)),
-            _json_floats(rep.final_occupation.tolist()),
-            rep.nearest_equilibrium,
-            rep.replica,
-            rep.seed,
-            _JSON_ITEMS.join(map(repr, rep.support.labels())),
-            _json_floats(rep.tail_profile),
-        )
-        fh.write(",\n" + record if i else record)
+        fh.write(",\n" + encode(_record(rep)) if i else encode(_record(rep)))
     fh.write("\n  ]" + after + "\n")
 
 
@@ -478,8 +442,9 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
 
 
 def export(result: CampaignResult, path, format: str) -> None:
-    """Write a campaign result as json (round-trippable) or csv (one row
-    per replica, fixed columns). Paths ending in .gz are compressed."""
+    """Write a campaign result as json (round-trippable: an indented head
+    and one line per replica record, _write_json) or csv (one row per
+    replica, fixed columns). Paths ending in .gz are compressed."""
     if format == "json":
         with open_text(path, "w") as fh:
             _write_json(result, fh)

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .campaign import config_from_json_dict, export, model_from_json, run_campaign
 from .dynamics import ModelParameters, integrate_flow
-from .equilibria import classify, enumerate_all, threshold_table
+from .equilibria import enumerate_all, threshold_table
 from .errors import VrrwError
 from .files import canonical_hash, open_text
 from .graph import InteractionMatrix, _integer, complete_graph
@@ -74,15 +74,14 @@ def _simplex_arg(text: str) -> np.ndarray:
 def _cmd_equilibria(args) -> int:
     seed = _resolve_seed(args.seed)
     _print_provenance(seed, canonical_hash({"cmd": "equilibria", "n": args.n, "alpha": args.alpha}))
+    # the catalog's own closed-form spectra and verdicts
     eqs = enumerate_all(args.n, args.alpha)
-    p = ModelParameters.for_complete_graph(args.n, args.alpha)
-    classified = [classify(p, e) for e in eqs]
 
     def sort_key(e):
         d = e.two_level_data
         return (len(e.support.sites), e.support.sites, d.t if d else 1.0, d.k if d else 0)
 
-    classified.sort(key=sort_key)
+    eqs.sort(key=sort_key)
     if args.json:
         rows = [
             {
@@ -94,18 +93,18 @@ def _cmd_equilibria(args) -> int:
                 "t": e.two_level_data.t if e.two_level_data else None,
                 "k": e.two_level_data.k if e.two_level_data else None,
             }
-            for e in classified
+            for e in eqs
         ]
         print(json.dumps(rows, indent=2))
     else:
-        for e in classified:
+        for e in eqs:
             d = e.two_level_data
             support = "|".join(str(s) for s in e.support.labels())
             point = ",".join(_fmt(x) for x in np.asarray(e.point))
             eig = ",".join(_fmt(x) for x in e.tangent_eigenvalues)
             tk = f"k={d.k} t={_fmt(d.t)}" if d else "k=- t=-"
             print(f"{support}  {e.kind}  {tk}  {e.verdict}  point=[{point}]  eig=[{eig}]")
-        print(f"total: {len(classified)} equilibria")
+        print(f"total: {len(eqs)} equilibria")
     return 0
 
 

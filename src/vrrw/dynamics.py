@@ -45,11 +45,11 @@ from .errors import (
 from .graph import (
     LOOPFREE_CAP,
     InteractionMatrix,
-    _as_float_array,
     _exponent,
     _nonnegative,
     _number,
     _projection_error,
+    _square_array,
     check_loopfree_cap,
     complete_graph,
     coords_of,
@@ -300,9 +300,11 @@ def tangent_eigenvalues(j: np.ndarray, weights=None) -> np.ndarray:
     supplied, the spectrum is recomputed through the symmetrization
     diag(v)^(-1/2) (J diag(v)) diag(v)^(-1/2), whose full spectrum is the
     tangent spectrum plus one exact -1 from the normalization direction.
-    A non-finite entry of j raises NumericError.
+    A non-finite entry of j raises NumericError, and a j that is not a
+    square array ValidationError.
     """
-    n = _as_float_array(j, "Jacobian").shape[0]
+    j = _square_array(j, "Jacobian")
+    n = j.shape[0]
     if n == 1:
         return np.array([])
     b = tangent_basis(n)

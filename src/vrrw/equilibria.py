@@ -90,7 +90,7 @@ def _verdict(eigenvalues) -> str:
 def face_center(face: FaceIndex, n: int) -> np.ndarray:
     """Uniform point on the given face of the size-n simplex; a FaceIndex
     is never empty."""
-    sites = face.sites
+    sites, n = face.sites, _integer(n, "site count")
     if sites[-1] >= n:
         raise ValidationError(f"face {sites} does not fit in a {n}-site model")
     v = np.zeros(n)
@@ -128,6 +128,7 @@ def critical_alpha_loop(k: int, c: float) -> float:
     k = _integer(k, "face size")
     if k < 2:
         raise DomainError(f"loop-model threshold needs face size >= 2, got {k}")
+    c = _number(c, "self-loop weight")
     if not 0.0 <= c < 1.0:
         raise DomainError(f"self-loop weight must lie in [0, 1), got {c}")
     den = k - 2.0 * (1.0 - c)
@@ -145,6 +146,7 @@ def threshold_table(c: float, kmax: int) -> ThresholdTable:
     kmax = _integer(kmax, "largest face size")
     if kmax < 2:
         raise DomainError(f"table needs kmax >= 2, got {kmax}")
+    c = _number(c, "self-loop weight")
     first = 3 if c == 0.0 else 2
     rows = [ThresholdRow(k=k, alpha_crit=critical_alpha_loop(k, c), loop_c=c) for k in range(first, kmax + 1)]
     return ThresholdTable(rows=tuple(rows))

@@ -41,9 +41,5 @@ class ReducibilityError(VrrwError):
     """A frozen-occupation kernel is reducible; its linear system is singular."""
 
 
-class ConvergenceError(VrrwError):
-    """An iterative solver exhausted its budget without converging."""
-
-
 class SummabilityError(VrrwError):
     """A clock-weight tail is not summable enough for the requested bound."""

@@ -71,9 +71,20 @@ def _nonnegative(x, what: str) -> float:
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
     if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _square_array(x, name: str) -> np.ndarray:
+    """x as a finite square float array (_as_float_array), else ValidationError."""
+    arr = _as_float_array(x, name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -118,9 +129,7 @@ def validate(entries) -> InteractionMatrix:
     entries below the normal double range and row sums that overflow raise
     NumericError.
     """
-    arr = _as_float_array(entries, "matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
+    arr = _square_array(entries, "matrix")
     n = arr.shape[0]
     if n < 2:
         raise ValidationError(f"matrix size must be >= 2, got {n}")

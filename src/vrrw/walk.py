@@ -179,7 +179,7 @@ def _check_weight_range(p: ModelParameters, horizon: int) -> None:
 
 def init_walk(p: ModelParameters, start: int) -> WalkState:
     """Walk at time 0: sitting on start with that single visit counted."""
-    n = p.size
+    n, start = p.size, _integer(start, "start site")
     if not 0 <= start < n:
         raise ValidationError(f"start site {start} out of range for {n} sites")
     counts = np.zeros(n, dtype=np.int64)

@@ -30,7 +30,6 @@ from vrrw.campaign import (
     _detect_from_tail_counts,
     _nearest,
     _result,
-    _result_to_json_dict,
     _tail_window,
     config_from_json_dict,
     config_to_json_dict,
@@ -458,6 +457,15 @@ def test_export_round_trip_and_formats(tmp_path):
         export(res, tmp_path / "x.bin", "parquet")
 
 
+def test_integer_detection_settings_round_trip(tmp_path):
+    # the settings are stored as floats, so the exported config hash is the
+    # loaded config's: with min_share 0 kept an int, the load failed on it
+    cfg = ExperimentConfig(model=P3, replicas=3, horizon=200, base_seed=2, detection=DetectionConfig(min_share=0))
+    assert cfg.detection.min_share == 0.0 and isinstance(cfg.detection.min_share, float)
+    export(run_campaign(cfg), tmp_path / "c.json", "json")
+    assert load_campaign(tmp_path / "c.json").config_hash == cfg.config_hash()
+
+
 def test_single_row_csv(tmp_path):
     cfg = ExperimentConfig(
         model=P3, replicas=1, horizon=500, base_seed=3, detection=DetectionConfig()
@@ -491,22 +499,80 @@ def test_campaign_json_files_are_canonical(tmp_path):
 )
 def test_streamed_json_export_equals_json_dumps(model, name, tmp_path):
     res = run_campaign(ExperimentConfig(model=model, replicas=40, horizon=400, base_seed=17))
-    want = (json.dumps(_result_to_json_dict(res), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    cfg = res.config
+    start = cfg.start if isinstance(cfg.start, str) else cfg.start + 1
+    doc = {
+        "config": {
+            # every model here is a hollow complete graph, which the export
+            # names by its size alone
+            "model": {"n": model.size, "alpha": model.alpha, "c": model.loop_c},
+            "replicas": cfg.replicas,
+            "horizon": cfg.horizon,
+            "base_seed": cfg.base_seed,
+            "start": start,
+            "detection": {"tail_fraction": 0.5, "min_share": 0.02},
+        },
+        "aggregates": {
+            "support_histogram": {str(k): v for k, v in res.support_histogram.items()},
+            "mean_sorted_profile": {str(k): list(v) for k, v in res.mean_sorted_profile.items()},
+        },
+        "provenance": {"config_hash": res.config_hash, "code_version": res.code_version},
+        "replicas": [
+            {
+                "replica": i,
+                "seed": rep.seed,
+                "support": [s + 1 for s in rep.support.sites],
+                "tail_profile": list(rep.tail_profile),
+                "final_occupation": list(map(float, rep.final_occupation)),
+                "nearest_equilibrium": rep.nearest_equilibrium,
+                "distance": rep.distance,
+            }
+            for i, rep in enumerate(res.replicas)
+        ],
+    }
+    # the indented head, then one line per replica record
+    head = json.dumps({**doc, "replicas": []}, sort_keys=True, indent=2)
+    before, after = head.rsplit('"replicas": []', 1)
+    records = ",\n".join(json.dumps(record, sort_keys=True) for record in doc["replicas"])
+    want = (before + '"replicas": [\n' + records + "\n  ]" + after + "\n").encode("utf-8")
     path = tmp_path / name
     export(res, path, "json")
+    got = path.read_bytes()
     if name.endswith(".gz"):
-        assert path.read_bytes() == gzip.compress(want, mtime=0)
-    else:
-        assert path.read_bytes() == want
+        assert got == gzip.compress(want, mtime=0)
+        got = gzip.decompress(got)
+    assert got == want
+    # equal as parsed documents; NaN is compared through its JSON text
+    assert json.dumps(json.loads(got), sort_keys=True) == json.dumps(doc, sort_keys=True)
     assert (model.size > 12) == all(np.isnan(rep.distance) for rep in res.replicas)
+
+
+def test_indented_exports_still_load(tmp_path):
+    # the layout of earlier exports: json.dumps(doc, sort_keys=True, indent=2)
+    for model in (P3, ModelParameters.for_complete_graph(13, 1.3)):
+        res = run_campaign(ExperimentConfig(model=model, replicas=30, horizon=400, base_seed=5))
+        export(res, tmp_path / "lines.json", "json")
+        doc = json.loads((tmp_path / "lines.json").read_text())
+        (tmp_path / "indented.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        for back in (load_campaign(tmp_path / "indented.json"), load_campaign(tmp_path / "lines.json")):
+            assert back.config.canonical_dict() == res.config.canonical_dict()
+            assert (back.config_hash, back.code_version) == (res.config_hash, res.code_version)
+            assert back.support_histogram == res.support_histogram
+            assert back.mean_sorted_profile == res.mean_sorted_profile
+            for a, b in zip(back.replicas, res.replicas, strict=True):
+                assert (a.replica, a.seed, a.support) == (b.replica, b.seed, b.support)
+                assert a.tail_profile == b.tail_profile
+                assert a.final_occupation.tobytes() == b.final_occupation.tobytes()
+                assert a.nearest_equilibrium == b.nearest_equilibrium
+                assert np.array([a.distance]).tobytes() == np.array([b.distance]).tobytes()
 
 
 # SHA-256 of export(run_campaign(cfg), path, "json") on hollow K_N with
 # ExperimentConfig defaults: (n, alpha, replicas, horizon, base_seed) -> hash.
 # The K8 campaign anchors to all 5281 equilibria of enumerate_all(8, 1.15).
 GOLDEN_EXPORTS = {
-    (8, 1.15, 800, 5000, 11): "ef3dcacd52f2dabfd17158f2fb587dbf5a602723c9cdedc0601bf8d87f575731",
-    (3, 2.5, 500, 20_000, 12): "13bd804df8b2376c3d49a4ca7db4cf8daf11d3a10d269351b0e06aceb878da63",
+    (8, 1.15, 800, 5000, 11): "9fcf0d2b701ceb669b3dd356f96c837bf109bd32df0e9b5d50b16d66e0809246",
+    (3, 2.5, 500, 20_000, 12): "922b03cbd68e7d6b937e3fc7bb8381ad621286fd518dd694fa336f8037d452e5",
 }
 
 

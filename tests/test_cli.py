@@ -54,6 +54,22 @@ def test_equilibria_json_schema(capsys):
     assert all(e["verdict"] == "unstable" for e in two)
 
 
+def test_equilibria_print_the_catalogs_own_spectra(capsys):
+    # enumerate_all's closed forms, bit for bit; classify's numeric
+    # Jacobian differs from them in the last bits of most of these points
+    code, out, _ = run_cli(capsys, "equilibria", "--n", "4", "--alpha", "1.6", "--json")
+    assert code == 0
+    catalog = {
+        (e.support.labels(), tuple(np.asarray(e.point).tolist())): e.tangent_eigenvalues
+        for e in vrrw.enumerate_all(4, 1.6)
+    }
+    entries = json.loads(out)
+    assert len(entries) == len(catalog) == 27
+    for e in entries:
+        want = catalog[tuple(e["support"]), tuple(e["point"])]
+        assert [x.hex() for x in e["eigenvalues"]] == [float(x).hex() for x in want]
+
+
 def test_flow_writes_lossless_csv(tmp_path, capsys):
     out_path = tmp_path / "flow.csv"
     code, out, _ = run_cli(

@@ -17,7 +17,10 @@ import vrrw
 from vrrw import (
     BoundaryJacobianError,
     DegenerateSupportError,
+    DetectionConfig,
     DomainError,
+    ExperimentConfig,
+    FaceIndex,
     FlowTrajectory,
     ModelParameters,
     NumericError,
@@ -26,8 +29,11 @@ from vrrw import (
     VrrwError,
     center_eigenvalue,
     complete_graph,
+    critical_alpha_loop,
     enumerate_all,
+    face_center,
     fundamental_matrix,
+    init_walk,
     integrate_flow,
     invariant_measure,
     jacobian,
@@ -37,7 +43,9 @@ from vrrw import (
     power_weight,
     solve_two_level,
     tangent_eigenvalues,
+    threshold_table,
     transition_kernel,
+    validate,
     vector_field,
 )
 from vrrw.graph import InteractionMatrix, project_to_simplex
@@ -190,8 +198,8 @@ def test_energy_and_scaled_energy_fail_apart():
 
 _NAN, _INF = float("nan"), float("inf")
 
-# each returned nan or inf, or raised TypeError, a misleading typed error or
-# numpy's LinAlgError
+# each returned nan or inf, or was accepted, or raised TypeError, IndexError,
+# a misleading typed error or numpy's LinAlgError or ValueError
 _OUT_OF_RANGE = [
     (center_eigenvalue, (3, _NAN), ValidationError),
     (center_eigenvalue, (3, _INF), ValidationError),
@@ -213,6 +221,17 @@ _OUT_OF_RANGE = [
     (transition_kernel, (P3, _INF, V), ValidationError),
     (transition_kernel, (P3, _NAN, V), ValidationError),
     (tangent_eigenvalues, (np.full((3, 3), _NAN),), NumericError),
+    (tangent_eigenvalues, (np.ones(3),), ValidationError),
+    (validate, ("x",), ValidationError),
+    (DetectionConfig, ("0.5",), ValidationError),
+    (DetectionConfig, (0.5, None), ValidationError),
+    (init_walk, (P3, 1.0), ValidationError),
+    (init_walk, (P3, "1"), ValidationError),
+    (critical_alpha_loop, (3, "0.5"), ValidationError),
+    (threshold_table, ("0", 5), ValidationError),
+    (face_center, (FaceIndex(sites=(0,)), "3"), ValidationError),
+    (ExperimentConfig, (None, 2, 100, 1), ValidationError),
+    (ExperimentConfig, (P3, 2, 100, 1, "uniform-random", None), ValidationError),
 ]
 
 

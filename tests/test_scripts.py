@@ -108,7 +108,7 @@ def test_bench_pairs_summary_counts_wins_by_direction():
 # The package's public names: what the paper's checks, scripts/, bench/ and
 # the command line use. A name added or removed shows up here as a diff.
 PUBLIC_NAMES = [
-    "BoundaryJacobianError", "BuildError", "CampaignResult", "ClockConfig", "ConvergenceError",
+    "BoundaryJacobianError", "BuildError", "CampaignResult", "ClockConfig",
     "DegenerateSupportError", "DetectionConfig", "DomainError", "Equilibrium",
     "ExperimentConfig", "FaceIndex", "FlowTrajectory", "InteractionMatrix",
     "ModelParameters", "NumericError", "ReducibilityError", "ReplicaResult",
