@@ -10,7 +10,6 @@ isolation.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import ModelParameters
-from .equilibria import FACE_CENTER, MARGINAL, Equilibrium, _catalog_size, enumerate_all, face_center
+from .equilibria import _catalog_size, enumerate_all
 from .errors import DomainError, ValidationError
 from .files import canonical_hash, open_text
 from .graph import FaceIndex, _integer, _number, complete_graph, simplex_points, validate
@@ -208,25 +207,20 @@ def _anchor_count(p: ModelParameters) -> int:
     """len(equilibrium_anchors(p)), without the catalog."""
     if p.size > 12 or not np.array_equal(p.matrix.entries, complete_graph(p.size).entries):
         return 0
-    return 2**p.size - 1 if p.loop_c else _catalog_size(p.size, p.alpha)
+    return _catalog_size(p.size, float(p.alpha), float(p.loop_c))  # numpy scalars would warn, not raise
 
 
 def equilibrium_anchors(p: ModelParameters) -> list:
     """Reference points for nearest-equilibrium classification.
 
     The catalog describes the complete graph only, so any other matrix,
-    or more than 12 sites, gets no anchors. Without self-loops this is the
-    full enumeration. With self-loops the two-level structure is not
-    enumerated; vertices and face centers serve as anchors instead.
+    or more than 12 sites, gets no anchors. Otherwise the anchors are the
+    full enumeration at the model's loop weight, with its spectra and
+    verdicts: with self-loops the vertices come first.
     """
-    n = p.size
     if not _anchor_count(p):
         return []
-    if p.loop_c == 0.0:
-        return enumerate_all(n, p.alpha)
-    faces = [FaceIndex(sites=s) for m in range(1, n + 1) for s in itertools.combinations(range(n), m)]
-    fields = dict(kind=FACE_CENTER, tangent_eigenvalues=(), verdict=MARGINAL)
-    return [Equilibrium(point=face_center(face, n), support=face, **fields) for face in faces]
+    return enumerate_all(p.size, p.alpha, p.loop_c)
 
 
 def _nearest(occupations: np.ndarray, anchors) -> tuple:

@@ -95,7 +95,8 @@ def _cmd_equilibria(args) -> int:
             }
             for e in eqs
         ]
-        print(json.dumps(rows, indent=2))
+        # one compact row a line: json's indenting encoder is pure Python
+        print("[\n" + ",\n".join(map(json.dumps, rows)) + "\n]")
     else:
         for e in eqs:
             d = e.two_level_data

@@ -174,23 +174,25 @@ def level_ratio_polynomial(t: float, n: int, k: int, alpha: float) -> float:
         raise NumericError(f"ratio condition overflows at t={t!r}, alpha={alpha}") from exc
 
 
-def _ratio_sign(n: int, k: int, alpha: float, t: float) -> float:
-    """A value with the ratio condition's sign at t > 0 and no power above 1:
-    (k-1) + t^(a-1) [(n-k) t - k - (n-k-1) t^a] on (0, 1], the bracket alone
-    for k = 1 (no underflow), and phi(t) / t^(2a-1) = -phi_(n, n-k)(1/t) above."""
+def _ratio_sign(n: int, k: int, alpha: float, c: float, t: float) -> float:
+    """A value with the sign of phi_c(t) = (k-1+c) - k t^(a-1) + (n-k) t^a
+    - (n-k-1+c) t^(2a-1), the ratio condition with loop weight c, at t > 0 with
+    no power above 1: (k-1+c) + t^(a-1) [(n-k) t - k - (n-k-1+c) t^a] on (0, 1],
+    the bracket alone for k = 1, c = 0 (no underflow), phi_c(t) / t^(2a-1) =
+    -phi_c,(n, n-k)(1/t) above."""
     if t > 1.0:
-        return -_ratio_sign(n, n - k, alpha, 1.0 / t)
-    bracket = (n - k) * t - k - (n - k - 1) * t**alpha
-    return bracket if k == 1 else (k - 1) + t ** (alpha - 1) * bracket
+        return -_ratio_sign(n, n - k, alpha, c, 1.0 / t)
+    bracket = (n - k) * t - k - (n - k - 1 + c) * t**alpha
+    return bracket if k == 1 and not c else (k - 1 + c) + t ** (alpha - 1) * bracket
 
 
-def _slope(n: int, k: int, alpha: float, t: float, num=float):
-    """g(t) = t^(2-a) phi'(t) = -(n-k-1)(2a-1) t^a + (n-k) a t - k(a-1) on
+def _slope(n: int, k: int, alpha: float, c: float, t: float, num=float):
+    """g(t) = t^(2-a) phi_c'(t) = -(n-k-1+c)(2a-1) t^a + (n-k) a t - k(a-1) on
     (0, 1], g(t) / t^a above; num=Fraction sums all but the power exactly."""
-    a, x = num(alpha), num(t)
+    a, x, outer = num(alpha), num(t), n - k - 1 + num(c)
     if t <= 1.0:
-        return -(n - k - 1) * (2 * a - 1) * num(t**alpha) + (n - k) * a * x - k * (a - 1)
-    return -(n - k - 1) * (2 * a - 1) + ((n - k) * a - k * (a - 1) / x) * num((1.0 / t) ** (alpha - 1))
+        return -outer * (2 * a - 1) * num(t**alpha) + (n - k) * a * x - k * (a - 1)
+    return -outer * (2 * a - 1) + ((n - k) * a - k * (a - 1) / x) * num((1.0 / t) ** (alpha - 1))
 
 
 def _bisect(f, lo: float, hi: float):
@@ -207,22 +209,24 @@ def _bisect(f, lo: float, hi: float):
 
 
 @lru_cache(maxsize=None)
-def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
-    """All roots t != 1 of the ratio condition phi on (0, inf), ascending.
+def _ratio_roots(n: int, k: int, alpha: float, c: float) -> tuple:
+    """All roots t != 1 of the ratio condition phi_c on (0, inf), ascending.
     By the rule of signs for generalized polynomials (exponents 0 < a-1 <
-    a < 2a-1, signs +, -, +, -) phi has at most three, t = 1 among them.
-    g (_slope) is linear for k = n-1, else concave with its peak at
-    t* = ((n-k) / ((n-k-1)(2a-1)))^(1/(a-1)); so phi has at most two critical
-    points, one on each side of t*, and at alpha = critical_alpha(n) one is
-    1, where phi'(1) = (n-1) - (n-2) a. Each piece between them not holding 1
+    a < 2a-1, signs +, -, +, -) phi_c has at most three, t = 1 among them.
+    g (_slope) is linear for k = n-1 and c = 0, else concave with its peak at
+    t* = ((n-k) / ((n-k-1+c)(2a-1)))^(1/(a-1)); so phi_c has at most two
+    critical points, one on each side of t*, and at the threshold
+    alpha = (n-1+c) / (n-2+2c) (none for c >= 1), where phi_c'(1) =
+    (n-1+c) - (n-2+2c) a, one is 1. Each piece between them not holding 1
     holds at most one root. One past the double range raises NumericError."""
-    at_threshold = n > 2 and alpha == critical_alpha(n)
-    slope, sign = partial(_slope, n, k, alpha), partial(_ratio_sign, n, k, alpha)
-    if k == n - 1:
+    den = n - 2.0 * (1.0 - c)  # critical_alpha_loop's arithmetic, so its value is the threshold
+    at_threshold = den > 0 and alpha == (n - (1.0 - c)) / den
+    slope, sign = partial(_slope, n, k, alpha, c), partial(_ratio_sign, n, k, alpha, c)
+    if k == n - 1 and not c:
         cuts = [1.0 if at_threshold else (n - 1) * (alpha - 1) / alpha]
     else:
         try:
-            peak = ((n - k) / ((n - k - 1) * (2 * alpha - 1))) ** (1 / (alpha - 1))
+            peak = ((n - k) / ((n - k - 1 + c) * (2 * alpha - 1))) ** (1 / (alpha - 1))
         except OverflowError:
             cuts = [None]
         else:  # at the threshold with 2k = n, g peaks at t* = 1 with g(1) = 0
@@ -230,33 +234,33 @@ def _ratio_roots(n: int, k: int, alpha: float) -> tuple:
                 1.0 if at_threshold and peak > 1 else _bisect(slope, float_info.min, peak),
                 1.0 if at_threshold and peak < 1 else _bisect(slope, peak, float_info.max),
             ]
-    # phi tends to k-1 >= 0 at 0 (from below for k = 1), and to -inf at inf (+inf for k = n-1)
-    if None in cuts or (sign(float_info.min) < 0) != (k == 1) or (sign(float_info.max) < 0) != (k < n - 1):
+    # phi_c tends to k-1+c >= 0 at 0 (from below for k = 1, c = 0), and to -inf at inf (+inf for k = n-1, c = 0)
+    if None in cuts or (sign(float_info.min) < 0) != (k == 1 and not c) or (sign(float_info.max) < 0) != (k < n - 1 or c > 0):
         raise NumericError(f"a two-level ratio (n={n}, k={k}, alpha={alpha}) lies past the double range")
     edges = [float_info.min, *cuts, float_info.max]
     roots = [_bisect(sign, lo, hi) for lo, hi in zip(edges, edges[1:]) if not lo <= 1.0 <= hi]
     return tuple(t for t in roots if t is not None)
 
 
-def _two_level_tangent_spectrum(n: int, k: int, alpha: float, t: float) -> list:
-    """Closed-form tangent spectrum at a two-level point of the hollow
-    complete graph. With the block values u1, u2 = t u1 over their maximum
-    M as y1, y2, r = y^a, q = y^(a-1), and the pair energy
-    e = k(k-1) r1^2 + 2k(n-k) r1 r2 + (n-k)(n-k-1) r2^2 = H / M^(2a), which
-    cannot cancel: within-block eigenvalues (a-1) - a r_m q_m / (M e)
-    (multiplicities k-1 and n-k-1), and the cross-block -t u1^(2a-1) phi'(t) / H
+def _two_level_tangent_spectrum(n: int, k: int, alpha: float, c: float, t: float) -> list:
+    """Closed-form tangent spectrum at a two-level point of the complete
+    graph with loop weight c. With the block values u1, u2 = t u1 over their
+    maximum M as y1, y2, r = y^a, q = y^(a-1), and the pair energy
+    e = k(k-1+c) r1^2 + 2k(n-k) r1 r2 + (n-k)(n-k-1+c) r2^2 = H / M^(2a),
+    which cannot cancel: within-block eigenvalues (a-1) - a(1-c) r_m q_m / (M e)
+    (multiplicities k-1 and n-k-1), and the cross-block -t u1^(2a-1) phi_c'(t) / H
     = -g(t) t^(a-1) / (M e), or -g(t) / (t^a M e) for t > 1, g summed in rationals."""
     from fractions import Fraction  # only these spectra need it, and its import takes milliseconds
     u1 = 1.0 / (k + (n - k) * t)
     m = max(u1, t * u1)
     y1, y2 = u1 / m, t * u1 / m
     r1, r2, q1, q2 = y1**alpha, y2**alpha, y1 ** (alpha - 1), y2 ** (alpha - 1)
-    e = k * (k - 1) * r1 * r1 + 2 * k * (n - k) * r1 * r2 + (n - k) * (n - k - 1) * r2 * r2
+    e = k * (k - 1 + c) * r1 * r1 + 2 * k * (n - k) * r1 * r2 + (n - k) * (n - k - 1 + c) * r2 * r2
     if not e >= float_info.min:
         raise NumericError(f"two-level pair energy underflows: {n} sites, k={k}, alpha={alpha}")
-    lam1 = (alpha - 1.0) - alpha * r1 * q1 / (m * e)
-    lam2 = (alpha - 1.0) - alpha * r2 * q2 / (m * e)
-    mu = -float(_slope(n, k, alpha, t, Fraction)) * (q2 if t <= 1.0 else 1.0)
+    lam1 = (alpha - 1.0) - alpha * (1.0 - c) * r1 * q1 / (m * e)
+    lam2 = (alpha - 1.0) - alpha * (1.0 - c) * r2 * q2 / (m * e)
+    mu = -float(_slope(n, k, alpha, c, t, Fraction)) * (q2 if t <= 1.0 else 1.0)
     return [lam1] * (k - 1) + [lam2] * (n - k - 1) + [mu / (m * e)]
 
 
@@ -265,6 +269,14 @@ def _equilibrium_fields(kind, face_vals, off_face, data=None) -> dict:
     -1 for each direction leaving the support, sorted, and its verdict."""
     vals = tuple(sorted(list(face_vals) + [-1.0] * off_face, reverse=True))
     return dict(kind=kind, tangent_eigenvalues=vals, verdict=_verdict(vals), two_level_data=data)
+
+
+def _two_level(m: int, k: int, alpha: float, c: float, t: float, off_face: int) -> tuple:
+    """Block values u1 = 1/(k+(m-k)t), u2 = t u1 and fields of a two-level point on a size-m face."""
+    u1 = 1.0 / (k + (m - k) * t)
+    u2 = t * u1
+    data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
+    return u1, u2, _equilibrium_fields(TWO_LEVEL, _two_level_tangent_spectrum(m, k, alpha, c, t), off_face, data)
 
 
 def solve_two_level(n: int, k: int, alpha: float) -> list:
@@ -282,47 +294,42 @@ def solve_two_level(n: int, k: int, alpha: float) -> list:
         raise ValidationError(f"block size must satisfy 1 <= k <= n/2, got k={k}, n={n}")
     alpha = _exponent(alpha)
     out = []
-    for t in _ratio_roots(n, k, alpha):
-        u1 = 1.0 / (k + (n - k) * t)
-        u2 = t * u1
+    for t in _ratio_roots(n, k, alpha, 0.0):
+        u1, u2, fields = _two_level(n, k, alpha, 0.0, t, 0)
         coords = np.concatenate([np.full(k, u1), np.full(n - k, u2)])
         coords /= coords.sum()
-        point = simplex_points(coords)
-        data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-        spectrum = _two_level_tangent_spectrum(n, k, alpha, t)
-        fields = _equilibrium_fields(TWO_LEVEL, spectrum, 0, data)
-        out.append(Equilibrium(point=point, support=FaceIndex(sites=tuple(range(n))), **fields))
+        out.append(Equilibrium(point=simplex_points(coords), support=FaceIndex(sites=tuple(range(n))), **fields))
     return out
 
 
-def _face_ratios(m: int, alpha: float) -> list:
+def _face_ratios(m: int, alpha: float, c: float) -> list:
     """(k, t) for each two-level point of a size-m face up to block placement:
     k <= m/2, and t < 1 when 2k = m, as the complementary placement gives 1/t."""
-    return [(k, t) for k in range(1, m // 2 + 1) for t in _ratio_roots(m, k, alpha) if 2 * k < m or t < 1.0]
+    return [(k, t) for k in range(1, m // 2 + 1) for t in _ratio_roots(m, k, alpha, c) if 2 * k < m or t < 1.0]
 
 
-def _catalog_size(n: int, alpha: float) -> int:
-    """len(enumerate_all(n, alpha)), from the ratio roots alone."""
-    per_face = {m: 1 + sum(math.comb(m, k) for k, _ in _face_ratios(m, alpha)) for m in range(2, n + 1)}
+def _catalog_size(n: int, alpha: float, c: float) -> int:
+    """len(enumerate_all(n, alpha, c)), from the ratio roots alone."""
+    per_face = {m: 1 + sum(math.comb(m, k) for k, _ in _face_ratios(m, alpha, c)) for m in range(1 if c else 2, n + 1)}
     return sum(math.comb(n, m) * count for m, count in per_face.items())
 
 
-def enumerate_all(n: int, alpha: float) -> list:
-    """Every equilibrium of the n-site hollow complete graph: for each
-    face of size >= 2, its center plus all two-level points in the face
-    interior, each placement of the value blocks listed separately.
+def enumerate_all(n: int, alpha: float, loop_c: float = 0.0) -> list:
+    """Every equilibrium of the n-site complete graph with loop weight
+    loop_c: for each face, its center plus all two-level points in the
+    face interior, each placement of the value blocks listed separately.
 
-    Single-site faces carry no equilibria here (no self-loops means no
-    interaction energy on a single site). Ordering is deterministic:
-    faces by (size, sites), center first, then block size, ratio, and
-    block placement.
+    Single-site faces carry an equilibrium, the vertex, only with
+    self-loops (without them a single site has no interaction energy).
+    Ordering is deterministic: faces by (size, sites), center first, then
+    block size, ratio, and block placement.
     """
     n = _integer(n, "site count")
     if not 2 <= n <= 12:
         raise DomainError(f"enumeration budget covers 2 <= n <= 12, got {n}")
-    alpha = _exponent(alpha)
+    alpha, c = _exponent(alpha), _nonnegative(loop_c, "self-loop weight")
     out = []
-    for m in range(2, n + 1):
+    for m in range(1 if c else 2, n + 1):
         faces = np.array(list(itertools.combinations(range(n), m)))
         face_at = np.arange(len(faces))[:, None, None]
         # One group per face size and per (k, t): the points of every face
@@ -330,21 +337,18 @@ def enumerate_all(n: int, alpha: float) -> list:
         # spectra depend only on the face size.
         centers = np.zeros((len(faces), 1, n))
         centers[face_at, 0, faces[:, None, :]] = 1.0 / m
-        center_vals = [center_eigenvalue(m, alpha)] * (m - 1)
+        center_vals = [center_eigenvalue(m, alpha, c)] * (m - 1) if m > 1 else []
         groups = [(centers, _equilibrium_fields(FACE_CENTER, center_vals, n - m))]
-        for k, t in _face_ratios(m, alpha):
+        for k, t in _face_ratios(m, alpha, c):
             blocks = np.array(list(itertools.combinations(range(m), k)))
             block_at = np.arange(len(blocks))[None, :, None]
-            u1 = 1.0 / (k + (m - k) * t)
-            u2 = t * u1
+            u1, u2, fields = _two_level(m, k, alpha, c, t, n - m)
             coords = np.zeros((len(faces), len(blocks), n))
             coords[face_at, block_at, faces[:, None, :]] = u2
             coords[face_at, block_at, faces[:, blocks]] = u1
             coords /= coords.sum(axis=2, keepdims=True)
-            data = TwoLevelData(k=k, t=t, first_value=u1, second_value=u2)
-            spectrum = _two_level_tangent_spectrum(m, k, alpha, t)
-            groups.append((coords, _equilibrium_fields(TWO_LEVEL, spectrum, n - m, data)))
-        groups = [(simplex_points(c.reshape(-1, n)), c.shape[1], fields) for c, fields in groups]
+            groups.append((coords, fields))
+        groups = [(simplex_points(x.reshape(-1, n)), x.shape[1], fields) for x, fields in groups]
         for i, face in enumerate(faces.tolist()):
             support = FaceIndex(sites=tuple(face))
             for points, per_face, fields in groups:

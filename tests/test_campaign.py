@@ -166,7 +166,7 @@ def test_anchor_sets():
     assert big == []
 
 
-@pytest.mark.parametrize("alpha, loop_c", [(1.6, 0.0), (3.0, 0.0), (1.6, 0.5)])
+@pytest.mark.parametrize("alpha, loop_c", [(1.6, 0.0), (3.0, 0.0), (1.6, 0.5), (1.6, 1.5)])
 def test_anchor_count_needs_no_catalog(alpha, loop_c):
     for n in range(2, 13):
         p = ModelParameters.for_complete_graph(n, alpha, loop_c=loop_c)
@@ -197,9 +197,13 @@ def test_nearest_anchor_does_not_depend_on_chunking(monkeypatch):
     np.testing.assert_array_equal(dist, d[np.arange(37), want])
 
 
-@pytest.mark.parametrize("n, alpha", [(3, 2.5), (5, 1.3), (8, 1.15), (12, 1.6)])
-def test_nearest_anchor_matches_brute_force_bit_for_bit(n, alpha, monkeypatch):
-    anchors = equilibrium_anchors(ModelParameters.for_complete_graph(n, alpha))
+@pytest.mark.parametrize(
+    "n, alpha, c",
+    [(3, 2.5, 0.0), (5, 1.3, 0.0), (8, 1.15, 0.0), (12, 1.6, 0.0), (4, 1.3, 0.5)],
+    ids=["3-2.5", "5-1.3", "8-1.15", "12-1.6", "4-1.3-loops"],
+)
+def test_nearest_anchor_matches_brute_force_bit_for_bit(n, alpha, c, monkeypatch):
+    anchors = equilibrium_anchors(ModelParameters.for_complete_graph(n, alpha, loop_c=c))
     pts = np.array([coords_of(e.point) for e in anchors])
     rng = np.random.default_rng(n)
     own = rng.permutation(len(pts))[:300]

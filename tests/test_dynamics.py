@@ -215,6 +215,11 @@ _OUT_OF_RANGE = [
     (solve_two_level, (3, 1, _INF), ValidationError),
     (enumerate_all, (3, "2"), ValidationError),
     (enumerate_all, (3, _NAN), ValidationError),
+    (enumerate_all, (3, 1.5, _NAN), ValidationError),
+    (enumerate_all, (3, 1.5, _INF), ValidationError),
+    (enumerate_all, (3, 1.5, -0.5), ValidationError),
+    (enumerate_all, (3, 1.5, True), ValidationError),
+    (enumerate_all, (3, 1.5, "0.5"), ValidationError),
     (power_weight, ("2",), ValidationError),
     (power_weight, (_NAN,), ValidationError),
     (transition_kernel, (P3, "0.1", V), ValidationError),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from vrrw import (
     validate,
     vector_field,
 )
-from vrrw.equilibria import FACE_CENTER, MARGINAL, STABILITY_MARGIN, TWO_LEVEL, _ratio_roots
+from vrrw.equilibria import FACE_CENTER, MARGINAL, RESIDUAL_TOL, STABILITY_MARGIN, TWO_LEVEL, _face_ratios, _ratio_roots
 from vrrw.graph import FaceIndex, coords_of
 
 ALPHAS = (1.2, 1.4, 1.6, 2.5, 3.0)
@@ -261,7 +262,7 @@ def test_enumeration_counts_hold_near_one(alpha):
 def test_ratio_roots_past_a_million_are_found():
     # m = 3, k = 1: phi(t) = -t^(a-1) (t^a - 2t + 1), whose root other than
     # 1 lies near 2^(1/(a-1)) = 2^25
-    (t,) = _ratio_roots(3, 1, 1.04)
+    (t,) = _ratio_roots(3, 1, 1.04, 0.0)
     assert 2**24 < t < 2**26
     assert abs(t**1.04 - 2 * t + 1) <= 1e-13 * 2 * t
 
@@ -271,31 +272,112 @@ def test_ratio_past_the_double_range_is_a_numeric_error(alpha):
     # 2^(1/(a-1)) > 2^1024 here, and for k = 2 the ratio is its reciprocal
     for k in (1, 2):
         with pytest.raises(NumericError, match="past the double range"):
-            _ratio_roots(3, k, alpha)
+            _ratio_roots(3, k, alpha, 0.0)
     with pytest.raises(NumericError):
         enumerate_all(3, alpha)
 
 
-def test_no_two_level_point_next_to_a_threshold_center():
-    # at critical_alpha(m), t = 1 is a multiple root of the ratio condition
-    for m in range(3, 13):
-        alpha = critical_alpha(m)
-        for k in range(1, m // 2 + 1):
-            for e in solve_two_level(m, k, alpha):
-                assert np.abs(coords_of(e.point) - 1 / m).max() > 1e-6, (m, k, alpha)
+@pytest.mark.parametrize("c", [0.0, 0.25, 0.5])
+def test_no_two_level_point_next_to_a_threshold_center(c):
+    # at critical_alpha_loop(m, c), t = 1 is a multiple root of the ratio condition
+    for m in range(2 if c else 3, 13):
+        alpha = critical_alpha_loop(m, c)
+        for k, t in _face_ratios(m, alpha, c):
+            u1 = 1 / (k + (m - k) * t)
+            assert max(abs(u1 - 1 / m), abs(t * u1 - 1 / m)) > 1e-6, (m, k, alpha)
 
 
-def test_ratio_roots_keep_the_rule_of_signs_bound():
-    # phi has at most three positive roots, t = 1 among them, and the
+@pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.5])
+def test_ratio_roots_keep_the_rule_of_signs_bound(c):
+    # phi_c has at most three positive roots, t = 1 among them, and the
     # roots for block sizes (m-k, k) are the reciprocals of those for (k, m-k)
     for m in range(2, 21):
-        for alpha in (1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0) + ((critical_alpha(m),) if m > 2 else ()):
+        threshold = (critical_alpha_loop(m, c),) if c < 1 and m > 2 - 2 * c else ()
+        for alpha in (1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0) + threshold:
             for k in range(1, m):
-                roots = _ratio_roots(m, k, alpha)
+                roots = _ratio_roots(m, k, alpha, c)
                 assert len(roots) <= 2 and 1.0 not in roots, (m, k, alpha, roots)
                 assert list(roots) == sorted(roots)
-                mirrored = sorted(1 / t for t in _ratio_roots(m, m - k, alpha))
+                mirrored = sorted(1 / t for t in _ratio_roots(m, m - k, alpha, c))
                 np.testing.assert_allclose(roots, mirrored, rtol=1e-12)
+
+
+def _sign_changes(alpha, loop_cs, mmax):
+    """Per (c, m, k): the sign changes of phi_c(t) = (k-1+c) - k t^(a-1)
+    + (m-k) t^a - (m-k-1+c) t^(2a-1) in 60-digit arithmetic over the grid
+    t = 10^(j/40), 0 < |j| <= 800, less the change across t = 1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        step = Decimal(10).ln() / 40
+        terms = []
+        for j in [*range(-800, 0), *range(1, 801)]:
+            t, p = (j * step).exp(), (j * step * (Decimal(alpha) - 1)).exp()  # p = t^(a-1)
+            terms.append((p, t * p, t * p * p))
+        out = {}
+        for c in loop_cs:
+            for m in range(2, mmax + 1):
+                for k in range(1, m):
+                    first, last = k - 1 + Decimal(c), m - k - 1 + Decimal(c)
+                    signs = [first - k * p + (m - k) * q - last * r > 0 for p, q, r in terms]
+                    out[c, m, k] = sum(x != y for x, y in zip(signs, signs[1:])) - (signs[799] != signs[800])
+        return out
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 2.5])
+def test_loop_catalog_counts_match_a_sign_scan(alpha):
+    # each two-level point of a size-m face is a root t of phi_c for k
+    # sites and 1/t of phi_c for m-k, so a face holds its center plus half
+    # the sum of C(m, k) times the roots for k; vertices count with loops
+    loop_cs = (0.25, 0.5, 1.5)
+    roots = _sign_changes(alpha, loop_cs, 6)
+    for c in loop_cs:
+        eqs = enumerate_all(6, alpha, c)
+        for m in range(1, 7):
+            want = 1 + sum(math.comb(m, k) * roots[c, m, k] for k in range(1, m)) // 2
+            assert sum(len(e.support) == m for e in eqs) == math.comb(6, m) * want, (c, m)
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.5])
+def test_loop_catalog_is_confirmed_by_classify(c):
+    # the faces of K6 hold every face size up to 6: each point is a zero of
+    # F, and classify's numeric spectrum is its closed-form one
+    for alpha in (1.05, 1.2, 1.5, 2.5):
+        p = ModelParameters.for_complete_graph(6, alpha, loop_c=c)
+        for e in enumerate_all(6, alpha, c):
+            assert residual_of(p, e.point) < RESIDUAL_TOL
+            checked = classify(p, e)
+            assert checked.verdict == e.verdict, (alpha, e)
+            np.testing.assert_allclose(checked.tangent_eigenvalues, e.tangent_eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_loop_catalog_verdicts_on_four_sites():
+    # c = 0.5 puts the edge threshold at 1.5: below it the vertices and the
+    # edge centres are stable, and each edge holds two unstable two-level
+    # points, one per placement; the 3- and 4-site centres are past theirs
+    rows = summarize(enumerate_all(4, 1.3, 0.5))
+    assert [(r["support_size"], r["kind"], r["verdict"], r["count"]) for r in rows] == [
+        (1, FACE_CENTER, "stable", 4),
+        (2, FACE_CENTER, "stable", 6),
+        (2, TWO_LEVEL, "unstable", 12),
+        (3, FACE_CENTER, "unstable", 4),
+        (4, FACE_CENTER, "unstable", 1),
+    ]
+    vertex = enumerate_all(4, 1.3, 0.5)[0]
+    assert vertex.support.sites == (0,) and vertex.tangent_eigenvalues == (-1.0,) * 3
+    lo, hi = _ratio_roots(2, 1, 1.2, 0.5)
+    assert lo == pytest.approx(0.03575, abs=1e-5) and hi == pytest.approx(1 / lo, rel=1e-12)
+    assert hi == pytest.approx(27.97, abs=0.01)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.5])
+def test_every_center_is_unstable_from_loop_weight_one(c):
+    # center_eigenvalue = -1 + alpha (m-2+2c)/(m-1+c) >= alpha - 1 > 0 for
+    # c >= 1, and no two-level point exists: x^(a-1) (S - (1-c) x^a) is
+    # increasing in x, so every point of a face is equal on it
+    for alpha in (1.05, 2.5):
+        for e in enumerate_all(5, alpha, c):
+            assert e.kind == FACE_CENTER
+            assert e.verdict == ("stable" if len(e.support) == 1 else "unstable"), (alpha, e.support)
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.02, 1.05])
