@@ -333,8 +333,8 @@ def test_loop_catalog_counts_match_a_sign_scan(alpha):
     for c in loop_cs:
         eqs = enumerate_all(6, alpha, c)
         for m in range(1, 7):
-            want = 1 + sum(math.comb(m, k) * roots[c, m, k] for k in range(1, m)) // 2
-            assert sum(len(e.support) == m for e in eqs) == math.comb(6, m) * want, (c, m)
+            twice = 2 + sum(math.comb(m, k) * roots[c, m, k] for k in range(1, m))
+            assert 2 * sum(len(e.support) == m for e in eqs) == math.comb(6, m) * twice, (c, m)
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.5])
