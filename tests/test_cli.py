@@ -44,6 +44,10 @@ def test_equilibria_json_schema(capsys):
     entries = json.loads(out)
     assert len(entries) == 7
     assert set(entries[0]) == {"support", "kind", "point", "eigenvalues", "verdict", "t", "k"}
+    # one compact row a line between the brackets
+    lines = out.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 9
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == entries
     # text ordering contract: support size, then sites, then ratio
     sizes = [len(e["support"]) for e in entries]
     assert sizes == sorted(sizes)
