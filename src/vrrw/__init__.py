@@ -75,6 +75,7 @@ from .rubin import (
     trap_probability_bound,
 )
 from .walk import (
+    RNG_CONTRACT_VERSION,
     TrajectoryRecord,
     WalkState,
     checkpoint_schedule,

@@ -1,21 +1,20 @@
-/* The package's compiled code: the reinforced walk's steps and the mean-field flow.
+/* The package's compiled code: the reinforced walk's steps, the mean-field flow and Rubin's clock race.
  *
- * The walk: its steps for a list of replicas, each replica's PCG64 state as numpy's
- * PCG64 bit for bit, and the walk's table of powers. Two kernels step a block and
- * pick the same sites: walk_block steps one replica at a time and ends each pick's
- * scan at the first prefix sum above the cut; walk_group steps up to LANES replicas in
- * lockstep and counts the prefix sums at or below the cut, which is where the scan
- * ends, as the sums never decrease. vrrw/walk.py says why the picks equal step's. One
- * driver, walk_run, runs a walk's blocks in calls of bounded work and chooses the
- * kernel per replica and block: walk_block for a replica whose previous block put 7/8
- * of its steps on two sites, whose scan exit the branch predictor then guesses, else
- * walk_group, which takes no branch on the uniform. A state row holds state and inc
- * as four uint64 words, low first; 128-bit values live in registers.
+ * The walk: its steps for a list of replicas, each replica's PCG64 state as numpy's PCG64 bit for
+ * bit, and the walk's table of powers. Two kernels step a block and pick the same sites, as
+ * vrrw/walk.py explains: walk_block one replica at a time, up to the first prefix sum above the cut,
+ * and walk_group up to LANES replicas in lockstep, counting the sums at or below it. One driver,
+ * walk_run, runs a walk's blocks in calls of bounded work and takes walk_block for a replica whose
+ * previous block put 7/8 of its steps on two sites, else walk_group. A state row holds state and
+ * inc as four uint64 words, low first; 128-bit values live in registers.
  *
- * The flow (the mf_ functions at the end): the field F, one point's powers, sums and
- * energy H, and the simplex projection, for vrrw/dynamics.py and vrrw/graph.py, and one
- * RK4 over them. Every sum is added in site order and every mean-field power is libm's
- * pow of a coordinate over the largest, so no bit depends on BLAS or on numpy's SIMD kernels.
+ * The flow (the mf_ functions): the field F, one point's powers, sums and energy H, and the simplex
+ * projection, for vrrw/dynamics.py and vrrw/graph.py, and one RK4 over them. Every sum is added in
+ * site order and every mean-field power is libm's pow of a coordinate over the largest, so no bit
+ * depends on BLAS or on numpy's SIMD kernels.
+ *
+ * The clock race (clock_run, at the end, with no out-of-line helper, so that it moves no kernel):
+ * numpy's Philox streams computed here, and libm's log1p, the function math.log1p calls.
  *
  * vrrw/files.py builds this file with -ffp-contract=off and without -ffast-math, so
  * each product and sum is rounded on its own, in the order written here. */
@@ -555,4 +554,71 @@ mf_flow(int64_t n, const double *a, double alpha, int64_t first, int64_t last, d
         memcpy(w, start, n * sizeof *w);
     info[0] = k;
     return status;
+}
+
+/* Draw j of numpy's Generator(Philox(key=[k0, k1])).random(): output j mod 4 of Philox4x64-10
+ * (Salmon et al. 2011) at counter j / 4 + 1, its top 53 bits times 2^-53. */
+static inline __attribute__((always_inline)) double philox(uint64_t k0, uint64_t k1, uint64_t j)
+{
+    uint64_t c[4] = {j / 4 + 1, 0, 0, 0};
+    for (int round = 0; round < 10; round++) {
+        u128 p0 = (u128)0xD2E7470EE14C6C93ULL * c[0], p1 = (u128)0xCA5A826395121157ULL * c[2];
+        c[0] = (uint64_t)(p1 >> 64) ^ c[1] ^ k0, c[1] = (uint64_t)p1;
+        c[2] = (uint64_t)(p0 >> 64) ^ c[3] ^ k1, c[3] = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;
+    }
+    return (double)(int64_t)(c[j % 4] >> 11) * 0x1.0p-53;
+}
+
+/* Rubin's clock race (vrrw/rubin.py) on the edges a[x n + y] > 0 for `budget` jumps, in calls of at
+ * most `slice` jumps that return the jumps done. At x, edge e = x n + y runs the duration it froze
+ * with at level l = count of y, else -log1p(-philox(key, e, l)) / rates[l]. The shortest wins, the
+ * others freeze; an exact tie redraws the tied ones, in site order, from philox(tie_key, 0xFFFFFFFF,
+ * j), j = 0, 1, ... A call returns before a jump needing a level past its nrates rates, that level in
+ * need. Between calls the race lives in iw, as vrrw/rubin.py fills it: done, ties, tie draws, need,
+ * counts[n], frozen[n n] (each edge's frozen level + 1, 0 for none), chk_steps[nchk], chk[nchk n],
+ * sites[budget + 1], then as doubles held[n n] (frozen durations), times[budget + 1] and dur[n]. */
+int64_t clock_run(int64_t n, const double *a, int64_t budget, int64_t slice, const double *rates, int64_t nrates,
+                  uint64_t key, uint64_t tie_key, int64_t nchk, int64_t *iw)
+{
+    int64_t *counts = iw + 4, *frozen = counts + n, *chk_steps = frozen + n * n, *chk = chk_steps + nchk,
+            *sites = chk + nchk * n;
+    double *held = (double *)(sites + budget + 1), *times = held + n * n, *dur = times + budget + 1;
+    int64_t done = iw[0], stop = budget - done < slice ? budget : done + slice, i = 0;
+    while (i < nchk && chk_steps[i] <= done)
+        i++;
+    for (; done < stop; done++) {
+        int64_t x = sites[done], w = 0, need = 0;
+        const double *row = a + x * n;
+        for (int64_t y = 0; y < n; y++)
+            need = row[y] > 0.0 && counts[y] > need ? counts[y] : need;
+        if ((iw[3] = need) >= nrates)
+            break;
+        /* the first pass sets every duration, each later one redraws those tied at the shortest */
+        double best = NAN;
+        for (int64_t tied = 2; tied > 1; iw[1] += tied > 1) {
+            double tie = best;
+            best = INFINITY, tied = 0;
+            for (int64_t y = 0, e = x * n; y < n; y++, e++) {
+                int64_t l = counts[y];
+                if (!(row[y] > 0.0))
+                    continue;
+                if (isnan(tie))
+                    dur[y] = frozen[e] == l + 1 ? held[e] : -log1p(-philox(key, (uint64_t)e, (uint64_t)l)) / rates[l];
+                else if (dur[y] == tie)
+                    dur[y] = -log1p(-philox(tie_key, 0xFFFFFFFFu, (uint64_t)iw[2]++)) / rates[l];
+                tied = dur[y] < best ? 1 : tied + (dur[y] == best);
+                best = dur[y] < best ? dur[y] : best;
+            }
+        }
+        while (!(row[w] > 0.0 && dur[w] == best))
+            w++;
+        for (int64_t y = 0, e = x * n; y < n; y++, e++)
+            if (row[y] > 0.0)
+                held[e] = dur[y] - best, frozen[e] = y == w ? 0 : counts[y] + 1;
+        counts[w]++, sites[done + 1] = w, times[done + 1] = times[done] + best;
+        if (i < nchk && chk_steps[i] == done + 1)
+            memcpy(chk + i++ * n, counts, n * sizeof *counts);
+    }
+    return iw[0] = done;
 }

@@ -276,6 +276,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     window = _tail_window(cfg.horizon, cfg.detection.tail_fraction)
     cutoff = cfg.horizon - window
     at = [cutoff] if cutoff >= 1 else []
+    _anchor_count(p)  # a catalog that fails raises here, before the walk
     final, chk, _ = _batch_walk(p, starts, cfg.horizon, seeds, False, at)
 
     base = chk[:, 0] if cutoff >= 1 else np.eye(n, dtype=np.int64)[starts]

@@ -89,6 +89,9 @@ class ModelParameters:
     def __post_init__(self):
         _exponent(self.alpha)
         _nonnegative(self.loop_c, "self-loop weight")
+        for name in ("alpha", "loop_c"):  # numpy scalars as the numbers a config hash writes
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
 
     @cached_property
     def effective_matrix(self) -> InteractionMatrix:

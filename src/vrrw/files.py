@@ -103,7 +103,8 @@ def _library():
     lib.mf_project.argtypes = [i64, ptr]
     lib.mf_field.argtypes = lib.mf_point.argtypes = [i64, ptr, f64, ptr]
     lib.mf_flow.argtypes = [i64, ptr, f64, i64, i64, f64, f64] + [ptr] * 4
-    for fn in (lib.mf_project, lib.mf_field, lib.mf_point, lib.mf_flow):
+    lib.clock_run.argtypes = [i64, ptr] + [i64] * 2 + [ptr, i64] + [ctypes.c_uint64] * 2 + [i64, ptr]
+    for fn in (lib.mf_project, lib.mf_field, lib.mf_point, lib.mf_flow, lib.clock_run):
         fn.restype = i64
     return lib
 

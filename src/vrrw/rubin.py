@@ -7,11 +7,10 @@ edges freeze and later resume only if the neighbor's visit count is
 unchanged, otherwise they restart at the current count. The jump chain
 of this race has the law of the discrete walk with weight w.
 
-Duration l of edge e = x*n + y is -log1p(-u) / w(l), a fixed function of
-(seed, e, l): u is draw l of `Generator(Philox(key=[splitmix64(seed), e]))`,
-read in blocks of raw Philox output. Known fault, kept because a fix changes
-every stream: numpy casts that key list to float64 when splitmix64(seed) >=
-2**63, which rounds the key to a multiple of 2**11 for about half of all seeds.
+Duration l of edge e = x*n + y is -log1p(-u) / w(l), u being draw l of
+`Generator(Philox(key=[splitmix64(seed), e]))`, keyed exactly. clock_run in
+_walk.c runs the race with its own Philox and libm's log1p (math.log1p's);
+Python keeps the validation, the rates w(l) and the records.
 
 Also computes the closed-form lower bound for the probability of the
 trap event (the clock configuration that confines the walk to one edge
@@ -21,12 +20,12 @@ from a given visit index on), and samples that event directly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import files
 from .errors import NumericError, SummabilityError, ValidationError
 from .graph import InteractionMatrix, _exponent, _integer
 from .walk import TrajectoryRecord, _nonnegative_int, checkpoint_schedule, splitmix64
@@ -37,13 +36,8 @@ _TAIL_PROBES = 64
 #: Chunk-sum contraction threshold; slower decay is treated as non-summable.
 _TAIL_CONTRACTION = 0.9
 
-#: Draws read from an edge stream at a time; a multiple of 4, the number of
-#: Philox outputs per counter value.
-_STREAM_BLOCK = 32
-
-#: Each thread's Philox, re-keyed for every stream read: building one per
-#: race would cost about an eighth of a 50-jump race.
-_THREAD = threading.local()
+#: Jumps that one clock_run call, which a signal cannot interrupt, may take.
+CLOCK_SLICE = 2**20
 
 
 def power_weight(alpha: float) -> Callable[[int], float]:
@@ -61,13 +55,16 @@ def power_weight(alpha: float) -> Callable[[int], float]:
 
 @dataclass(frozen=True)
 class ClockConfig:
-    """Graph adjacency plus the per-visit clock rate map w(l)."""
+    """Graph adjacency plus the per-visit clock rate map w(l), whose values
+    that races reach are kept in _rates, so w is called once per level."""
 
     matrix: InteractionMatrix
     weight: Callable[[int], float]
 
     def __post_init__(self):
-        _clock_weights(self.weight, 0)
+        if not (self.matrix.entries > 0).any(axis=1).all():
+            raise ValidationError("every site needs a neighbor")
+        object.__setattr__(self, "_rates", np.array([_clock_weights(self.weight, 0)]))
 
     @property
     def size(self) -> int:
@@ -84,14 +81,6 @@ class RubinRecord:
 
     def __post_init__(self):
         self.jump_times.setflags(write=False)
-
-
-def _read_stream(bits, key: int, edge: int, level: int):
-    """(first, draws): _STREAM_BLOCK `Generator.random()` draws of a stream from index first."""
-    first = level - level % 4
-    bits.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                  "uinteger": 0, "state": {"counter": [first // 4, 0, 0, 0], "key": [key, edge]}}
-    return first, ((bits.random_raw(_STREAM_BLOCK) >> 11) * 2.0**-53).tolist()
 
 
 def _clock_weights(weight, levels):
@@ -125,6 +114,22 @@ def _clock_weights(weight, levels):
     raise ValidationError(f"clock weight w({level}) must be positive, got {value}")
 
 
+def _more_rates(config: ClockConfig, level: int) -> np.ndarray:
+    """config's rates w(0), w(1), ... extended to w(level) and on to twice
+    their length. A w(l) that fails at l <= level raises; past level it ends
+    the table before l, so that only a race that reaches l raises."""
+    rates, more = config._rates, []
+    for l in range(rates.size, max(level + 1, 2 * rates.size)):
+        try:
+            more.append(_clock_weights(config.weight, l))
+        except Exception:
+            if l <= level:
+                raise
+            break
+    object.__setattr__(config, "_rates", np.concatenate((rates, more)))
+    return config._rates
+
+
 def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int) -> RubinRecord:
     """Run the clock race for jump_budget jumps and return the embedded
     chain, its jump times, and the count of resampled exact ties.
@@ -133,9 +138,10 @@ def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int)
     neighbor's visit count at freeze time; on return to the source the
     clock resumes only when that count still matches, otherwise a fresh
     duration at the current count replaces it. A neighbor's count only
-    grows, so each duration is read at most once. The start, the budget and
-    the seed are integers; a negative seed keys the streams of the seed
-    modulo 2**64.
+    grows, so each duration is read at most once. An exact tie redraws the
+    tied durations from the stream keyed [splitmix64(seed ^ 0x7E57),
+    0xFFFFFFFF]. The start, the budget and the seed are integers; a negative
+    seed keys the streams of the seed modulo 2**64.
     """
     n = config.size
     start, jump_budget = _integer(start, "start site"), _integer(jump_budget, "jump budget")
@@ -144,73 +150,32 @@ def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int)
         raise ValidationError(f"start site {start} out of range for {n} sites")
     if jump_budget < 1:
         raise ValidationError(f"jump budget must be >= 1, got {jump_budget}")
-
-    nbrs = [[y for y, on in enumerate(row) if on] for row in (config.matrix.entries > 0).tolist()]
-    key = splitmix64(seed)
-    if key >= 2**63:
-        key = int(float(key)) % 2**64  # numpy's float64 key, see the module docstring
-    if not hasattr(_THREAD, "philox"):
-        _THREAD.philox = np.random.Philox(key=[0, 0])
-    bits = _THREAD.philox
-    streams, frozen, rates, tie_gen = {}, {}, [], None
-    counts = [0] * n
-    counts[start] = 1
-    site, now, tie_count = start, 0.0, 0
-    sites, times, chk_rows = [start], [0.0], []
     chk = checkpoint_schedule(jump_budget)
-    chk_steps = set(chk.tolist())
-
-    for k in range(1, jump_budget + 1):
-        nb = nbrs[site]
-        if not nb:
-            raise ValidationError(f"site {site} has no neighbors")
-        edge0 = site * n
-        durs = []
-        for y in nb:
-            level, edge = counts[y], edge0 + y
-            held = frozen.pop(edge, None)
-            if held is not None and held[1] == level:
-                durs.append(held[0])
-                continue
-            while level >= len(rates):
-                rates.append(_clock_weights(config.weight, len(rates)))
-            stream = streams.get(edge)
-            if stream is None or level - stream[0] >= _STREAM_BLOCK:
-                stream = streams[edge] = _read_stream(bits, key, edge, level)
-            durs.append(-math.log1p(-stream[1][level - stream[0]]) / rates[level])
-        best = min(durs)
-        while durs.count(best) > 1:
-            # Exact clock tie: measure-zero, broken by fresh durations.
-            tie_count += 1
-            if tie_gen is None:
-                tie_gen = np.random.Generator(np.random.Philox(key=[splitmix64(seed ^ 0x7E57), 0xFFFFFFFF]))
-            for i, t in enumerate(durs):
-                if t == best:
-                    durs[i] = -math.log1p(-tie_gen.random()) / rates[counts[nb[i]]]
-            best = min(durs)
-        winner = nb[durs.index(best)]
-        now += best
-        for y, t in zip(nb, durs):
-            if y != winner:
-                frozen[edge0 + y] = (t - best, counts[y])
-        site = winner
-        counts[site] += 1
-        sites.append(site)
-        times.append(now)
-        if k in chk_steps:
-            chk_rows.append(counts.copy())
-
+    c = chk.size
+    # clock_run's workspace, laid out as _walk.c describes it
+    chk_at = 4 + n + n * n + c
+    sites_at, times_at = chk_at + c * n, chk_at + c * n + jump_budget + 1 + n * n
+    iw = np.zeros(times_at + jump_budget + 1 + n, dtype=np.int64)
+    iw[4 + start], iw[chk_at - c : chk_at], iw[sites_at] = 1, chk, start
+    a = np.ascontiguousarray(config.matrix.entries, dtype=np.float64)
+    key, tie_key, rates = splitmix64(seed), splitmix64(seed ^ 0x7E57), config._rates
+    lib, args = files._library(), (n, a.ctypes.data, jump_budget, CLOCK_SLICE)
+    while lib.clock_run(*args, rates.ctypes.data, rates.size, key, tie_key, c, iw.ctypes.data) < jump_budget:
+        if iw[3] >= rates.size:
+            rates = _more_rates(config, int(iw[3]))
+    # copies, so that a record does not keep the workspace alive
     walk = TrajectoryRecord(
         start=start,
         params=config,
         seed=seed,
         horizon=jump_budget,
-        final_counts=np.array(counts, dtype=np.int64),
+        final_counts=iw[4 : 4 + n].copy(),
         checkpoint_steps=chk,
-        checkpoint_counts=np.array(chk_rows, dtype=np.int64),
-        sites=np.array(sites, dtype=np.int16 if n < 2**15 else np.int64),
+        checkpoint_counts=iw[chk_at:sites_at].reshape(c, n).copy(),
+        sites=iw[sites_at : sites_at + jump_budget + 1].astype(np.int16 if n < 2**15 else np.int64),
     )
-    return RubinRecord(walk=walk, jump_times=np.array(times), tie_count=tie_count)
+    times = iw[times_at : times_at + jump_budget + 1].view(np.float64).copy()
+    return RubinRecord(walk=walk, jump_times=times, tie_count=int(iw[1]))
 
 
 def _tail_inverse_sum(weight, truncation: int) -> float:

@@ -70,6 +70,9 @@ SLICE_STEPS = 2**24
 #: walk_block: no block before it tells which kernel suits the replica.
 FIRST_BLOCK = 512
 
+#: The version of the contract that fixes every random draw (2: exact clock stream keys).
+RNG_CONTRACT_VERSION = 2
+
 #: Full site sequences are kept only up to this horizon; beyond it records
 #: carry geometric checkpoints only.
 FULL_LOG_LIMIT = 1_000_000

@@ -13,6 +13,7 @@ from vrrw import (
     DomainError,
     ExperimentConfig,
     ModelParameters,
+    NumericError,
     ValidationError,
     checkpoint_schedule,
     enumerate_all,
@@ -171,6 +172,33 @@ def test_anchor_count_needs_no_catalog(alpha, loop_c):
     for n in range(2, 13):
         p = ModelParameters.for_complete_graph(n, alpha, loop_c=loop_c)
         assert campaign_module._anchor_count(p) == len(equilibrium_anchors(p)), n
+
+
+def test_failing_catalog_raises_before_the_walk(monkeypatch):
+    # a two-level ratio of K4 at alpha 1.0005 lies past the double range, so
+    # its catalog raises: before the walk, which must not run
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(campaign_module, "_batch_walk", walk)
+    p = ModelParameters.for_complete_graph(4, 1.0005, loop_c=0.0)
+    with pytest.raises(NumericError):
+        run_campaign(ExperimentConfig(model=p, replicas=2, horizon=100, base_seed=1))
+
+
+def test_numpy_scalars_in_a_model_hash_as_python_numbers():
+    def config(alpha, loop_c):
+        p = ModelParameters.for_complete_graph(3, alpha, loop_c=loop_c)
+        return ExperimentConfig(model=p, replicas=2, horizon=100, base_seed=1)
+
+    want = config(2.0, 1).config_hash()
+    assert config(2.0, np.int64(1)).config_hash() == want
+    assert config(np.float64(2.0), np.int64(1)).config_hash() == want
+    p = config(np.float32(2.5), np.float64(0.5)).model
+    assert (type(p.alpha), type(p.loop_c)) == (float, float)
+    # Python numbers are kept as given
+    p = config(3, 1).model
+    assert (type(p.alpha), type(p.loop_c)) == (int, int)
 
 
 @pytest.mark.parametrize("n, alpha", [(8, 22.0), (3, 60.0)])

@@ -1,12 +1,16 @@
+import ctypes
 import hashlib
 import math
+import subprocess
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vrrw import (
     ClockConfig,
+    InteractionMatrix,
     ModelParameters,
     NumericError,
     SummabilityError,
@@ -20,9 +24,13 @@ from vrrw import (
     with_diagonal,
 )
 from vrrw.rubin import splitmix64
+import vrrw.files as files
 import vrrw.rubin as rubin_module
 
+import clock_reference
 from trap_oracle import trap_event_bracket
+
+HERE = Path(__file__).parent
 
 CFG = ClockConfig(matrix=complete_graph(3), weight=power_weight(1.5))
 
@@ -251,13 +259,20 @@ def test_trap_bound_tail_overflow_is_a_numeric_error():
         trap_probability_bound(1, power_weight(50.0), 1)
 
 
+def test_clock_config_needs_a_neighbor_at_every_site():
+    # validate rejects such a matrix; a hand-made one must not reach the race
+    entries = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="neighbor"):
+        ClockConfig(matrix=InteractionMatrix(size=3, entries=entries, row_sum=1.0), weight=power_weight(1.5))
+
+
 def test_clock_config_validates_weight():
     with pytest.raises(ValidationError):
         ClockConfig(matrix=complete_graph(3), weight=lambda l: np.zeros_like(np.asarray(l, dtype=float)))
 
 
 #: Seeds for the clock goldens: splitmix64 maps 0 and 12 to keys at or above
-#: 2**63 and 3 and 7 to keys below it (see the rounding test further down).
+#: 2**63 and 3 and 7 to keys below it (see the exact-key test further down).
 CLOCK_SEEDS = (0, 3, 7, 12)
 
 
@@ -280,32 +295,33 @@ def _clock_digest(n, c, alpha):
 # Per (n, loop_c, alpha): _clock_digest. They pin every jump chain, jump time
 # and checkpoint row of the clock race: any change to the edge streams, the
 # order of the draws or the arithmetic of a duration changes them. They were
-# made with numpy 2.4.6 (its Philox) and glibc's log1p on x86-64.
+# made with the compiled race, its own Philox and glibc's log1p on x86-64, at
+# RNG_CONTRACT_VERSION 2, which keys the streams exactly.
 GOLDEN_CLOCKS = {
-    (2, 0.0, 1.05): "d7eac1f71c84260990c069c5ba845e269072f3bd80051dc282cfc96d5cd27bda",
-    (2, 0.0, 1.5): "7f272d14f0d0ffbb20e215c19884295384c301681f4ebc2cf8dea68f9db289a0",
-    (2, 0.0, 2.5): "2e7a80c789b31709a7df8f79ae69edb5a329777d84eea91410b13cfbc2b255f5",
-    (2, 0.0, 4.0): "63d37941e24f7f2b70c1b2c8399d0da75b306eeda29e7aeaa638661f75f6a19a",
-    (2, 0.5, 1.05): "8ba2f4d57bb9e8e1a61b6a0a079c7b7001125a236fae021bb19b0a06616dab46",
-    (2, 0.5, 1.5): "4952a4cdc7e661e3e09d08a58efd47c38365f6048b7bf1180a8f7012d563bddb",
-    (2, 0.5, 2.5): "5b1e811f8ec5f0b4333f90a8380f24117ab179f62998bd635faf721e3be60d1b",
-    (2, 0.5, 4.0): "35285042a04d573e14bfa236a7542d634f7c4aa02168ea4e405472cd7cfb4643",
-    (3, 0.0, 1.05): "38738629b64643d0b247d1398713f0768287100ba122b6fadb7db2f59c107a33",
-    (3, 0.0, 1.5): "0d4ea81889e05991348e9123b40c288ca8b1544365063480cc7fabcb6af96c61",
-    (3, 0.0, 2.5): "759c6a38e3ca9fc2c903c507f66c81932bace139d533f060f504380d37b21bed",
-    (3, 0.0, 4.0): "181893343c8f9e5c4a54be56aa54378602fb5959794bf80d04e492e4a340e789",
-    (3, 0.5, 1.05): "a1e16cf58107609b94656d02b00b7eb4a7b7e2c7c4b33d510478c95c57e78ee1",
-    (3, 0.5, 1.5): "edc7947793ffdaa8cc6a304170b1dd09111a0c49ed09894c559ba55f4375cc9b",
-    (3, 0.5, 2.5): "458baf9bd38747abf9fdeee0bb5e7e2f277fd4b098eadc5a67fa5fb401e38a3d",
-    (3, 0.5, 4.0): "77d38736b3bbe418ad709206e58e153e86e2521b33d85945c6b3b0b3d06a904d",
-    (5, 0.0, 1.05): "f1b7af61ef5ff3b49b20c2faee875cea83d68d287df15c8c2f46c03d844deb84",
-    (5, 0.0, 1.5): "de9f0e6d0db150bbc33790fb5d99cf9aac33c6074cefe62a540cb8b76f31bb1c",
-    (5, 0.0, 2.5): "d0d53f2cb495a7020bf22c6edb18213fd81afa72a365d35fac322efa515fc154",
-    (5, 0.0, 4.0): "28970fa6038cf700ec886bcbe82daaa9de35636af34d4464235afd0e406e7b01",
-    (5, 0.5, 1.05): "f883fbbf4eac8175754adcf01a6c21e6780f73d44506bea587dcbc290a00c838",
-    (5, 0.5, 1.5): "54835b7e45a7f19fdd4e48ee849fa4971b96b43c4b97f9a900e8beb9c834eb3d",
-    (5, 0.5, 2.5): "31e47d5a492402ab7e17eb621013dfbf720396e2a63a81dcac94bd78aca92064",
-    (5, 0.5, 4.0): "dd554ef623e6bc15c2d087c85eb9568c9587444617335ec8d01fc453aa3e55d3",
+    (2, 0.0, 1.05): "aeb9d877183a3041fe4933521ed2e8a260eff01750227c749da268720d6c7393",
+    (2, 0.0, 1.5): "d14c69bff4c0a8a928c0785d53dcfdc2b0661ecb8763ff84cc5952ba588ba199",
+    (2, 0.0, 2.5): "b9f975accdf12c44f03fe4504b18d13afd1a57c0838d67843c4377cd2c8a88a6",
+    (2, 0.0, 4.0): "2ba84f4f381ee58fa117a1ae802931d60e3ecf9735055fe1290cef7ad57ad87c",
+    (2, 0.5, 1.05): "02f06b79459c2ab5b93614cdd8cff64df5317b6604edab936844fcb1b1a7735b",
+    (2, 0.5, 1.5): "6e78cb89f2301f52cfbc62fd642329b7ef8002dd2ce74834c8d416bbc6f06d4e",
+    (2, 0.5, 2.5): "352d3d4f9bd0d934e5360438d55fbeae26d20cc7475891019415af6a78a47dcd",
+    (2, 0.5, 4.0): "75efbce7d9eeb7297947de4b23140138279217a8c09f94ef0907bafc48061f2b",
+    (3, 0.0, 1.05): "f1837a1597493d302cd218fcaac369437a33555530b4a1d9a7cc50814ab444eb",
+    (3, 0.0, 1.5): "7a6bc9b28b113dde00757fc4035994c9b7d45591e7b90e8e113c279cfe29cae2",
+    (3, 0.0, 2.5): "dded19cc50715d1f8b51f1b294d1b8749490c28d47a1c0927e22389d05a3a367",
+    (3, 0.0, 4.0): "22f6e9700ab8ef355ede12aad0dfec555ed30a2c4780e3448d4c38fb809c75cc",
+    (3, 0.5, 1.05): "3d5ea1339f512c2cbb5a599ad0d29b4f4bc530de453848d76eb8eb74b18f665e",
+    (3, 0.5, 1.5): "2523a8b4d98dd8ff6bbfced14d2e3d2a951fb66644ac438a9a2b886c15f3547c",
+    (3, 0.5, 2.5): "2fcf544e094a8d07e57879d89324bfc707b244616ba22cb661057d171cf7ec67",
+    (3, 0.5, 4.0): "cd645caec88516d0b4c0573b98a1aa6bd9e0bdfcd9abcd99026b26d58bee1b9a",
+    (5, 0.0, 1.05): "0732ad79117fb8e75346cfe6c2a1e63afaaec99c09b4319710546d7395501c26",
+    (5, 0.0, 1.5): "b5d4fdfdf22a56614bdf110f799c3e3db7f82615162d20551cd26aa6d2977ade",
+    (5, 0.0, 2.5): "849a9b58b9a7813e1d7991ca930ca6c38ba51fdb090d4f5c3bd8c75df3c77798",
+    (5, 0.0, 4.0): "fed7fc60f768b84b54bf30d7e8b1f1ca899150c260dd6a6e48351a744db518ba",
+    (5, 0.5, 1.05): "ea15882266a5c5542261428f7f07752b25999a7761fd26800179f40ea03d7c77",
+    (5, 0.5, 1.5): "87bbf342418fa9a4d1e824dcb8439b35de6bf5404c16e0fb80c4830e8587fcac",
+    (5, 0.5, 2.5): "7d86267e16077ce76c490cfd083dce3c3eaf429ace18de848922ca49f92df1e8",
+    (5, 0.5, 4.0): "7293a8361e860d24c893933a3e32c4c19f14a186dfb50599e6a33356c8ce2eef",
 }
 
 
@@ -315,7 +331,7 @@ def test_clock_race_matches_golden_hashes():
 
 
 def test_clock_races_in_threads_match_serial_runs():
-    # each thread re-keys its own Philox, so interleaved races keep their streams
+    # a race keeps all of its state in its own workspace, so interleaved races keep their streams
     seeds = list(range(40))
     serial = [rubin_simulate(CFG, 0, 200, s).jump_times for s in seeds]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -324,30 +340,26 @@ def test_clock_races_in_threads_match_serial_runs():
         np.testing.assert_array_equal(a, b)
 
 
-class _TiedLog1p:
-    """Stands in for `math` with log1p pinned to one value for its first
-    `calls` calls, so the first race of a walk ends in an exact tie."""
-
-    def __init__(self, calls):
-        self.left = calls
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def log1p(self, x):
-        if self.left:
-            self.left -= 1
-            return -0.5
-        return math.log1p(x)
+def _test_library(tmp_path, *flags, source=files._SOURCE):
+    """The compiled library built from source with the package's flags and
+    these, with clock_run's types as vrrw.files gives them."""
+    path = tmp_path / "test_library.so"
+    cmd = [files._COMPILER, *files._FLAGS, *flags, "-o", str(path), str(source)]
+    subprocess.run(cmd, check=True, capture_output=True)
+    lib, own = ctypes.CDLL(str(path)), files._library().clock_run
+    lib.clock_run.argtypes, lib.clock_run.restype = own.argtypes, own.restype
+    return lib
 
 
 # SHA-256 of the sites and jump times of the walk in the forced-tie test.
 GOLDEN_TIED_WALK = "18dc74c3223b0245fd1e34f48a102463a08259504efe2721d282b296c472f7ca"
 
 
-def test_forced_tie_is_broken_by_the_tie_stream(monkeypatch):
-    # both first-race durations come out equal; the tie stream redraws them
-    monkeypatch.setattr(rubin_module, "math", _TiedLog1p(2))
+def test_forced_tie_is_broken_by_the_tie_stream(monkeypatch, tmp_path):
+    # a library whose log1p is pinned for its first two calls: both durations
+    # of the first race come out equal, and the tie stream redraws them
+    tied = _test_library(tmp_path, "-include", str(HERE / "tied_log1p.h"))
+    monkeypatch.setattr(files, "_library", lambda: tied)
     r = rubin_simulate(CFG, 0, 50, 5)
     assert r.tie_count == 1
     h = hashlib.sha256()
@@ -357,20 +369,18 @@ def test_forced_tie_is_broken_by_the_tie_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_clock_streams_use_the_float_rounded_key(seed):
+def test_clock_streams_use_the_exact_key(seed):
     # On K2 every jump is a one-clock race, so the jump times are running
     # sums of the edge streams' durations: edge (0, 1) at levels 0, 1, 2, ...
-    # and edge (1, 0) at levels 1, 2, 3, ...  A key at or above 2**63 reaches
-    # Philox through a float64 array, rounded to a multiple of 2**11.
+    # and edge (1, 0) at levels 1, 2, 3, ...  Seed 0's key is at or above
+    # 2**63, where a float64 key would lose its low 11 bits.
     key = splitmix64(seed)
-    rounded = int(float(key)) & (2**64 - 1)
-    effective = key if key < 2**63 else rounded
-    assert (effective != key) == (seed == 0)
+    assert (key >= 2**63) == (seed == 0)
     weight = power_weight(1.5)
     jumps = 40
     r = rubin_simulate(ClockConfig(matrix=complete_graph(2), weight=weight), 0, jumps, seed)
     streams = {
-        e: np.random.Generator(np.random.Philox(key=np.array([effective, e], dtype=np.uint64)))
+        e: np.random.Generator(np.random.Philox(key=np.array([key, e], dtype=np.uint64)))
         for e in (1, 2)
     }
     draws = {e: [g.random() for _ in range(jumps)] for e, g in streams.items()}
@@ -380,6 +390,97 @@ def test_clock_streams_use_the_float_rounded_key(seed):
         now += -math.log1p(-draws[edge][level]) / weight(level)
         want.append(now)
     assert r.jump_times.tolist() == want
+
+
+_PHILOX_PROBE = """
+#include "{source}"
+double philox_draw(uint64_t k0, uint64_t k1, uint64_t j) {{ return philox(k0, k1, j); }}
+"""
+
+
+def test_compiled_philox_matches_numpy(tmp_path):
+    # the race's Philox4x64-10 against numpy's raw stream, draw by draw
+    probe = tmp_path / "philox_probe.c"
+    probe.write_text(_PHILOX_PROBE.format(source=files._SOURCE))
+    lib = _test_library(tmp_path, source=probe)
+    lib.philox_draw.argtypes = [ctypes.c_uint64] * 3
+    lib.philox_draw.restype = ctypes.c_double
+    keys = [2**63, 2**63 + 1, 2**64 - 1, 2**64 - 2**11 + 7, splitmix64(0), splitmix64(12), 0, 1, 2**63 - 1]
+    for key in keys:
+        for edge in (0, 1, 2, 7, 0xFFFFFFFF, 2**64 - 1):
+            raw = np.random.Philox(key=np.array([key, edge], dtype=np.uint64)).random_raw(70)
+            want = ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+            assert [lib.philox_draw(key, edge, j) for j in range(70)] == want, (key, edge)
+
+
+def _reference_case(n, c, alpha):
+    matrix = complete_graph(n) if c == 0 else with_diagonal(complete_graph(n), c)
+    return ClockConfig(matrix=matrix, weight=power_weight(alpha))
+
+
+def _assert_matches_reference(cfg, start, budget, seed):
+    r = rubin_simulate(cfg, start, budget, seed)
+    sites, times, chk, final, ties = clock_reference.race(cfg, start, budget, seed)
+    np.testing.assert_array_equal(r.walk.sites, sites)
+    assert r.jump_times.tobytes() == times.tobytes()
+    np.testing.assert_array_equal(r.walk.checkpoint_counts, chk)
+    np.testing.assert_array_equal(r.walk.final_counts, final)
+    assert r.tie_count == ties
+
+
+@pytest.mark.parametrize(
+    "n, c, alpha",
+    [(2, 0.0, 1.5), (3, 0.0, 2.5), (3, 0.0, 1.5), (3, 0.5, 1.5), (5, 0.0, 1.3), (5, 0.5, 2.5), (8, 0.0, 1.15)],
+)
+def test_clock_race_matches_the_reference(n, c, alpha):
+    cfg = _reference_case(n, c, alpha)
+    for seed in list(range(12)) + [2**64 - 1, -5]:
+        _assert_matches_reference(cfg, seed % n, 300, seed)
+
+
+def test_clock_race_with_any_weight_matches_the_reference():
+    # a rate map that is no power, takes no arrays and is not monotone
+    cfg = ClockConfig(matrix=complete_graph(4), weight=lambda l: 1.0 + (l % 5) * 0.75 + math.sqrt(l))
+    for seed in range(8):
+        _assert_matches_reference(cfg, seed % 4, 400, seed)
+
+
+def test_clock_race_across_table_extensions_and_slices(monkeypatch):
+    # a fresh config's table holds w(0) alone, and every call of 7 jumps
+    # returns: a race of 3000 jumps crosses both many times
+    monkeypatch.setattr(rubin_module, "CLOCK_SLICE", 7)
+    asked = []
+
+    def weight(level):
+        asked.append(level)
+        return (level + 1.0) ** 1.3
+
+    extensions = []
+    more_rates = rubin_module._more_rates
+    monkeypatch.setattr(rubin_module, "_more_rates", lambda *args: extensions.append(args) or more_rates(*args))
+    cfg = ClockConfig(matrix=complete_graph(3), weight=weight)
+    r = rubin_simulate(cfg, 1, 3000, 11)
+    # each level is asked for once, in order, in chunks that double, and no
+    # further ahead than twice the levels the race reached
+    top = int(r.walk.final_counts.max())
+    assert asked == list(range(len(asked))) and len(asked) <= 2 * top
+    assert 2 <= len(extensions) <= top.bit_length() + 1
+    sites, times, chk, final, ties = clock_reference.race(cfg, 1, 3000, 11)
+    np.testing.assert_array_equal(r.walk.sites, sites)
+    assert r.jump_times.tobytes() == times.tobytes()
+    np.testing.assert_array_equal(r.walk.checkpoint_counts, chk)
+    np.testing.assert_array_equal(r.walk.final_counts, final)
+    assert r.tie_count == ties
+
+
+def test_weight_failing_past_the_race_is_raised_only_when_reached():
+    # On K2 jump j reads level j // 2, so 16 jumps reach level 8 and 18 reach
+    # 9, where w is not finite. The table doubles from 8 entries to 16 at
+    # level 8: it stops before 9, and the race runs, until it reaches 9.
+    cfg = ClockConfig(matrix=complete_graph(2), weight=lambda l: math.nan if l >= 9 else l + 1.0)
+    assert rubin_simulate(cfg, 0, 16, 1).walk.final_counts.tolist() == [9, 8]
+    with pytest.raises(NumericError, match=r"w\(9\)"):
+        rubin_simulate(cfg, 0, 18, 1)
 
 
 # Hits of sample_trap_event at criterion_11's setting (degree 3, start 5,

@@ -111,8 +111,8 @@ PUBLIC_NAMES = [
     "BoundaryJacobianError", "BuildError", "CampaignResult", "ClockConfig",
     "DegenerateSupportError", "DetectionConfig", "DomainError", "Equilibrium",
     "ExperimentConfig", "FaceIndex", "FlowTrajectory", "InteractionMatrix",
-    "ModelParameters", "NumericError", "ReducibilityError", "ReplicaResult",
-    "RubinRecord", "SummabilityError", "ThresholdRow",
+    "ModelParameters", "NumericError", "RNG_CONTRACT_VERSION", "ReducibilityError",
+    "ReplicaResult", "RubinRecord", "SummabilityError", "ThresholdRow",
     "ThresholdTable", "TrajectoryRecord", "TrapSample", "TwoLevelData",
     "ValidationError", "VrrwError", "WalkState", "campaign", "center_eigenvalue",
     "checkpoint_schedule", "classify", "complete_graph", "critical_alpha",
