@@ -36,8 +36,9 @@ _TAIL_PROBES = 64
 #: Chunk-sum contraction threshold; slower decay is treated as non-summable.
 _TAIL_CONTRACTION = 0.9
 
-#: Jumps that one clock_run call, which a signal cannot interrupt, may take.
-CLOCK_SLICE = 2**20
+#: Jumps times sites that one clock_run call, which a signal cannot interrupt,
+#: may take: rubin_simulate takes max(1, CLOCK_SLICE // n) jumps a call.
+CLOCK_SLICE = 2**22
 
 
 def power_weight(alpha: float) -> Callable[[int], float]:
@@ -55,8 +56,7 @@ def power_weight(alpha: float) -> Callable[[int], float]:
 
 @dataclass(frozen=True)
 class ClockConfig:
-    """Graph adjacency plus the per-visit clock rate map w(l), whose values
-    that races reach are kept in _rates, so w is called once per level."""
+    """Graph adjacency plus the clock rate map w(l); _rates keeps the w(l) races reached."""
 
     matrix: InteractionMatrix
     weight: Callable[[int], float]
@@ -159,7 +159,7 @@ def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int)
     iw[4 + start], iw[chk_at - c : chk_at], iw[sites_at] = 1, chk, start
     a = np.ascontiguousarray(config.matrix.entries, dtype=np.float64)
     key, tie_key, rates = splitmix64(seed), splitmix64(seed ^ 0x7E57), config._rates
-    lib, args = files._library(), (n, a.ctypes.data, jump_budget, CLOCK_SLICE)
+    lib, args = files._library(), (n, a.ctypes.data, jump_budget, max(1, CLOCK_SLICE // n))
     while lib.clock_run(*args, rates.ctypes.data, rates.size, key, tie_key, c, iw.ctypes.data) < jump_budget:
         if iw[3] >= rates.size:
             rates = _more_rates(config, int(iw[3]))

@@ -446,9 +446,9 @@ def test_clock_race_with_any_weight_matches_the_reference():
 
 
 def test_clock_race_across_table_extensions_and_slices(monkeypatch):
-    # a fresh config's table holds w(0) alone, and every call of 7 jumps
-    # returns: a race of 3000 jumps crosses both many times
-    monkeypatch.setattr(rubin_module, "CLOCK_SLICE", 7)
+    # a fresh config's table holds w(0) alone, and a call on K3 returns
+    # after 21 // 3 = 7 jumps: a race of 3000 jumps crosses both many times
+    monkeypatch.setattr(rubin_module, "CLOCK_SLICE", 21)
     asked = []
 
     def weight(level):
