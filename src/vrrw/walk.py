@@ -41,12 +41,22 @@ seeds the generators, counts the starts and fills the power table, and it
 returns after at most SLICE_STEPS replica-steps of whole blocks: _walk calls
 it again until the walk is done, so a signal is seen between calls, and a
 short walk is one call.
+
+ctypes releases the GIL during walk_run, and no two replicas share a stream,
+so _walk splits a walk into contiguous chunks of replicas, one per CPU but
+of at least THREAD_STEPS replica-steps each (a lone walk or a short one is
+one chunk), each with its own workspace and power table. The calling thread
+does all the Python work and walks the first chunk, one thread each the
+others. On any exception, a Ctrl-C among them, it stops every chunk after
+its current call and joins every thread before it raises.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,13 +68,14 @@ from .errors import NumericError, ValidationError
 from .graph import _integer, simplex_points
 
 #: Steps of a block, after which walk_run chooses each replica's kernel;
-#: entries of a walk's power table (8 MiB), filled once, past which counts
-#: take libm's pow one by one; and the replica-steps of whole blocks that one
-#: walk_run call, which a signal cannot interrupt, may take (at least one
-#: block). None of them affects trajectories.
+#: entries of a chunk's power table (8 MiB), past which counts take libm's
+#: pow one by one; the replica-steps of whole blocks that one walk_run call,
+#: which a signal cannot interrupt, may take (at least one block); and the
+#: fewest replica-steps of a chunk of a split walk. None affects trajectories.
 BLOCK_STEPS = 4096
 TABLE_SIZE = 2**20
 SLICE_STEPS = 2**24
+THREAD_STEPS = 2**20
 
 #: Steps of a walk's first block, which walk_run takes every replica through
 #: walk_block: no block before it tells which kernel suits the replica.
@@ -238,39 +249,63 @@ def _seed_words(seeds):
 def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     """Advance one replica per seed from starts for `horizon` steps, each
     drawing one double per step from its own PCG64, in calls of walk_run in
-    _walk.c of at most SLICE_STEPS replica-steps each. Returns what
-    _batch_walk returns, then each replica's PCG64 state after the walk
-    (uint64 [R, 4]: state and inc, low words first) and the number of
-    blocks it took through walk_group. checkpoint_at is sorted int64, free
-    of repeats."""
+    _walk.c of at most SLICE_STEPS replica-steps each, one chunk of replicas
+    per CPU. Returns what _batch_walk returns, then each replica's PCG64
+    state after the walk (uint64 [R, 4]: state and inc, low words first) and
+    the number of blocks it took through walk_group. checkpoint_at is sorted
+    int64, free of repeats."""
     n, r, c = p.size, len(seeds), checkpoint_at.size
-    width, words = _seed_words(seeds)
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
-    sites, log16, log64 = None, None, None
-    if record_sites:
-        sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64)
-        log16, log64 = (sites.ctypes.data, None) if sites.dtype == np.int16 else (None, sites.ctypes.data)
+    sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64) if record_sites else None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = max(1, min(cpus, r, r * horizon // THREAD_STEPS))
     size = min(horizon + 2, TABLE_SIZE)
-    # walk_run's workspace, as _walk.c lays it out: done and paired, then per
-    # replica its site, counts, checkpoint counts, state and walk_group blocks,
-    # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
-    counts_at, chk_at = 2 + r, 2 + r + r * n
-    state_at = chk_at + r * c * n
-    steps_at = state_at + 5 * r
-    iw = np.zeros(steps_at + c + r * (1 + n) + size + 24 * n, dtype=np.int64)
-    iw[2:counts_at] = starts
-    iw[steps_at : steps_at + c] = checkpoint_at
-    args = (
-        n, r, p.alpha, a.ctypes.data, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c, width, words, log16,
-        log64, iw.ctypes.data,
-    )
-    lib = files._library()
-    while lib.walk_run(*args) < horizon:
-        pass
-    # copies, so that a record does not keep the power table alive
-    counts, chk = iw[counts_at:chk_at].reshape(r, n).copy(), iw[chk_at:state_at].reshape(r, c, n).copy()
-    state = iw[state_at : state_at + 4 * r].view(np.uint64).reshape(r, 4)
-    return counts, chk, sites, state, iw[state_at + 4 * r : steps_at]
+    chunks, bounds = [], [r * i // k for i in range(k + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        # walk_run's workspace, as _walk.c lays it out: done and paired, then per
+        # replica its site, counts, checkpoint counts, state and walk_group blocks,
+        # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
+        m = hi - lo
+        counts_at, chk_at = 2 + m, 2 + m + m * n
+        state_at = chk_at + m * c * n
+        steps_at = state_at + 5 * m
+        iw = np.zeros(steps_at + c + m * (1 + n) + size + 24 * n, dtype=np.int64)
+        iw[2:counts_at] = starts[lo:hi]
+        iw[steps_at : steps_at + c] = checkpoint_at
+        log = None if sites is None else sites[lo:hi].ctypes.data
+        width, words = _seed_words(seeds[lo:hi])
+        args = (
+            n, m, p.alpha, a.ctypes.data, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c, width, words,
+            log if n < 2**15 else None, None if n < 2**15 else log, iw.ctypes.data,
+        )
+        fields = (
+            iw[counts_at:chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n),
+            iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : steps_at],
+        )
+        chunks.append((lo, hi, args, fields))
+    lib, stop = files._library(), threading.Event()
+
+    def run(args):
+        while lib.walk_run(*args) < horizon and not stop.is_set():
+            pass
+
+    threads = [threading.Thread(target=run, args=(args,)) for _, _, args, _ in chunks[1:]]
+    try:
+        for t in threads:
+            t.start()
+        run(chunks[0][2])
+        for t in threads:
+            t.join()
+    finally:
+        stop.set()
+        for t in filter(threading.Thread.is_alive, threads):
+            t.join()
+    # one array per field, so that a record does not keep a power table alive
+    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in chunks[0][3]]
+    for lo, hi, _, fields in chunks:
+        for whole, part in zip(out, fields):
+            whole[lo:hi] = part
+    return out[0], out[1], sites, out[2], out[3]
 
 
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):

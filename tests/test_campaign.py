@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 import zlib
 
@@ -609,7 +610,9 @@ GOLDEN_EXPORTS = {
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_EXPORTS))
-def test_campaign_exports_match_golden_hashes(key, tmp_path):
+def test_campaign_exports_match_golden_hashes(key, tmp_path, monkeypatch):
+    # the walk in one thread, then split into three chunks, each in a thread
+    # of its own: both exports have the golden bytes
     n, alpha, replicas, horizon, seed = key
     cfg = ExperimentConfig(
         model=ModelParameters.for_complete_graph(n, alpha),
@@ -618,8 +621,10 @@ def test_campaign_exports_match_golden_hashes(key, tmp_path):
         base_seed=seed,
     )
     path = tmp_path / "campaign.json"
-    export(run_campaign(cfg), path, "json")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key]
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+        export(run_campaign(cfg), path, "json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key], f"{cpus} CPUs"
 
 
 def _drop_last_replica(d):

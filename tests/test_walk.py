@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +348,103 @@ def test_a_walk_of_50_steps_is_one_call(monkeypatch):
     assert counter.calls == 1 and rec.final_counts.sum() == 51
 
 
+def _force_split(monkeypatch, cpus):
+    """Walks split into one chunk per CPU, with `cpus` CPUs, whatever their size."""
+    monkeypatch.setattr(walk_module, "THREAD_STEPS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class _Threads:
+    """The library, noting the threads that call walk_run (as objects: a
+    thread's ident may be reused once it ends)."""
+
+    def __init__(self):
+        self.lib, self.threads = files_module._library(), set()
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name != "walk_run":
+            return fn
+
+        def noted(*args):
+            self.threads.add(threading.current_thread())
+            return fn(*args)
+
+        return noted
+
+
+@pytest.mark.parametrize(
+    "n, c, alpha", [(3, 0.0, 2.5), (3, 0.5, 2.0), (8, 0.0, 1.15)], ids=["K3", "K3-loops", "K8"]
+)
+@pytest.mark.parametrize("slice_steps", [None, 1])
+def test_split_walk_matches_one_chunk(n, c, alpha, slice_steps, monkeypatch):
+    # 7, 9 and 17 replicas in 1, 2 and 3 chunks, one thread each: uneven
+    # chunks give the sites, counts, checkpoints, final PCG64 states and
+    # walk_group blocks of one chunk, in calls of the default budget or of
+    # one block each, so that every chunk takes several calls
+    p = ModelParameters.for_complete_graph(n, alpha, loop_c=c)
+    horizon, sched = 3001, checkpoint_schedule(3001, extra=(1500,))
+    monkeypatch.setattr(walk_module, "BLOCK_STEPS", 700)
+    if slice_steps is not None:
+        monkeypatch.setattr(walk_module, "SLICE_STEPS", slice_steps)
+    lib = _Threads()
+    monkeypatch.setattr(files_module, "_library", lambda: lib)
+    for size in (7, 9, 17):
+        seeds = [31 * size + k for k in range(size)]
+        starts = [(k * 5) % n for k in range(size)]
+        got = {}
+        for cpus in (1, 2, 3):
+            _force_split(monkeypatch, cpus)
+            lib.threads.clear()
+            got[cpus] = walk_module._walk(p, starts, horizon, seeds, True, sched)
+            assert len(lib.threads) == cpus
+        for cpus in (2, 3):
+            for have, want in zip(got[cpus], got[1]):
+                np.testing.assert_array_equal(have, want)
+
+
+def test_small_walks_take_one_thread(monkeypatch):
+    # below THREAD_STEPS replica-steps a chunk, and for a lone walk, the
+    # calling thread walks alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    lib = _Threads()
+    monkeypatch.setattr(files_module, "_library", lambda: lib)
+    sched = checkpoint_schedule(200)
+    _batch_walk(P25, [0] * 200, 200, range(200), False, sched)
+    simulate(P25, 0, 3 * walk_module.THREAD_STEPS, 1, record_sites=False)
+    assert lib.threads == {threading.current_thread()}
+
+
+class _Interrupted:
+    """A library whose walk_run raises KeyboardInterrupt at the calling
+    thread's second call, and whose calls in any other thread do not end a
+    walk (until the test has failed: after 2000 calls, about 2 s)."""
+
+    def __init__(self):
+        self.caller, self.calls, self.worker_calls = threading.get_ident(), 0, 0
+
+    def walk_run(self, *args):
+        if threading.get_ident() != self.caller:
+            self.worker_calls += 1
+            time.sleep(0.001)
+            return 0 if self.worker_calls < 2000 else 2**62
+        self.calls += 1
+        if self.calls == 2:
+            raise KeyboardInterrupt
+        return 0
+
+
+def test_an_interrupt_stops_every_chunk(monkeypatch):
+    _force_split(monkeypatch, 3)
+    lib = _Interrupted()
+    monkeypatch.setattr(files_module, "_library", lambda: lib)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        walk_module._walk(P25, [0, 1, 2], 100, [1, 2, 3], False, checkpoint_schedule(100))
+    assert threading.active_count() == before
+    assert lib.calls == 2 and 0 < lib.worker_calls < 2000
+
+
 def _schedule_loop(horizon, extra=()):
     """checkpoint_schedule's steps, as its loop made them before it kept
     the geometric part per horizon."""
@@ -437,11 +536,16 @@ _BLOCK_TABLE = [(block, table) for table in (None, 1, 64) for block in (None, 64
 
 
 @pytest.mark.parametrize(
-    "block, table", _BLOCK_TABLE, ids=[f"{b}" if t is None else f"{b}-table{t}" for b, t in _BLOCK_TABLE]
+    "block, table, split",
+    [(b, t, False) for b, t in _BLOCK_TABLE] + [(None, None, True)],
+    ids=[*(f"{b}" if t is None else f"{b}-table{t}" for b, t in _BLOCK_TABLE), "split"],
 )
-def test_engine_trajectories_match_golden_hashes(block, table, monkeypatch):
+def test_engine_trajectories_match_golden_hashes(block, table, split, monkeypatch):
     # with a table of 1 or 64 entries, a block whose counts may pass it
-    # takes its weights from pow, the same doubles as the table's
+    # takes its weights from pow, the same doubles as the table's; split,
+    # each of the three replicas walks in a thread of its own
+    if split:
+        _force_split(monkeypatch, 3)
     if block is not None:
         monkeypatch.setattr(walk_module, "BLOCK_STEPS", block)
     if table is not None:
