@@ -283,15 +283,14 @@ def sample_trap_event(
     chunk_cap = max(1, int(4e6 // (degree * levels.size)))
     # durations are drawn, divided and summed in blocks of 2^16 doubles or one leaf's
     rows = max(1, 2**16 // levels.size)
-    sums = np.empty((min(chunk_cap, draws), degree))
+    sums = np.empty(min(chunk_cap, draws) * degree)
     buf = np.empty((min(rows, sums.size), levels.size))
     while remaining > 0:
         m = min(chunk_cap, remaining)
-        flat = sums[:m].reshape(-1)
-        for i in range(0, flat.size, rows):
-            durations = rng.standard_exponential(out=buf[: min(rows, flat.size - i)])
-            np.divide(durations, rates, out=durations).sum(axis=1, out=flat[i : i + len(durations)])
+        for i in range(0, m * degree, rows):
+            durations = rng.standard_exponential(out=buf[: min(rows, m * degree - i)])
+            np.divide(durations, rates, out=durations).sum(axis=1, out=sums[i : i + len(durations)])
         fresh = rng.standard_exponential((m, degree)) / w0
-        hits += int(np.count_nonzero(sums[:m].max(axis=1) < fresh.min(axis=1)))
+        hits += int(np.count_nonzero(sums[: m * degree].reshape(m, degree).max(axis=1) < fresh.min(axis=1)))
         remaining -= m
     return TrapSample(draws=draws, hits=hits)

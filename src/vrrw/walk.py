@@ -17,7 +17,7 @@ below u times the last, as _pick does. It is compiled with
 -ffp-contract=off, so no product and sum fuse into one rounding, and
 without -ffast-math, so no sum is reordered and pow is libm's. Its powers
 come from libm's pow, as step's do through math.pow (a table filled once per
-walk, or pow itself past it), so the identity rests on one libm function,
+chunk, or pow itself past it), so the identity rests on one libm function,
 whatever SIMD kernels numpy dispatches.
 
 The loop has two kernels, which form the weights, sums and u * total alike.
@@ -42,13 +42,11 @@ returns after at most SLICE_STEPS replica-steps of whole blocks: _walk calls
 it again until the walk is done, so a signal is seen between calls, and a
 short walk is one call.
 
-ctypes releases the GIL during walk_run, and no two replicas share a stream,
-so _walk splits a walk into contiguous chunks of replicas, one per CPU but
-of at least THREAD_STEPS replica-steps each (a lone walk or a short one is
-one chunk), each with its own workspace and power table. The calling thread
-does all the Python work and walks the first chunk, one thread each the
-others. On any exception, a Ctrl-C among them, it stops every chunk after
-its current call and joins every thread before it raises.
+ctypes releases the GIL during walk_run, so _walk splits the replicas into
+contiguous chunks, one per CPU but of at least THREAD_STEPS replica-steps,
+each with its own workspace and power table. The calling thread does the
+Python work and walks chunk 0, one thread each the others; on any exception,
+Ctrl-C too, it stops every chunk after its current call, then joins them.
 """
 
 from __future__ import annotations
@@ -248,23 +246,24 @@ def _seed_words(seeds):
 
 def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     """Advance one replica per seed from starts for `horizon` steps, each
-    drawing one double per step from its own PCG64, in calls of walk_run in
-    _walk.c of at most SLICE_STEPS replica-steps each, one chunk of replicas
-    per CPU. Returns what _batch_walk returns, then each replica's PCG64
-    state after the walk (uint64 [R, 4]: state and inc, low words first) and
-    the number of blocks it took through walk_group. checkpoint_at is sorted
-    int64, free of repeats."""
+    drawing one double per step from its own PCG64, in calls of walk_run of
+    at most SLICE_STEPS replica-steps each, a chunk of replicas per CPU.
+    Returns what _batch_walk returns, then each replica's PCG64 state (uint64
+    [R, 4]: state and inc, low words first) and the number of blocks it took
+    through walk_group. checkpoint_at is sorted int64, free of repeats."""
     n, r, c = p.size, len(seeds), checkpoint_at.size
     a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64) if record_sites else None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(cpus, r, r * horizon // THREAD_STEPS))
+    k = max(1, min(r, r * horizon // THREAD_STEPS))
+    if k > 1:
+        k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     size = min(horizon + 2, TABLE_SIZE)
-    chunks, bounds = [], [r * i // k for i in range(k + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
+    chunks = []
+    for i in range(k):
         # walk_run's workspace, as _walk.c lays it out: done and paired, then per
         # replica its site, counts, checkpoint counts, state and walk_group blocks,
         # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
+        lo, hi = r * i // k, r * (i + 1) // k
         m = hi - lo
         counts_at, chk_at = 2 + m, 2 + m + m * n
         state_at = chk_at + m * c * n
@@ -272,7 +271,7 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
         iw = np.zeros(steps_at + c + m * (1 + n) + size + 24 * n, dtype=np.int64)
         iw[2:counts_at] = starts[lo:hi]
         iw[steps_at : steps_at + c] = checkpoint_at
-        log = None if sites is None else sites[lo:hi].ctypes.data
+        log = None if sites is None else sites.ctypes.data + lo * sites.strides[0]
         width, words = _seed_words(seeds[lo:hi])
         args = (
             n, m, p.alpha, a.ctypes.data, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c, width, words,
@@ -283,12 +282,16 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
             iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : steps_at],
         )
         chunks.append((lo, hi, args, fields))
-    lib, stop = files._library(), threading.Event()
+    lib, stop = files._library(), []
 
     def run(args):
-        while lib.walk_run(*args) < horizon and not stop.is_set():
+        while lib.walk_run(*args) < horizon and not stop:
             pass
 
+    if k == 1:  # copies, so that a record does not keep the power table alive
+        run(chunks[0][2])
+        counts, chk, state, grouped = chunks[0][3]
+        return counts.copy(), chk.copy(), sites, state, grouped
     threads = [threading.Thread(target=run, args=(args,)) for _, _, args, _ in chunks[1:]]
     try:
         for t in threads:
@@ -297,10 +300,9 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
         for t in threads:
             t.join()
     finally:
-        stop.set()
+        stop.append(True)
         for t in filter(threading.Thread.is_alive, threads):
             t.join()
-    # one array per field, so that a record does not keep a power table alive
     out = [np.empty((r, *f.shape[1:]), f.dtype) for f in chunks[0][3]]
     for lo, hi, _, fields in chunks:
         for whole, part in zip(out, fields):
