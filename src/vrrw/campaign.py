@@ -91,21 +91,9 @@ class ExperimentConfig:
             raise ValidationError(f"start site {self.start} out of range")
 
     def canonical_dict(self) -> dict:
-        return {
-            "model": {
-                "entries": self.model.matrix.entries.tolist(),
-                "alpha": self.model.alpha,
-                "c": self.model.loop_c,
-            },
-            "replicas": self.replicas,
-            "horizon": self.horizon,
-            "base_seed": self.base_seed,
-            "start": self.start,
-            "detection": {
-                "tail_fraction": self.detection.tail_fraction,
-                "min_share": self.detection.min_share,
-            },
-        }
+        """config_to_json_dict's fields, with the matrix entries and the 0-based start."""
+        model = {"entries": self.model.matrix.entries.tolist(), "alpha": self.model.alpha, "c": self.model.loop_c}
+        return {**config_to_json_dict(self), "model": model, "start": self.start}
 
     def config_hash(self) -> str:
         return canonical_hash(self.canonical_dict())
@@ -138,13 +126,16 @@ class CampaignResult:
 
 def replica_seed(base_seed: int, replica: int) -> int:
     """Seed of one replica's uniform stream, mixed so streams are
-    pairwise unrelated."""
-    return splitmix64((base_seed + _SEED_STRIDE * (replica + 1)) & _MASK64)
+    pairwise unrelated. Given a uint64 array of replicas, the seeds of them
+    all, as a uint64 array: numpy's uint64 arithmetic wraps mod 2**64, as
+    the mask does."""
+    return splitmix64((base_seed & _MASK64) + _SEED_STRIDE * (replica + 1) & _MASK64)
 
 
 def replica_start(seed: int, n: int) -> int:
     """Start site of a uniform-random-start replica, derived from the
-    replica seed without touching the walk's uniform stream."""
+    replica seed without touching the walk's uniform stream; for a uint64
+    array of seeds, a uint64 array of starts."""
     return splitmix64(seed ^ _START_SALT) % n
 
 
@@ -267,9 +258,9 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     p = cfg.model
     n = p.size
     r = cfg.replicas
-    seeds = [replica_seed(cfg.base_seed, i) for i in range(r)]
+    seeds = replica_seed(cfg.base_seed, np.arange(r, dtype=np.uint64))
     if cfg.start == UNIFORM_RANDOM:
-        starts = np.array([replica_start(s, n) for s in seeds], dtype=np.int64)
+        starts = replica_start(seeds, n).astype(np.int64)
     else:
         starts = np.full(r, cfg.start, dtype=np.int64)
 
@@ -287,7 +278,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     nearest_idx, nearest_dist = _nearest(occupations, anchors)
     faces, profiles = _detect_from_tail_counts(tail, window, cfg.detection.min_share)
     return _result(
-        cfg, seeds, faces, profiles, occupations, nearest_idx.tolist(), nearest_dist.tolist(), __version__
+        cfg, seeds.tolist(), faces, profiles, occupations, nearest_idx.tolist(), nearest_dist.tolist(), __version__
     )
 
 
@@ -309,16 +300,10 @@ def model_from_json(d: dict) -> ModelParameters:
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     """External JSON form; sites are 1-based there."""
     start = cfg.start if isinstance(cfg.start, str) else cfg.start + 1
+    detection = {"tail_fraction": cfg.detection.tail_fraction, "min_share": cfg.detection.min_share}
     return {
-        "model": _model_to_json(cfg.model),
-        "replicas": cfg.replicas,
-        "horizon": cfg.horizon,
-        "base_seed": cfg.base_seed,
-        "start": start,
-        "detection": {
-            "tail_fraction": cfg.detection.tail_fraction,
-            "min_share": cfg.detection.min_share,
-        },
+        "model": _model_to_json(cfg.model), "replicas": cfg.replicas, "horizon": cfg.horizon,
+        "base_seed": cfg.base_seed, "start": start, "detection": detection,
     }
 
 
@@ -339,31 +324,20 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
 
 def _json_head(result: CampaignResult) -> dict:
     """The JSON document of a campaign result but its replica records."""
-    return {
-        "config": config_to_json_dict(result.config),
-        "aggregates": {
-            "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
-            "mean_sorted_profile": {
-                str(k): list(v) for k, v in result.mean_sorted_profile.items()
-            },
-        },
-        "provenance": {
-            "config_hash": result.config_hash,
-            "code_version": result.code_version,
-        },
+    aggregates = {
+        "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
+        "mean_sorted_profile": {str(k): list(v) for k, v in result.mean_sorted_profile.items()},
     }
+    provenance = {"config_hash": result.config_hash, "code_version": result.code_version}
+    return {"config": config_to_json_dict(result.config), "aggregates": aggregates, "provenance": provenance}
 
 
 def _record(rep: ReplicaResult) -> dict:
     """The JSON record of one replica; sites are 1-based there."""
     return {
-        "replica": rep.replica,
-        "seed": rep.seed,
-        "support": [s + 1 for s in rep.support.sites],
-        "tail_profile": list(rep.tail_profile),
-        "final_occupation": rep.final_occupation.tolist(),
-        "nearest_equilibrium": rep.nearest_equilibrium,
-        "distance": rep.distance,
+        "replica": rep.replica, "seed": rep.seed, "support": [s + 1 for s in rep.support.sites],
+        "tail_profile": list(rep.tail_profile), "final_occupation": rep.final_occupation.tolist(),
+        "nearest_equilibrium": rep.nearest_equilibrium, "distance": rep.distance,
     }
 
 
@@ -444,21 +418,12 @@ def export(result: CampaignResult, path, format: str) -> None:
         with open_text(path, "w") as fh:
             _write_json(result, fh)
     elif format == "csv":
-        n = result.config.model.size
-        cols = ["replica", "seed", "support_size", "support"]
-        cols += [f"occ_{i + 1}" for i in range(n)]
-        cols += ["nearest_eq", "dist"]
+        occ = [f"occ_{i + 1}" for i in range(result.config.model.size)]
         with open_text(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(["replica", "seed", "support_size", "support", *occ, "nearest_eq", "dist"]) + "\n")
             for rep in result.replicas:
-                occ = rep.final_occupation
-                row = [
-                    str(rep.replica),
-                    str(rep.seed),
-                    str(len(rep.support.sites)),
-                    "|".join(str(s) for s in rep.support.labels()),
-                ]
-                row += [f"{x:.17g}" for x in occ]
+                row = [str(rep.replica), str(rep.seed), str(len(rep.support.sites))]
+                row += ["|".join(str(s) for s in rep.support.labels()), *(f"{x:.17g}" for x in rep.final_occupation)]
                 row += [str(rep.nearest_equilibrium), f"{rep.distance:.17g}"]
                 fh.write(",".join(row) + "\n")
     else:

@@ -139,19 +139,23 @@ def _coords(p: ModelParameters, v) -> np.ndarray:
     return x
 
 
-def _compiled(name: str, a: np.ndarray, alpha: float, x: np.ndarray, words: int):
+def _compiled(name: str, a, alpha: float, x: np.ndarray, words: int):
     """The buffer io of `words` doubles after the core's function `name` ran
-    on the point x = io[:n] for the n x n entries a, and its status."""
+    on the point x = io[:n] for the n x n matrix a, and its status. a is an
+    InteractionMatrix, which keeps its entries' address, or entries as an
+    array, such as a face's."""
     io = np.empty(words)
     io[: x.size] = x
-    a = np.ascontiguousarray(a, dtype=float)
-    return io, getattr(files._library(), name)(x.size, a.ctypes.data, alpha, io.ctypes.data)
+    doubles = None if isinstance(a, InteractionMatrix) else np.ascontiguousarray(a, dtype=float)
+    at = a.address if doubles is None else files.address(doubles)
+    return io, getattr(files._library(), name)(x.size, at, alpha, files.address(io))
 
 
-def _error(status: int, a: np.ndarray, x: np.ndarray) -> VrrwError:
-    """The typed error for a failed status of the core at the point x. A sum
-    over A_ij, i and j in supp x, below the normal double range is an
-    underflow, or exactly 0 when all those A_ij are 0."""
+def _error(status: int, a, x: np.ndarray) -> VrrwError:
+    """The typed error for a failed status of the core at the point x for
+    the matrix a (as _compiled takes it). A sum over A_ij, i and j in supp
+    x, below the normal double range is an underflow, or exactly 0 when all
+    those A_ij are 0."""
     if status <= files.MF_CANCELLED:
         return _projection_error(status, x)
     if status == files.MF_EMPTY:
@@ -162,7 +166,7 @@ def _error(status: int, a: np.ndarray, x: np.ndarray) -> VrrwError:
         return NumericError("interaction energy overflows the double range")
     what = "scaled interaction energy" if status == files.MF_CORE_VANISHES else "interaction energy"
     on = x > 0
-    if np.any(a[np.ix_(on, on)] > 0):
+    if np.any(np.asarray(a)[np.ix_(on, on)] > 0):
         return NumericError(f"{what} underflows the double range")
     return DegenerateSupportError(f"{what} vanishes on support {np.nonzero(on)[0].tolist()}")
 
@@ -176,14 +180,14 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
     reaches, so its largest term is an entry of A and no row underflows.
     """
     x = _coords(p, v) + _nonnegative(eps, "kernel regularizer")
-    a = p.effective_matrix.entries
-    reach = np.where(a > 0, x, 0.0)
+    m = p.effective_matrix
+    reach = np.where(m.entries > 0, x, 0.0)
     dead = ~(reach.max(axis=1) > 0)
     if np.any(dead):
         raise DegenerateSupportError(
             f"kernel rows {np.nonzero(dead)[0].tolist()} do not reach support {np.nonzero(x > 0)[0].tolist()}"
         )
-    rows = a * np.array([_point(a, p.alpha, row)[0] for row in reach])
+    rows = m.entries * np.array([_point(m, p.alpha, row)[0] for row in reach])
     return rows / rows.sum(axis=1)[:, None]
 
 
@@ -191,11 +195,11 @@ def transition_kernel(p: ModelParameters, eps: float, v) -> np.ndarray:
 _CORE, _ENERGY = 2, 3
 
 
-def _point(a: np.ndarray, alpha: float, x: np.ndarray, *checks: int):
-    """One point's pieces by the core: s = (x/m)^a, t = (x/m)^(a-1), f = A s,
-    the scaled energy core = <A s, s> and H = core m^a m^a, m = max x. An
-    empty or negative x raises its error, and so does each status of
-    `checks` (_CORE, _ENERGY) that failed, in that order."""
+def _point(a, alpha: float, x: np.ndarray, *checks: int):
+    """One point's pieces by the core for the matrix a (as _compiled takes
+    it): s = (x/m)^a, t = (x/m)^(a-1), f = A s, the scaled energy core =
+    <A s, s> and H = core m^a m^a, m = max x. An empty or negative x raises
+    its error, and so does each status of `checks` (_CORE, _ENERGY) that failed, in that order."""
     n = x.size
     io, status = _compiled("mf_point", a, alpha, x, 4 * n + 4)
     for failed in (status, *(int(io[4 * n + k]) for k in checks)):
@@ -206,19 +210,20 @@ def _point(a: np.ndarray, alpha: float, x: np.ndarray, *checks: int):
 
 def lyapunov(p: ModelParameters, v) -> float:
     """Interaction energy H(v) = <A v^a, v^a>."""
-    return _point(p.effective_matrix.entries, p.alpha, _coords(p, v), _ENERGY)[4]
+    return _point(p.effective_matrix, p.alpha, _coords(p, v), _ENERGY)[4]
 
 
 def invariant_measure(p: ModelParameters, v) -> np.ndarray:
     """Reversible measure of the frozen kernel: pi_i proportional to
     v_i^a (A v^a)_i. Requires positive interaction energy."""
-    s, _, field, core, _ = _point(p.effective_matrix.entries, p.alpha, _coords(p, v), _CORE)
+    s, _, field, core, _ = _point(p.effective_matrix, p.alpha, _coords(p, v), _CORE)
     return simplex_points(s * field / core)
 
 
-def _field_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """-x + pi(iota(x)) for a 1-D array x by the core, with the projection
-    keeping the exact zeros of x at zero."""
+def _field_array(a, alpha: float, x: np.ndarray) -> np.ndarray:
+    """-x + pi(iota(x)) for a 1-D array x by the core, for the matrix a as
+    _compiled takes it, with the projection keeping the exact zeros of x at
+    zero."""
     io, status = _compiled("mf_field", a, alpha, x, 5 * x.size)
     n = x.size
     if status:
@@ -237,7 +242,7 @@ def vector_field(p: ModelParameters, v) -> np.ndarray:
     total = float(x.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"field input must be a vector with unit sum, got {x!r}")
-    return _field_array(p.effective_matrix.entries, p.alpha, x / total)
+    return _field_array(p.effective_matrix, p.alpha, x / total)
 
 
 def lyapunov_derivative(p: ModelParameters, v) -> float:
@@ -249,7 +254,7 @@ def lyapunov_derivative(p: ModelParameters, v) -> float:
     site order, as cumsum adds; a BLAS dot's order depends on its kernel.
     """
     x = _coords(p, v)
-    s, _, field, core, h = _point(p.effective_matrix.entries, p.alpha, x, _ENERGY, _CORE)
+    s, _, field, core, h = _point(p.effective_matrix, p.alpha, x, _ENERGY, _CORE)
     on = x > 0
     gap = s[on] * field[on] / core - x[on]
     rate = 2.0 * p.alpha * h * float(np.cumsum(gap * (gap / x[on]))[-1])
@@ -278,14 +283,15 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
             "Jacobian at a face boundary is one-sided for exponent < 2; "
             "restrict to the support face instead"
         )
-    return _jacobian_array(p.effective_matrix.entries, p.alpha, x)
+    return _jacobian_array(p.effective_matrix, p.alpha, x)
 
 
-def _jacobian_array(a: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """The Jacobian of jacobian's docstring for the matrix entries a."""
+def _jacobian_array(a, alpha: float, x: np.ndarray) -> np.ndarray:
+    """The Jacobian of jacobian's docstring for the matrix a, as _compiled
+    takes it."""
     s, t, field, core, _ = _point(a, alpha, x, _CORE)
     rho = t * field / core
-    dpi = np.diag(rho) + (s[:, None] * a) * (t / core) - 2.0 * np.outer(s * field / core, rho)
+    dpi = np.diag(rho) + (s[:, None] * np.asarray(a)) * (t / core) - 2.0 * np.outer(s * field / core, rho)
     return alpha / float(x.max()) * dpi - np.eye(x.size)
 
 
@@ -338,7 +344,9 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     step's projection that fails, or a step that crosses the loop-free cap
     from below, names its time.
     """
-    x = simplex_points(_coords(p, v0))
+    x = simplex_points(v0)
+    if x.shape != (p.size,):
+        raise ValidationError(f"start must be a vector of {p.size} coordinates, got shape {x.shape}")
     t_end, dt = _number(t_end, "t_end"), _number(dt, "dt")
     if not (0 < dt <= t_end < math.inf):
         raise ValidationError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
@@ -346,15 +354,14 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
         raise ValidationError(f"t_end / dt = {t_end / dt:.6g} steps, past the budget of {FLOW_STEP_LIMIT}")
     steps = max(1, int(round(t_end / dt)))
     matrix = p.effective_matrix
-    a = np.ascontiguousarray(matrix.entries, dtype=float)
     states = np.empty((steps + 1, x.size))
     states[0] = x
     energies, work, info = np.empty(steps + 1), np.empty(7 * x.size), np.zeros(2, dtype=np.int64)
     lib, per_call, status = files._library(), max(1, FLOW_SLICE // x.size), files.MF_OK
-    buffers = (states.ctypes.data, energies.ctypes.data, work.ctypes.data, info.ctypes.data)
+    buffers = (files.address(states), files.address(energies), files.address(work), files.address(info))
     while not status and info[0] < steps:
         k = int(info[0])
-        status = lib.mf_flow(x.size, a.ctypes.data, p.alpha, k, min(k + per_call, steps), dt, LOOPFREE_CAP, *buffers)
+        status = lib.mf_flow(x.size, matrix.address, p.alpha, k, min(k + per_call, steps), dt, LOOPFREE_CAP, *buffers)
     k, clips = int(info[0]), int(info[1])
     if status == files.MF_CAP:
         check_loopfree_cap(states[k], matrix)
@@ -362,10 +369,13 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     if status == files.MF_BLEW_UP:
         raise NumericError(f"flow integration blew up at t={k * dt:.6g}")
     if status:
-        raise _error(status, a, work[: x.size])
+        raise _error(status, matrix, work[: x.size])
     log.debug("%d RK4 steps: %d projection clips", steps, clips)
-    states.setflags(write=False)
-    return FlowTrajectory(times=np.arange(steps + 1) * dt, states=states, lyapunov_values=energies)
+    times = np.arange(steps + 1, dtype=float)
+    times *= dt
+    for a in (times, states, energies):
+        a.setflags(False)  # write=False, as TrajectoryRecord sets it
+    return FlowTrajectory(times=times, states=states, lyapunov_values=energies)
 
 
 def fundamental_matrix(p: ModelParameters, v) -> np.ndarray:

@@ -15,6 +15,7 @@ import logging
 import numbers
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from sys import float_info
 
 import numpy as np
@@ -102,6 +103,17 @@ class InteractionMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
 
+    @cached_property
+    def address(self) -> int:
+        """The address of the entries as C-contiguous doubles, which every
+        compiled call reads: taken once, of a copy kept as _doubles if the
+        entries are laid out otherwise."""
+        object.__setattr__(self, "_doubles", np.ascontiguousarray(self.entries, dtype=np.float64))
+        return files.address(self._doubles)
+
+    def __getstate__(self):  # a copy or a pickle takes the address afresh
+        return {k: v for k, v in self.__dict__.items() if k not in ("address", "_doubles")}
+
     @property
     def loop_free_sites(self) -> np.ndarray:
         """Boolean mask of sites with no self-loop (zero diagonal entry)."""
@@ -187,14 +199,15 @@ def simplex_points(x) -> np.ndarray:
     arr = _as_float_array(x, "simplex point")
     if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
         raise ValidationError(f"simplex points must be a vector or matrix rows, got shape {arr.shape}")
-    if np.any(arr < 0):
+    vector = arr.ndim == 1  # checked on Python floats: a numpy reduction takes a microsecond
+    if min(arr.tolist()) < 0 if vector else np.any(arr < 0):
         raise ValidationError("negative coordinate in a simplex point")
-    sums = np.atleast_1d(arr.sum(axis=-1))
-    off = np.flatnonzero(np.abs(sums - 1.0) > VALIDATION_RTOL)
-    if off.size:
-        raise ValidationError(f"coordinates sum to {float(sums[off[0]])!r}, not 1")
+    sums = arr.sum(axis=-1)
+    off = abs(sums - 1.0) > VALIDATION_RTOL  # one bool, or one per row
+    if off if vector else off.any():
+        raise ValidationError(f"coordinates sum to {float(sums if vector else sums[off][0])!r}, not 1")
     arr = arr.copy()
-    arr.setflags(write=False)
+    arr.setflags(False)  # write=False, as TrajectoryRecord sets it
     return arr
 
 
@@ -253,7 +266,7 @@ def _project(arr: np.ndarray) -> np.ndarray:
     n = arr.size
     io = np.empty(2 * n)
     io[:n] = arr
-    status = files._library().mf_project(n, io.ctypes.data)
+    status = files._library().mf_project(n, files.address(io))
     if status:
         raise _projection_error(status, arr)
     return io[:n]

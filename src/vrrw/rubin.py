@@ -28,7 +28,7 @@ import numpy as np
 from . import files
 from .errors import NumericError, SummabilityError, ValidationError
 from .graph import InteractionMatrix, _exponent, _integer
-from .walk import TrajectoryRecord, _nonnegative_int, checkpoint_schedule, splitmix64
+from .walk import TrajectoryRecord, _geometric_steps, _nonnegative_int, splitmix64
 
 #: Dyadic probe depth for certifying weight-sequence tails.
 _TAIL_PROBES = 64
@@ -80,7 +80,7 @@ class RubinRecord:
     tie_count: int
 
     def __post_init__(self):
-        self.jump_times.setflags(write=False)
+        self.jump_times.setflags(False)  # write=False, as TrajectoryRecord sets it
 
 
 def _clock_weights(weight, levels):
@@ -150,32 +150,24 @@ def rubin_simulate(config: ClockConfig, start: int, jump_budget: int, seed: int)
         raise ValidationError(f"start site {start} out of range for {n} sites")
     if jump_budget < 1:
         raise ValidationError(f"jump budget must be >= 1, got {jump_budget}")
-    chk = checkpoint_schedule(jump_budget)
+    chk = _geometric_steps(jump_budget)
     c = chk.size
     # clock_run's workspace, laid out as _walk.c describes it
     chk_at = 4 + n + n * n + c
     sites_at, times_at = chk_at + c * n, chk_at + c * n + jump_budget + 1 + n * n
     iw = np.zeros(times_at + jump_budget + 1 + n, dtype=np.int64)
     iw[4 + start], iw[chk_at - c : chk_at], iw[sites_at] = 1, chk, start
-    a = np.ascontiguousarray(config.matrix.entries, dtype=np.float64)
     key, tie_key, rates = splitmix64(seed), splitmix64(seed ^ 0x7E57), config._rates
-    lib, args = files._library(), (n, a.ctypes.data, jump_budget, max(1, CLOCK_SLICE // n))
-    while lib.clock_run(*args, rates.ctypes.data, rates.size, key, tie_key, c, iw.ctypes.data) < jump_budget:
+    lib, args = files._library(), (n, config.matrix.address, jump_budget, max(1, CLOCK_SLICE // n))
+    while lib.clock_run(*args, files.address(rates), rates.size, key, tie_key, c, files.address(iw)) < jump_budget:
         if iw[3] >= rates.size:
             rates = _more_rates(config, int(iw[3]))
     # copies, so that a record does not keep the workspace alive
-    walk = TrajectoryRecord(
-        start=start,
-        params=config,
-        seed=seed,
-        horizon=jump_budget,
-        final_counts=iw[4 : 4 + n].copy(),
-        checkpoint_steps=chk,
-        checkpoint_counts=iw[chk_at:sites_at].reshape(c, n).copy(),
-        sites=iw[sites_at : sites_at + jump_budget + 1].astype(np.int16 if n < 2**15 else np.int64),
-    )
+    sites = iw[sites_at : sites_at + jump_budget + 1].astype(np.int16 if n < 2**15 else np.int64)
+    chk_counts = iw[chk_at:sites_at].reshape(c, n).copy()
+    walk = TrajectoryRecord(start, config, seed, jump_budget, iw[4 : 4 + n].copy(), chk, chk_counts, sites)
     times = iw[times_at : times_at + jump_budget + 1].view(np.float64).copy()
-    return RubinRecord(walk=walk, jump_times=times, tie_count=int(iw[1]))
+    return RubinRecord(walk, times, int(iw[1]))
 
 
 def _tail_inverse_sum(weight, truncation: int) -> float:

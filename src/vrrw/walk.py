@@ -51,7 +51,6 @@ Ctrl-C too, it stops every chunk after its current call, then joins them.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -128,12 +127,13 @@ class TrajectoryRecord:
     sites: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.final_counts.setflags(write=False)
-        self.checkpoint_steps.setflags(write=False)
-        self.checkpoint_counts.setflags(write=False)
+        # setflags(False): write=False without numpy's keyword parsing, dearer than the call
+        self.final_counts.setflags(False)
+        self.checkpoint_steps.setflags(False)
+        self.checkpoint_counts.setflags(False)
         if self.sites is not None:
-            self.sites.setflags(write=False)
-        if int(self.final_counts.sum()) != self.horizon + 1:
+            self.sites.setflags(False)
+        if sum(self.final_counts.tolist()) != self.horizon + 1:
             raise ValidationError("final counts inconsistent with horizon")
 
     @property
@@ -153,25 +153,37 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@functools.lru_cache(maxsize=256)
-def _geometric_steps(horizon: int) -> tuple:
-    """The distinct ceil(1.2^m) up to horizon and horizon itself, sorted."""
-    vals, x = {horizon}, 1.0
-    while math.ceil(x) <= horizon:
-        vals.add(math.ceil(x))
-        x *= 1.2
-    return tuple(sorted(vals))
+_SCHEDULES = {}  # horizon -> its geometric schedule (256 at most): read-only, so never checked again
+
+
+def _geometric_steps(horizon: int) -> np.ndarray:
+    """The distinct ceil(1.2^m) up to horizon >= 1 and horizon itself,
+    sorted, as a read-only int64 array kept in _SCHEDULES."""
+    steps = _SCHEDULES.get(horizon)
+    if steps is None:
+        vals, x = {horizon}, 1.0
+        while math.ceil(x) <= horizon:
+            vals.add(math.ceil(x))
+            x *= 1.2
+        steps = np.array(sorted(vals), dtype=np.int64)
+        steps.setflags(write=False)
+        if len(_SCHEDULES) >= 256:
+            _SCHEDULES.pop(next(iter(_SCHEDULES)), None)  # another thread may have taken it
+        _SCHEDULES[horizon] = steps
+    return steps
 
 
 def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     """Geometric snapshot times ceil(1.2^m) capped at and including the
-    horizon, merged with any extra requested steps, all integers."""
+    horizon, merged with any extra requested steps, all integers. Without
+    extra steps the schedule is cached per horizon, and read-only."""
     extra = [_integer(k, "checkpoint step") for k in extra]
     horizon = _integer(horizon, "horizon")
-    steps = sorted({*extra, *_geometric_steps(horizon)}) if extra else _geometric_steps(horizon)
-    if steps[0] < 1 or steps[-1] > horizon:
+    if horizon < 1 or extra and not 1 <= min(extra) <= max(extra) <= horizon:
         raise ValidationError("checkpoint steps must lie in [1, horizon]")
-    return np.array(steps, dtype=np.int64)
+    if not extra:
+        return _geometric_steps(horizon)
+    return np.array(sorted({*extra, *_geometric_steps(horizon).tolist()}), dtype=np.int64)
 
 
 def _nonnegative_int(x, what: str) -> int:
@@ -180,6 +192,21 @@ def _nonnegative_int(x, what: str) -> int:
     if v < 0:
         raise ValidationError(f"{what} must be nonnegative, got {v}")
     return v
+
+
+def _replica_ints(values, what: str, stop=None):
+    """values, one per replica, as integers in [0, stop): an integer array is
+    checked at once and kept, any other sequence becomes a list of Python ints."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        if low < 0:
+            raise ValidationError(f"{what} must be nonnegative, got {low}")
+    else:  # a plain nonnegative int needs no call
+        values = [v if type(v) is int and v >= 0 else _nonnegative_int(v, what) for v in values]
+        high = max(values) if values else 0
+    if stop is not None and high >= stop:
+        raise ValidationError(f"{what} out of range")
+    return values
 
 
 def _check_weight_range(p: ModelParameters, horizon: int) -> None:
@@ -238,60 +265,62 @@ def step(p: ModelParameters, s: WalkState, rng: np.random.Generator) -> WalkStat
 
 
 def _seed_words(seeds):
-    """The nonnegative int seeds as seed_pcg64 reads them: the words per
-    seed, at least 4, and each seed's 32-bit words, low first."""
-    width = max(4, -(-max(map(int.bit_length, seeds), default=0) // 32))
+    """The seeds, nonnegative ints or a uint64 array, as seed_pcg64 reads
+    them: the words per seed, at least 4, and each seed's 32-bit words, low
+    first."""
+    if isinstance(seeds, np.ndarray):
+        words = np.zeros((len(seeds), 2), dtype="<u8")
+        words[:, 0] = seeds
+        return 4, words.tobytes()
+    width = max(4, (max(seeds).bit_length() + 31) // 32 if seeds else 0)
+    if len(seeds) == 1:
+        return width, seeds[0].to_bytes(4 * width, "little")
     return width, b"".join([s.to_bytes(4 * width, "little") for s in seeds])
 
 
-def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
+def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=True):
     """Advance one replica per seed from starts for `horizon` steps, each
     drawing one double per step from its own PCG64, in calls of walk_run of
     at most SLICE_STEPS replica-steps each, a chunk of replicas per CPU.
-    Returns what _batch_walk returns, then each replica's PCG64 state (uint64
-    [R, 4]: state and inc, low words first) and the number of blocks it took
-    through walk_group. checkpoint_at is sorted int64, free of repeats."""
+    Returns what _batch_walk returns, then, with states, each replica's PCG64
+    state (uint64 [R, 4]: state and inc, low words first) and the number of
+    blocks it took through walk_group. checkpoint_at is sorted int64, free of
+    repeats."""
     n, r, c = p.size, len(seeds), checkpoint_at.size
-    a = np.ascontiguousarray(p.effective_matrix.entries, dtype=np.float64)
     sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64) if record_sites else None
-    k = max(1, min(r, r * horizon // THREAD_STEPS))
+    log = None if sites is None else files.address(sites)
+    k = min(r, r * horizon // THREAD_STEPS) or 1
     if k > 1:
         k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    size = min(horizon + 2, TABLE_SIZE)
-    chunks = []
+    size, chunks = min(horizon + 2, TABLE_SIZE), []
     for i in range(k):
         # walk_run's workspace, as _walk.c lays it out: done and paired, then per
         # replica its site, counts, checkpoint counts, state and walk_group blocks,
         # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
         lo, hi = r * i // k, r * (i + 1) // k
         m = hi - lo
-        counts_at, chk_at = 2 + m, 2 + m + m * n
-        state_at = chk_at + m * c * n
-        steps_at = state_at + 5 * m
+        steps_at = 2 + m * (6 + n + c * n)
         iw = np.zeros(steps_at + c + m * (1 + n) + size + 24 * n, dtype=np.int64)
-        iw[2:counts_at] = starts[lo:hi]
+        iw[2 : 2 + m] = starts[lo:hi]
         iw[steps_at : steps_at + c] = checkpoint_at
-        log = None if sites is None else sites.ctypes.data + lo * sites.strides[0]
+        at = None if log is None else log + lo * (horizon + 1) * sites.itemsize
         width, words = _seed_words(seeds[lo:hi])
         args = (
-            n, m, p.alpha, a.ctypes.data, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c, width, words,
-            log if n < 2**15 else None, None if n < 2**15 else log, iw.ctypes.data,
+            n, m, p.alpha, p.effective_matrix.address, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c,
+            width, words, at if n < 2**15 else None, None if n < 2**15 else at, files.address(iw),
         )
-        fields = (
-            iw[counts_at:chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n),
-            iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : steps_at],
-        )
-        chunks.append((lo, hi, args, fields))
+        chunks.append((lo, hi, args, iw))
     lib, stop = files._library(), []
+    if k == 1:  # copies, so that a record does not keep the power table alive
+        while lib.walk_run(*args) < horizon:
+            pass
+        counts, chk, *rest = _fields(iw, r, n, c, states)
+        return (counts.copy(), chk.copy(), sites, *rest)
 
-    def run(args):
+    def run(args):  # a chunk's calls, until the walk ends or stop is set
         while lib.walk_run(*args) < horizon and not stop:
             pass
 
-    if k == 1:  # copies, so that a record does not keep the power table alive
-        run(chunks[0][2])
-        counts, chk, state, grouped = chunks[0][3]
-        return counts.copy(), chk.copy(), sites, state, grouped
     threads = [threading.Thread(target=run, args=(args,)) for _, _, args, _ in chunks[1:]]
     try:
         for t in threads:
@@ -303,11 +332,23 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
         stop.append(True)
         for t in filter(threading.Thread.is_alive, threads):
             t.join()
-    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in chunks[0][3]]
-    for lo, hi, _, fields in chunks:
-        for whole, part in zip(out, fields):
+    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in _fields(iw, 0, n, c, states)]
+    for lo, hi, _, iw in chunks:
+        for whole, part in zip(out, _fields(iw, hi - lo, n, c, states)):
             whole[lo:hi] = part
-    return out[0], out[1], sites, out[2], out[3]
+    return (out[0], out[1], sites, *out[2:])
+
+
+def _fields(iw, m, n, c, states):
+    """Views into the workspace iw of m replicas: their counts [m, n] and
+    checkpoint counts [m, c, n], then, with states, their PCG64 states
+    [m, 4] and walk_group blocks [m]."""
+    chk_at = 2 + m + m * n
+    state_at = chk_at + m * c * n
+    views = [iw[2 + m : chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n)]
+    if states:
+        views += iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : state_at + 5 * m]
+    return views
 
 
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
@@ -319,17 +360,15 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     checkpoint_schedule returns it.
     """
     horizon = _nonnegative_int(horizon, "horizon")
-    starts = [_nonnegative_int(s, "start site") for s in starts]
-    seeds = [_nonnegative_int(s, "seed") for s in seeds]
+    starts, seeds = _replica_ints(starts, "start site", p.size), _replica_ints(seeds, "seed")
     if len(starts) != len(seeds):
         raise ValidationError("starts and seeds must have matching length")
-    if starts and max(starts) >= p.size:
-        raise ValidationError("start site out of range")
     _check_weight_range(p, horizon)
-    checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
-    if np.count_nonzero(checkpoint_at[1:] <= checkpoint_at[:-1]):
-        raise ValidationError("checkpoint steps must increase")
-    return _walk(p, starts, horizon, seeds, record_sites, checkpoint_at)[:3]
+    if checkpoint_at is not _SCHEDULES.get(horizon):
+        checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
+        if np.count_nonzero(checkpoint_at[1:] <= checkpoint_at[:-1]):
+            raise ValidationError("checkpoint steps must increase")
+    return _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=False)
 
 
 def simulate(
@@ -352,15 +391,8 @@ def simulate(
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if record_sites is None:
         record_sites = horizon <= FULL_LOG_LIMIT
-    checkpoints = checkpoint_schedule(horizon, extra=() if checkpoints is None else checkpoints)
+    checkpoints = _geometric_steps(horizon) if checkpoints is None else checkpoint_schedule(horizon, checkpoints)
     final, chk, sites = _batch_walk(p, [start], horizon, [seed], record_sites, checkpoints)
     return TrajectoryRecord(
-        start=int(start),
-        params=p,
-        seed=int(seed),
-        horizon=horizon,
-        final_counts=final[0],
-        checkpoint_steps=checkpoints,
-        checkpoint_counts=chk[0],
-        sites=None if sites is None else sites[0],
+        int(start), p, int(seed), horizon, final[0], checkpoints, chk[0], None if sites is None else sites[0]
     )

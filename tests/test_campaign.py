@@ -289,6 +289,30 @@ def test_replica_seeds_are_distinct_and_stable():
     assert len(set(starts)) == 3
 
 
+@pytest.mark.parametrize("base", [0, 1, 2**63, 2**64 - 1, -7], ids=["0", "1", "2^63", "2^64-1", "negative"])
+def test_vector_seeds_and_starts_equal_the_scalar_ones(base):
+    # run_campaign derives its seeds and starts in one uint64 splitmix64,
+    # whose arithmetic wraps mod 2**64 as the scalar form's mask does
+    seeds = replica_seed(base, np.arange(10**5, dtype=np.uint64))
+    assert seeds.dtype == np.uint64
+    want = [replica_seed(base, r) for r in range(10**5)]
+    assert seeds.tolist() == want
+    for n in (3, 8):
+        starts = replica_start(seeds, n)
+        assert starts.dtype == np.uint64 and starts.tolist() == [replica_start(s, n) for s in want]
+    # a campaign walks from those starts with those seeds
+    cfg = ExperimentConfig(model=P3, replicas=40, horizon=50, base_seed=base)
+    assert [rep.seed for rep in run_campaign(cfg).replicas] == want[:40]
+
+
+@pytest.mark.parametrize("starts, seeds", [([0, 3], [1, 2]), ([0, -1], [1, 2]), ([0, 1], [1, -2]), ([0, 1], [1])])
+def test_batch_walk_checks_start_and_seed_arrays_at_once(starts, seeds):
+    # integer arrays, as run_campaign passes them, raise what lists raise
+    for cast in (list, lambda v: np.array(v, dtype=np.int64)):
+        with pytest.raises(ValidationError):
+            campaign_module._batch_walk(P3, cast(starts), 10, cast(seeds), False, [5])
+
+
 def test_single_replica_campaign_reduces_to_simulate_plus_detect():
     # the campaign detects from a checkpoint snapshot at the tail cutoff,
     # the reference from the full site log

@@ -461,10 +461,12 @@ def test_checkpoint_schedule_cache_gives_the_loops_steps():
         for ex in ((), extra):
             got = checkpoint_schedule(horizon, extra=ex)
             assert got.dtype == np.int64 and got.tolist() == _schedule_loop(horizon, ex)
-    # a caller that writes into a returned schedule leaves the next one alone
+    # the cached schedule is read-only, so no caller can change the next
+    # one; a schedule with extra steps is the caller's own
     first = checkpoint_schedule(1000)
-    first[:] = -1
-    assert checkpoint_schedule(1000).tolist() == _schedule_loop(1000)
+    with pytest.raises(ValueError):
+        first[:] = -1
+    assert checkpoint_schedule(1000) is first and first.tolist() == _schedule_loop(1000)
     with_extra = checkpoint_schedule(1000, extra=(500,))
     with_extra[0] = 0
     assert checkpoint_schedule(1000, extra=(500,)).tolist() == _schedule_loop(1000, (500,))
