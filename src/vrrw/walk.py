@@ -153,12 +153,12 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-_SCHEDULES = {}  # horizon -> its geometric schedule (256 at most): read-only, so never checked again
+_SCHEDULES, _SCHEDULES_LOCK = {}, threading.Lock()  # horizon -> its schedule, 256 at most
 
 
 def _geometric_steps(horizon: int) -> np.ndarray:
-    """The distinct ceil(1.2^m) up to horizon >= 1 and horizon itself,
-    sorted, as a read-only int64 array kept in _SCHEDULES."""
+    """The distinct ceil(1.2^m) up to horizon >= 1 and horizon itself, sorted,
+    as a read-only int64 array kept in _SCHEDULES, so that no walk checks it again."""
     steps = _SCHEDULES.get(horizon)
     if steps is None:
         vals, x = {horizon}, 1.0
@@ -167,9 +167,10 @@ def _geometric_steps(horizon: int) -> np.ndarray:
             x *= 1.2
         steps = np.array(sorted(vals), dtype=np.int64)
         steps.setflags(write=False)
-        if len(_SCHEDULES) >= 256:
-            _SCHEDULES.pop(next(iter(_SCHEDULES)), None)  # another thread may have taken it
-        _SCHEDULES[horizon] = steps
+        with _SCHEDULES_LOCK:
+            if len(_SCHEDULES) >= 256:
+                del _SCHEDULES[next(iter(_SCHEDULES))]
+            _SCHEDULES[horizon] = steps
     return steps
 
 

@@ -1,7 +1,9 @@
 """The public short calls, simulate, integrate_flow and rubin_simulate: the
 typed error each bad input raises, and the arrays of the records they return."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,3 +114,13 @@ def test_record_arrays_are_read_only_and_hold_no_workspace(kind):
         assert _root(a).nbytes <= a.nbytes, name
         with pytest.raises(ValueError):
             a.flat[0] = 0
+
+
+def test_a_copied_or_pickled_model_takes_its_matrix_address_afresh():
+    # the cached address names the original's entries; a copy that kept it
+    # would walk on memory that its own entries do not own
+    p = ModelParameters.for_complete_graph(3, 2.5)
+    want = simulate(p, 0, 50, 1).sites
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin.effective_matrix.address != p.effective_matrix.address
+        np.testing.assert_array_equal(simulate(twin, 0, 50, 1).sites, want)
