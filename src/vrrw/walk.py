@@ -315,8 +315,8 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=True):
     if k == 1:  # copies, so that a record does not keep the power table alive
         while lib.walk_run(*args) < horizon:
             pass
-        counts, chk, *rest = _fields(iw, r, n, c, states)
-        return (counts.copy(), chk.copy(), sites, *rest)
+        fields = _fields(iw, r, n, c, states)
+        return (fields[0].copy(), fields[1].copy(), sites, *fields[2:])
 
     def run(args):  # a chunk's calls, until the walk ends or stop is set
         while lib.walk_run(*args) < horizon and not stop:
@@ -346,7 +346,7 @@ def _fields(iw, m, n, c, states):
     [m, 4] and walk_group blocks [m]."""
     chk_at = 2 + m + m * n
     state_at = chk_at + m * c * n
-    views = [iw[2 + m : chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n)]
+    views = iw[2 + m : chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n)
     if states:
         views += iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : state_at + 5 * m]
     return views
