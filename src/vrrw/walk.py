@@ -333,7 +333,7 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=True):
         stop.append(True)
         for t in filter(threading.Thread.is_alive, threads):
             t.join()
-    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in _fields(iw, 0, n, c, states)]
+    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in _fields(chunks[0][3], chunks[0][1], n, c, states)]
     for lo, hi, _, iw in chunks:
         for whole, part in zip(out, _fields(iw, hi - lo, n, c, states)):
             whole[lo:hi] = part
