@@ -105,11 +105,11 @@ class InteractionMatrix:
 
     @cached_property
     def address(self) -> int:
-        """The address of the entries as C-contiguous doubles, which every
-        compiled call reads: taken once, of a copy kept as _doubles if the
-        entries are laid out otherwise."""
-        object.__setattr__(self, "_doubles", np.ascontiguousarray(self.entries, dtype=np.float64))
-        return files.address(self._doubles)
+        """The address of the entries as C-contiguous doubles (of a copy kept in _doubles
+        if they are laid out otherwise), taken once for every compiled call."""
+        doubles = np.ascontiguousarray(self.entries, dtype=np.float64)
+        self.__dict__.setdefault("_doubles", []).append(doubles)  # kept, whichever thread's address is cached
+        return files.address(doubles)
 
     def __getstate__(self):  # a copy or a pickle takes the address afresh
         return {k: v for k, v in self.__dict__.items() if k not in ("address", "_doubles")}

@@ -10,6 +10,7 @@ import pytest
 
 from vrrw import (
     ClockConfig,
+    InteractionMatrix,
     ModelParameters,
     NumericError,
     ValidationError,
@@ -124,3 +125,13 @@ def test_a_copied_or_pickled_model_takes_its_matrix_address_afresh():
     for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin.effective_matrix.address != p.effective_matrix.address
         np.testing.assert_array_equal(simulate(twin, 0, 50, 1).sites, want)
+
+
+def test_a_matrix_laid_out_otherwise_walks_on_a_kept_copy():
+    # int entries in Fortran order: the compiled calls read a C-contiguous
+    # double copy, which the matrix keeps as long as its address is cached
+    entries = np.asfortranarray((np.ones((3, 3)) - np.eye(3)).astype(np.int64))
+    odd = ModelParameters(matrix=InteractionMatrix(size=3, entries=entries, row_sum=2.0), alpha=2.5)
+    for _ in range(3):
+        np.testing.assert_array_equal(simulate(odd, 0, 50, 1).sites, simulate(P, 0, 50, 1).sites)
+    assert odd.effective_matrix.address == odd.effective_matrix._doubles[0].ctypes.data
