@@ -300,10 +300,16 @@ def model_from_json(d: dict) -> ModelParameters:
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     """External JSON form; sites are 1-based there."""
     start = cfg.start if isinstance(cfg.start, str) else cfg.start + 1
-    detection = {"tail_fraction": cfg.detection.tail_fraction, "min_share": cfg.detection.min_share}
     return {
-        "model": _model_to_json(cfg.model), "replicas": cfg.replicas, "horizon": cfg.horizon,
-        "base_seed": cfg.base_seed, "start": start, "detection": detection,
+        "model": _model_to_json(cfg.model),
+        "replicas": cfg.replicas,
+        "horizon": cfg.horizon,
+        "base_seed": cfg.base_seed,
+        "start": start,
+        "detection": {
+            "tail_fraction": cfg.detection.tail_fraction,
+            "min_share": cfg.detection.min_share,
+        },
     }
 
 
@@ -324,20 +330,31 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
 
 def _json_head(result: CampaignResult) -> dict:
     """The JSON document of a campaign result but its replica records."""
-    aggregates = {
-        "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
-        "mean_sorted_profile": {str(k): list(v) for k, v in result.mean_sorted_profile.items()},
+    return {
+        "config": config_to_json_dict(result.config),
+        "aggregates": {
+            "support_histogram": {str(k): v for k, v in result.support_histogram.items()},
+            "mean_sorted_profile": {
+                str(k): list(v) for k, v in result.mean_sorted_profile.items()
+            },
+        },
+        "provenance": {
+            "config_hash": result.config_hash,
+            "code_version": result.code_version,
+        },
     }
-    provenance = {"config_hash": result.config_hash, "code_version": result.code_version}
-    return {"config": config_to_json_dict(result.config), "aggregates": aggregates, "provenance": provenance}
 
 
 def _record(rep: ReplicaResult) -> dict:
     """The JSON record of one replica; sites are 1-based there."""
     return {
-        "replica": rep.replica, "seed": rep.seed, "support": [s + 1 for s in rep.support.sites],
-        "tail_profile": list(rep.tail_profile), "final_occupation": rep.final_occupation.tolist(),
-        "nearest_equilibrium": rep.nearest_equilibrium, "distance": rep.distance,
+        "replica": rep.replica,
+        "seed": rep.seed,
+        "support": [s + 1 for s in rep.support.sites],
+        "tail_profile": list(rep.tail_profile),
+        "final_occupation": rep.final_occupation.tolist(),
+        "nearest_equilibrium": rep.nearest_equilibrium,
+        "distance": rep.distance,
     }
 
 
@@ -418,12 +435,21 @@ def export(result: CampaignResult, path, format: str) -> None:
         with open_text(path, "w") as fh:
             _write_json(result, fh)
     elif format == "csv":
-        occ = [f"occ_{i + 1}" for i in range(result.config.model.size)]
+        n = result.config.model.size
+        cols = ["replica", "seed", "support_size", "support"]
+        cols += [f"occ_{i + 1}" for i in range(n)]
+        cols += ["nearest_eq", "dist"]
         with open_text(path, "w") as fh:
-            fh.write(",".join(["replica", "seed", "support_size", "support", *occ, "nearest_eq", "dist"]) + "\n")
+            fh.write(",".join(cols) + "\n")
             for rep in result.replicas:
-                row = [str(rep.replica), str(rep.seed), str(len(rep.support.sites))]
-                row += ["|".join(str(s) for s in rep.support.labels()), *(f"{x:.17g}" for x in rep.final_occupation)]
+                occ = rep.final_occupation
+                row = [
+                    str(rep.replica),
+                    str(rep.seed),
+                    str(len(rep.support.sites)),
+                    "|".join(str(s) for s in rep.support.labels()),
+                ]
+                row += [f"{x:.17g}" for x in occ]
                 row += [str(rep.nearest_equilibrium), f"{rep.distance:.17g}"]
                 fh.write(",".join(row) + "\n")
     else:

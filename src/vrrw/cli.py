@@ -85,8 +85,11 @@ def _cmd_equilibria(args) -> int:
     if args.json:
         rows = [
             {
-                "support": list(e.support.labels()), "kind": e.kind, "point": [float(x) for x in np.asarray(e.point)],
-                "eigenvalues": [float(x) for x in e.tangent_eigenvalues], "verdict": e.verdict,
+                "support": list(e.support.labels()),
+                "kind": e.kind,
+                "point": [float(x) for x in np.asarray(e.point)],
+                "eigenvalues": [float(x) for x in e.tangent_eigenvalues],
+                "verdict": e.verdict,
                 "t": e.two_level_data.t if e.two_level_data else None,
                 "k": e.two_level_data.k if e.two_level_data else None,
             }
@@ -128,8 +131,15 @@ def _cmd_flow(args) -> int:
     if abs(total - 1.0) > 1e-9:
         raise VrrwError(f"initial point must sum to 1 within 1e-9, got {total!r}")
     v0 = v0 / total
-    payload = {"cmd": "flow", "matrix": matrix.entries.tolist(), "alpha": args.alpha, "c": args.c}
-    payload.update(v0=v0.tolist(), t=args.t, dt=args.dt)
+    payload = {
+        "cmd": "flow",
+        "matrix": matrix.entries.tolist(),
+        "alpha": args.alpha,
+        "c": args.c,
+        "v0": v0.tolist(),
+        "t": args.t,
+        "dt": args.dt,
+    }
     _print_provenance(seed, canonical_hash(payload))
     p = ModelParameters(matrix=matrix, alpha=args.alpha, loop_c=args.c)
     traj = integrate_flow(p, v0, t_end=args.t, dt=args.dt)
@@ -163,8 +173,15 @@ def _cmd_simulate(args) -> int:
         args.parser.error("--alpha, --start and --horizon are required (flags or config)")
     start, horizon = _integer(start, "start"), _integer(horizon, "horizon")
     p = model_from_json(model)
-    payload = {"cmd": "simulate", "matrix": p.matrix.entries.tolist(), "alpha": p.alpha, "c": p.loop_c}
-    payload.update(start=start, horizon=horizon, seed=seed)
+    payload = {
+        "cmd": "simulate",
+        "matrix": p.matrix.entries.tolist(),
+        "alpha": p.alpha,
+        "c": p.loop_c,
+        "start": start,
+        "horizon": horizon,
+        "seed": seed,
+    }
     _print_provenance(seed, canonical_hash(payload))
     record = simulate(p, start - 1, horizon, seed)
     log_kind = args.log or ("sites" if record.sites is not None else "checkpoints")
@@ -190,8 +207,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_rubin(args) -> int:
     seed = _resolve_seed(args.seed)
     matrix = _load_matrix(args.matrix, args.n, args.parser)
-    payload = {"cmd": "rubin", "matrix": matrix.entries.tolist(), "alpha": args.alpha}
-    payload.update(start=args.start, jumps=args.jumps, seed=seed)
+    payload = {
+        "cmd": "rubin",
+        "matrix": matrix.entries.tolist(),
+        "alpha": args.alpha,
+        "start": args.start,
+        "jumps": args.jumps,
+        "seed": seed,
+    }
     _print_provenance(seed, canonical_hash(payload))
     config = ClockConfig(matrix=matrix, weight=power_weight(args.alpha))
     record = rubin_simulate(config, args.start - 1, args.jumps, seed)

@@ -141,9 +141,8 @@ def _coords(p: ModelParameters, v) -> np.ndarray:
 
 def _compiled(name: str, a, alpha: float, x: np.ndarray, words: int):
     """The buffer io of `words` doubles after the core's function `name` ran
-    on the point x = io[:n] for the n x n matrix a, and its status. a is an
-    InteractionMatrix, which keeps its entries' address, or entries as an
-    array, such as a face's."""
+    on the point x = io[:n] for the n x n matrix a, and its status; a is an
+    InteractionMatrix, which caches its address, or an array of entries."""
     io = np.empty(words)
     io[: x.size] = x
     doubles = None if isinstance(a, InteractionMatrix) else np.ascontiguousarray(a, dtype=float)
@@ -152,10 +151,9 @@ def _compiled(name: str, a, alpha: float, x: np.ndarray, words: int):
 
 
 def _error(status: int, a, x: np.ndarray) -> VrrwError:
-    """The typed error for a failed status of the core at the point x for
-    the matrix a (as _compiled takes it). A sum over A_ij, i and j in supp
-    x, below the normal double range is an underflow, or exactly 0 when all
-    those A_ij are 0."""
+    """The typed error for a failed status of the core at the point x. A sum
+    over A_ij, i and j in supp x, below the normal double range is an
+    underflow, or exactly 0 when all those A_ij are 0."""
     if status <= files.MF_CANCELLED:
         return _projection_error(status, x)
     if status == files.MF_EMPTY:
@@ -196,10 +194,10 @@ _CORE, _ENERGY = 2, 3
 
 
 def _point(a, alpha: float, x: np.ndarray, *checks: int):
-    """One point's pieces by the core for the matrix a (as _compiled takes
-    it): s = (x/m)^a, t = (x/m)^(a-1), f = A s, the scaled energy core =
-    <A s, s> and H = core m^a m^a, m = max x. An empty or negative x raises
-    its error, and so does each status of `checks` (_CORE, _ENERGY) that failed, in that order."""
+    """One point's pieces by the core: s = (x/m)^a, t = (x/m)^(a-1), f = A s,
+    the scaled energy core = <A s, s> and H = core m^a m^a, m = max x. An
+    empty or negative x raises its error, and so does each status of
+    `checks` (_CORE, _ENERGY) that failed, in that order."""
     n = x.size
     io, status = _compiled("mf_point", a, alpha, x, 4 * n + 4)
     for failed in (status, *(int(io[4 * n + k]) for k in checks)):
@@ -221,9 +219,8 @@ def invariant_measure(p: ModelParameters, v) -> np.ndarray:
 
 
 def _field_array(a, alpha: float, x: np.ndarray) -> np.ndarray:
-    """-x + pi(iota(x)) for a 1-D array x by the core, for the matrix a as
-    _compiled takes it, with the projection keeping the exact zeros of x at
-    zero."""
+    """-x + pi(iota(x)) for a 1-D array x by the core, with the projection
+    keeping the exact zeros of x at zero."""
     io, status = _compiled("mf_field", a, alpha, x, 5 * x.size)
     n = x.size
     if status:
@@ -287,8 +284,7 @@ def jacobian(p: ModelParameters, v) -> np.ndarray:
 
 
 def _jacobian_array(a, alpha: float, x: np.ndarray) -> np.ndarray:
-    """The Jacobian of jacobian's docstring for the matrix a, as _compiled
-    takes it."""
+    """The Jacobian of jacobian's docstring for the matrix a."""
     s, t, field, core, _ = _point(a, alpha, x, _CORE)
     rho = t * field / core
     dpi = np.diag(rho) + (s[:, None] * np.asarray(a)) * (t / core) - 2.0 * np.outer(s * field / core, rho)
@@ -371,8 +367,7 @@ def integrate_flow(p: ModelParameters, v0, t_end: float, dt: float = 0.01) -> Fl
     if status:
         raise _error(status, matrix, work[: x.size])
     log.debug("%d RK4 steps: %d projection clips", steps, clips)
-    times = np.arange(steps + 1, dtype=float)
-    times *= dt
+    times = np.arange(steps + 1) * dt
     for a in (times, states, energies):
         a.setflags(False)  # write=False, as TrajectoryRecord sets it
     return FlowTrajectory(times=times, states=states, lyapunov_values=energies)

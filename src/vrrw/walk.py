@@ -51,6 +51,7 @@ Ctrl-C too, it stops every chunk after its current call, then joins them.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -127,8 +128,7 @@ class TrajectoryRecord:
     sites: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # setflags(False): write=False without numpy's keyword parsing, dearer than the call
-        self.final_counts.setflags(False)
+        self.final_counts.setflags(False)  # write=False, without numpy's dearer keyword parsing
         self.checkpoint_steps.setflags(False)
         self.checkpoint_counts.setflags(False)
         if self.sites is not None:
@@ -153,24 +153,16 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-_SCHEDULES, _SCHEDULES_LOCK = {}, threading.Lock()  # horizon -> its schedule, 256 at most
-
-
+@functools.lru_cache(maxsize=256)
 def _geometric_steps(horizon: int) -> np.ndarray:
     """The distinct ceil(1.2^m) up to horizon >= 1 and horizon itself, sorted,
-    as a read-only int64 array kept in _SCHEDULES, so that no walk checks it again."""
-    steps = _SCHEDULES.get(horizon)
-    if steps is None:
-        vals, x = {horizon}, 1.0
-        while math.ceil(x) <= horizon:
-            vals.add(math.ceil(x))
-            x *= 1.2
-        steps = np.array(sorted(vals), dtype=np.int64)
-        steps.setflags(write=False)
-        with _SCHEDULES_LOCK:
-            if len(_SCHEDULES) >= 256:
-                del _SCHEDULES[next(iter(_SCHEDULES))]
-            _SCHEDULES[horizon] = steps
+    as a read-only int64 array, cached so that no walk checks it again."""
+    vals, x = {horizon}, 1.0
+    while math.ceil(x) <= horizon:
+        vals.add(math.ceil(x))
+        x *= 1.2
+    steps = np.array(sorted(vals), dtype=np.int64)
+    steps.setflags(write=False)
     return steps
 
 
@@ -180,11 +172,10 @@ def checkpoint_schedule(horizon: int, extra=()) -> np.ndarray:
     extra steps the schedule is cached per horizon, and read-only."""
     extra = [_integer(k, "checkpoint step") for k in extra]
     horizon = _integer(horizon, "horizon")
-    if horizon < 1 or extra and not 1 <= min(extra) <= max(extra) <= horizon:
+    steps = sorted({*extra, *_geometric_steps(horizon).tolist()}) if extra else _geometric_steps(horizon)
+    if steps[0] < 1 or steps[-1] > horizon:
         raise ValidationError("checkpoint steps must lie in [1, horizon]")
-    if not extra:
-        return _geometric_steps(horizon)
-    return np.array(sorted({*extra, *_geometric_steps(horizon).tolist()}), dtype=np.int64)
+    return np.array(steps, dtype=np.int64) if extra else steps
 
 
 def _nonnegative_int(x, what: str) -> int:
@@ -274,51 +265,54 @@ def _seed_words(seeds):
         words[:, 0] = seeds
         return 4, words.tobytes()
     width = max(4, (max(seeds).bit_length() + 31) // 32 if seeds else 0)
-    if len(seeds) == 1:
-        return width, seeds[0].to_bytes(4 * width, "little")
     return width, b"".join([s.to_bytes(4 * width, "little") for s in seeds])
 
 
-def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=True):
+def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     """Advance one replica per seed from starts for `horizon` steps, each
     drawing one double per step from its own PCG64, in calls of walk_run of
     at most SLICE_STEPS replica-steps each, a chunk of replicas per CPU.
-    Returns what _batch_walk returns, then, with states, each replica's PCG64
-    state (uint64 [R, 4]: state and inc, low words first) and the number of
-    blocks it took through walk_group. checkpoint_at is sorted int64, free of
-    repeats."""
+    Returns what _batch_walk returns, then each replica's PCG64 state (uint64
+    [R, 4]: state and inc, low words first) and the number of blocks it took
+    through walk_group. checkpoint_at is sorted int64, free of repeats."""
     n, r, c = p.size, len(seeds), checkpoint_at.size
     sites = np.empty((r, horizon + 1), dtype=np.int16 if n < 2**15 else np.int64) if record_sites else None
-    log = None if sites is None else files.address(sites)
-    k = min(r, r * horizon // THREAD_STEPS) or 1
+    k = max(1, min(r, r * horizon // THREAD_STEPS))
     if k > 1:
         k = min(k, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    size, chunks = min(horizon + 2, TABLE_SIZE), []
+    size = min(horizon + 2, TABLE_SIZE)
+    chunks = []
     for i in range(k):
         # walk_run's workspace, as _walk.c lays it out: done and paired, then per
         # replica its site, counts, checkpoint counts, state and walk_group blocks,
         # the checkpoint steps, and walk_run's own words (3n for each of 8 lanes)
         lo, hi = r * i // k, r * (i + 1) // k
         m = hi - lo
-        steps_at = 2 + m * (6 + n + c * n)
+        counts_at, chk_at = 2 + m, 2 + m + m * n
+        state_at = chk_at + m * c * n
+        steps_at = state_at + 5 * m
         iw = np.zeros(steps_at + c + m * (1 + n) + size + 24 * n, dtype=np.int64)
-        iw[2 : 2 + m] = starts[lo:hi]
+        iw[2:counts_at] = starts[lo:hi]
         iw[steps_at : steps_at + c] = checkpoint_at
-        at = None if log is None else log + lo * (horizon + 1) * sites.itemsize
+        log = None if sites is None else files.address(sites) + lo * sites.strides[0]
         width, words = _seed_words(seeds[lo:hi])
         args = (
             n, m, p.alpha, p.effective_matrix.address, horizon, FIRST_BLOCK, BLOCK_STEPS, SLICE_STEPS, size, c,
-            width, words, at if n < 2**15 else None, None if n < 2**15 else at, files.address(iw),
+            width, words, log if n < 2**15 else None, None if n < 2**15 else log, files.address(iw),
         )
-        chunks.append((lo, hi, args, iw))
+        fields = (
+            iw[counts_at:chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n),
+            iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : steps_at],
+        )
+        chunks.append((lo, hi, args, fields))
     lib, stop = files._library(), []
     if k == 1:  # copies, so that a record does not keep the power table alive
         while lib.walk_run(*args) < horizon:
             pass
-        fields = _fields(iw, r, n, c, states)
-        return (fields[0].copy(), fields[1].copy(), sites, *fields[2:])
+        counts, chk, state, grouped = fields
+        return counts.copy(), chk.copy(), sites, state, grouped
 
-    def run(args):  # a chunk's calls, until the walk ends or stop is set
+    def run(args):
         while lib.walk_run(*args) < horizon and not stop:
             pass
 
@@ -333,23 +327,11 @@ def _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=True):
         stop.append(True)
         for t in filter(threading.Thread.is_alive, threads):
             t.join()
-    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in _fields(chunks[0][3], chunks[0][1], n, c, states)]
-    for lo, hi, _, iw in chunks:
-        for whole, part in zip(out, _fields(iw, hi - lo, n, c, states)):
+    out = [np.empty((r, *f.shape[1:]), f.dtype) for f in chunks[0][3]]
+    for lo, hi, _, fields in chunks:
+        for whole, part in zip(out, fields):
             whole[lo:hi] = part
-    return (out[0], out[1], sites, *out[2:])
-
-
-def _fields(iw, m, n, c, states):
-    """Views into the workspace iw of m replicas: their counts [m, n] and
-    checkpoint counts [m, c, n], then, with states, their PCG64 states
-    [m, 4] and walk_group blocks [m]."""
-    chk_at = 2 + m + m * n
-    state_at = chk_at + m * c * n
-    views = iw[2 + m : chk_at].reshape(m, n), iw[chk_at:state_at].reshape(m, c, n)
-    if states:
-        views += iw[state_at : state_at + 4 * m].view(np.uint64).reshape(m, 4), iw[state_at + 4 * m : state_at + 5 * m]
-    return views
+    return out[0], out[1], sites, out[2], out[3]
 
 
 def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
@@ -365,11 +347,11 @@ def _batch_walk(p, starts, horizon, seeds, record_sites, checkpoint_at):
     if len(starts) != len(seeds):
         raise ValidationError("starts and seeds must have matching length")
     _check_weight_range(p, horizon)
-    if checkpoint_at is not _SCHEDULES.get(horizon):
+    if checkpoint_at is not _geometric_steps(horizon):
         checkpoint_at = np.ascontiguousarray(checkpoint_at, dtype=np.int64)
         if np.count_nonzero(checkpoint_at[1:] <= checkpoint_at[:-1]):
             raise ValidationError("checkpoint steps must increase")
-    return _walk(p, starts, horizon, seeds, record_sites, checkpoint_at, states=False)
+    return _walk(p, starts, horizon, seeds, record_sites, checkpoint_at)[:3]
 
 
 def simulate(
