@@ -430,7 +430,7 @@ def _result_from_json_dict(d: dict) -> CampaignResult:
 def export(result: CampaignResult, path, format: str) -> None:
     """Write a campaign result as json (round-trippable: an indented head
     and one line per replica record, _write_json) or csv (one row per
-    replica, fixed columns). Paths ending in .gz are compressed."""
+    replica record, fixed columns). Paths ending in .gz are compressed."""
     if format == "json":
         with open_text(path, "w") as fh:
             _write_json(result, fh)
@@ -441,16 +441,11 @@ def export(result: CampaignResult, path, format: str) -> None:
         cols += ["nearest_eq", "dist"]
         with open_text(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for rep in result.replicas:
-                occ = rep.final_occupation
-                row = [
-                    str(rep.replica),
-                    str(rep.seed),
-                    str(len(rep.support.sites)),
-                    "|".join(str(s) for s in rep.support.labels()),
-                ]
-                row += [f"{x:.17g}" for x in occ]
-                row += [str(rep.nearest_equilibrium), f"{rep.distance:.17g}"]
+            for rec in map(_record, result.replicas):
+                support = rec["support"]
+                row = [str(rec["replica"]), str(rec["seed"]), str(len(support)), "|".join(map(str, support))]
+                row += [f"{x:.17g}" for x in rec["final_occupation"]]
+                row += [str(rec["nearest_equilibrium"]), f"{rec['distance']:.17g}"]
                 fh.write(",".join(row) + "\n")
     else:
         raise DomainError(f"unknown export format {format!r}")

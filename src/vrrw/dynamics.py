@@ -19,8 +19,8 @@ in the core; A s and <s, A s> are summed in site order, so no bit depends
 on BLAS; only H and dH/dt carry the scale, as m^a m^a. An underflowed sum
 raises NumericError. A point takes one core call: _field_array's for
 vector_field, _point's for invariant_measure, lyapunov, lyapunov_derivative,
-jacobian, equilibria.classify and each kernel row, graph._project's for the
-projection; integrate_flow runs its whole RK4 in the core.
+jacobian, equilibria.classify and each kernel row, project_to_simplex's for
+the projection; integrate_flow runs its whole RK4 in the core.
 """
 
 from __future__ import annotations
@@ -142,11 +142,10 @@ def _coords(p: ModelParameters, v) -> np.ndarray:
 def _compiled(name: str, a, alpha: float, x: np.ndarray, words: int):
     """The buffer io of `words` doubles after the core's function `name` ran
     on the point x = io[:n] for the n x n matrix a, and its status; a is an
-    InteractionMatrix, which caches its address, or an array of entries."""
+    InteractionMatrix, which caches its address, or C-contiguous doubles."""
     io = np.empty(words)
     io[: x.size] = x
-    doubles = None if isinstance(a, InteractionMatrix) else np.ascontiguousarray(a, dtype=float)
-    at = a.address if doubles is None else files.address(doubles)
+    at = a.address if isinstance(a, InteractionMatrix) else files.address(a)
     return io, getattr(files._library(), name)(x.size, at, alpha, files.address(io))
 
 

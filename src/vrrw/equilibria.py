@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ModelParameters, _jacobian_array, tangent_eigenvalues, vector_field
-from .errors import DegenerateSupportError, DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .graph import FaceIndex, _exponent, _integer, _nonnegative, _number, coords_of, simplex_points
 
 #: Eigenvalue margin separating genuine criticality from float noise.
@@ -363,11 +363,12 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     """Recompute the tangent spectrum of an equilibrium from the numeric
     Jacobian of the support-face restriction and fill the verdict.
 
-    Directions leaving the support contribute exact -1 eigenvalues; the
-    face-restricted point has full support, so the Jacobian is regular
-    there for every exponent > 1. It needs only the face's entries of the
-    matrix, which may have unequal row sums. A support other than the
-    point's raises ValidationError.
+    Directions leaving the support contribute exact -1 eigenvalues, all of a
+    vertex's; the face-restricted point has full support, so the Jacobian is
+    regular there for every exponent > 1. It needs only the face's entries of
+    the effective matrix, diagonal included, whose row sums may differ. A
+    support other than the point's raises ValidationError, a loop-free vertex
+    DegenerateSupportError (the field's residual check).
     """
     residual = float(np.abs(vector_field(p, e.point)).max())
     if residual >= RESIDUAL_TOL:
@@ -379,10 +380,6 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
     if tuple(np.flatnonzero(x)) != sites:
         raise ValidationError(f"support {sites} is not the support of the point")
     if m == 1:
-        if p.loop_c == 0.0:
-            raise DegenerateSupportError(
-                "single-site support carries no interaction energy without self-loops"
-            )
         vals = (-1.0,) * (n - 1)
         return replace(e, tangent_eigenvalues=vals, verdict=_verdict(vals))
     sub_v = x[list(sites)]

@@ -97,7 +97,8 @@ class InteractionMatrix:
     entries: np.ndarray
     row_sum: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # entries as the compiled calls read them: C-contiguous doubles
+        object.__setattr__(self, "entries", np.ascontiguousarray(self.entries, dtype=np.float64))
         self.entries.setflags(write=False)
 
     def __array__(self, dtype=None, copy=None):
@@ -105,14 +106,11 @@ class InteractionMatrix:
 
     @cached_property
     def address(self) -> int:
-        """The address of the entries as C-contiguous doubles (of a copy kept in _doubles
-        if they are laid out otherwise), taken once for every compiled call."""
-        doubles = np.ascontiguousarray(self.entries, dtype=np.float64)
-        self.__dict__.setdefault("_doubles", []).append(doubles)  # kept, whichever thread's address is cached
-        return files.address(doubles)
+        """The address of the entries, taken once for every compiled call."""
+        return files.address(self.entries)
 
     def __getstate__(self):  # a copy or a pickle takes the address afresh
-        return {k: v for k, v in self.__dict__.items() if k not in ("address", "_doubles")}
+        return {k: v for k, v in self.__dict__.items() if k != "address"}
 
     @property
     def loop_free_sites(self) -> np.ndarray:
@@ -255,30 +253,24 @@ def _projection_error(status: int, x) -> NumericError:
     return NumericError(f"simplex projection cancels to no threshold for input {x!r}")
 
 
-def _project(arr: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a 1-D float array onto the probability simplex,
-    as a new array, by mf_project in _walk.c: with x sorted decreasingly, find
-    the largest m with x_(m) - (sum of top m - 1)/m > 0 and shift-clip by that
-    threshold, in up to 16 passes, as huge inputs may need a second one. In
-    exact arithmetic m = 1 always passes; when the shift cancels so far that
-    none does, as for [1e300, -1e300, 0], NumericError is raised, as for a
-    non-finite input or 16 passes that do not settle."""
+def project_to_simplex(x) -> np.ndarray:
+    """Euclidean projection of any real vector onto the probability simplex,
+    as a read-only copy, by mf_project in _walk.c: with x sorted decreasingly,
+    find the largest m with x_(m) - (sum of top m - 1)/m > 0 and shift-clip by
+    that threshold, in up to 16 passes, as huge inputs may need a second one.
+    In exact arithmetic m = 1 always passes; when the shift cancels so far
+    that none does, as for [1e300, -1e300, 0], NumericError is raised, as for
+    a non-finite input or 16 passes that do not settle."""
+    arr = _as_float_array(x, "projection input")
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError(f"projection input must be a vector, got shape {arr.shape}")
     n = arr.size
     io = np.empty(2 * n)
     io[:n] = arr
     status = files._library().mf_project(n, files.address(io))
     if status:
         raise _projection_error(status, arr)
-    return io[:n]
-
-
-def project_to_simplex(x) -> np.ndarray:
-    """Validating wrapper of _project for any real vector; the result is a
-    read-only copy."""
-    arr = _as_float_array(x, "projection input")
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"projection input must be a vector, got shape {arr.shape}")
-    return simplex_points(_project(arr))
+    return simplex_points(io[:n])
 
 
 def check_loopfree_cap(v, matrix: InteractionMatrix) -> bool:

@@ -36,6 +36,10 @@ _TAIL_PROBES = 64
 #: Chunk-sum contraction threshold; slower decay is treated as non-summable.
 _TAIL_CONTRACTION = 0.9
 
+#: Largest star degree of the trap calls: the sampler holds two doubles a
+#: leaf for each draw of a chunk, 16 MiB for one draw at this degree.
+_DEGREE_LIMIT = 2**20
+
 #: Jumps times sites that one clock_run call, which a signal cannot interrupt,
 #: may take: rubin_simulate takes max(1, CLOCK_SLICE // n) jumps a call.
 CLOCK_SLICE = 2**22
@@ -196,6 +200,20 @@ def _tail_inverse_sum(weight, truncation: int) -> float:
     )
 
 
+def _trap_setting(degree, weight, start_index: int, truncation: int) -> tuple:
+    """The checked degree and truncation of a trap call, w at the levels
+    start_index..truncation, and w(0). The degree must be an integer in
+    1.._DEGREE_LIMIT, the levels integers with 0 <= start_index < truncation."""
+    degree, start_index = _integer(degree, "degree"), _integer(start_index, "start index")
+    truncation = _integer(truncation, "truncation")
+    if not 1 <= degree <= _DEGREE_LIMIT:
+        raise ValidationError(f"degree must lie in 1..{_DEGREE_LIMIT}, got {degree}")
+    if start_index < 0 or truncation <= start_index:
+        raise ValidationError(f"need 0 <= start_index < truncation, got {start_index}, {truncation}")
+    w = _clock_weights(weight, np.arange(start_index, truncation + 1, dtype=np.int64))
+    return degree, truncation, w, _clock_weights(weight, 0)
+
+
 def trap_probability_bound(
     degree: int, weight: Callable[[int], float], start_index: int, truncation: int = 10**6
 ) -> float:
@@ -208,17 +226,9 @@ def trap_probability_bound(
     log, so the returned value never exceeds the infinite product.
 
     Returns 0 when some factor is nonpositive (the bound is vacuous then).
-    The degree and the levels are integers.
+    The degree is an integer in 1..2**20 (_DEGREE_LIMIT), the levels integers.
     """
-    degree, start_index = _integer(degree, "degree"), _integer(start_index, "start index")
-    truncation = _integer(truncation, "truncation")
-    if degree < 1:
-        raise ValidationError(f"degree must be >= 1, got {degree}")
-    if start_index < 0 or truncation <= start_index:
-        raise ValidationError(f"need 0 <= start_index < truncation, got {start_index}, {truncation}")
-    levels = np.arange(start_index, truncation + 1, dtype=np.int64)
-    w = _clock_weights(weight, levels)
-    w0 = _clock_weights(weight, 0)
+    degree, truncation, w, w0 = _trap_setting(degree, weight, start_index, truncation)
     x = degree * w0 / w
     if np.any(x >= 1.0):
         return 0.0
@@ -226,10 +236,7 @@ def trap_probability_bound(
     x_trunc = degree * w0 / float(w[-1])
     tail = _tail_inverse_sum(weight, truncation)
     log_tail_allowance = degree * degree * w0 * tail / (1.0 - x_trunc)
-    value = math.exp(log_main - log_tail_allowance)
-    if not math.isfinite(value):
-        raise NumericError("trap bound evaluation lost finiteness")
-    return value
+    return math.exp(log_main - log_tail_allowance)
 
 
 @dataclass(frozen=True)
@@ -258,25 +265,20 @@ def sample_trap_event(
 
     Durations beyond `truncation` are dropped; their total mean must be
     negligible against the binomial noise at the configured draw count.
-    The counts and levels are integers, and the seed a nonnegative one.
+    The counts and levels are integers, the degree in 1..2**20
+    (_DEGREE_LIMIT), and the seed a nonnegative one.
     """
-    degree, draws = _integer(degree, "degree"), _integer(draws, "draws")
-    start_index, truncation = _integer(start_index, "start index"), _integer(truncation, "truncation")
-    seed = _nonnegative_int(seed, "seed")
-    if degree < 1 or draws < 1:
-        raise ValidationError("need degree >= 1 and draws >= 1")
-    if start_index < 0 or truncation <= start_index:
-        raise ValidationError(f"need 0 <= start_index < truncation, got {start_index}, {truncation}")
-    levels = np.arange(start_index, truncation + 1, dtype=np.int64)
-    rates = _clock_weights(weight, levels)
-    w0 = _clock_weights(weight, 0)
+    draws, seed = _integer(draws, "draws"), _nonnegative_int(seed, "seed")
+    if draws < 1:
+        raise ValidationError(f"draws must be >= 1, got {draws}")
+    degree, _, rates, w0 = _trap_setting(degree, weight, start_index, truncation)
     rng = np.random.Generator(np.random.PCG64(seed))
     hits, remaining = 0, draws
-    chunk_cap = max(1, int(4e6 // (degree * levels.size)))
+    chunk_cap = max(1, int(4e6 // (degree * rates.size)))
     # durations are drawn, divided and summed in blocks of 2^16 doubles or one leaf's
-    rows = max(1, 2**16 // levels.size)
+    rows = max(1, 2**16 // rates.size)
     sums = np.empty(min(chunk_cap, draws) * degree)
-    buf = np.empty((min(rows, sums.size), levels.size))
+    buf = np.empty((min(rows, sums.size), rates.size))
     while remaining > 0:
         m = min(chunk_cap, remaining)
         for i in range(0, m * degree, rows):

@@ -128,10 +128,12 @@ def test_a_copied_or_pickled_model_takes_its_matrix_address_afresh():
 
 
 def test_a_matrix_laid_out_otherwise_walks_on_a_kept_copy():
-    # int entries in Fortran order: the compiled calls read a C-contiguous
-    # double copy, which the matrix keeps as long as its address is cached
+    # int entries in Fortran order: the matrix keeps them as C-contiguous
+    # doubles, whose address the compiled calls read
     entries = np.asfortranarray((np.ones((3, 3)) - np.eye(3)).astype(np.int64))
     odd = ModelParameters(matrix=InteractionMatrix(size=3, entries=entries, row_sum=2.0), alpha=2.5)
     for _ in range(3):
         np.testing.assert_array_equal(simulate(odd, 0, 50, 1).sites, simulate(P, 0, 50, 1).sites)
-    assert odd.effective_matrix.address == odd.effective_matrix._doubles[0].ctypes.data
+    kept = odd.effective_matrix.entries
+    assert kept.flags.c_contiguous and kept.dtype == np.float64
+    assert odd.effective_matrix.address == kept.ctypes.data

@@ -159,6 +159,20 @@ def test_detection_config_validation():
         DetectionConfig(min_share=-0.1)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        pytest.param({"replicas": 0}, "at least one replica", id="no-replicas"),
+        pytest.param({"horizon": 5}, "horizon must be >= 10", id="short-horizon"),
+        pytest.param({"start": "x"}, "start must be a site", id="unknown-start"),
+        pytest.param({"start": 3}, "start site 3 out of range", id="start-past-n"),
+    ],
+)
+def test_campaign_config_checks_its_ranges(fields, match):
+    with pytest.raises(ValidationError, match=match):
+        ExperimentConfig(**{"model": P3, "replicas": 4, "horizon": 100, "base_seed": 1, **fields})
+
+
 def test_anchor_sets():
     assert len(equilibrium_anchors(P3)) == 7
     loops = equilibrium_anchors(ModelParameters.for_complete_graph(3, 2.5, loop_c=0.5))
@@ -532,6 +546,16 @@ def test_single_row_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_gz_json_export_loads_back(tmp_path):
+    res = run_campaign(ExperimentConfig(model=P3, replicas=5, horizon=300, base_seed=11))
+    export(res, tmp_path / "out.json.gz", "json")
+    back = load_campaign(tmp_path / "out.json.gz")
+    assert (back.config_hash, back.support_histogram) == (res.config_hash, res.support_histogram)
+    for a, b in zip(back.replicas, res.replicas, strict=True):
+        assert (a.seed, a.support, a.nearest_equilibrium, a.distance) == (b.seed, b.support, b.nearest_equilibrium, b.distance)
+        assert a.final_occupation.tobytes() == b.final_occupation.tobytes()
+
+
 def test_campaign_json_files_are_canonical(tmp_path):
     cfg = ExperimentConfig(
         model=P3, replicas=2, horizon=300, base_seed=8, detection=DetectionConfig()
@@ -649,6 +673,32 @@ def test_campaign_exports_match_golden_hashes(key, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
         export(run_campaign(cfg), path, "json")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORTS[key], f"{cpus} CPUs"
+
+
+# SHA-256 of export(run_campaign(cfg), path, "csv"), keyed as GOLDEN_EXPORTS:
+# its two campaigns, and one on K13, past the catalog's 12 sites, whose rows
+# end on the index -1 and the distance nan.
+GOLDEN_CSV = {
+    (8, 1.15, 800, 5000, 11): "24e1539a9076dad0f97280484c3b9a790c69d761dd9e714c9be786a27dbed500",
+    (3, 2.5, 500, 20_000, 12): "4d22ab2064ca19de808a28f955fb1d07e4cc611e098e2f01c4b282d35f2f21cf",
+    (13, 1.3, 200, 400, 3): "8b6f76f1e984591d0b4eb5a34f10cb46263aaa90dac5c5a6effc8149989553ae",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CSV))
+def test_campaign_csv_exports_match_golden_hashes(key, tmp_path):
+    # the .gz export holds the same bytes, compressed
+    n, alpha, replicas, horizon, seed = key
+    cfg = ExperimentConfig(
+        model=ModelParameters.for_complete_graph(n, alpha), replicas=replicas, horizon=horizon, base_seed=seed
+    )
+    res = run_campaign(cfg)
+    export(res, tmp_path / "campaign.csv", "csv")
+    export(res, tmp_path / "campaign.csv.gz", "csv")
+    plain = (tmp_path / "campaign.csv").read_bytes()
+    assert hashlib.sha256(plain).hexdigest() == GOLDEN_CSV[key]
+    assert gzip.decompress((tmp_path / "campaign.csv.gz").read_bytes()) == plain
+    assert (n > 12) == plain.endswith(b",-1,nan\n")
 
 
 def _drop_last_replica(d):

@@ -239,6 +239,28 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["flow", "--alpha", "2.5", "--v0", "0.5,0.5", "--t", "1"], id="flow-no-graph"),
+        pytest.param(["flow", "--n", "2", "--alpha", "2.5", "--v0", "a,b", "--t", "1"], id="flow-v0-not-numbers"),
+        pytest.param(["flow", "--n", "2", "--alpha", "2.5", "--v0", "1", "--t", "1"], id="flow-v0-one-coordinate"),
+        pytest.param(["simulate", "--n", "3"], id="simulate-no-alpha-start-horizon"),
+    ],
+)
+def test_incomplete_commands_are_usage_errors(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_threshold_table_json(capsys):
+    code, out, _ = run_cli(capsys, "thresholds", "--c", "0.5", "--kmax", "4", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["k"] for row in rows] == [2, 3, 4]
+    assert rows == [{"k": row.k, "alpha_crit": row.alpha_crit, "loop_c": 0.5} for row in vrrw.threshold_table(0.5, 4)]
+
+
 def test_domain_violation_maps_to_exit_three(capsys):
     code, _, err = run_cli(capsys, "equilibria", "--n", "1", "--alpha", "2.5")
     assert code == 3

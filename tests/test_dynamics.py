@@ -563,6 +563,36 @@ def test_tangent_eigenvalues_center_values():
             assert len(eig) == n - 1
 
 
+def test_tangent_eigenvalues_of_a_rotation_take_the_symmetrised_fallback():
+    # a tangent block with eigenvalues -0.5 +- i: with positive weights the
+    # spectrum is the symmetrisation's, less its eigenvalue nearest -1
+    b = tangent_basis(3)
+    j = b @ np.array([[-0.5, -1.0], [1.0, -0.5]]) @ np.linalg.pinv(b)
+    w = np.array([0.2, 0.3, 0.5])
+    d = np.diag(w**-0.5)
+    sym = d @ j @ np.diag(w) @ d
+    full = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    want = np.sort(np.delete(full, np.argmin(np.abs(full + 1.0))))[::-1]
+    np.testing.assert_allclose(tangent_eigenvalues(j, weights=w), want, rtol=0, atol=1e-12)
+    with pytest.raises(ValidationError, match="strictly positive"):
+        tangent_eigenvalues(j, weights=[0.0, 0.5, 0.5])
+    # one site has no tangent direction
+    assert tangent_eigenvalues(np.array([[-1.0]])).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: lyapunov(P3, np.zeros(3)), DegenerateSupportError, "empty support", id="lyapunov-zero"),
+        pytest.param(lambda: vector_field(P3, [0.5, 0.5, 0.5]), ValidationError, "unit sum", id="field-sum"),
+        pytest.param(lambda: vector_field(P3, [1e300, -1e300, 1.0]), NumericError, "cancels", id="field-cancels"),
+    ],
+)
+def test_points_the_field_and_energy_cannot_take(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_flow_increases_lyapunov_and_stays_on_simplex():
     traj = integrate_flow(P3, np.array([0.62, 0.21, 0.17]), t_end=10.0)
     h = np.asarray(traj.lyapunov_values)

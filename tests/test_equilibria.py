@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vrrw import (
+    DegenerateSupportError,
     DomainError,
     Equilibrium,
     ModelParameters,
@@ -236,6 +237,47 @@ def test_classify_on_a_face_with_unequal_row_sums():
     np.testing.assert_allclose(checked.tangent_eigenvalues, want, rtol=0, atol=1e-7)
     np.testing.assert_allclose(checked.tangent_eigenvalues, [-0.16371, -0.73629, -1.0], atol=1e-5)
     assert checked.verdict == "stable"
+
+
+def _vertex(n):
+    return Equilibrium(
+        point=face_center(FaceIndex(sites=(0,)), n),
+        support=FaceIndex(sites=(0,)),
+        kind=FACE_CENTER,
+        tangent_eigenvalues=(),
+        verdict=MARGINAL,
+    )
+
+
+def test_classify_takes_a_vertex_loop_from_the_matrix_diagonal():
+    # the all-ones matrix is the effective matrix of K3 with loop weight 1:
+    # both models' vertices are stable, whichever field holds the loop
+    for p in (
+        ModelParameters(matrix=validate(np.ones((3, 3))), alpha=2.0),
+        ModelParameters.for_complete_graph(3, 2.0, loop_c=1.0),
+    ):
+        checked = classify(p, _vertex(3))
+        assert checked.tangent_eigenvalues == (-1.0, -1.0)
+        assert checked.verdict == "stable"
+    # a vertex with no loop has no interaction energy
+    with pytest.raises(DegenerateSupportError):
+        classify(ModelParameters.for_complete_graph(3, 2.0), _vertex(3))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: face_center(FaceIndex((0, 5)), 3), ValidationError, id="face_center"),
+        pytest.param(lambda: level_ratio_polynomial(0.5, 3, 3, 2.0), ValidationError, id="level_ratio_polynomial"),
+        pytest.param(lambda: solve_two_level(1, 1, 2.0), ValidationError, id="solve_two_level"),
+        pytest.param(lambda: center_eigenvalue(1, 2.0), DomainError, id="center_eigenvalue"),
+        pytest.param(lambda: critical_alpha_loop(1, 0.0), DomainError, id="critical_alpha_loop"),
+        pytest.param(lambda: threshold_table(0.0, 1), DomainError, id="threshold_table"),
+    ],
+)
+def test_sizes_out_of_range_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 FROZEN_COUNTS = {

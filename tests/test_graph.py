@@ -73,6 +73,30 @@ def test_matrix_json_round_trip():
     assert np.array_equal(again.entries, m.entries)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        pytest.param(lambda: validate([[0.0]]), "size must be >= 2", id="one-site"),
+        pytest.param(lambda: validate([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), "row sums are not constant", id="row-sums"),
+        pytest.param(lambda: complete_graph(1), "at least 2 sites", id="complete-one-site"),
+        pytest.param(
+            lambda: with_diagonal(validate([[2, 1, 1], [1, 1, 2], [1, 2, 1]]), 0.5),
+            "constant original diagonal",
+            id="uneven-diagonal",
+        ),
+        pytest.param(lambda: InteractionMatrix.from_json("{"), "malformed", id="json-syntax"),
+        pytest.param(
+            lambda: InteractionMatrix.from_json(json.dumps({"n": 4, "entries": [[0, 1], [1, 0]]})),
+            "declared size 4",
+            id="json-size",
+        ),
+    ],
+)
+def test_matrix_constructors_reject_bad_shapes(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
+
+
 def test_simplex_point_checks_mass():
     v = np.array([0.2, 0.3, 0.5])
     point = simplex_points(v)

@@ -176,12 +176,71 @@ def test_trap_bound_rejects_non_summable_clocks():
         trap_probability_bound(2, lambda l: np.asarray(l, dtype=float) + 1.0, 10, 10**4)
 
 
+@pytest.mark.parametrize(
+    "degree, start, truncation",
+    [pytest.param(0, 5, 1000, id="degree-0"), pytest.param(2, 10, 10, id="start-at-truncation")],
+)
+def test_trap_bound_validates_its_setting(degree, start, truncation):
+    with pytest.raises(ValidationError):
+        trap_probability_bound(degree, power_weight(3.0), start, truncation)
+
+
+def test_trap_bound_rejects_a_weight_that_falls_past_the_truncation():
+    # the tail's first probe reads w(101) = 101**3, its second w(201) = 10
+    def falling(levels):
+        levels = np.asarray(levels, dtype=float)
+        return np.where(levels <= 150, (levels + 1.0) ** 3, 10.0)
+
+    with pytest.raises(SummabilityError, match="decreases"):
+        trap_probability_bound(2, falling, 10, 100)
+
+
+def test_trap_bound_rejects_a_tail_that_settles_too_slowly():
+    # the dyadic chunks of sum 1/(l+1)**1.16 shrink by 2**-0.16 = 0.895 a
+    # probe: they contract, but 64 probes leave them far from negligible
+    with pytest.raises(SummabilityError, match="did not converge"):
+        trap_probability_bound(1, power_weight(1.16), 10, 1000)
+
+
+def test_trap_bound_weighs_a_scalar_weight_level_by_level():
+    # math.exp takes no array, so each level is weighed on its own, with
+    # the bits of a weight that maps math.exp over the array
+    def mapped(levels):
+        return math.exp(levels) if isinstance(levels, int) else np.array([math.exp(l) for l in levels.tolist()])
+
+    got = trap_probability_bound(1, math.exp, 5, 50)
+    assert got == trap_probability_bound(1, mapped, 5, 50)
+    assert got == pytest.approx(math.prod(1.0 - math.exp(-l) for l in range(5, 51)), rel=1e-12)
+
+
 def test_trap_sampler_validates_arguments():
     w = power_weight(3.0)
     with pytest.raises(ValidationError):
         sample_trap_event(0, w, 5, 10, 1)
     with pytest.raises(ValidationError):
         sample_trap_event(2, w, 50, 10, 1, truncation=40)
+
+
+@pytest.mark.parametrize("degree", [10**400, 2**63], ids=["past-doubles", "past-int64"])
+def test_trap_calls_reject_a_degree_they_cannot_evaluate(degree):
+    # a bare OverflowError from both calls, and a ValueError from the
+    # sampler's arrays at 2**63; one message for both calls now
+    w = power_weight(2.0)
+    with pytest.raises(ValidationError, match="degree") as bound:
+        trap_probability_bound(degree, w, 1)
+    with pytest.raises(ValidationError, match="degree") as sampler:
+        sample_trap_event(degree, w, 1, 10, 1)
+    assert str(bound.value) == str(sampler.value)
+
+
+def test_trap_calls_evaluate_every_degree_up_to_their_limit():
+    # at the limit the leading factor is negative, so the bound is 0, and
+    # the sampler's one draw holds two 2**20-double arrays
+    limit, w = rubin_module._DEGREE_LIMIT, power_weight(2.0)
+    assert trap_probability_bound(limit, w, 1) == 0.0
+    assert sample_trap_event(limit, w, 1, 1, 1, truncation=2).hits == 0
+    with pytest.raises(ValidationError, match=f"got {limit + 1}"):
+        sample_trap_event(limit + 1, w, 1, 1, 1, truncation=2)
 
 
 def test_trap_sampler_estimate_dominates_bound():

@@ -589,6 +589,18 @@ def test_step_loop_builds_from_an_empty_cache(tmp_path, monkeypatch):
         files_module._library.cache_clear()
 
 
+def test_a_compiler_that_does_not_exist_is_a_build_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(files_module, "_CACHE", tmp_path)
+    monkeypatch.setattr(files_module, "_COMPILER", str(tmp_path / "no-such-cc"))
+    files_module._library.cache_clear()
+    try:
+        with pytest.raises(BuildError, match="no-such-cc .* failed: "):
+            files_module._library()
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        files_module._library.cache_clear()
+
+
 class _Uniforms:
     """Stand-in for a numpy Generator that hands out given uniforms in
     order."""
