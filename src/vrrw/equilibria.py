@@ -365,10 +365,9 @@ def classify(p: ModelParameters, e: Equilibrium) -> Equilibrium:
 
     Directions leaving the support contribute exact -1 eigenvalues, all of a
     vertex's; the face-restricted point has full support, so the Jacobian is
-    regular there for every exponent > 1. It needs only the face's entries of
-    the effective matrix, diagonal included, whose row sums may differ. A
-    support other than the point's raises ValidationError, a loop-free vertex
-    DegenerateSupportError (the field's residual check).
+    regular there for every exponent > 1. It takes the face's entries of the
+    effective matrix, diagonal included, whose row sums may differ. A support
+    not the point's raises ValidationError, a loop-free vertex DegenerateSupportError.
     """
     residual = float(np.abs(vector_field(p, e.point)).max())
     if residual >= RESIDUAL_TOL:

@@ -552,7 +552,8 @@ def test_gz_json_export_loads_back(tmp_path):
     back = load_campaign(tmp_path / "out.json.gz")
     assert (back.config_hash, back.support_histogram) == (res.config_hash, res.support_histogram)
     for a, b in zip(back.replicas, res.replicas, strict=True):
-        assert (a.seed, a.support, a.nearest_equilibrium, a.distance) == (b.seed, b.support, b.nearest_equilibrium, b.distance)
+        assert (a.seed, a.support, a.tail_profile) == (b.seed, b.support, b.tail_profile)
+        assert (a.nearest_equilibrium, a.distance) == (b.nearest_equilibrium, b.distance)
         assert a.final_occupation.tobytes() == b.final_occupation.tobytes()
 
 

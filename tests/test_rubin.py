@@ -186,7 +186,7 @@ def test_trap_bound_validates_its_setting(degree, start, truncation):
 
 
 def test_trap_bound_rejects_a_weight_that_falls_past_the_truncation():
-    # the tail's first probe reads w(101) = 101**3, its second w(201) = 10
+    # the tail's first probe reads w(101) = 102**3, its second w(201) = 10
     def falling(levels):
         levels = np.asarray(levels, dtype=float)
         return np.where(levels <= 150, (levels + 1.0) ** 3, 10.0)
@@ -223,8 +223,8 @@ def test_trap_sampler_validates_arguments():
 
 @pytest.mark.parametrize("degree", [10**400, 2**63], ids=["past-doubles", "past-int64"])
 def test_trap_calls_reject_a_degree_they_cannot_evaluate(degree):
-    # a bare OverflowError from both calls, and a ValueError from the
-    # sampler's arrays at 2**63; one message for both calls now
+    # both calls raised a bare OverflowError at 10**400, and the sampler a
+    # ValueError from its arrays at 2**63; now both give one message
     w = power_weight(2.0)
     with pytest.raises(ValidationError, match="degree") as bound:
         trap_probability_bound(degree, w, 1)
@@ -233,8 +233,13 @@ def test_trap_calls_reject_a_degree_they_cannot_evaluate(degree):
     assert str(bound.value) == str(sampler.value)
 
 
+def test_trap_sampler_needs_a_draw():
+    with pytest.raises(ValidationError, match="draws must be >= 1, got 0"):
+        sample_trap_event(2, power_weight(3.0), 5, 0, 1)
+
+
 def test_trap_calls_evaluate_every_degree_up_to_their_limit():
-    # at the limit the leading factor is negative, so the bound is 0, and
+    # at the limit the leading factor is nonpositive, so the bound is 0, and
     # the sampler's one draw holds two 2**20-double arrays
     limit, w = rubin_module._DEGREE_LIMIT, power_weight(2.0)
     assert trap_probability_bound(limit, w, 1) == 0.0
